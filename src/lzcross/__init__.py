@@ -14,20 +14,17 @@ __version__ = "0.1.0"
 
 from .indexsets import (
     Anisotropy,
-    LayerSpec,
     axis_block,
     containing_block,
     cross_cardinality,
     cross_layers,
     hyperbolic_cross,
-    layer_above_truncated,
     layer_exact,
     rho_block,
 )
 from .norms import (
     GridFunction,
     MixedSpaceParams,
-    RearrangedProfile,
     ScalarSpaceParams,
     SequenceNormSpec,
     anisotropic_norm,

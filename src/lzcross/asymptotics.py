@@ -23,6 +23,7 @@ from .norms import SequenceNormSpec, mixed_reduce, mixed_sequence_norm
 
 
 def _inv(theta: float) -> float:
+    """1/theta with the convention 1/inf = 0."""
     return 0.0 if math.isinf(theta) else 1.0 / theta
 
 

@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .asymptotics import _inv, _tied_axes
 from .indexsets import (
     Anisotropy,
     FrequencyIndex,
-    MultiIndex,
     RationalLike,
     as_fraction,
     axis_block,
@@ -40,11 +40,6 @@ from .norms import (
     separable_norm,
 )
 from .spectral import GridSpec, SpectralFunction, nonzero_blocks, synthesize
-
-
-def _inv(theta: float) -> float:
-    """1/theta with the convention 1/inf = 0."""
-    return 0.0 if math.isinf(theta) else 1.0 / theta
 
 
 @dataclass(frozen=True)
@@ -132,9 +127,7 @@ def derived_exponents(tp: TheoremParams) -> DerivedExponents:
     gp = tp.gamma_prime
     if any(g_prime > g for g_prime, g in zip(gp.weights, gamma.weights)):
         raise ValueError("truncation weights may not exceed the derived gamma")
-    ratios = [g / g_prime for g, g_prime in zip(gamma.weights, gp.weights)]
-    delta = min(ratios)
-    a_set = tuple(j for j in range(m) if ratios[j] == delta)
+    delta, a_set = _tied_axes(gamma, gp)
     j1, jp = a_set[0], a_set[-1]
 
     alphas = [ax.alpha for ax in tp.source.space.axes]
@@ -246,6 +239,22 @@ def besov_functional(
     hyperplane k_j = 0 is rejected, since such functions lie outside the
     class.  The grid must resolve the full bandwidth of f.
     """
+    return _class_functional(f, params, grid, exact=True)
+
+
+def _class_functional(
+    f: SpectralFunction,
+    params: BesovParams,
+    grid: GridSpec | Sequence[int],
+    exact: bool,
+) -> float:
+    """Class functional of f, with the whole-function norm exact or bounded.
+
+    With exact the whole-function norm is measured on the grid.  Without,
+    it is replaced by its triangle-inequality upper bound, the sum of the
+    block norms, and no full grid is synthesized; the sequence term is
+    exact either way, since block norms factorize per axis.
+    """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
     if f.m != params.m or grid.m != params.m:
@@ -257,26 +266,24 @@ def besov_functional(
             )
     if not f.coefficients:
         return 0.0
-    first = anisotropic_norm(synthesize(f, grid), params.space)
-    blocks = nonzero_blocks(f)
+    # the full grid goes first, before the block dictionaries exist, which
+    # keeps it out of the memory peak
+    first = anisotropic_norm(synthesize(f, grid), params.space) if exact else None
+    norms = {
+        s: block_norm(comp, params.space, grid)
+        for s, comp in nonzero_blocks(f).items()
+    }
     r = [float(v) for v in params.r]
     weighted = {
-        s: 2.0 ** (sum(sj * rj for sj, rj in zip(s, r)))
-        * block_norm(comp, params.space, grid)
-        for s, comp in blocks.items()
+        s: 2.0 ** (sum(sj * rj for sj, rj in zip(s, r))) * v
+        for s, v in norms.items()
     }
     seq = mixed_sequence_norm(
         weighted, SequenceNormSpec(params.thetas), list(weighted)
     )
+    if first is None:
+        first = math.fsum(norms.values())
     return first + seq
-
-
-def _layer_on_axes(
-    n: int, gamma: Anisotropy, axes: Sequence[int]
-) -> list[MultiIndex]:
-    """Level vectors on the chosen axes with weighted sum n, all entries >= 1."""
-    sub = Anisotropy(tuple(gamma.weights[j] for j in axes))
-    return [s for s in layer_exact(n, sub) if min(s) >= 1]
 
 
 def _coefficient(s_full: Sequence[int], tp: TheoremParams) -> float:
@@ -288,17 +295,26 @@ def _coefficient(s_full: Sequence[int], tp: TheoremParams) -> float:
 
 
 def _spread_support(
-    tp: TheoremParams,
-    varying: Sequence[int],
-    layer: Sequence[MultiIndex],
-    prefactor: float,
+    n: int, tp: TheoremParams, d: DerivedExponents, varying: Sequence[int]
 ) -> SpectralFunction:
-    """Assemble the block-sum function for the given varying axes.
+    """Block-sum function over the layer of the given varying axes.
 
-    Frozen axes carry the single harmonic k_j = 1: the lowest nonzero
-    frequency, standing in for the empty level-zero block so the zero-mean
-    support condition holds while the level sum is unchanged in order.
+    The layer holds the level vectors on the varying axes with gamma-weighted
+    sum exactly n and all entries >= 1; every block carries the prefactor
+    n^(-sum_{j in A, j != j1} 1/theta_j).  Frozen axes carry the single
+    harmonic k_j = 1: the lowest nonzero frequency, standing in for the
+    empty level-zero block so the zero-mean support condition holds while
+    the level sum is unchanged in order.
     """
+    sub = Anisotropy(tuple(d.gamma.weights[j] for j in varying))
+    layer = [s for s in layer_exact(n, sub) if min(s) >= 1]
+    if not layer:
+        raise ValueError(
+            f"empty layer: no level vector on the axes {list(varying)} sums to n"
+        )
+    prefactor = float(n) ** (
+        -sum(_inv(tp.source.thetas[j]) for j in d.A if j != d.j1)
+    )
     m = tp.m
     coeffs: dict[FrequencyIndex, complex] = {}
     for s_var in layer:
@@ -324,13 +340,7 @@ def extremal_f1(n: int, tp: TheoremParams) -> SpectralFunction:
     if n < 1:
         raise ValueError("level must be a positive integer")
     d = derived_exponents(tp)
-    layer = _layer_on_axes(n, d.gamma, d.A)
-    if not layer:
-        raise ValueError("empty layer: no level vector on the tied axes sums to n")
-    pref = float(n) ** (
-        -sum(_inv(tp.source.thetas[j]) for j in d.A if j != d.j1)
-    )
-    return _spread_support(tp, d.A, layer, pref)
+    return _spread_support(n, tp, d, d.A)
 
 
 def extremal_f2(n: int, tp: TheoremParams) -> SpectralFunction:
@@ -366,10 +376,4 @@ def extremal_f3(n: int, tp: TheoremParams) -> SpectralFunction:
         if ax.tau < theta
     }
     b_prime = sorted((set(d.A) & b_set) | {d.j1})
-    layer = _layer_on_axes(n, d.gamma, b_prime)
-    if not layer:
-        raise ValueError("empty layer: no level vector on the spread axes sums to n")
-    pref = float(n) ** (
-        -sum(_inv(tp.source.thetas[j]) for j in d.A if j != d.j1)
-    )
-    return _spread_support(tp, b_prime, layer, pref)
+    return _spread_support(n, tp, d, b_prime)

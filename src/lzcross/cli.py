@@ -8,7 +8,7 @@ faults.  Identical configs produce byte-identical CSV bodies.
 
 Config files are flat JSON; numeric fields accept exact rationals as
 strings like "2/3".  Environment variables LZCROSS_CONFIG, LZCROSS_OUT,
-LZCROSS_THREADS, and LZCROSS_SEED mirror the global flags.
+and LZCROSS_THREADS mirror the global flags.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .asymptotics import (
@@ -43,6 +42,8 @@ from .asymptotics import (
 from .classes import BesovParams, TheoremParams, derived_exponents
 from .experiments import (
     DEFAULT_MAX_GRID_CELLS,
+    _EXTREMAL_BUILDERS,
+    _parallel_map,
     approx_error_scan,
     class_normalizer,
     theorem1_rate_experiment,
@@ -69,7 +70,6 @@ class ExperimentConfig:
     options: dict
     out_dir: Path
     threads: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -85,7 +85,6 @@ class RunManifest:
     version: str
     config: dict
     threads: int
-    seed: int
     wall_seconds: float
     outputs: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
@@ -100,7 +99,6 @@ class RunManifest:
             "version": self.version,
             "config": self.config,
             "threads": self.threads,
-            "seed": self.seed,
             "wall_seconds": self.wall_seconds,
             "outputs": self.outputs,
             "verdicts": self.verdicts,
@@ -199,16 +197,6 @@ def _out_path(cfg: ExperimentConfig, name: str) -> Path:
     return p if p.is_absolute() else cfg.out_dir / p
 
 
-def _threaded_values(
-    fn: Callable[[int], float], ns: Sequence[int], threads: int
-) -> dict[int, float]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(fn, ns))
-        return dict(zip(ns, vals))
-    return {n: fn(n) for n in ns}
-
-
 # -- experiment runners --------------------------------------------------------
 
 _LEMMA_DEFAULTS: dict[int, dict] = {
@@ -295,17 +283,15 @@ def _lemma_builders(cfg: ExperimentConfig):
 
 def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
     o = cfg.options
-    lemma_id = int(o.get("id", 0))
-    if lemma_id not in _LEMMA_DEFAULTS:
-        raise ConfigError("lemma id must be 1, 2, 3, or 4")
+    lhs, rhs, echo = _lemma_builders(cfg)
+    lemma_id = echo["id"]
     defaults = _LEMMA_DEFAULTS[lemma_id]
     ns = parse_range(o.get("range", defaults["range"]))
     relation = o.get("relation", defaults["relation"])
     if relation not in ("two-sided", "lower", "upper"):
         raise ConfigError("relation must be two-sided, lower, or upper")
-    lhs, rhs, echo = _lemma_builders(cfg)
-    lhs_vals = _threaded_values(lhs, ns, cfg.threads)
-    rhs_vals = _threaded_values(rhs, ns, cfg.threads)
+    lhs_vals = dict(zip(ns, _parallel_map(lhs, ns, cfg.threads)))
+    rhs_vals = dict(zip(ns, _parallel_map(rhs, ns, cfg.threads)))
     report = ratio_scan(
         lambda n: lhs_vals[n], lambda n: rhs_vals[n], ns,
         relation=relation, params=echo,
@@ -429,13 +415,11 @@ def _theorem_params(o: dict) -> TheoremParams:
 
 
 def _run_extremal(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
-    from .classes import extremal_f1, extremal_f2, extremal_f3
-
     o = cfg.options
     tp = _theorem_params(o)
     which = int(o.get("which", 1))
     n = int(o.get("n", 4))
-    builder = {1: extremal_f1, 2: extremal_f2, 3: extremal_f3}.get(which)
+    builder = _EXTREMAL_BUILDERS.get(which)
     if builder is None:
         raise ConfigError("which must be 1, 2, or 3")
     f = builder(n, tp)
@@ -529,7 +513,6 @@ def run(config: ExperimentConfig) -> RunManifest:
         version=__version__,
         config=_json_safe(config.options),
         threads=config.threads,
-        seed=config.seed,
         wall_seconds=0.0,
     )
     start = time.monotonic()
@@ -564,9 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=os.environ.get("LZCROSS_OUT", "."),
                         help="output directory (default: current directory)")
     parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("LZCROSS_THREADS", "1")))
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("LZCROSS_SEED", "0")))
+                        default=os.environ.get("LZCROSS_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     lemma = sub.add_parser("lemma", help="asymptotic lemma ratio checks")
@@ -681,7 +662,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             options=_collect_options(args),
             out_dir=Path(args.out_dir),
             threads=args.threads,
-            seed=args.seed,
         )
         config.out_dir.mkdir(parents=True, exist_ok=True)
         manifest = run(config)

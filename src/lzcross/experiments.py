@@ -9,7 +9,6 @@ thread pool; results are merged in ascending level order either way.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,8 +18,8 @@ from .classes import (
     BesovParams,
     DerivedExponents,
     TheoremParams,
+    _class_functional,
     besov_functional,
-    block_norm,
     derived_exponents,
     extremal_f1,
     extremal_f2,
@@ -28,10 +27,18 @@ from .classes import (
     theoretical_rate,
 )
 from .indexsets import Anisotropy, RationalLike, cross_cardinality
-from .norms import MixedSpaceParams, SequenceNormSpec, mixed_sequence_norm
-from .spectral import GridSpec, SpectralFunction, nonzero_blocks, truncation_error
+from .norms import MixedSpaceParams
+from .spectral import GridSpec, SpectralFunction, truncation_error
 
 DEFAULT_MAX_GRID_CELLS = 1 << 25
+
+
+def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
+    """fn over items on up to `threads` threads; results in input order."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def class_normalizer(
@@ -43,32 +50,15 @@ def class_normalizer(
     """Class functional of f, or a controlled estimate when the grid is too big.
 
     Under the cell budget this is besov_functional exactly.  Above it, the
-    sequence term is still computed exactly (block norms factorize per axis
-    at the grid resolutions), while the whole-function norm is replaced by
-    its triangle-inequality upper bound, the plain sum of block norms.  The
+    whole-function norm is replaced by its triangle-inequality upper bound,
+    the plain sum of block norms, while the sequence term stays exact.  The
     flag in the result records which path was taken; for the block-built
     extremal functions the replaced term is a vanishing fraction of the
     total, the bound being attained block-by-block.
     """
     if grid.cells <= max_grid_cells:
         return besov_functional(f, params, grid), True
-    for k in f.coefficients:
-        if 0 in k:
-            raise ValueError(
-                "zero-mean support condition violated: coefficient with some k_j = 0"
-            )
-    blocks = nonzero_blocks(f)
-    norms = {s: block_norm(comp, params.space, grid) for s, comp in blocks.items()}
-    r = [float(v) for v in params.r]
-    weighted = {
-        s: 2.0 ** (sum(sj * rj for sj, rj in zip(s, r))) * v
-        for s, v in norms.items()
-    }
-    seq = mixed_sequence_norm(
-        weighted, SequenceNormSpec(params.thetas), list(weighted)
-    )
-    first_upper = math.fsum(norms.values())
-    return first_upper + seq, False
+    return _class_functional(f, params, grid, exact=False), False
 
 
 @dataclass(frozen=True)
@@ -145,11 +135,7 @@ def theorem1_rate_experiment(
             support_size=f.n_terms,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(eval_point, ns))
-    else:
-        points = [eval_point(n) for n in ns]
+    points = _parallel_map(eval_point, ns, threads)
     points.sort(key=lambda pt: pt.n)
 
     data = [(pt.n, pt.error) for pt in points]
@@ -191,10 +177,6 @@ def approx_error_scan(
         err = truncation_error(f, n, gamma, target, grid)
         return int(n), err, cross_cardinality(n, gamma)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_point, ns))
-    else:
-        rows = [eval_point(n) for n in ns]
+    rows = _parallel_map(eval_point, ns, threads)
     rows.sort(key=lambda row: row[0])
     return rows

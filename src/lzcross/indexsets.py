@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Sequence
 
 MultiIndex = tuple[int, ...]
 FrequencyIndex = tuple[int, ...]
@@ -139,11 +139,20 @@ def cross_cardinality(n: RationalLike, gamma: Anisotropy) -> int:
     return total
 
 
-def in_cross(k: Sequence[int], n: RationalLike, gamma: Anisotropy) -> bool:
-    """Exact membership test of a frequency in the level-n cross."""
+def cross_membership(
+    n: RationalLike, gamma: Anisotropy
+) -> Callable[[Sequence[int]], bool]:
+    """Exact membership test of frequencies in the level-n cross.
+
+    The integer weights and threshold are taken once here, so testing many
+    frequencies against one cross costs no rational arithmetic per frequency.
+    """
     w, bound = gamma.scaled(n)
-    s = containing_block(k)
-    return sum(sj * wj for sj, wj in zip(s, w)) < bound
+
+    def inside(k: Sequence[int]) -> bool:
+        return sum(sj * wj for sj, wj in zip(containing_block(k), w)) < bound
+
+    return inside
 
 
 def layer_exact(n: RationalLike, gamma: Anisotropy) -> list[MultiIndex]:
@@ -172,58 +181,6 @@ def layer_exact(n: RationalLike, gamma: Anisotropy) -> list[MultiIndex]:
     return out
 
 
-def layer_above_truncated(
-    n: RationalLike, gamma: Anisotropy, box: Sequence[int]
-) -> list[MultiIndex]:
-    """Block levels with <s, gamma> >= n inside the box prod [0, box_j].
-
-    The box must contain the extreme points ceil(n / gamma_j) e_j of the
-    layer, so no part of its boundary is silently clipped.  A box whose
-    entire level range stays below n is admitted too: the intersection is
-    provably empty and [] is returned.
-    """
-    if len(box) != gamma.m:
-        raise ValueError("box length does not match anisotropy")
-    if any(b < 0 for b in box):
-        raise ValueError("box entries must be nonnegative")
-    w, bound = gamma.scaled(n)
-    if sum(b * wj for b, wj in zip(box, w)) < bound:
-        return []
-    need = [max(0, -(-bound // wj)) for wj in w]
-    if any(b < nd for b, nd in zip(box, need)):
-        raise ValueError(
-            "box must reach ceil(n / gamma_j) on every axis to cover the layer"
-        )
-    out = []
-    for s in itertools.product(*(range(b + 1) for b in box)):
-        if sum(sj * wj for sj, wj in zip(s, w)) >= bound:
-            out.append(s)
-    return out
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """A weighted layer set: levels below, at, or at-or-above a threshold."""
-
-    level: Fraction
-    anisotropy: Anisotropy
-    relation: Literal["below", "exact", "at-or-above"]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "level", as_fraction(self.level))
-        if self.relation not in ("below", "exact", "at-or-above"):
-            raise ValueError("relation must be below, exact, or at-or-above")
-
-    def members(self, box: Sequence[int] | None = None) -> list[MultiIndex]:
-        if self.relation == "below":
-            return cross_layers(self.level, self.anisotropy)
-        if self.relation == "exact":
-            return layer_exact(self.level, self.anisotropy)
-        if box is None:
-            raise ValueError("at-or-above layers are infinite; a box is required")
-        return layer_above_truncated(self.level, self.anisotropy, box)
-
-
 def indices_to_json_dict(m: int, indices: Iterable[Sequence[int]]) -> dict:
     """JSON-ready dict {"m": ..., "indices": [[...], ...]} in lex order."""
     rows = sorted(tuple(int(c) for c in idx) for idx in indices)
@@ -231,11 +188,3 @@ def indices_to_json_dict(m: int, indices: Iterable[Sequence[int]]) -> dict:
         if len(row) != m:
             raise ValueError("index arity does not match m")
     return {"m": int(m), "indices": [list(r) for r in rows]}
-
-
-def indices_from_json_dict(doc: dict) -> tuple[int, list[MultiIndex]]:
-    m = int(doc["m"])
-    indices = [tuple(int(c) for c in row) for row in doc["indices"]]
-    if any(len(idx) != m for idx in indices):
-        raise ValueError("index arity does not match m")
-    return m, indices

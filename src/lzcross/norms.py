@@ -155,23 +155,6 @@ class GridFunction:
 
 
 @dataclass(frozen=True)
-class RearrangedProfile:
-    """Nonnegative profile on the product of cells ((i)/N, (i+1)/N] per axis.
-
-    Any cell count is representable; the weighted integrals downstream
-    insist on powers of two, sorting itself does not care.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.size and float(arr.min()) < 0.0:
-            raise ValueError("profile values must be nonnegative")
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
 class SequenceNormSpec:
     """Iterated sequence-norm exponents, axis 0 innermost; may include inf."""
 
@@ -192,25 +175,27 @@ class SequenceNormSpec:
 def _magnitudes(data) -> np.ndarray:
     if isinstance(data, GridFunction):
         return np.abs(data.values)
-    if isinstance(data, RearrangedProfile):
-        return np.array(data.values, dtype=np.float64)
     return np.abs(np.asarray(data))
 
 
-def rearrange_axis(data, axis: int) -> RearrangedProfile:
+def rearrange_axis(data, axis: int) -> np.ndarray:
     """Sort magnitudes in decreasing order along one axis, other axes fixed."""
     arr = _magnitudes(data).astype(np.float64)
     if not 0 <= axis < arr.ndim:
         raise ValueError("axis out of range")
-    return RearrangedProfile(np.flip(np.sort(arr, axis=axis), axis=axis))
+    return np.flip(np.sort(arr, axis=axis), axis=axis)
 
 
-def iterated_rearrangement(data) -> RearrangedProfile:
+def iterated_rearrangement(data) -> np.ndarray:
     """Apply rearrange_axis successively on axis 0, 1, ..., m-1."""
     arr = _magnitudes(data).astype(np.float64)
     for axis in range(arr.ndim):
         arr = np.flip(np.sort(arr, axis=axis), axis=axis)
-    return RearrangedProfile(arr)
+    return arr
+
+
+_UNIT_WINDOWS = 20000
+_DOUBLING_WINDOWS = 64
 
 
 @functools.lru_cache(maxsize=128)
@@ -219,8 +204,10 @@ def _cell_weights(n_cells: int, p: float, alpha: float, tau: float) -> np.ndarra
 
     In u = -log2 t the integrand is ln2 (1+u)^(alpha tau) 2^(-u tau/p) on a
     finite interval per cell, handled by 16-point Gauss-Legendre.  The first
-    cell reaches u = infinity and is summed over unit windows until the
-    remainder is negligible; the decay rate tau/p > 0 guarantees termination.
+    cell reaches u = infinity and is summed over unit windows, then over
+    doubling windows once 20,000 unit windows do not suffice, until the
+    remainder is negligible.  A tail that does not converge to a finite
+    value raises ArithmeticError rather than returning a truncated weight.
     """
     a, d = alpha * tau, tau / p
 
@@ -237,23 +224,30 @@ def _cell_weights(n_cells: int, p: float, alpha: float, tau: float) -> np.ndarra
     weights = np.empty(n_cells)
     weights[1:] = seg(u_lo, u_hi)
 
-    # first cell: unit windows from u0 = log2 N until the tail is negligible
-    u0 = math.log2(n_cells)
+    # first cell: unit windows from u0 = log2 N, then doubling windows, until
+    # the tail is negligible
     total = 0.0
-    for step in range(20000):
-        lo = np.array([u0 + step])
-        piece = float(seg(lo, lo + 1.0)[0])
+    lo, width = math.log2(n_cells), 1.0
+    for step in range(_UNIT_WINDOWS + _DOUBLING_WINDOWS):
+        if step >= _UNIT_WINDOWS:
+            width *= 2.0
+        piece = float(seg(np.array([lo]), np.array([lo + width]))[0])
         total += piece
-        if piece <= 1e-18 * total and step >= 2:
+        converged = piece <= 1e-18 * total and step >= 2
+        if converged:
             break
+        lo += width
+    if not (converged and math.isfinite(total)):
+        raise ArithmeticError(
+            f"first-cell weight did not converge (p={p}, alpha={alpha}, tau={tau})"
+        )
     weights[0] = total
     weights.setflags(write=False)
     return weights
 
 
 def cell_weights(n_cells: int, params: ScalarSpaceParams) -> np.ndarray:
-    if n_cells < 2 or n_cells & (n_cells - 1):
-        raise ValueError("cell count must be a power of two, at least 2")
+    (n_cells,) = _validated_shape((n_cells,))
     return _cell_weights(n_cells, float(params.p), params.alpha, params.tau)
 
 
@@ -278,7 +272,7 @@ def anisotropic_norm(f, params: MixedSpaceParams) -> float:
     Magnitudes are rearranged axis by axis, then the weighted tau_j integral
     is applied per axis, axis 0 innermost.
     """
-    prof = iterated_rearrangement(f).values
+    prof = iterated_rearrangement(f)
     if prof.ndim != params.m:
         raise ValueError("parameter arity does not match grid dimension")
     g = prof

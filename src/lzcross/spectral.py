@@ -21,9 +21,10 @@ from .indexsets import (
     MultiIndex,
     RationalLike,
     containing_block,
+    cross_membership,
     rho_block,
 )
-from .norms import GridFunction, MixedSpaceParams, anisotropic_norm
+from .norms import GridFunction, MixedSpaceParams, _validated_shape, anisotropic_norm
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,7 @@ class GridSpec:
     shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        shape = tuple(int(n) for n in self.shape)
-        for n in shape:
-            if n < 2 or n & (n - 1):
-                raise ValueError("grid sizes must be powers of two, at least 2")
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "shape", _validated_shape(self.shape))
 
     @property
     def m(self) -> int:
@@ -192,13 +189,7 @@ def cross_truncate(
     """Keep the coefficients inside the step hyperbolic cross at level n."""
     if gamma.m != f.m:
         raise ValueError("anisotropy arity does not match spectral function")
-    w, bound = gamma.scaled(n)
-
-    def keep(k: FrequencyIndex) -> bool:
-        s = containing_block(k)
-        return sum(sj * wj for sj, wj in zip(s, w)) < bound
-
-    return f.restrict(keep)
+    return f.restrict(cross_membership(n, gamma))
 
 
 def truncation_error(
@@ -218,13 +209,8 @@ def truncation_error(
     cross-check against the grid value, and when no grid is given it is
     returned directly (plain-L2 targets only).
     """
-    w, bound = gamma.scaled(n)
-
-    def outside(k: FrequencyIndex) -> bool:
-        s = containing_block(k)
-        return sum(sj * wj for sj, wj in zip(s, w)) >= bound
-
-    residual = f.restrict(outside)
+    inside = cross_membership(n, gamma)
+    residual = f.restrict(lambda k: not inside(k))
     plain_l2 = target.is_plain_l2()
     parseval = residual.l2_norm() if plain_l2 else None
     if grid is None:

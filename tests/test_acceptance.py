@@ -213,7 +213,7 @@ def univariate_params():
 
 def test_criterion_08_rate_univariate():
     tp = univariate_params()
-    assert tp.target.is_plain_l2  # exact coefficient error path applies
+    assert tp.target.is_plain_l2()  # exact coefficient error path applies
     t0 = time.perf_counter()
     result = theorem1_rate_experiment(tp, list(range(6, 17)))
     elapsed = time.perf_counter() - t0

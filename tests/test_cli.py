@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,3 +260,80 @@ def test_theorem1_rate_univariate_defaults(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "theorem1_rate.csv")
     assert header == ["n", "error", "reference"]
     assert [int(r[0]) for r in rows] == list(range(6, 17))
+
+
+# -- threads -------------------------------------------------------------------
+
+
+def test_bad_threads_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LZCROSS_THREADS", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "lemma", "check", "--id", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_two_threads_give_the_same_outputs(tmp_path):
+    params = make_params_file(tmp_path, {"p": ["3/2"], "q": ["2"], "r": ["1"]})
+    runs = {
+        "rate": (["theorem1", "rate", "--params", str(params), "--range", "6:10"],
+                 "theorem1_rate.csv"),
+        "lemma": (["lemma", "check", "--id", "3", "--range", "4:12"],
+                  "lemma3_report.csv"),
+    }
+    for name, (argv, csv_name) in runs.items():
+        bodies = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}"
+            assert main(["--out", str(out), "--threads", threads] + argv) == 0
+            bodies.append((out / csv_name).read_bytes())
+        assert bodies[0] == bodies[1]
+
+
+# -- stored reference outputs --------------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+REFERENCE_RUNS = [
+    ("rate-1d/theorem1",
+     ["theorem1", "rate", "--params", str(BENCH / "params" / "rate-1d.json")]),
+    ("lemmas/lemma1-1", ["lemma", "check", "--id", "1", "--case", "1"]),
+    ("lemmas/lemma1-2", ["lemma", "check", "--id", "1", "--case", "2"]),
+    ("lemmas/lemma1-3", ["lemma", "check", "--id", "1", "--case", "3"]),
+    ("lemmas/lemma2-decay", ["lemma", "check", "--id", "2", "--case", "decay"]),
+    ("lemmas/lemma2-growth", ["lemma", "check", "--id", "2", "--case", "growth"]),
+    ("lemmas/lemma3", ["lemma", "check", "--id", "3"]),
+    ("lemmas/lemma4", ["lemma", "check", "--id", "4"]),
+]
+
+
+def assert_close(got, want, where):
+    if isinstance(want, float) or isinstance(got, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where
+
+
+def parse_output(path):
+    if path.suffix == ".json":
+        return read_json(path)
+    header, rows = read_csv(path)
+    return [header] + [[float(c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("ref, argv", REFERENCE_RUNS, ids=[r for r, _ in REFERENCE_RUNS])
+def test_outputs_match_stored_references(tmp_path, ref, argv):
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    ref_dir = BENCH / "reference" / ref
+    names = sorted(p.name for p in ref_dir.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["manifest.json"])
+    for name in names:
+        assert_close(parse_output(tmp_path / name), parse_output(ref_dir / name), name)

@@ -52,9 +52,9 @@ def test_mixed_params_constructors():
 
 def test_rearrange_axis_sorts_descending():
     got = rearrange_axis([1.0, 3.0, 2.0], 0)
-    assert got.values.tolist() == [3.0, 2.0, 1.0]
+    assert got.tolist() == [3.0, 2.0, 1.0]
     got = rearrange_axis([[0.0, 4.0], [3.0, 1.0]], 0)
-    assert got.values.tolist() == [[3.0, 4.0], [0.0, 1.0]]
+    assert got.tolist() == [[3.0, 4.0], [0.0, 1.0]]
     with pytest.raises(ValueError):
         rearrange_axis([1.0, 2.0], 1)
 
@@ -65,15 +65,15 @@ def test_iterated_rearrangement_of_product_data():
     h = rng.random(8)
     grid = np.outer(g, h)
     want = np.outer(np.sort(g)[::-1], np.sort(h)[::-1])
-    got = iterated_rearrangement(grid).values
+    got = iterated_rearrangement(grid)
     assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_iterated_rearrangement_idempotent():
     rng = np.random.default_rng(8)
     arr = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-    once = iterated_rearrangement(arr).values
-    twice = iterated_rearrangement(once).values
+    once = iterated_rearrangement(arr)
+    twice = iterated_rearrangement(once)
     assert np.array_equal(once, twice)
 
 
@@ -96,6 +96,32 @@ def test_cell_weights_square_root_mass():
     # tau/p = 1/2: integral of t^(-1/2) is 2; tau = 1 is reachable only here
     w = _cell_weights(256, 2.0, 0.0, 1.0)
     assert abs(float(w.sum()) - 2.0) < 1e-12
+
+
+def test_cell_weights_slow_tail_first_cell():
+    # p=1000, alpha=4, tau=1.25: the first-cell tail outlasts 20,000 unit
+    # windows.  In v = 1 + u the first weight is
+    # ln2 e^lam lam^-(a+1) Gamma(a+1, lam (1+u0)) with lam = (tau/p) ln2,
+    # a = alpha tau = 5 and u0 = log2 N; for integer a,
+    # Gamma(6, x) = 120 e^-x sum_{k<=5} x^k / k!.
+    p, alpha, tau, n_cells = 1000.0, 4.0, 1.25, 2
+    lam = tau / p * math.log(2.0)
+    x = lam * (1.0 + math.log2(n_cells))
+    gamma6 = 120.0 * math.exp(-x) * math.fsum(
+        x**k / math.factorial(k) for k in range(6)
+    )
+    want = math.log(2.0) * math.exp(lam) * lam**-6 * gamma6
+    got = float(_cell_weights(n_cells, p, alpha, tau)[0])
+    assert abs(got - want) < 1e-12 * want
+
+
+def test_cell_weights_unconverged_tail_raises():
+    # tau/p = 2e-30: the weight 2^(-u tau/p) does not decay within any window
+    with pytest.raises(ArithmeticError):
+        _cell_weights(2, 1e30, 0.0, 2.0)
+    # (1+u)^(alpha tau) overflows to infinity
+    with pytest.raises(ArithmeticError), np.errstate(over="ignore"):
+        _cell_weights(2, 2.0, 400.0, 2.0)
 
 
 def test_scalar_norm_of_constant_one():
