@@ -13,7 +13,6 @@ correction of the main convergence-rate term.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,15 +23,12 @@ import numpy as np
 from .asymptotics import _inv, _tied_axes
 from .indexsets import (
     Anisotropy,
-    FrequencyIndex,
-    RationalLike,
     as_fraction,
     axis_block,
+    cartesian_rows,
     layer_exact,
-    rho_block,
 )
 from .norms import (
-    GridFunction,
     MixedSpaceParams,
     SequenceNormSpec,
     anisotropic_norm,
@@ -190,24 +186,6 @@ def theoretical_rate(n: int, d: DerivedExponents) -> float:
     return 2.0 ** (-n * float(d.rho_star)) * float(n) ** d.mu
 
 
-def _is_uniform_product(
-    block: SpectralFunction,
-) -> tuple[complex, list[list[int]]] | None:
-    """Detect coefficient-constant Cartesian-product support; None otherwise."""
-    items = block.items()
-    if not items:
-        return None
-    c0 = items[0][1]
-    if any(a != c0 for _, a in items):
-        return None
-    axis_sets = [
-        sorted({k[j] for k, _ in items}) for j in range(block.m)
-    ]
-    if math.prod(len(s) for s in axis_sets) != len(items):
-        return None
-    return c0, axis_sets
-
-
 def block_norm(
     block: SpectralFunction, space: MixedSpaceParams, grid: GridSpec
 ) -> float:
@@ -218,15 +196,14 @@ def block_norm(
     same per-axis resolutions, which agrees with the full grid quadrature
     exactly and avoids materializing the product grid.
     """
-    product = _is_uniform_product(block)
-    if product is not None:
-        c0, axis_sets = product
+    c = block.coeffs
+    axis_sets = [np.unique(block.freqs[:, j]) for j in range(block.m)]
+    if c.size and (c == c[0]).all() and math.prod(map(len, axis_sets)) == c.size:
         mags = []
-        for j, axis_set in enumerate(axis_sets):
-            axis_poly = SpectralFunction(1, {(k,): 1.0 for k in axis_set})
-            axis_grid = GridSpec((grid.shape[j],))
-            mags.append(np.abs(synthesize(axis_poly, axis_grid).values))
-        return abs(c0) * separable_norm(mags, space)
+        for axis_set, n in zip(axis_sets, grid.shape):
+            axis_poly = SpectralFunction(1, (axis_set[:, None], np.ones(len(axis_set))))
+            mags.append(np.abs(synthesize(axis_poly, GridSpec((n,))).values))
+        return abs(complex(c[0])) * separable_norm(mags, space)
     return anisotropic_norm(synthesize(block, grid), space)
 
 
@@ -259,14 +236,13 @@ def _class_functional(
         grid = GridSpec(tuple(grid))
     if f.m != params.m or grid.m != params.m:
         raise ValueError("dimension mismatch between f, parameters, and grid")
-    for k in f.coefficients:
-        if 0 in k:
-            raise ValueError(
-                "zero-mean support condition violated: coefficient with some k_j = 0"
-            )
-    if not f.coefficients:
+    if (f.freqs == 0).any():
+        raise ValueError(
+            "zero-mean support condition violated: coefficient with some k_j = 0"
+        )
+    if not f.n_terms:
         return 0.0
-    # the full grid goes first, before the block dictionaries exist, which
+    # the full grid goes first, before the blocks are split off, which
     # keeps it out of the memory peak
     first = anisotropic_norm(synthesize(f, grid), params.space) if exact else None
     norms = {
@@ -316,18 +292,17 @@ def _spread_support(
         -sum(_inv(tp.source.thetas[j]) for j in d.A if j != d.j1)
     )
     m = tp.m
-    coeffs: dict[FrequencyIndex, complex] = {}
+    freqs, coeffs = [], []
     for s_var in layer:
         s_full = [0] * m
         for pos, j in enumerate(varying):
             s_full[j] = s_var[pos]
-        c = prefactor * _coefficient(s_full, tp)
-        axis_sets = [
-            axis_block(s_full[j]) if j in varying else [1] for j in range(m)
-        ]
-        for k in itertools.product(*axis_sets):
-            coeffs[k] = c
-    return SpectralFunction(m, coeffs)
+        block = cartesian_rows(
+            [axis_block(s_full[j]) if j in varying else [1] for j in range(m)]
+        )
+        freqs.append(block)
+        coeffs.append(np.full(len(block), prefactor * _coefficient(s_full, tp)))
+    return SpectralFunction(m, (np.concatenate(freqs), np.concatenate(coeffs)))
 
 
 def extremal_f1(n: int, tp: TheoremParams) -> SpectralFunction:
@@ -357,7 +332,8 @@ def extremal_f2(n: int, tp: TheoremParams) -> SpectralFunction:
     rem = as_fraction(n) - sum(gp[:-1], Fraction(0))
     s[-1] = max(1, math.ceil(rem / gp[-1]))
     c = _coefficient(s, tp)
-    return SpectralFunction(m, {k: c for k in rho_block(s)})
+    freqs = cartesian_rows([axis_block(sj) for sj in s])
+    return SpectralFunction(m, (freqs, np.full(len(freqs), c)))
 
 
 def extremal_f3(n: int, tp: TheoremParams) -> SpectralFunction:

@@ -27,7 +27,6 @@ from typing import Sequence
 
 from . import __version__
 from .asymptotics import (
-    RatioReport,
     lemma1_interior_sum,
     lemma1_reference,
     lemma1_sum,
@@ -39,7 +38,7 @@ from .asymptotics import (
     lemma4_reference,
     ratio_scan,
 )
-from .classes import BesovParams, TheoremParams, derived_exponents
+from .classes import BesovParams, TheoremParams
 from .experiments import (
     DEFAULT_MAX_GRID_CELLS,
     _EXTREMAL_BUILDERS,

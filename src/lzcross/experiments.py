@@ -26,7 +26,7 @@ from .classes import (
     extremal_f3,
     theoretical_rate,
 )
-from .indexsets import Anisotropy, RationalLike, cross_cardinality
+from .indexsets import Anisotropy, cross_cardinality
 from .norms import MixedSpaceParams
 from .spectral import GridSpec, SpectralFunction, truncation_error
 

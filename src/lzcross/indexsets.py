@@ -8,11 +8,12 @@ never decides whether an index belongs to a set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 MultiIndex = tuple[int, ...]
 FrequencyIndex = tuple[int, ...]
@@ -86,12 +87,29 @@ def axis_block(s: int) -> list[int]:
 
 def rho_block(s: Sequence[int]) -> list[FrequencyIndex]:
     """Product dyadic block: Cartesian product of axis_block(s_j), lex order."""
-    return list(itertools.product(*(axis_block(sj) for sj in s)))
+    return list(map(tuple, cartesian_rows([axis_block(sj) for sj in s]).tolist()))
+
+
+def cartesian_rows(axes: Sequence[Sequence[int]]) -> np.ndarray:
+    """Cartesian product of per-axis values as int64 rows, first axis slowest."""
+    grids = np.meshgrid(*(np.asarray(a, dtype=np.int64) for a in axes), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def block_levels(freqs: np.ndarray) -> np.ndarray:
+    """Block level of every entry of an int64 frequency array, same shape.
+
+    Level 0 holds k = 0 and level s >= 1 holds 2**(s-1) <= |k| < 2**s, so the
+    level is the bit length of |k|.  Exact for every int64 except -2**63,
+    whose absolute value does not fit.
+    """
+    powers = np.left_shift(1, np.arange(63, dtype=np.int64))  # 2**0 .. 2**62
+    return np.searchsorted(powers, np.abs(freqs), side="right")
 
 
 def containing_block(k: Sequence[int]) -> MultiIndex:
     """The unique block level vector whose product block contains k."""
-    return tuple(0 if kj == 0 else abs(kj).bit_length() for kj in k)
+    return tuple(block_levels(np.asarray(k, dtype=np.int64)).tolist())
 
 
 def cross_layers(n: RationalLike, gamma: Anisotropy) -> list[MultiIndex]:
@@ -140,19 +158,15 @@ def cross_cardinality(n: RationalLike, gamma: Anisotropy) -> int:
 
 
 def cross_membership(
-    n: RationalLike, gamma: Anisotropy
-) -> Callable[[Sequence[int]], bool]:
-    """Exact membership test of frequencies in the level-n cross.
+    n: RationalLike, gamma: Anisotropy, levels: np.ndarray
+) -> np.ndarray:
+    """Which rows of an (N, m) array of block levels lie in the level-n cross.
 
-    The integer weights and threshold are taken once here, so testing many
-    frequencies against one cross costs no rational arithmetic per frequency.
+    The level sums are taken over Python integers (object dtype), since the
+    integer weights of gamma.scaled can exceed the int64 range.
     """
     w, bound = gamma.scaled(n)
-
-    def inside(k: Sequence[int]) -> bool:
-        return sum(sj * wj for sj, wj in zip(containing_block(k), w)) < bound
-
-    return inside
+    return np.asarray(levels, dtype=object) @ np.array(w, dtype=object) < bound
 
 
 def layer_exact(n: RationalLike, gamma: Anisotropy) -> list[MultiIndex]:

@@ -1,6 +1,6 @@
 """Trigonometric polynomials: synthesis, analysis, block and cross truncation.
 
-A spectral function is a finite map from integer frequency vectors to
+A spectral function is a finite set of integer frequency vectors with
 complex coefficients, representing sum_k a_k exp(i <k, x>) with x on the
 2 pi-periodic torus sampled at x_j = 2 pi i_j / N_j.  Synthesis and
 analysis ride on the FFT; truncation sets are decided by the exact integer
@@ -10,8 +10,8 @@ arithmetic of indexsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from .indexsets import (
     FrequencyIndex,
     MultiIndex,
     RationalLike,
-    containing_block,
+    axis_block,
+    block_levels,
+    cartesian_rows,
     cross_membership,
-    rho_block,
 )
 from .norms import GridFunction, MixedSpaceParams, _validated_shape, anisotropic_norm
 
@@ -51,23 +52,41 @@ class GridSpec:
         return cls(tuple(max(2, 1 << (2 * b + 1).bit_length()) for b in bw))
 
 
-@dataclass(frozen=True)
 class SpectralFunction:
-    """Finite trigonometric polynomial as a frequency -> coefficient map."""
+    """Finite trigonometric polynomial as frequency rows and their coefficients.
 
-    m: int
-    coefficients: dict[FrequencyIndex, complex] = field(default_factory=dict)
+    Row i of the (N, m) int64 matrix `freqs` carries the coefficient
+    `coeffs[i]`; rows keep the order they were given in and exact zeros are
+    dropped.  `terms` is a {k: a} mapping or a (freqs, coeffs) pair of arrays
+    whose rows are distinct.  Every component must satisfy |k_j| < 2**63:
+    -2**63 is the one int64 whose absolute value, and so whose block level,
+    does not fit in int64.
+    """
 
-    def __post_init__(self) -> None:
-        clean: dict[FrequencyIndex, complex] = {}
-        for k, a in self.coefficients.items():
-            kk = tuple(int(c) for c in k)
-            if len(kk) != self.m:
+    def __init__(
+        self, m: int, terms: Mapping[FrequencyIndex, complex] | tuple | None = None
+    ) -> None:
+        if terms is None or isinstance(terms, Mapping):
+            terms = terms or {}
+            if any(len(k) != m for k in terms):
                 raise ValueError("frequency arity does not match m")
-            a = complex(a)
-            if a != 0:
-                clean[kk] = a
-        object.__setattr__(self, "coefficients", clean)
+            terms = (list(terms), list(terms.values()))
+        coeffs = np.asarray(terms[1], dtype=np.complex128)
+        try:
+            freqs = np.asarray(terms[0], dtype=np.int64).reshape(len(coeffs), m)
+            if (freqs == np.iinfo(np.int64).min).any():
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(
+                "frequency components must satisfy |k_j| < 2**63"
+            ) from None
+        nonzero = coeffs != 0
+        self.m, self.freqs, self.coeffs = m, freqs[nonzero], coeffs[nonzero]
+
+    @property
+    def coefficients(self) -> dict[FrequencyIndex, complex]:
+        """The frequency -> coefficient map, in row order."""
+        return dict(zip(map(tuple, self.freqs.tolist()), self.coeffs.tolist()))
 
     def items(self) -> list[tuple[FrequencyIndex, complex]]:
         return sorted(self.coefficients.items())
@@ -77,28 +96,27 @@ class SpectralFunction:
 
     @property
     def n_terms(self) -> int:
-        return len(self.coefficients)
+        return len(self.coeffs)
 
     def bandwidth(self) -> tuple[int, ...]:
-        if not self.coefficients:
-            return (0,) * self.m
-        return tuple(
-            max(abs(k[j]) for k in self.coefficients) for j in range(self.m)
-        )
+        return tuple(np.abs(self.freqs).max(axis=0, initial=0).tolist())
 
     def scaled(self, c: complex) -> "SpectralFunction":
-        return SpectralFunction(
-            self.m, {k: c * a for k, a in self.coefficients.items()}
-        )
+        return SpectralFunction(self.m, (self.freqs, c * self.coeffs))
 
-    def restrict(self, keep: Callable[[FrequencyIndex], bool]) -> "SpectralFunction":
-        return SpectralFunction(
-            self.m, {k: a for k, a in self.coefficients.items() if keep(k)}
-        )
+    def restrict(self, keep: np.ndarray) -> "SpectralFunction":
+        """The rows selected by keep: a boolean mask or an array of row numbers."""
+        return SpectralFunction(self.m, (self.freqs[keep], self.coeffs[keep]))
 
     def l2_norm(self) -> float:
-        """Coefficient l2 norm; equals the mean-square norm of the samples."""
-        return math.sqrt(sum(abs(a) ** 2 for a in self.coefficients.values()))
+        """Coefficient l2 norm; equals the mean-square norm of the samples.
+
+        Each |a|^2 is re*re + im*im, and the terms are added one after another
+        in row order, so the value does not depend on numpy's summation order.
+        """
+        c = self.coeffs
+        with np.errstate(over="raise"):
+            return math.sqrt(sum((np.square(c.real) + np.square(c.imag)).tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,13 +151,7 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     if any(2 * b >= n for b, n in zip(bw, grid.shape)):
         raise ValueError("grid too coarse for the bandwidth of f")
     spec = np.zeros(grid.shape, dtype=np.complex128)
-    if f.coefficients:
-        ks = np.array(sorted(f.coefficients), dtype=np.int64)
-        vals = np.array([f.coefficients[tuple(k)] for k in ks], dtype=np.complex128)
-        flat = np.ravel_multi_index(
-            tuple((ks[:, j] % grid.shape[j]) for j in range(f.m)), grid.shape
-        )
-        np.add.at(spec.ravel(), flat, vals)
+    spec[tuple((f.freqs % np.array(grid.shape)).T)] = f.coeffs
     samples = np.fft.ifftn(spec) * grid.cells
     return GridFunction(samples)
 
@@ -148,7 +160,7 @@ def analyze(g: GridFunction, band: Sequence[int]) -> SpectralFunction:
     """Recover coefficients for |k_j| <= band_j from grid samples.
 
     Inverts synthesize for bandlimited data; exact zeros are dropped so the
-    zero grid maps to the empty polynomial.
+    zero grid maps to the empty polynomial.  Rows come in lexicographic order.
     """
     band = tuple(int(b) for b in band)
     if len(band) != g.m:
@@ -156,13 +168,8 @@ def analyze(g: GridFunction, band: Sequence[int]) -> SpectralFunction:
     if any(2 * b >= n for b, n in zip(band, g.shape)):
         raise ValueError("band too large for this grid")
     hat = np.fft.fftn(g.values) / math.prod(g.shape)
-    coeffs: dict[FrequencyIndex, complex] = {}
-    for k in np.ndindex(*(2 * b + 1 for b in band)):
-        kk = tuple(ki - b for ki, b in zip(k, band))
-        a = complex(hat[tuple(ki % n for ki, n in zip(kk, g.shape))])
-        if a != 0:
-            coeffs[kk] = a
-    return SpectralFunction(g.m, coeffs)
+    freqs = cartesian_rows([range(-b, b + 1) for b in band])
+    return SpectralFunction(g.m, (freqs, hat[tuple((freqs % np.array(g.shape)).T)]))
 
 
 def block_component(f: SpectralFunction, s: Sequence[int]) -> SpectralFunction:
@@ -170,26 +177,30 @@ def block_component(f: SpectralFunction, s: Sequence[int]) -> SpectralFunction:
     s = tuple(int(v) for v in s)
     if len(s) != f.m:
         raise ValueError("level arity does not match spectral function")
-    return f.restrict(lambda k: containing_block(k) == s)
+    return f.restrict((block_levels(f.freqs) == s).all(axis=1))
 
 
 def nonzero_blocks(f: SpectralFunction) -> dict[MultiIndex, SpectralFunction]:
-    """Partition the support of f by containing block level, lex-ordered keys."""
-    groups: dict[MultiIndex, dict[FrequencyIndex, complex]] = {}
-    for k, a in f.coefficients.items():
-        groups.setdefault(containing_block(k), {})[k] = a
-    return {
-        s: SpectralFunction(f.m, coeffs) for s, coeffs in sorted(groups.items())
-    }
+    """Partition the rows of f by block level; lex-ordered keys, rows in order."""
+    levels = block_levels(f.freqs)
+    order = np.lexsort(levels.T[::-1])  # stable, so rows keep their order
+    ordered = levels[order]
+    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+    groups = np.split(order, cuts) if f.n_terms else []
+    return {tuple(levels[rows[0]].tolist()): f.restrict(rows) for rows in groups}
+
+
+def _cross_mask(f: SpectralFunction, n: RationalLike, gamma: Anisotropy) -> np.ndarray:
+    if gamma.m != f.m:
+        raise ValueError("anisotropy arity does not match spectral function")
+    return cross_membership(n, gamma, block_levels(f.freqs))
 
 
 def cross_truncate(
     f: SpectralFunction, n: RationalLike, gamma: Anisotropy
 ) -> SpectralFunction:
     """Keep the coefficients inside the step hyperbolic cross at level n."""
-    if gamma.m != f.m:
-        raise ValueError("anisotropy arity does not match spectral function")
-    return f.restrict(cross_membership(n, gamma))
+    return f.restrict(_cross_mask(f, n, gamma))
 
 
 def truncation_error(
@@ -209,8 +220,7 @@ def truncation_error(
     cross-check against the grid value, and when no grid is given it is
     returned directly (plain-L2 targets only).
     """
-    inside = cross_membership(n, gamma)
-    residual = f.restrict(lambda k: not inside(k))
+    residual = f.restrict(~_cross_mask(f, n, gamma))
     plain_l2 = target.is_plain_l2()
     parseval = residual.l2_norm() if plain_l2 else None
     if grid is None:
@@ -230,5 +240,5 @@ def truncation_error(
 
 def dirichlet_block(s: Sequence[int]) -> SpectralFunction:
     """Coefficient 1 on every frequency of the product block at level s."""
-    s = tuple(int(v) for v in s)
-    return SpectralFunction(len(s), {k: 1.0 + 0.0j for k in rho_block(s)})
+    freqs = cartesian_rows([axis_block(int(v)) for v in s])
+    return SpectralFunction(len(s), (freqs, np.ones(len(freqs))))

@@ -211,6 +211,18 @@ def test_approx_scan_two_harmonics(tmp_path):
         assert card == 2**n - 1
 
 
+def test_approx_rejects_frequency_outside_range(tmp_path, capsys):
+    spectral_file = tmp_path / "f.json"
+    doc = {"m": 1, "terms": [{"k": [2**63], "re": 1.0}]}
+    spectral_file.write_text(json.dumps(doc))
+    rc = main(
+        ["--out", str(tmp_path), "approx", "--spectral", str(spectral_file),
+         "--gamma", "1", "--range", "1:3"]
+    )
+    assert rc == 2
+    assert "|k_j| < 2**63" in capsys.readouterr().err
+
+
 # -- extremal builder ----------------------------------------------------------
 
 
@@ -327,6 +339,17 @@ def parse_output(path):
         return read_json(path)
     header, rows = read_csv(path)
     return [header] + [[float(c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("name", ["rate-2d-l2", "rate-2d-lz"])
+def test_bivariate_rate_rows_match_stored_references(tmp_path, name):
+    # levels 6..10 only: the stored runs go to 14 and 12, too slow for every run
+    params = BENCH / "params" / f"{name}.json"
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:10"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    got = parse_output(tmp_path / "theorem1_rate.csv")
+    ref = BENCH / "reference" / name / "theorem1" / "theorem1_rate.csv"
+    assert_close(got, parse_output(ref)[:6], name)
 
 
 @pytest.mark.parametrize("ref, argv", REFERENCE_RUNS, ids=[r for r, _ in REFERENCE_RUNS])

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from lzcross.indexsets import (
     Anisotropy,
     axis_block,
+    block_levels,
     containing_block,
     cross_cardinality,
     cross_layers,
@@ -116,19 +118,23 @@ def test_in_cross_agrees_with_enumeration():
     gamma = Anisotropy.of(["1/2", 1])
     n = Fraction(5, 2)
     members = set(hyperbolic_cross(n, gamma))
-    inside = cross_membership(n, gamma)
-    for k1 in range(-8, 9):
-        for k2 in range(-8, 9):
-            assert inside((k1, k2)) == ((k1, k2) in members)
+    ks = [(k1, k2) for k1 in range(-8, 9) for k2 in range(-8, 9)]
+    inside = cross_membership(n, gamma, block_levels(np.array(ks)))
+    assert inside.tolist() == [k in members for k in ks]
 
 
 def test_membership_is_exact_not_float():
-    # 1/3 + 2/3 rounds below 1 in binary; exact arithmetic must not
+    # 1/3 + 2/3 rounds to 1 in binary, but 5 * (1/3) rounds below 5/3: every
+    # level sum must be compared exactly, on both sides of each boundary
     gamma = Anisotropy.of(["1/3", "2/3"])
     assert gamma.level_value((1, 1)) == 1
     assert (1, 1) in layer_exact(1, gamma)
-    assert not cross_membership(1, gamma)((1, 1))
     assert (1, 1) not in cross_layers(1, gamma)
+    levels = [(s1, s2) for s1 in range(64) for s2 in range(32)]
+    values = [gamma.level_value(s) for s in levels]
+    for n in sorted(set(values)):
+        inside = cross_membership(n, gamma, np.array(levels))
+        assert inside.tolist() == [v < n for v in values]
 
 
 def test_layer_exact_examples():

@@ -175,6 +175,13 @@ def test_truncation_error_homogeneity_and_guard():
         truncation_error(f, 3, gamma, lorentz)  # needs a grid
 
 
+def test_truncation_error_rejects_arity_mismatch():
+    f = SpectralFunction(2, {(1, 8): 1.0, (1, 1): 1.0})
+    l2 = MixedSpaceParams.lebesgue(2, 2)
+    with pytest.raises(ValueError, match="anisotropy arity does not match"):
+        truncation_error(f, 2, Anisotropy.of([1]), l2, None)
+
+
 def test_truncation_error_monotone_in_level():
     rng = np.random.default_rng(25)
     f = random_poly(rng, 2, (15, 15), 30)

@@ -1,0 +1,154 @@
+"""Array-backed spectral functions against a per-frequency Python oracle.
+
+The oracle keeps a polynomial as a dict in insertion order, takes block
+levels from int.bit_length, decides cross membership with Fraction level
+sums, and synthesizes by summing exponentials point by point.
+"""
+
+import cmath
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lzcross.indexsets import Anisotropy
+from lzcross.norms import MixedSpaceParams
+from lzcross.spectral import (
+    GridSpec,
+    SpectralFunction,
+    analyze,
+    block_component,
+    cross_truncate,
+    nonzero_blocks,
+    synthesize,
+    truncation_error,
+)
+
+K_MAX = 2**63 - 1  # largest accepted |k_j|
+
+WEIGHTS = {1: [["1"], ["1/2"], ["3/2"]], 2: [["1/3", "2/3"], ["1", "1"], ["1/2", "1"]]}
+
+signs = st.sampled_from([1, -1])
+components = st.one_of(
+    st.integers(-40, 40),
+    # both sides of every block boundary 2**e
+    st.builds(lambda e, d, sign: sign * (2**e + d), st.integers(1, 62),
+              st.integers(-1, 1), signs),
+    st.builds(lambda d, sign: sign * (K_MAX - d), st.integers(0, 3), signs),
+)
+coefficients = st.one_of(
+    st.just(0j),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+levels_n = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 21, 42, 63, 64, 126]),
+    st.fractions(min_value=0, max_value=130, max_denominator=6),
+)
+
+
+@st.composite
+def polynomials(draw, component=components, max_m=2):
+    m = draw(st.integers(1, max_m))
+    keys = draw(st.lists(st.tuples(*[component] * m), max_size=12, unique=True))
+    values = draw(st.lists(coefficients, min_size=len(keys), max_size=len(keys)))
+    return m, dict(zip(keys, values))
+
+
+def oracle_level(k):
+    return tuple(abs(kj).bit_length() for kj in k)
+
+
+def oracle_level_sum(k, weights):
+    return sum(Fraction(w) * s for w, s in zip(weights, oracle_level(k)))
+
+
+def oracle_inside(k, n, weights):
+    return oracle_level_sum(k, weights) < Fraction(n)
+
+
+def nonzero(terms):
+    return {k: complex(a) for k, a in terms.items() if a != 0}
+
+
+@given(polynomials())
+@settings(deadline=None)
+def test_blocks_and_bandwidth_match_oracle(poly):
+    m, terms = poly
+    f = SpectralFunction(m, terms)
+    kept = nonzero(terms)
+    groups = {}
+    for k, a in kept.items():
+        groups.setdefault(oracle_level(k), {})[k] = a
+    blocks = nonzero_blocks(f)
+    assert list(blocks) == sorted(groups)
+    for s, comp in blocks.items():
+        # same members, in the order they were given
+        assert list(comp.coefficients.items()) == list(groups[s].items())
+        component = block_component(f, s)
+        assert list(component.coefficients.items()) == list(groups[s].items())
+    assert block_component(f, (64,) * m).n_terms == 0
+    assert f.bandwidth() == tuple(
+        max((abs(k[j]) for k in kept), default=0) for j in range(m)
+    )
+
+
+@given(polynomials(), st.data())
+@settings(deadline=None)
+def test_cross_truncation_matches_oracle(poly, data):
+    m, terms = poly
+    weights = data.draw(st.sampled_from(WEIGHTS[m]))
+    kept = nonzero(terms)
+    # levels on the boundary of the cross are where float level sums go wrong
+    boundary = sorted({oracle_level_sum(k, weights) for k in kept})
+    if boundary:
+        n = data.draw(st.one_of(levels_n, st.sampled_from(boundary)))
+    else:
+        n = data.draw(levels_n)
+    gamma = Anisotropy.of(weights)
+    f = SpectralFunction(m, terms)
+    inside = {k: a for k, a in kept.items() if oracle_inside(k, n, weights)}
+    outside = {k: a for k, a in kept.items() if k not in inside}
+    kept_rows = cross_truncate(f, n, gamma).coefficients.items()
+    assert list(kept_rows) == list(inside.items())
+    want = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in outside.values()))
+    l2 = MixedSpaceParams.lebesgue(2, m)
+    assert truncation_error(f, n, gamma, l2) == want
+
+
+@given(polynomials(component=st.integers(-5, 5)))
+@settings(deadline=None, max_examples=50)
+def test_analyze_synthesize_matches_oracle(poly):
+    m, terms = poly
+    f = SpectralFunction(m, terms)
+    kept = nonzero(terms)
+    band = (5,) * m
+    grid = GridSpec.minimal_for(band)
+    tol = 1e-12 * (1.0 + sum(abs(a) for a in kept.values()))
+    g = synthesize(f, grid)
+    for idx in itertools.product(*(range(n) for n in grid.shape)):
+        x = [2 * math.pi * i / n for i, n in zip(idx, grid.shape)]
+        want = 0j
+        for k, a in kept.items():
+            want += a * cmath.exp(1j * sum(kj * xj for kj, xj in zip(k, x)))
+        assert abs(g.values[idx] - want) <= tol
+    back = analyze(g, band).coefficients
+    box = list(itertools.product(*(range(-b, b + 1) for b in band)))
+    assert list(back) == [k for k in box if k in back]  # lexicographic rows
+    for k in box:
+        assert abs(back.get(k, 0) - kept.get(k, 0)) <= tol
+
+
+def test_frequency_range_is_checked():
+    for k in (2**63, -(2**63), 2**70):
+        with pytest.raises(ValueError, match=r"\|k_j\| < 2\*\*63"):
+            SpectralFunction(1, {(k,): 1.0})
+    freqs = np.array([[np.iinfo(np.int64).min]])
+    with pytest.raises(ValueError, match=r"\|k_j\| < 2\*\*63"):
+        SpectralFunction(1, (freqs, np.ones(1)))
+    f = SpectralFunction(2, {(K_MAX, -K_MAX): 1.0, (1, 1): 1.0})
+    assert f.bandwidth() == (K_MAX, K_MAX)
+    assert list(nonzero_blocks(f)) == [(1, 1), (63, 63)]
