@@ -13,13 +13,13 @@ result and exact symmetries of the summands survive in floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .indexsets import Anisotropy, RationalLike, as_fraction, layer_exact
-from .norms import SequenceNormSpec, mixed_reduce, mixed_sequence_norm
+from .indexsets import Anisotropy, RationalLike, as_fraction, layer_exact, level_sum_dtype
+from .norms import DEFAULT_MAX_GRID_CELLS, SequenceNormSpec, mixed_reduce, mixed_sequence_norm
 
 
 def _inv(theta: float) -> float:
@@ -129,16 +129,15 @@ def lemma3_lhs(
     lams: Sequence[float],
     thetas: Sequence[float],
     alpha: float,
-    *,
-    rel_tol: float = 1e-13,
-    max_box: int = 4096,
 ) -> float:
     """Mixed sequence norm of 2^(-alpha <s,gamma>) prod (s_j+1)^lam_j over the outer layer.
 
     The index set is {s in Z_+^m : <s, gamma'> >= n}; it is infinite, so the
     sum is evaluated on growing boxes until enlarging the box changes the
-    value by less than rel_tol twice in a row.  Membership is exact integer
-    arithmetic; alpha > 0 makes the tail summable for any finite exponents.
+    value by less than 1e-13 relative twice in a row.  A box beyond 4096
+    levels per axis or DEFAULT_MAX_GRID_CELLS cells raises ValueError before
+    it is allocated.  Membership is exact integer arithmetic; alpha > 0 makes
+    the tail summable for any finite exponents.
     """
     if gamma.m != gamma_prime.m or len(lams) != gamma.m or len(thetas) != gamma.m:
         raise ValueError("dimension mismatch among weights and exponents")
@@ -149,14 +148,21 @@ def lemma3_lhs(
     gfloat = gamma.as_floats()
 
     def value_on_box(box: list[int]) -> float:
+        dims = tuple(b + 1 for b in box)
+        if max(box) > 4096 or math.prod(dims) > DEFAULT_MAX_GRID_CELLS:
+            raise ValueError(
+                f"lemma 3 box {dims} exceeds the limit of 4096 levels per axis "
+                f"or {DEFAULT_MAX_GRID_CELLS} cells"
+            )
+        dtype = level_sum_dtype(w, bound, box)
         axes_levels = [np.arange(b + 1) for b in box]
-        level = np.zeros(tuple(b + 1 for b in box))
-        inside = np.zeros(tuple(b + 1 for b in box), dtype=np.int64)
+        level = np.zeros(dims)
+        inside = np.zeros(dims, dtype=dtype)
         for j, s in enumerate(axes_levels):
             shape = [1] * len(box)
             shape[j] = s.size
             level = level + (s * gfloat[j]).reshape(shape)
-            inside = inside + (s.astype(np.int64) * w[j]).reshape(shape)
+            inside = inside + (s.astype(dtype) * w[j]).reshape(shape)
         term = np.exp2(-alpha * level)
         for j, s in enumerate(axes_levels):
             shape = [1] * len(box)
@@ -170,10 +176,8 @@ def lemma3_lhs(
     stable = 0
     while True:
         box = [b + 16 for b in box]
-        if max(box) > max_box:
-            raise ValueError("tail did not converge within the box limit")
         cur = value_on_box(box)
-        if abs(cur - prev) <= rel_tol * max(cur, 1e-300):
+        if abs(cur - prev) <= 1e-13 * max(cur, 1e-300):
             stable += 1
             if stable >= 2:
                 return cur
@@ -240,7 +244,7 @@ def lemma4_lhs(
         * math.prod((sj + 1.0) ** lam for sj, lam in zip(s, lams))
         for s in layer
     }
-    return mixed_sequence_norm(values, SequenceNormSpec(tuple(epsilons)), layer)
+    return mixed_sequence_norm(values, SequenceNormSpec(tuple(epsilons)))
 
 
 def lemma4_reference(
@@ -262,7 +266,6 @@ class RatioReport:
 
     relation: Literal["two-sided", "lower", "upper"]
     rows: tuple[tuple[int, float, float, float], ...]
-    params: dict = field(default_factory=dict)
 
     @property
     def min_ratio(self) -> float:
@@ -301,7 +304,6 @@ def ratio_scan(
     ns: Sequence[int],
     *,
     relation: Literal["two-sided", "lower", "upper"] = "two-sided",
-    params: dict | None = None,
 ) -> RatioReport:
     """Evaluate lhs(n)/rhs(n) over the given levels.
 
@@ -318,7 +320,7 @@ def ratio_scan(
         if rv <= 0 or lv < 0:
             raise ValueError(f"sign violation at n={n}: lhs={lv}, rhs={rv}")
         rows.append((int(n), lv, rv, lv / rv))
-    return RatioReport(relation, tuple(rows), dict(params or {}))
+    return RatioReport(relation, tuple(rows))
 
 
 @dataclass(frozen=True)

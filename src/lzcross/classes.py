@@ -254,9 +254,7 @@ def _class_functional(
         s: 2.0 ** (sum(sj * rj for sj, rj in zip(s, r))) * v
         for s, v in norms.items()
     }
-    seq = mixed_sequence_norm(
-        weighted, SequenceNormSpec(params.thetas), list(weighted)
-    )
+    seq = mixed_sequence_norm(weighted, SequenceNormSpec(params.thetas))
     if first is None:
         first = math.fsum(norms.values())
     return first + seq

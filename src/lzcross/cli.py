@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -56,8 +56,6 @@ from .indexsets import (
 from .norms import GridFunction, MixedSpaceParams, anisotropic_norm
 from .spectral import GridSpec, SpectralFunction
 
-KINDS = ("lemma-check", "cross-gen", "norm", "approx-rate", "extremal", "theorem1-rate")
-
 
 class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
@@ -71,7 +69,7 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind: {self.kind}")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
@@ -88,21 +86,6 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-
-    def all_passed(self) -> bool:
-        return all(v["passed"] for v in self.verdicts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "version": self.version,
-            "config": self.config,
-            "threads": self.threads,
-            "wall_seconds": self.wall_seconds,
-            "outputs": self.outputs,
-            "verdicts": self.verdicts,
-            "summary": self.summary,
-        }
 
 
 # -- small parsing helpers ----------------------------------------------------
@@ -292,8 +275,7 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
     lhs_vals = dict(zip(ns, _parallel_map(lhs, ns, cfg.threads)))
     rhs_vals = dict(zip(ns, _parallel_map(rhs, ns, cfg.threads)))
     report = ratio_scan(
-        lambda n: lhs_vals[n], lambda n: rhs_vals[n], ns,
-        relation=relation, params=echo,
+        lambda n: lhs_vals[n], lambda n: rhs_vals[n], ns, relation=relation
     )
     spread_threshold = float(o.get("spread_threshold", 10.0))
     lower_threshold = float(o.get("lower_threshold", 0.1))
@@ -527,7 +509,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     manifest.outputs = [
         {"path": listed(p), "sha256": _sha256(p)} for p in outputs
     ]
-    _write_json(config.out_dir / "manifest.json", manifest.to_json_dict())
+    _write_json(config.out_dir / "manifest.json", asdict(manifest))
     return manifest
 
 
@@ -555,10 +537,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--id", type=int, required=True, choices=[1, 2, 3, 4])
     check.add_argument("--case", help="lemma 1: 1|2|3; lemma 2: decay|growth")
     check.add_argument("--params", help="JSON file with lemma parameters")
-    check.add_argument("--range", dest="range_", metavar="A:B:MODE")
+    check.add_argument("--range", metavar="A:B:MODE")
     check.add_argument("--relation", choices=["two-sided", "lower", "upper"])
-    check.add_argument("--spread-threshold", type=float, dest="spread_threshold")
-    check.add_argument("--out", dest="out_file", metavar="REPORT.CSV")
+    check.add_argument("--spread-threshold", type=float)
+    check.add_argument("--out", metavar="REPORT.CSV")
     check.set_defaults(kind="lemma-check")
 
     cross = sub.add_parser("cross", help="index-set generation")
@@ -566,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = cross_sub.add_parser("gen")
     gen.add_argument("--n", required=True, help="level, rational like 5/2 allowed")
     gen.add_argument("--gamma", required=True, help="comma-separated rationals")
-    gen.add_argument("--out", dest="out_file", metavar="CROSS.JSON")
+    gen.add_argument("--out", metavar="CROSS.JSON")
     gen.set_defaults(kind="cross-gen")
 
     norm = sub.add_parser("norm", help="mixed norm of grid samples")
@@ -579,19 +561,19 @@ def _build_parser() -> argparse.ArgumentParser:
     approx = sub.add_parser("approx", help="cross-truncation error scan")
     approx.add_argument("--spectral", required=True, help="SpectralFunction JSON file")
     approx.add_argument("--gamma", required=True)
-    approx.add_argument("--range", dest="range_", metavar="A:B:MODE")
-    approx.add_argument("--target-p", dest="target_p")
-    approx.add_argument("--target-alpha", dest="target_alpha")
-    approx.add_argument("--target-tau", dest="target_tau")
+    approx.add_argument("--range", metavar="A:B:MODE")
+    approx.add_argument("--target-p")
+    approx.add_argument("--target-alpha")
+    approx.add_argument("--target-tau")
     approx.add_argument("--grid", help="comma-separated residual grid shape")
-    approx.add_argument("--out", dest="out_file", metavar="ERRORS.CSV")
+    approx.add_argument("--out", metavar="ERRORS.CSV")
     approx.set_defaults(kind="approx-rate")
 
     extremal = sub.add_parser("extremal", help="build a lower-bound extremal function")
     extremal.add_argument("--which", type=int, choices=[1, 2, 3], default=1)
     extremal.add_argument("--n", type=int, required=True)
     extremal.add_argument("--params", help="JSON file with class/target parameters")
-    extremal.add_argument("--out", dest="out_file", metavar="F.JSON")
+    extremal.add_argument("--out", metavar="F.JSON")
     extremal.set_defaults(kind="extremal")
 
     theorem1 = sub.add_parser("theorem1", help="rate experiments")
@@ -599,34 +581,18 @@ def _build_parser() -> argparse.ArgumentParser:
     rate = theorem1_sub.add_parser("rate")
     rate.add_argument("--params", help="JSON file with class/target parameters")
     rate.add_argument("--which", type=int, choices=[1, 2, 3])
-    rate.add_argument("--range", dest="range_", metavar="A:B:MODE")
-    rate.add_argument("--fit-tolerance", type=float, dest="fit_tolerance")
-    rate.add_argument("--spread-threshold", type=float, dest="spread_threshold")
-    rate.add_argument("--out", dest="out_file", metavar="RATE.CSV")
+    rate.add_argument("--range", metavar="A:B:MODE")
+    rate.add_argument("--fit-tolerance", type=float)
+    rate.add_argument("--spread-threshold", type=float)
+    rate.add_argument("--out", metavar="RATE.CSV")
     rate.set_defaults(kind="theorem1-rate")
 
     return parser
 
 
-_FLAG_KEYS = (
-    ("id", "id"),
-    ("case", "case"),
-    ("range_", "range"),
-    ("relation", "relation"),
-    ("spread_threshold", "spread_threshold"),
-    ("fit_tolerance", "fit_tolerance"),
-    ("out_file", "out"),
-    ("n", "n"),
-    ("gamma", "gamma"),
-    ("grid", "grid"),
-    ("p", "p"),
-    ("alpha", "alpha"),
-    ("tau", "tau"),
-    ("spectral", "spectral"),
-    ("target_p", "target_p"),
-    ("target_alpha", "target_alpha"),
-    ("target_tau", "target_tau"),
-    ("which", "which"),
+# namespace entries that are not experiment options
+_NON_OPTIONS = frozenset(
+    {"config", "out_dir", "threads", "command", "subcommand", "kind", "params"}
 )
 
 
@@ -645,10 +611,11 @@ def _collect_options(args: argparse.Namespace) -> dict:
             if not isinstance(doc, dict):
                 raise ConfigError("params file must hold a JSON object")
             options.update(doc)
-    for attr, key in _FLAG_KEYS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            options[key] = value
+    options.update(
+        (key, value)
+        for key, value in vars(args).items()
+        if value is not None and key not in _NON_OPTIONS
+    )
     return options
 
 
@@ -664,7 +631,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         config.out_dir.mkdir(parents=True, exist_ok=True)
         manifest = run(config)
-    except (ConfigError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected faults
@@ -673,7 +640,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     for verdict in manifest.verdicts:
         state = "PASS" if verdict["passed"] else "FAIL"
         print(f"{state} {verdict['name']}")
-    return 0 if manifest.all_passed() else 1
+    return 0 if all(v["passed"] for v in manifest.verdicts) else 1
 
 
 if __name__ == "__main__":

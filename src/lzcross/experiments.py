@@ -27,10 +27,8 @@ from .classes import (
     theoretical_rate,
 )
 from .indexsets import Anisotropy, cross_cardinality
-from .norms import MixedSpaceParams
+from .norms import DEFAULT_MAX_GRID_CELLS, MixedSpaceParams
 from .spectral import GridSpec, SpectralFunction, truncation_error
-
-DEFAULT_MAX_GRID_CELLS = 1 << 25
 
 
 def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
@@ -147,7 +145,6 @@ def theorem1_rate_experiment(
         lambda n: by_n[n].reference,
         sorted(by_n),
         relation="two-sided",
-        params={"which": which, "rho_star": float(d.rho_star), "mu": d.mu},
     )
     return TheoremRateResult(
         derived=d,

@@ -112,25 +112,33 @@ def containing_block(k: Sequence[int]) -> MultiIndex:
     return tuple(block_levels(np.asarray(k, dtype=np.int64)).tolist())
 
 
+def _walk(n: RationalLike, gamma: Anisotropy, exact: bool) -> list[MultiIndex]:
+    """Block levels s in Z_+^m in lex order: <s, gamma> = n if exact, else < n.
+
+    The level sums are Python integers (gamma.scaled), so any weights are exact.
+    """
+    w, bound = gamma.scaled(n)
+    last = len(w) - 1
+    out: list[MultiIndex] = []
+
+    def rec(prefix: MultiIndex, rem: int) -> None:
+        j = len(prefix)
+        top = (rem if exact else rem - 1) // w[j]  # largest s_j that can fit
+        if j < last:
+            for s in range(top + 1):
+                rec(prefix + (s,), rem - s * w[j])
+        elif not exact:
+            out.extend(prefix + (s,) for s in range(top + 1))
+        elif rem >= 0 and top * w[j] == rem:
+            out.append(prefix + (top,))
+
+    rec((), bound)
+    return out
+
+
 def cross_layers(n: RationalLike, gamma: Anisotropy) -> list[MultiIndex]:
     """Block levels s in Z_+^m with <s, gamma> < n, lexicographic order."""
-    w, bound = gamma.scaled(n)
-    m = gamma.m
-    out: list[MultiIndex] = []
-    prefix = [0] * m
-
-    def rec(j: int, acc: int) -> None:
-        if j == m:
-            out.append(tuple(prefix))
-            return
-        s = 0
-        while acc + s * w[j] < bound:
-            prefix[j] = s
-            rec(j + 1, acc + s * w[j])
-            s += 1
-
-    rec(0, 0)
-    return out
+    return _walk(n, gamma, exact=False)
 
 
 def hyperbolic_cross(n: RationalLike, gamma: Anisotropy) -> list[FrequencyIndex]:
@@ -157,42 +165,34 @@ def cross_cardinality(n: RationalLike, gamma: Anisotropy) -> int:
     return total
 
 
+def level_sum_dtype(w: Sequence[int], bound: int, top: Sequence[int]) -> type:
+    """Integer dtype that holds every sum of s_j * w_j with 0 <= s_j <= top_j.
+
+    int64 when the largest such sum and the bound both fit below 2**63,
+    Python integers (object) otherwise; the weights are positive, so no
+    partial sum exceeds the largest one.
+    """
+    largest = sum(int(t) * wj for t, wj in zip(top, w))
+    return np.int64 if max(largest, abs(bound)) < 1 << 63 else object
+
+
 def cross_membership(
     n: RationalLike, gamma: Anisotropy, levels: np.ndarray
 ) -> np.ndarray:
     """Which rows of an (N, m) array of block levels lie in the level-n cross.
 
-    The level sums are taken over Python integers (object dtype), since the
-    integer weights of gamma.scaled can exceed the int64 range.
+    The level sums are exact: level_sum_dtype falls back to Python integers
+    when the integer weights of gamma.scaled could overflow int64.
     """
     w, bound = gamma.scaled(n)
-    return np.asarray(levels, dtype=object) @ np.array(w, dtype=object) < bound
+    levels = np.asarray(levels)
+    dtype = level_sum_dtype(w, bound, levels.max(axis=0, initial=0))
+    return levels.astype(dtype) @ np.array(w, dtype=dtype) < bound
 
 
 def layer_exact(n: RationalLike, gamma: Anisotropy) -> list[MultiIndex]:
     """Block levels with <s, gamma> equal to n exactly, lexicographic order."""
-    w, bound = gamma.scaled(n)
-    if bound < 0:
-        return []
-    m = gamma.m
-    out: list[MultiIndex] = []
-    prefix = [0] * m
-
-    def rec(j: int, acc: int) -> None:
-        if j == m - 1:
-            rem = bound - acc
-            if rem % w[j] == 0:
-                prefix[j] = rem // w[j]
-                out.append(tuple(prefix))
-            return
-        s = 0
-        while acc + s * w[j] <= bound:
-            prefix[j] = s
-            rec(j + 1, acc + s * w[j])
-            s += 1
-
-    rec(0, 0)
-    return out
+    return _walk(n, gamma, exact=True)
 
 
 def indices_to_json_dict(m: int, indices: Iterable[Sequence[int]]) -> dict:

@@ -29,6 +29,8 @@ from .indexsets import MultiIndex, RationalLike, as_fraction
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LN2 = math.log(2.0)
 
+DEFAULT_MAX_GRID_CELLS = 1 << 25  # largest dense grid or box a run allocates
+
 
 @dataclass(frozen=True)
 class ScalarSpaceParams:
@@ -320,24 +322,18 @@ def mixed_reduce(values: np.ndarray, spec: SequenceNormSpec) -> float:
 
 
 def mixed_sequence_norm(
-    values: Mapping[MultiIndex, float],
-    spec: SequenceNormSpec,
-    support: Sequence[MultiIndex],
+    values: Mapping[MultiIndex, float], spec: SequenceNormSpec
 ) -> float:
-    """Iterated sequence norm over an explicit finite support.
-
-    Support entries missing from the map count as zero; map entries outside
-    the support are ignored.
-    """
-    support = [tuple(int(c) for c in s) for s in support]
-    if not support:
+    """Iterated sequence norm of a finitely supported map from level vectors."""
+    if not values:
         return 0.0
+    support = [tuple(int(c) for c in s) for s in values]
     if any(len(s) != spec.m or min(s) < 0 for s in support):
         raise ValueError("support entries must be nonnegative of matching arity")
     dims = tuple(max(s[j] for s in support) + 1 for j in range(spec.m))
     arr = np.zeros(dims)
-    for s in support:
-        x = float(values.get(s, 0.0))
+    for s, x in zip(support, values.values()):
+        x = float(x)
         if not math.isfinite(x) or x < 0.0:
             raise ValueError("sequence values must be finite and nonnegative")
         arr[s] = x

@@ -117,6 +117,32 @@ def test_lemma3_validation():
         lemma3_lhs(4, g, g, [0.0, 0.0], [2.0, 2.0], 0.0)
 
 
+def test_lemma3_mask_is_exact_for_large_weights():
+    # the integer weights of gamma' are about 1e18, so box level sums pass
+    # 2**63; membership must still be exact.  Oracle: Fraction membership,
+    # theta = (2, 2) makes the norm the root of a plain sum of squares
+    g = Anisotropy.of([1, 1])
+    gp = Anisotropy.of(["999999937/1000000007", "999999929/1000000009"])
+    got = lemma3_lhs(4, g, gp, [0.0, 0.0], [2.0, 2.0], 1.0)
+    w1, w2 = gp.weights
+    want = math.sqrt(
+        math.fsum(
+            4.0 ** -(s1 + s2)
+            for s1 in range(80)
+            for s2 in range(80)
+            if s1 * w1 + s2 * w2 >= 4
+        )
+    )
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_lemma3_first_box_is_checked_per_axis():
+    # first box: 1/(1/5000) + 8 = 5008 levels, past the 4096-level axis limit
+    g = Anisotropy.of(["1/5000"])
+    with pytest.raises(ValueError, match=r"box \(5009,\) exceeds the limit of 4096"):
+        lemma3_lhs(1, g, g, [0.0], [2.0], 1.0)
+
+
 def test_lemma3_reference_values():
     g = Anisotropy.of([1])
     assert lemma3_reference(4, g, g, [0.25], [2.0], 1.0) == pytest.approx(
@@ -243,7 +269,7 @@ def test_rate_fit_guards():
 
 
 def test_ratio_report_is_frozen_data():
-    report = RatioReport("two-sided", ((1, 1.0, 1.0, 1.0),), {})
+    report = RatioReport("two-sided", ((1, 1.0, 1.0, 1.0),))
     assert report.min_ratio == report.max_ratio == 1.0
     with pytest.raises(AttributeError):
         report.rows = ()

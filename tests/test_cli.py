@@ -85,6 +85,17 @@ def test_exit_two_on_bad_lemma_case(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_lemma3_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):
+    # the first box already has 409**3 cells, past the 2**25-cell budget; it
+    # must be refused before it is allocated
+    params = tmp_path / "lemma3.json"
+    params.write_text(json.dumps({"gamma": ["1/100"] * 3, "lams": [0, 0, 0]}))
+    rc = main(["--out", str(tmp_path), "lemma", "check", "--id", "3",
+               "--params", str(params), "--range", "4:5"])
+    assert rc == 2
+    assert "lemma 3 box (409, 409, 409)" in capsys.readouterr().err
+
+
 def test_exit_two_on_missing_config(tmp_path):
     rc = main(
         ["--config", str(tmp_path / "nope.json"), "--out", str(tmp_path),
@@ -221,6 +232,39 @@ def test_approx_rejects_frequency_outside_range(tmp_path, capsys):
     )
     assert rc == 2
     assert "|k_j| < 2**63" in capsys.readouterr().err
+
+
+def _approx_on_terms(tmp_path, terms):
+    """Run approx on a one-axis polynomial whose frequencies all lie outside the cross."""
+    spectral_file = tmp_path / "f.json"
+    spectral_file.write_text(json.dumps({"m": 1, "terms": terms}))
+    return main(
+        ["--out", str(tmp_path), "approx", "--spectral", str(spectral_file),
+         "--gamma", "1", "--range", "1:2"]
+    )
+
+
+def test_approx_error_beyond_squared_float_range(tmp_path):
+    # each square fits in a float, their sum does not; the error is the norm
+    rc = _approx_on_terms(
+        tmp_path, [{"k": [5], "re": 1e154}, {"k": [6], "re": 1e154}]
+    )
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "approx.csv")
+    assert [float(r[1]) for r in rows] == pytest.approx([math.sqrt(2.0) * 1e154] * 2)
+
+
+def test_approx_error_of_a_term_whose_square_overflows(tmp_path):
+    rc = _approx_on_terms(tmp_path, [{"k": [5], "re": 1e200}])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "approx.csv")
+    assert [float(r[1]) for r in rows] == [1e200, 1e200]
+
+
+def test_approx_rejects_non_finite_coefficient(tmp_path, capsys):
+    rc = _approx_on_terms(tmp_path, [{"k": [5], "re": float("nan")}])
+    assert rc == 2
+    assert "coefficients must be finite" in capsys.readouterr().err
 
 
 # -- extremal builder ----------------------------------------------------------

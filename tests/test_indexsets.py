@@ -1,5 +1,6 @@
 """Exact block, cross, and layer enumeration."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -137,6 +138,18 @@ def test_membership_is_exact_not_float():
         assert inside.tolist() == [v < n for v in values]
 
 
+def test_membership_falls_back_to_python_integers():
+    # the common denominator of these weights is about 1e18, so level sums
+    # from s1 + s2 = 10 on pass 2**63: an int64 sum would wrap around
+    gamma = Anisotropy.of(["999999937/1000000007", "999999929/1000000009"])
+    levels = [(s1, s2) for s1 in range(12) for s2 in range(12)]
+    values = [gamma.level_value(s) for s in levels]
+    inside = cross_membership(4, gamma, np.array(levels))
+    assert inside.tolist() == [v < 4 for v in values]
+    # on the boundary: every s1 + s2 = 4 is inside, every s1 + s2 = 5 outside
+    assert sum(inside.tolist()) == 15
+
+
 def test_layer_exact_examples():
     g2 = Anisotropy.of([1, 1])
     assert layer_exact(2, g2) == [(0, 2), (1, 1), (2, 0)]
@@ -179,3 +192,25 @@ def test_level_pairs_split_by_cross_and_layer(s1, s2):
     on_layer = (s1, s2) in layer_exact(n, gamma)
     assert in_layers == (value < n)
     assert on_layer == (value == n)
+
+
+_weights = st.lists(
+    st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(
+    _weights,
+    st.fractions(min_value=0, max_value=8, max_denominator=6),
+)
+@settings(deadline=None, max_examples=60)
+def test_walker_matches_box_enumeration(weights, n):
+    """cross_layers and layer_exact equal a brute-force box scan, in lex order."""
+    gamma = Anisotropy.of(weights)
+    box = [range(int(n / w) + 1) for w in gamma.weights]  # holds every s with sum <= n
+    levels = list(itertools.product(*box))  # lex order
+    values = [gamma.level_value(s) for s in levels]  # Fraction sums
+    assert cross_layers(n, gamma) == [s for s, v in zip(levels, values) if v < n]
+    assert layer_exact(n, gamma) == [s for s, v in zip(levels, values) if v == n]

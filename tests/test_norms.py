@@ -230,14 +230,14 @@ def test_mixed_sequence_norm_over_support():
     spec = SequenceNormSpec((1.0, 1.0))
     layer = [(0, 2), (1, 1), (2, 0)]
     values = {s: 0.25 for s in layer}
-    assert mixed_sequence_norm(values, spec, layer) == pytest.approx(0.75)
-    # absent support entries count as zero, stray map keys are ignored
-    assert mixed_sequence_norm({(0, 2): 1.0, (9, 9): 5.0}, spec, layer) == 1.0
-    assert mixed_sequence_norm({}, spec, []) == 0.0
+    assert mixed_sequence_norm(values, spec) == pytest.approx(0.75)
+    # the support is the map's keys; levels between them count as zero
+    assert mixed_sequence_norm({(0, 2): 1.0, (2, 0): 0.5}, spec) == 1.5
+    assert mixed_sequence_norm({}, spec) == 0.0
     with pytest.raises(ValueError):
-        mixed_sequence_norm({(0, 1): -1.0}, spec, [(0, 1)])
+        mixed_sequence_norm({(0, 1): -1.0}, spec)
     with pytest.raises(ValueError):
-        mixed_sequence_norm({}, spec, [(0, -1)])
+        mixed_sequence_norm({(0, -1): 1.0}, spec)
 
 
 def test_sequence_spec_validation():
