@@ -570,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
     approx.set_defaults(kind="approx-rate")
 
     extremal = sub.add_parser("extremal", help="build a lower-bound extremal function")
-    extremal.add_argument("--which", type=int, choices=[1, 2, 3], default=1)
+    extremal.add_argument("--which", type=int, choices=[1, 2, 3])
     extremal.add_argument("--n", type=int, required=True)
     extremal.add_argument("--params", help="JSON file with class/target parameters")
     extremal.add_argument("--out", metavar="F.JSON")

@@ -153,6 +153,8 @@ class GridFunction:
             if im_raw is None
             else np.asarray(im_raw, dtype=np.float64).reshape(shape)
         )
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError("grid samples must be finite")
         return cls(re + 1j * im)
 
 
@@ -180,20 +182,33 @@ def _magnitudes(data) -> np.ndarray:
     return np.abs(np.asarray(data))
 
 
+def _sort_descending(arr: np.ndarray, axes) -> np.ndarray:
+    """Sort a fresh float64 array in decreasing order along each axis in turn.
+
+    The array is negated, sorted in place in increasing order and negated
+    back, so no sorted copy is made and the result stays C-contiguous; a
+    view reversed on every axis would make the powers taken of it later
+    several times slower.  Magnitudes are nonnegative, so every zero comes
+    back as +0.0.
+    """
+    np.negative(arr, out=arr)
+    for axis in axes:
+        arr.sort(axis=axis)
+    return np.negative(arr, out=arr)
+
+
 def rearrange_axis(data, axis: int) -> np.ndarray:
     """Sort magnitudes in decreasing order along one axis, other axes fixed."""
-    arr = _magnitudes(data).astype(np.float64)
+    arr = _magnitudes(data).astype(np.float64, copy=False)
     if not 0 <= axis < arr.ndim:
         raise ValueError("axis out of range")
-    return np.flip(np.sort(arr, axis=axis), axis=axis)
+    return _sort_descending(arr, [axis])
 
 
 def iterated_rearrangement(data) -> np.ndarray:
     """Apply rearrange_axis successively on axis 0, 1, ..., m-1."""
-    arr = _magnitudes(data).astype(np.float64)
-    for axis in range(arr.ndim):
-        arr = np.flip(np.sort(arr, axis=axis), axis=axis)
-    return arr
+    arr = _magnitudes(data).astype(np.float64, copy=False)
+    return _sort_descending(arr, range(arr.ndim))
 
 
 _UNIT_WINDOWS = 20000

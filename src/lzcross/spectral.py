@@ -152,11 +152,29 @@ class SpectralFunction:
         return cls(m, coeffs)
 
 
-def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunction:
-    """Evaluate the polynomial on the product grid via an inverse FFT.
+def _inverse_rfft(spec: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Real samples, without the 1/N factor, from a Hermitian half spectrum.
 
-    Frequencies are placed at k mod N_j, so every |k_j| must stay below
-    N_j / 2; otherwise distinct frequencies would alias.
+    Every axis but the last is transformed in place, so spec is overwritten.
+    """
+    for axis in range(len(shape) - 1):
+        np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
+    return np.fft.irfft(spec, n=shape[-1], norm="forward")
+
+
+def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunction:
+    """Evaluate the polynomial on the product grid via real inverse FFTs.
+
+    The samples are S_1 + i S_2, where S_1 is the real polynomial with the
+    Hermitian coefficients h_k = (a_k + conj(a_{-k})) / 2 and S_2 the one
+    built the same way from -i a.  A Hermitian spectrum is stored as its half
+    N_1 x ... x (N_m/2 + 1): c_k/2 is added at k for rows with k_m >= 0 and
+    conj(c_k)/2 at -k for rows with k_m <= 0.  Halving is exact above the
+    subnormal range, and x/2 - x/2 is exactly zero, so when f is real
+    (a_{-k} = conj(a_k)) the half spectrum of S_2 is exactly zero, its
+    transform is skipped and the samples are float64.  Frequencies are placed
+    at k mod N_j, so every |k_j| must stay below N_j / 2; otherwise distinct
+    frequencies would alias.
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
@@ -165,9 +183,33 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     bw = f.bandwidth()
     if any(2 * b >= n for b, n in zip(bw, grid.shape)):
         raise ValueError("grid too coarse for the bandwidth of f")
-    spec = np.zeros(grid.shape, dtype=np.complex128)
-    spec[tuple((f.freqs % np.array(grid.shape)).T)] = f.coeffs
-    samples = np.fft.ifftn(spec) * grid.cells
+    shape = grid.shape
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
+    # rows with k_m >= 0 give c_k / 2 at k, rows with k_m <= 0 conj(c_k) / 2 at -k
+    up = np.flatnonzero(f.freqs[:, -1] >= 0)
+    order = np.concatenate([up, np.flatnonzero(f.freqs[:, -1] <= 0)])
+    lower = slice(len(up), None)
+    rows, halves = f.freqs[order], f.coeffs[order] * 0.5
+    rows[lower] *= -1
+    rows &= np.array(shape) - 1  # k mod N_j, as every N_j is a power of two
+    where = np.ravel_multi_index(tuple(rows.T), half)
+    halves[lower] = np.conj(halves[lower])
+    # for -i a: -i a_k / 2 at k and conj(-i a_k) / 2 = -(-i conj(a_k) / 2) at -k
+    imag_halves = halves * -1j
+    imag_halves[lower] *= -1
+
+    # S_2 first: when its halves cancel, spec holds zeros again and serves S_1
+    spec = np.zeros(half, dtype=np.complex128)
+    np.add.at(spec.reshape(-1), where, imag_halves)
+    imag = None
+    if spec.reshape(-1)[where].any():
+        imag = _inverse_rfft(spec, shape)
+        spec = np.zeros(half, dtype=np.complex128)
+    np.add.at(spec.reshape(-1), where, halves)
+    samples = _inverse_rfft(spec, shape)
+    if imag is not None:
+        samples = samples.astype(np.complex128)
+        samples.imag = imag
     return GridFunction(samples)
 
 

@@ -176,6 +176,22 @@ def test_norm_prints_unit_value_for_constant_one(tmp_path, capsys):
     assert abs(manifest["summary"]["norm"] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("sample", ["NaN", "Infinity", "-Infinity"])
+def test_norm_rejects_non_finite_samples(tmp_path, capsys, sample):
+    for part in ("re", "im"):
+        grid_file = tmp_path / "grid.json"
+        doc = {"m": 1, "shape": [4], "re": [1.0] * 4, "im": [0.0] * 4}
+        doc[part][2] = float(sample.replace("Infinity", "inf"))
+        grid_file.write_text(json.dumps(doc))
+        assert sample in grid_file.read_text()
+        rc = main(["--out", str(tmp_path), "norm", "--grid", str(grid_file),
+                   "--p", "2", "--alpha", "0", "--tau", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid samples must be finite" in captured.err
+
+
 # -- config file layering ------------------------------------------------------
 
 
@@ -294,6 +310,22 @@ def test_extremal_sidecar_contract(tmp_path):
 
     f = SpectralFunction.from_json_dict(read_json(tmp_path / "extremal.json"))
     assert f.m == 2 and f.n_terms == 8
+
+
+def test_extremal_which_comes_from_params_unless_flagged(tmp_path):
+    doc = {"p": ["3/2", "3/2"], "q": ["2", "2"], "r": ["1", "1"],
+           "thetas": ["inf", "inf"], "gamma_prime": ["1", "1"], "which": 2}
+    params = make_params_file(tmp_path, doc)
+    assert main(["--out", str(tmp_path), "extremal", "--n", "4",
+                 "--params", str(params)]) == 0
+    assert read_json(tmp_path / "manifest.json")["summary"]["which"] == 2
+    assert main(["--out", str(tmp_path), "extremal", "--n", "4", "--which", "3",
+                 "--params", str(params)]) == 0
+    assert read_json(tmp_path / "manifest.json")["summary"]["which"] == 3
+    params.write_text(json.dumps({k: v for k, v in doc.items() if k != "which"}))
+    assert main(["--out", str(tmp_path), "extremal", "--n", "4",
+                 "--params", str(params)]) == 0
+    assert read_json(tmp_path / "manifest.json")["summary"]["which"] == 1
 
 
 # -- rate experiment -----------------------------------------------------------

@@ -8,6 +8,7 @@ Analytic anchors used below:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from lzcross.norms import (
     separable_norm,
 )
 from lzcross.norms import _cell_weights
+from lzcross.spectral import dirichlet_block, synthesize
 
 
 def test_scalar_params_validation():
@@ -75,6 +77,39 @@ def test_iterated_rearrangement_idempotent():
     once = iterated_rearrangement(arr)
     twice = iterated_rearrangement(once)
     assert np.array_equal(once, twice)
+
+
+def flip_sort_rearrangement(data, axes):
+    """Decreasing sorts by flipping increasing ones: the reference formula."""
+    arr = np.abs(np.asarray(data)).astype(np.float64)
+    for axis in axes:
+        arr = np.flip(np.sort(arr, axis=axis), axis=axis)
+    return arr
+
+
+tied_entries = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, 3j, -2.0 + 0j, 1e-300])
+
+
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=3).flatmap(
+        lambda shape: st.lists(
+            tied_entries, min_size=math.prod(shape), max_size=math.prod(shape)
+        ).map(lambda xs: np.array(xs).reshape(shape))
+    )
+)
+@settings(deadline=None)
+def test_rearrangements_match_flip_sort_bit_for_bit(arr):
+    before = arr.copy()
+    want = flip_sort_rearrangement(arr, range(arr.ndim))
+    got = iterated_rearrangement(arr)
+    assert got.flags.c_contiguous
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # bytes: +0.0 and -0.0 differ
+    for axis in range(arr.ndim):
+        got = rearrange_axis(arr, axis)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == flip_sort_rearrangement(arr, [axis]).tobytes()
+    assert arr.tobytes() == before.tobytes()
 
 
 def test_cell_weights_total_mass():
@@ -188,6 +223,20 @@ def test_anisotropic_norm_monotone_in_magnitude():
         assert anisotropic_norm(GridFunction(f), params) <= anisotropic_norm(
             GridFunction(g), params
         ) + 1e-15
+
+
+def test_norm_of_synthesized_grid_holds_three_grids_at_most():
+    params = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
+    f = dirichlet_block((8, 8))
+    anisotropic_norm(synthesize(f, (1024, 1024)), params)  # fills the weight cache
+    grid_bytes = 1024 * 1024 * 8  # one float64 grid
+    tracemalloc.start()
+    try:
+        anisotropic_norm(synthesize(f, (1024, 1024)), params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * grid_bytes
 
 
 def test_separable_norm_matches_grid_norm():

@@ -81,6 +81,20 @@ def test_synthesize_empty_and_aliasing():
         synthesize(SpectralFunction(1, {(3,): 1.0}), (4, 4))
 
 
+def test_real_polynomials_synthesize_to_real_samples():
+    f = dirichlet_block((3, 2))
+    got = synthesize(f, (32, 16)).values
+    assert got.dtype == np.float64
+    x0, x1 = np.meshgrid(np.arange(32) / 32, np.arange(16) / 16, indexing="ij")
+    want = sum(
+        np.cos(2 * np.pi * (k0 * x0 + k1 * x1)) for k0, k1 in f.freqs.tolist()
+    )
+    assert np.abs(got - want).max() <= 1e-12
+    assert synthesize(SpectralFunction(2, {}), (4, 4)).values.dtype == np.float64
+    # a single harmonic is not real, so its samples stay complex
+    assert synthesize(SpectralFunction(1, {(1,): 1.0}), (8,)).values.dtype == np.complex128
+
+
 def test_analyze_constants_and_zero():
     g = GridFunction(np.full((4, 4), 2.5))
     f = analyze(g, (1, 1))

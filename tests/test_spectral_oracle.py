@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lzcross.indexsets import Anisotropy
@@ -140,6 +140,42 @@ def test_analyze_synthesize_matches_oracle(poly):
     assert list(back) == [k for k in box if k in back]  # lexicographic rows
     for k in box:
         assert abs(back.get(k, 0) - kept.get(k, 0)) <= tol
+
+
+@st.composite
+def synthesis_inputs(draw):
+    """Polynomials with |k_j| <= 3 in m = 1..3 variables, Hermitian or not."""
+    m = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), max_size=10, unique=True))
+    values = draw(st.lists(coefficients, min_size=len(keys), max_size=len(keys)))
+    hermitian = draw(st.booleans())
+    terms = {}
+    for k, a in zip(keys, values):
+        terms[k] = a
+        if hermitian:  # a_{-k} = conj(a_k); a_0 is real
+            minus = tuple(-c for c in k)
+            terms[minus] = a.conjugate() if minus != k else complex(a.real)
+            terms[k] = terms[minus].conjugate()
+    return m, terms, hermitian
+
+
+@given(synthesis_inputs())
+@example((3, {}, True))
+@example((2, {(1, 0): 1 + 2j, (2, 0): 3.0, (0, 0): 1j}, False))
+@settings(deadline=None)
+def test_synthesize_matches_direct_sum(case):
+    m, terms, hermitian = case
+    grid = GridSpec.minimal_for((3,) * m)
+    got = synthesize(SpectralFunction(m, terms), grid).values
+    x = np.meshgrid(*(np.arange(n) / n for n in grid.shape), indexing="ij")
+    want = np.zeros(grid.shape, dtype=np.complex128)
+    for k, a in terms.items():
+        want += a * np.exp(2j * np.pi * sum(kj * xj for kj, xj in zip(k, x)))
+    tol = 1e-12 * (1.0 + sum(abs(a) for a in terms.values()))
+    assert got.shape == grid.shape
+    assert np.abs(got - want).max() <= tol
+    if hermitian:
+        assert got.dtype == np.float64
 
 
 def test_frequency_range_is_checked():
