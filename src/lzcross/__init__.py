@@ -31,14 +31,12 @@ from .norms import (
     iterated_rearrangement,
     lz_scalar_norm,
     mixed_sequence_norm,
-    rearrange_axis,
     separable_norm,
 )
 from .spectral import (
     GridSpec,
     SpectralFunction,
     analyze,
-    block_component,
     cross_truncate,
     dirichlet_block,
     synthesize,
@@ -47,11 +45,9 @@ from .spectral import (
 from .classes import (
     BesovParams,
     DerivedExponents,
-    DualExponents,
     TheoremParams,
     besov_functional,
     derived_exponents,
-    dual_exponents,
     extremal_f1,
     extremal_f2,
     extremal_f3,

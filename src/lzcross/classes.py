@@ -151,34 +151,6 @@ def derived_exponents(tp: TheoremParams) -> DerivedExponents:
     )
 
 
-@dataclass(frozen=True)
-class DualExponents:
-    """Conjugate-derived sequence exponents for the upper-bound route.
-
-    beta_tilde_j = theta_j / tau2_j must exceed 1; epsilon_j is tau2_j times
-    its conjugate, so that 1/epsilon_j = 1/tau2_j - 1/theta_j.
-    """
-
-    beta_tilde: tuple[float, ...]
-    epsilons: tuple[float, ...]
-
-
-def dual_exponents(tp: TheoremParams) -> DualExponents:
-    beta_tilde = []
-    epsilons = []
-    for ax, theta in zip(tp.target.axes, tp.source.thetas):
-        t2 = ax.tau
-        if not theta > t2:
-            raise ValueError(
-                "dual exponents need theta_j > tau2_j on every axis"
-            )
-        bt = math.inf if math.isinf(theta) else theta / t2
-        conj = 1.0 if math.isinf(bt) else bt / (bt - 1.0)
-        beta_tilde.append(bt)
-        epsilons.append(t2 * conj)
-    return DualExponents(tuple(beta_tilde), tuple(epsilons))
-
-
 def theoretical_rate(n: int, d: DerivedExponents) -> float:
     """Main rate term 2^(-n rho_star) n^mu at integer level n >= 1."""
     if n < 1:

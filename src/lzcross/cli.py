@@ -7,7 +7,8 @@ verdict fails, 2 for configuration or usage errors, 3 for unexpected
 faults.  Identical configs produce byte-identical CSV bodies.
 
 Config files are flat JSON; numeric fields accept exact rationals as
-strings like "2/3".  Environment variables LZCROSS_CONFIG, LZCROSS_OUT,
+strings like "2/3", and a key the experiment kind does not read is a
+configuration error.  Environment variables LZCROSS_CONFIG, LZCROSS_OUT,
 and LZCROSS_THREADS mirror the global flags.
 """
 
@@ -42,7 +43,6 @@ from .classes import BesovParams, TheoremParams
 from .experiments import (
     DEFAULT_MAX_GRID_CELLS,
     _EXTREMAL_BUILDERS,
-    _parallel_map,
     approx_error_scan,
     class_normalizer,
     theorem1_rate_experiment,
@@ -124,10 +124,10 @@ def _as_list(value) -> list:
 
 
 def _float_list(value) -> list[float]:
-    out = []
-    for v in _as_list(value):
-        out.append(math.inf if str(v).lower() in ("inf", "infinity") else float(Fraction(str(v))))
-    return out
+    return [
+        math.inf if str(v).lower() in ("inf", "infinity") else float(as_fraction(str(v)))
+        for v in _as_list(value)
+    ]
 
 
 def _rational_list(value) -> list[Fraction]:
@@ -272,11 +272,7 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
     relation = o.get("relation", defaults["relation"])
     if relation not in ("two-sided", "lower", "upper"):
         raise ConfigError("relation must be two-sided, lower, or upper")
-    lhs_vals = dict(zip(ns, _parallel_map(lhs, ns, cfg.threads)))
-    rhs_vals = dict(zip(ns, _parallel_map(rhs, ns, cfg.threads)))
-    report = ratio_scan(
-        lambda n: lhs_vals[n], lambda n: rhs_vals[n], ns, relation=relation
-    )
+    report = ratio_scan(lhs, rhs, ns, relation=relation)
     spread_threshold = float(o.get("spread_threshold", 10.0))
     lower_threshold = float(o.get("lower_threshold", 0.1))
     upper_threshold = float(o.get("upper_threshold", 10.0))
@@ -476,19 +472,35 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
     return [out, summary_path]
 
 
+_EXTREMAL_KEYS = frozenset(
+    "p q r alpha tau1 thetas beta tau2 gamma_prime which n max_grid_cells out".split()
+)
+
+# kind -> (runner, the option keys it reads); any other key is a configuration error
 _RUNNERS = {
-    "lemma-check": _run_lemma_check,
-    "cross-gen": _run_cross_gen,
-    "norm": _run_norm,
-    "approx-rate": _run_approx_rate,
-    "extremal": _run_extremal,
-    "theorem1-rate": _run_theorem1_rate,
+    "lemma-check": (_run_lemma_check, frozenset(
+        "id case range relation spread_threshold lower_threshold upper_threshold out"
+        " alpha beta theta lam1 lam2 gamma gamma_prime lams thetas epsilons".split()
+    )),
+    "cross-gen": (_run_cross_gen, frozenset({"n", "gamma", "out"})),
+    "norm": (_run_norm, frozenset({"grid", "p", "alpha", "tau"})),
+    "approx-rate": (_run_approx_rate, frozenset(
+        "spectral gamma range grid target_p target_alpha target_tau out".split()
+    )),
+    "extremal": (_run_extremal, _EXTREMAL_KEYS),
+    "theorem1-rate": (
+        _run_theorem1_rate,
+        _EXTREMAL_KEYS - {"n"} | {"range", "spread_threshold", "fit_tolerance"},
+    ),
 }
 
 
 def run(config: ExperimentConfig) -> RunManifest:
     """Execute one experiment, write its outputs and manifest, return the manifest."""
-    runner = _RUNNERS[config.kind]
+    runner, keys = _RUNNERS[config.kind]
+    unknown = sorted(set(config.options) - keys)
+    if unknown:
+        raise ConfigError(f"unknown option for {config.kind}: {', '.join(unknown)}")
     manifest = RunManifest(
         kind=config.kind,
         version=__version__,

@@ -23,7 +23,10 @@ RationalLike = int | float | str | Fraction
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce to an exact Fraction; strings like "2/3" are accepted."""
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 @dataclass(frozen=True)

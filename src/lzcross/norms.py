@@ -182,33 +182,20 @@ def _magnitudes(data) -> np.ndarray:
     return np.abs(np.asarray(data))
 
 
-def _sort_descending(arr: np.ndarray, axes) -> np.ndarray:
-    """Sort a fresh float64 array in decreasing order along each axis in turn.
+def iterated_rearrangement(data) -> np.ndarray:
+    """Sort magnitudes in decreasing order along axis 0, 1, ..., m-1 in turn.
 
-    The array is negated, sorted in place in increasing order and negated
-    back, so no sorted copy is made and the result stays C-contiguous; a
-    view reversed on every axis would make the powers taken of it later
-    several times slower.  Magnitudes are nonnegative, so every zero comes
-    back as +0.0.
+    The fresh magnitude array is negated, sorted in place in increasing
+    order and negated back, so no sorted copy is made and the result stays
+    C-contiguous; a view reversed on every axis would make the powers taken
+    of it later several times slower.  Magnitudes are nonnegative, so every
+    zero comes back as +0.0.
     """
+    arr = _magnitudes(data).astype(np.float64, copy=False)
     np.negative(arr, out=arr)
-    for axis in axes:
+    for axis in range(arr.ndim):
         arr.sort(axis=axis)
     return np.negative(arr, out=arr)
-
-
-def rearrange_axis(data, axis: int) -> np.ndarray:
-    """Sort magnitudes in decreasing order along one axis, other axes fixed."""
-    arr = _magnitudes(data).astype(np.float64, copy=False)
-    if not 0 <= axis < arr.ndim:
-        raise ValueError("axis out of range")
-    return _sort_descending(arr, [axis])
-
-
-def iterated_rearrangement(data) -> np.ndarray:
-    """Apply rearrange_axis successively on axis 0, 1, ..., m-1."""
-    arr = _magnitudes(data).astype(np.float64, copy=False)
-    return _sort_descending(arr, range(arr.ndim))
 
 
 _UNIT_WINDOWS = 20000

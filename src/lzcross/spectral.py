@@ -148,6 +148,8 @@ class SpectralFunction:
         coeffs: dict[FrequencyIndex, complex] = {}
         for term in doc["terms"]:
             k = tuple(int(c) for c in term["k"])
+            if k in coeffs:
+                raise ValueError(f"duplicate frequency {list(k)} in polynomial terms")
             coeffs[k] = complex(float(term["re"]), float(term.get("im", 0.0)))
         return cls(m, coeffs)
 
@@ -227,14 +229,6 @@ def analyze(g: GridFunction, band: Sequence[int]) -> SpectralFunction:
     hat = np.fft.fftn(g.values) / math.prod(g.shape)
     freqs = cartesian_rows([range(-b, b + 1) for b in band])
     return SpectralFunction(g.m, (freqs, hat[tuple((freqs % np.array(g.shape)).T)]))
-
-
-def block_component(f: SpectralFunction, s: Sequence[int]) -> SpectralFunction:
-    """Restriction of f to the product dyadic block at level vector s."""
-    s = tuple(int(v) for v in s)
-    if len(s) != f.m:
-        raise ValueError("level arity does not match spectral function")
-    return f.restrict((block_levels(f.freqs) == s).all(axis=1))
 
 
 def nonzero_blocks(f: SpectralFunction) -> dict[MultiIndex, SpectralFunction]:

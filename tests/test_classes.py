@@ -11,7 +11,6 @@ from lzcross.classes import (
     besov_functional,
     block_norm,
     derived_exponents,
-    dual_exponents,
     extremal_f1,
     extremal_f2,
     extremal_f3,
@@ -88,21 +87,6 @@ def test_derived_exponents_rejects_oversized_weights():
         derived_exponents(
             make_tp(["3/2", "3/2"], [2, 2], [1, 1], gamma_prime=[2, 2])
         )
-
-
-def test_dual_exponents():
-    tp = make_tp(["3/2", "3/2"], [2, 2], [1, 1], thetas=[4.0, 4.0])
-    d = dual_exponents(tp)
-    assert d.beta_tilde == (2.0, 2.0)
-    assert d.epsilons == (4.0, 4.0)
-    unbounded = dual_exponents(make_tp(["3/2"], [2], [1]))
-    assert unbounded.epsilons == (2.0,)
-    for theta in (3.0, 5.0, 12.0):
-        tp = make_tp(["3/2"], [2], [1], thetas=[theta])
-        (eps,) = dual_exponents(tp).epsilons
-        assert 1.0 / eps == pytest.approx(1.0 / 2.0 - 1.0 / theta)
-    with pytest.raises(ValueError):
-        dual_exponents(make_tp(["3/2"], [2], [1], thetas=[2.0]))
 
 
 def test_theoretical_rate_values():

@@ -142,6 +142,12 @@ def test_cross_gen_accepts_rational_level_and_weights(tmp_path):
     assert {tuple(row) for row in doc["indices"]} == set(expected)
 
 
+def test_zero_denominator_flag_is_a_usage_error(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "cross", "gen", "--n", "2", "--gamma", "1/0"])
+    assert rc == 2
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
 def test_reruns_are_byte_identical(tmp_path):
     argv = ["lemma", "check", "--id", "2", "--case", "growth"]
     for d in ("a", "b"):
@@ -215,6 +221,29 @@ def test_explicit_flag_beats_config_file(tmp_path):
     assert [int(r[0]) for r in rows] == [16, 32, 64]
 
 
+def test_unknown_params_key_is_a_usage_error(tmp_path, capsys):
+    # misspelt keys must not fall back to the defaults (threshold 10, tau 2)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"p": ["3/2"], "q": ["2"], "r": ["1"],
+                                  "spread_treshold": 0.5, "tau_2": ["3"]}))
+    rc = main(["--out", str(tmp_path), "theorem1", "rate", "--params", str(params),
+               "--range", "6:9"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "theorem1-rate" in err and "spread_treshold" in err and "tau_2" in err
+    assert not (tmp_path / "theorem1_rate.csv").exists()
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"range": "16:32:dyadic", "gamma_prime": ["1"]}))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path), "cross", "gen",
+               "--n", "2", "--gamma", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cross-gen" in err and "gamma_prime" in err and "range" in err
+
+
 # -- approximation scan --------------------------------------------------------
 
 
@@ -277,6 +306,14 @@ def test_approx_error_of_a_term_whose_square_overflows(tmp_path):
     assert [float(r[1]) for r in rows] == [1e200, 1e200]
 
 
+def test_approx_rejects_duplicate_frequency(tmp_path, capsys):
+    rc = _approx_on_terms(
+        tmp_path, [{"k": [3], "re": 1.0}, {"k": [3], "re": 2.0}, {"k": [9], "re": 1.0}]
+    )
+    assert rc == 2
+    assert "duplicate frequency [3]" in capsys.readouterr().err
+
+
 def test_approx_rejects_non_finite_coefficient(tmp_path, capsys):
     rc = _approx_on_terms(tmp_path, [{"k": [5], "re": float("nan")}])
     assert rc == 2
@@ -331,6 +368,17 @@ def test_extremal_which_comes_from_params_unless_flagged(tmp_path):
 # -- rate experiment -----------------------------------------------------------
 
 
+def test_zero_denominator_in_params_is_a_usage_error(tmp_path, capsys):
+    for key in ("r", "alpha"):
+        doc = {"p": ["3/2"], "q": ["2"], "r": ["1"]}
+        doc[key] = ["1/0"]
+        params = make_params_file(tmp_path, doc)
+        rc = main(["--out", str(tmp_path), "theorem1", "rate", "--params", str(params),
+                   "--range", "6:7"])
+        assert rc == 2
+        assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
 def test_theorem1_rate_univariate_defaults(tmp_path, capsys):
     params = make_params_file(tmp_path, {"p": ["3/2"], "q": ["2"], "r": ["1"]})
     rc = main(
@@ -363,11 +411,16 @@ def test_bad_threads_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
 
 def test_two_threads_give_the_same_outputs(tmp_path):
     params = make_params_file(tmp_path, {"p": ["3/2"], "q": ["2"], "r": ["1"]})
+    f = SpectralFunction(2, {(3, 1): 1.0, (-5, 2): 0.5j, (9, -12): 2.0, (0, 0): 1.0})
+    spectral_file = tmp_path / "f.json"
+    spectral_file.write_text(json.dumps(f.to_json_dict()))
     runs = {
         "rate": (["theorem1", "rate", "--params", str(params), "--range", "6:10"],
                  "theorem1_rate.csv"),
-        "lemma": (["lemma", "check", "--id", "3", "--range", "4:12"],
-                  "lemma3_report.csv"),
+        "approx": (["approx", "--spectral", str(spectral_file), "--gamma", "1,1/2",
+                    "--range", "1:8", "--grid", "32,32", "--target-p", "3/2,2",
+                    "--target-alpha", "1/2,0", "--target-tau", "3,2"],
+                   "approx.csv"),
     }
     for name, (argv, csv_name) in runs.items():
         bodies = []

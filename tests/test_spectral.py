@@ -11,7 +11,6 @@ from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
     analyze,
-    block_component,
     cross_truncate,
     dirichlet_block,
     nonzero_blocks,
@@ -123,22 +122,9 @@ def test_parseval_identity():
     assert abs(f.l2_norm() - rms) <= 1e-12 * rms
 
 
-def test_block_component_selection():
-    f = SpectralFunction(1, {(3,): 1.0})
-    assert block_component(f, (2,)).coefficients == f.coefficients
-    for s in (0, 1, 3, 4):
-        assert block_component(f, (s,)).n_terms == 0
-    const = SpectralFunction(1, {(0,): 4.0})
-    assert block_component(const, (0,)).coefficients == const.coefficients
-
-
 def test_blocks_partition_support():
     rng = np.random.default_rng(23)
     f = random_poly(rng, 1, (7,), 9)
-    total = {}
-    for s in range(4):
-        total.update(block_component(f, (s,)).coefficients)
-    assert total == f.coefficients
     split = nonzero_blocks(f)
     assert list(split) == sorted(split)
     merged = {}

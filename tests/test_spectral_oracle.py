@@ -21,7 +21,6 @@ from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
     analyze,
-    block_component,
     cross_truncate,
     nonzero_blocks,
     synthesize,
@@ -88,9 +87,6 @@ def test_blocks_and_bandwidth_match_oracle(poly):
     for s, comp in blocks.items():
         # same members, in the order they were given
         assert list(comp.coefficients.items()) == list(groups[s].items())
-        component = block_component(f, s)
-        assert list(component.coefficients.items()) == list(groups[s].items())
-    assert block_component(f, (64,) * m).n_terms == 0
     assert f.bandwidth() == tuple(
         max((abs(k[j]) for k in kept), default=0) for j in range(m)
     )
