@@ -19,7 +19,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .indexsets import Anisotropy, RationalLike, as_fraction, layer_exact, level_sum_dtype
-from .norms import DEFAULT_MAX_GRID_CELLS, SequenceNormSpec, mixed_reduce, mixed_sequence_norm
+from .norms import DEFAULT_MAX_GRID_CELLS, mixed_reduce, mixed_sequence_norm
 
 
 def _inv(theta: float) -> float:
@@ -143,7 +143,6 @@ def lemma3_lhs(
         raise ValueError("dimension mismatch among weights and exponents")
     if not alpha > 0:
         raise ValueError("alpha must be positive for the tail to converge")
-    spec = SequenceNormSpec(tuple(thetas))
     w, bound = gamma_prime.scaled(n)
     gfloat = gamma.as_floats()
 
@@ -169,7 +168,7 @@ def lemma3_lhs(
             shape[j] = s.size
             term = term * ((s + 1.0) ** lams[j]).reshape(shape)
         term[inside < bound] = 0.0
-        return mixed_reduce(term, spec)
+        return mixed_reduce(term, thetas)
 
     box = [int(max(1, -(-as_fraction(n) // g)) + 8) for g in gamma_prime.weights]
     prev = value_on_box(box)
@@ -235,16 +234,13 @@ def lemma4_lhs(
     """
     if len(lams) != gamma.m or len(epsilons) != gamma.m:
         raise ValueError("dimension mismatch among weights and exponents")
-    layer = layer_exact(n, gamma)
-    if not layer:
-        return 0.0
     nf = float(as_fraction(n))
     values = {
         s: 2.0 ** (-alpha * nf)
         * math.prod((sj + 1.0) ** lam for sj, lam in zip(s, lams))
-        for s in layer
+        for s in layer_exact(n, gamma)
     }
-    return mixed_sequence_norm(values, SequenceNormSpec(tuple(epsilons)))
+    return mixed_sequence_norm(values, epsilons)
 
 
 def lemma4_reference(

@@ -30,7 +30,6 @@ from .indexsets import (
 )
 from .norms import (
     MixedSpaceParams,
-    SequenceNormSpec,
     anisotropic_norm,
     mixed_sequence_norm,
     separable_norm,
@@ -226,7 +225,7 @@ def _class_functional(
         s: 2.0 ** (sum(sj * rj for sj, rj in zip(s, r))) * v
         for s, v in norms.items()
     }
-    seq = mixed_sequence_norm(weighted, SequenceNormSpec(params.thetas))
+    seq = mixed_sequence_norm(weighted, params.thetas)
     if first is None:
         first = math.fsum(norms.values())
     return first + seq

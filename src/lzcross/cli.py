@@ -189,23 +189,53 @@ _LEMMA_DEFAULTS: dict[int, dict] = {
 }
 
 
+# lemma id -> case -> the parameters the case reads, with their defaults
+# (per axis for the lists of lemmas 3 and 4, which have no case; None for
+# gamma_prime means gamma); a parameter outside its case is refused
+_LEMMA_PARAMS: dict[int, dict] = {
+    1: {
+        1: {"alpha": 0.25, "beta": 0.25},
+        2: {"alpha": 1.0, "beta": 1.0},
+        3: {"beta": 0.5},
+    },
+    2: {
+        "decay": {"beta": 1.0, "theta": 1.0, "lam1": -0.5, "lam2": 2.0},
+        "growth": {"beta": 1.0, "theta": 2.0, "lam1": 1.0, "lam2": -1.0},
+    },
+    3: {None: {"gamma": ["1", "1"], "gamma_prime": None, "lams": 0.0,
+               "thetas": 2.0, "alpha": 1.0}},
+    4: {None: {"gamma": ["1", "1"], "lams": 0.0, "epsilons": 1.0, "alpha": 1.0}},
+}
+_LEMMA_KEYS = frozenset(
+    {"case"}.union(*(d for cases in _LEMMA_PARAMS.values() for d in cases.values()))
+)
+
+
 def _lemma_builders(cfg: ExperimentConfig):
     """Return (lhs, rhs, params_echo) callables for the configured lemma."""
     o = cfg.options
     lemma_id = int(o.get("id", 0))
+    if lemma_id not in _LEMMA_PARAMS:
+        raise ConfigError("lemma id must be 1, 2, 3, or 4")
+    cases = _LEMMA_PARAMS[lemma_id]
+    case = None
     if lemma_id == 1:
         case = int(o.get("case", 1))
-        if case == 1:
-            alpha = float(o.get("alpha", 0.25))
-            beta = float(o.get("beta", 0.25))
-        elif case == 2:
-            alpha = float(o.get("alpha", 1.0))
-            beta = float(o.get("beta", 1.0))
-        elif case == 3:
-            alpha = 1.0
-            beta = float(o.get("beta", 0.5))
-        else:
-            raise ConfigError("lemma 1 case must be 1, 2, or 3")
+    elif lemma_id == 2:
+        case = str(o.get("case", "decay"))
+    if case not in cases:
+        choices = ", ".join(map(str, cases))
+        raise ConfigError(f"lemma {lemma_id} case must be one of {choices}")
+    defaults = cases[case]
+    read = set(defaults) if case is None else {"case", *defaults}
+    unread = sorted(_LEMMA_KEYS.intersection(o) - read)
+    if unread:
+        which = f"lemma {lemma_id}" + ("" if case is None else f" case {case}")
+        raise ConfigError(f"{which} does not read {', '.join(unread)}")
+    v = {key: o.get(key, default) for key, default in defaults.items()}
+    if lemma_id == 1:
+        alpha = float(v.get("alpha", 1.0))  # case 3 is the alpha = 1 sum
+        beta = float(v["beta"])
         if case == 3:
             lhs = lambda l: lemma1_interior_sum(l, beta)
         else:
@@ -213,34 +243,21 @@ def _lemma_builders(cfg: ExperimentConfig):
         rhs = lambda l: lemma1_reference(l, alpha, beta)
         return lhs, rhs, {"id": 1, "case": case, "alpha": alpha, "beta": beta}
     if lemma_id == 2:
-        mode = str(o.get("case", "decay"))
-        if mode not in ("decay", "growth"):
-            raise ConfigError("lemma 2 case must be decay or growth")
-        if mode == "decay":
-            beta = float(o.get("beta", 1.0))
-            theta = float(o.get("theta", 1.0))
-            lam1 = float(o.get("lam1", -0.5))
-            lam2 = float(o.get("lam2", 2.0))
-        else:
-            beta = float(o.get("beta", 1.0))
-            theta = float(o.get("theta", 2.0))
-            lam1 = float(o.get("lam1", 1.0))
-            lam2 = float(o.get("lam2", -1.0))
-        lhs = lambda n: lemma2_sum(n, beta, theta, lam1, lam2, mode)
-        rhs = lambda n: lemma2_reference(n, beta, theta, lam1, lam2, mode)
+        beta, theta, lam1, lam2 = (float(v[k]) for k in ("beta", "theta", "lam1", "lam2"))
+        lhs = lambda n: lemma2_sum(n, beta, theta, lam1, lam2, case)
+        rhs = lambda n: lemma2_reference(n, beta, theta, lam1, lam2, case)
         echo = {
-            "id": 2, "case": mode, "beta": beta, "theta": theta,
+            "id": 2, "case": case, "beta": beta, "theta": theta,
             "lam1": lam1, "lam2": lam2,
         }
         return lhs, rhs, echo
+    gamma = Anisotropy.of(_rational_list(v["gamma"]))
+    per_axis = lambda key: _float_list(o.get(key, [defaults[key]] * gamma.m))
+    lams = per_axis("lams")
+    alpha = float(v["alpha"])
     if lemma_id == 3:
-        gamma = Anisotropy.of(_rational_list(o.get("gamma", ["1", "1"])))
-        gamma_prime = Anisotropy.of(
-            _rational_list(o.get("gamma_prime", o.get("gamma", ["1", "1"])))
-        )
-        lams = _float_list(o.get("lams", [0.0] * gamma.m))
-        thetas = _float_list(o.get("thetas", [2.0] * gamma.m))
-        alpha = float(o.get("alpha", 1.0))
+        gamma_prime = Anisotropy.of(_rational_list(o.get("gamma_prime", v["gamma"])))
+        thetas = per_axis("thetas")
         lhs = lambda n: lemma3_lhs(n, gamma, gamma_prime, lams, thetas, alpha)
         rhs = lambda n: lemma3_reference(n, gamma, gamma_prime, lams, thetas, alpha)
         echo = {
@@ -248,19 +265,14 @@ def _lemma_builders(cfg: ExperimentConfig):
             "lams": lams, "thetas": thetas, "alpha": alpha,
         }
         return lhs, rhs, echo
-    if lemma_id == 4:
-        gamma = Anisotropy.of(_rational_list(o.get("gamma", ["1", "1"])))
-        lams = _float_list(o.get("lams", [0.0] * gamma.m))
-        epsilons = _float_list(o.get("epsilons", [1.0] * gamma.m))
-        alpha = float(o.get("alpha", 1.0))
-        lhs = lambda n: lemma4_lhs(n, gamma, lams, epsilons, alpha)
-        rhs = lambda n: lemma4_reference(n, lams, epsilons, alpha)
-        echo = {
-            "id": 4, "gamma": gamma.weights, "lams": lams,
-            "epsilons": epsilons, "alpha": alpha,
-        }
-        return lhs, rhs, echo
-    raise ConfigError("lemma id must be 1, 2, 3, or 4")
+    epsilons = per_axis("epsilons")
+    lhs = lambda n: lemma4_lhs(n, gamma, lams, epsilons, alpha)
+    rhs = lambda n: lemma4_reference(n, lams, epsilons, alpha)
+    echo = {
+        "id": 4, "gamma": gamma.weights, "lams": lams,
+        "epsilons": epsilons, "alpha": alpha,
+    }
+    return lhs, rhs, echo
 
 
 def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
@@ -478,9 +490,8 @@ _EXTREMAL_KEYS = frozenset(
 
 # kind -> (runner, the option keys it reads); any other key is a configuration error
 _RUNNERS = {
-    "lemma-check": (_run_lemma_check, frozenset(
-        "id case range relation spread_threshold lower_threshold upper_threshold out"
-        " alpha beta theta lam1 lam2 gamma gamma_prime lams thetas epsilons".split()
+    "lemma-check": (_run_lemma_check, _LEMMA_KEYS.union(
+        "id range relation spread_threshold lower_threshold upper_threshold out".split()
     )),
     "cross-gen": (_run_cross_gen, frozenset({"n", "gamma", "out"})),
     "norm": (_run_norm, frozenset({"grid", "p", "alpha", "tau"})),

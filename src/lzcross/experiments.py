@@ -104,8 +104,8 @@ def theorem1_rate_experiment(
     """
     if which not in _EXTREMAL_BUILDERS:
         raise ValueError("which must be 1, 2, or 3")
-    if not ns:
-        raise ValueError("at least one level is required")
+    if len(ns) < 4:  # rate_fit's minimum, checked before any level is built
+        raise ValueError("at least four points are required")
     build = _EXTREMAL_BUILDERS[which]
     d = derived_exponents(tp)
     plain_l2 = tp.target.is_plain_l2()

@@ -158,24 +158,6 @@ class GridFunction:
         return cls(re + 1j * im)
 
 
-@dataclass(frozen=True)
-class SequenceNormSpec:
-    """Iterated sequence-norm exponents, axis 0 innermost; may include inf."""
-
-    thetas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        if len(self.thetas) == 0:
-            raise ValueError("at least one exponent required")
-        if any(not t > 0.0 for t in self.thetas):
-            raise ValueError("sequence exponents must be positive (inf allowed)")
-
-    @property
-    def m(self) -> int:
-        return len(self.thetas)
-
-
 def _magnitudes(data) -> np.ndarray:
     if isinstance(data, GridFunction):
         return np.abs(data.values)
@@ -305,38 +287,51 @@ def separable_norm(
     return out
 
 
-def mixed_reduce(values: np.ndarray, spec: SequenceNormSpec) -> float:
+def _exponents(thetas: Sequence[float]) -> tuple[float, ...]:
+    """Sequence-norm exponents as floats: at least one, each positive (inf allowed)."""
+    thetas = tuple(float(t) for t in thetas)
+    if not thetas:
+        raise ValueError("at least one exponent required")
+    if any(not t > 0.0 for t in thetas):
+        raise ValueError("sequence exponents must be positive (inf allowed)")
+    return thetas
+
+
+def mixed_reduce(values: np.ndarray, thetas: Sequence[float]) -> float:
     """Iterated sequence norm of a dense nonnegative array, axis 0 innermost.
 
     Finite exponents theta contribute (sum x^theta)^(1/theta); infinite ones
     contribute the maximum.  Exponents below 1 give the usual quasi-norm.
     """
+    thetas = _exponents(thetas)
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != spec.m:
+    if arr.ndim != len(thetas):
         raise ValueError("exponent arity does not match array dimension")
     if arr.size == 0:
         return 0.0
     if float(arr.min()) < 0.0:
         raise ValueError("sequence entries must be nonnegative")
-    for theta in spec.thetas:
+    for theta in thetas:
         arr = arr.max(axis=0) if math.isinf(theta) else (arr**theta).sum(axis=0) ** (1.0 / theta)
     return float(arr)
 
 
 def mixed_sequence_norm(
-    values: Mapping[MultiIndex, float], spec: SequenceNormSpec
+    values: Mapping[MultiIndex, float], thetas: Sequence[float]
 ) -> float:
     """Iterated sequence norm of a finitely supported map from level vectors."""
+    thetas = _exponents(thetas)
     if not values:
         return 0.0
+    m = len(thetas)
     support = [tuple(int(c) for c in s) for s in values]
-    if any(len(s) != spec.m or min(s) < 0 for s in support):
+    if any(len(s) != m or min(s) < 0 for s in support):
         raise ValueError("support entries must be nonnegative of matching arity")
-    dims = tuple(max(s[j] for s in support) + 1 for j in range(spec.m))
+    dims = tuple(max(s[j] for s in support) + 1 for j in range(m))
     arr = np.zeros(dims)
     for s, x in zip(support, values.values()):
         x = float(x)
         if not math.isfinite(x) or x < 0.0:
             raise ValueError("sequence values must be finite and nonnegative")
         arr[s] = x
-    return mixed_reduce(arr, spec)
+    return mixed_reduce(arr, thetas)

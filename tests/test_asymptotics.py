@@ -170,6 +170,9 @@ def test_lemma4_values():
     assert lemma4_lhs("1/2", g2, [0.0, 0.0], [1.0, 1.0], 1.0) == 0.0
     with pytest.raises(ValueError):
         lemma4_lhs(2, g2, [0.0], [1.0, 1.0], 1.0)
+    # an empty layer does not let bad exponents through
+    with pytest.raises(ValueError, match="exponents must be positive"):
+        lemma4_lhs("1/2", g2, [0.0, 0.0], [0.0, -1.0], 1.0)
 
 
 def test_lemma4_reference_values():

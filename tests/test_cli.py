@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lzcross.classes import extremal_f1
 from lzcross.cli import main, parse_range, ConfigError
+from lzcross.experiments import _EXTREMAL_BUILDERS
 from lzcross.indexsets import Anisotropy, as_fraction, hyperbolic_cross
 from lzcross.norms import GridFunction
 from lzcross.spectral import SpectralFunction
@@ -83,6 +85,28 @@ def test_exit_two_on_bad_lemma_case(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "lemma", "check", "--id", "1", "--case", "9"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("lemma_id, case, doc, key", [
+    ("1", "3", {"alpha": 0.7, "beta": 0.5}, "alpha"),
+    ("2", "decay", {"beta": 1.0, "gamma": ["1", "1"]}, "gamma"),
+    ("3", None, {"gamma": ["1", "1"], "epsilons": [5, 5]}, "epsilons"),
+    ("4", None, {"case": 3, "lams": [0, 0]}, "case"),
+])
+def test_lemma_parameter_the_lemma_does_not_read_is_a_usage_error(
+    tmp_path, capsys, lemma_id, case, doc, key
+):
+    # a key another lemma reads must not pass silently, echoed with a default
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", lemma_id,
+            "--params", str(make_params_file(tmp_path, doc))]
+    argv += ["--case", case] if case else []
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"lemma {lemma_id}" in err and key in err
+    assert not (tmp_path / "manifest.json").exists()
+    del doc[key]
+    make_params_file(tmp_path, doc)
+    assert main(argv) == 0
 
 
 def test_lemma3_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):
@@ -377,6 +401,24 @@ def test_zero_denominator_in_params_is_a_usage_error(tmp_path, capsys):
                    "--range", "6:7"])
         assert rc == 2
         assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
+def test_theorem1_rate_with_fewer_than_four_levels_builds_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+
+    def counting(n, tp):
+        calls.append(n)
+        return extremal_f1(n, tp)
+
+    monkeypatch.setitem(_EXTREMAL_BUILDERS, 1, counting)
+    params = make_params_file(tmp_path, {"p": ["3/2"], "q": ["2"], "r": ["1"]})
+    rc = main(["--out", str(tmp_path), "theorem1", "rate", "--params", str(params),
+               "--range", "10:12"])
+    assert rc == 2
+    assert "at least four points" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_theorem1_rate_univariate_defaults(tmp_path, capsys):

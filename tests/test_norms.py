@@ -19,7 +19,6 @@ from lzcross.norms import (
     GridFunction,
     MixedSpaceParams,
     ScalarSpaceParams,
-    SequenceNormSpec,
     anisotropic_norm,
     cell_weights,
     iterated_rearrangement,
@@ -239,30 +238,30 @@ def test_separable_norm_matches_grid_norm():
 
 def test_mixed_reduce_values():
     ones = np.ones((2, 3))
-    assert mixed_reduce(ones, SequenceNormSpec((1.0, 1.0))) == 6.0
+    assert mixed_reduce(ones, (1.0, 1.0)) == 6.0
     assert abs(
-        mixed_reduce(ones, SequenceNormSpec((2.0, 2.0))) - math.sqrt(6.0)
+        mixed_reduce(ones, (2.0, 2.0)) - math.sqrt(6.0)
     ) < 1e-15
-    assert mixed_reduce(ones, SequenceNormSpec((math.inf, 1.0))) == 3.0
-    assert mixed_reduce(np.zeros((2, 2)), SequenceNormSpec((1.0, 1.0))) == 0.0
+    assert mixed_reduce(ones, (math.inf, 1.0)) == 3.0
+    assert mixed_reduce(np.zeros((2, 2)), (1.0, 1.0)) == 0.0
     with pytest.raises(ValueError):
-        mixed_reduce(-ones, SequenceNormSpec((1.0, 1.0)))
+        mixed_reduce(-ones, (1.0, 1.0))
     with pytest.raises(ValueError):
-        mixed_reduce(ones, SequenceNormSpec((1.0,)))
+        mixed_reduce(ones, (1.0,))
 
 
 @given(st.floats(min_value=0.25, max_value=4.0), st.integers(min_value=1, max_value=8))
 @settings(deadline=None)
 def test_mixed_reduce_homogeneous(scale, rows):
     arr = np.arange(rows * 3, dtype=float).reshape(rows, 3)
-    spec = SequenceNormSpec((1.5, math.inf))
+    spec = (1.5, math.inf)
     assert mixed_reduce(scale * arr, spec) == pytest.approx(
         scale * mixed_reduce(arr, spec), rel=1e-12, abs=1e-300
     )
 
 
 def test_mixed_sequence_norm_over_support():
-    spec = SequenceNormSpec((1.0, 1.0))
+    spec = (1.0, 1.0)
     layer = [(0, 2), (1, 1), (2, 0)]
     values = {s: 0.25 for s in layer}
     assert mixed_sequence_norm(values, spec) == pytest.approx(0.75)
@@ -276,11 +275,22 @@ def test_mixed_sequence_norm_over_support():
 
 
 def test_sequence_spec_validation():
-    SequenceNormSpec((0.5, math.inf))
-    with pytest.raises(ValueError):
-        SequenceNormSpec(())
-    with pytest.raises(ValueError):
-        SequenceNormSpec((0.0,))
+    # exponents are a plain sequence: at least one, each positive, inf allowed
+    assert mixed_reduce(np.full((2, 2), 2.0), [1.0, math.inf]) == 4.0
+    assert mixed_reduce(np.ones((4, 1)), [0.5, 2]) == pytest.approx(16.0)
+    assert mixed_sequence_norm({(1,): 2.0}, [math.inf]) == 2.0
+    for bad in [(), (0.0,), (-1.0,)]:
+        with pytest.raises(ValueError, match="exponent"):
+            mixed_reduce(np.ones(2), bad)
+        with pytest.raises(ValueError, match="exponent"):
+            mixed_sequence_norm({(0,): 1.0}, bad)
+        # checked before the early return for an empty input
+        with pytest.raises(ValueError, match="exponent"):
+            mixed_reduce(np.zeros(0), bad)
+        with pytest.raises(ValueError, match="exponent"):
+            mixed_sequence_norm({}, bad)
+    with pytest.raises(ValueError, match="arity"):
+        mixed_sequence_norm({(0, 1): 1.0}, (1.0,))
 
 
 def test_grid_function_shape_and_json():

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lzcross"
-# the package's __init__ imports names only to export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,7 +53,7 @@ def unreferenced_definitions(modules: dict[str, str], readers: list[str]) -> lis
 
     A definition is referenced when its name appears in a module outside the
     definition itself, or anywhere in the reader sources.  Imports do not
-    count, so the package's __init__ re-exports keep nothing alive.
+    count, so a name that is only imported somewhere stays unreferenced.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
     statements = [stmt for tree in trees.values() for stmt in tree.body]
