@@ -34,7 +34,13 @@ from .norms import (
     mixed_sequence_norm,
     separable_norm,
 )
-from .spectral import GridSpec, SpectralFunction, nonzero_blocks, synthesize
+from .spectral import (
+    GridSpec,
+    SpectralFunction,
+    grid_norm,
+    nonzero_blocks,
+    synthesize,
+)
 
 
 @dataclass(frozen=True)
@@ -213,9 +219,10 @@ def _class_functional(
         )
     if not f.n_terms:
         return 0.0
-    # the full grid goes first, before the blocks are split off, which
-    # keeps it out of the memory peak
-    first = anisotropic_norm(synthesize(f, grid), params.space) if exact else None
+    # the full grid goes first, so its samples and powers are freed before
+    # the blocks are split off; grid_norm keeps its rearranged samples for a
+    # residual of f that kept every row
+    first = grid_norm(f, grid, params.space) if exact else None
     norms = {
         s: block_norm(comp, params.space, grid)
         for s, comp in nonzero_blocks(f).items()

@@ -86,6 +86,7 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
 
 
 # -- small parsing helpers ----------------------------------------------------
@@ -172,6 +173,21 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _threshold(o: dict, key: str, default: float) -> float:
+    """A verdict threshold: a finite number > 0, since no other makes a verdict."""
+    value = float(o.get(key, default))
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+    return value
+
+
+def _grid_budget(o: dict) -> int:
+    value = int(o.get("max_grid_cells", DEFAULT_MAX_GRID_CELLS))
+    if value < 1:
+        raise ConfigError(f"max_grid_cells must be at least 1, got {value}")
+    return value
 
 
 def _out_path(cfg: ExperimentConfig, name: str) -> Path:
@@ -284,10 +300,10 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
     relation = o.get("relation", defaults["relation"])
     if relation not in ("two-sided", "lower", "upper"):
         raise ConfigError("relation must be two-sided, lower, or upper")
+    spread_threshold = _threshold(o, "spread_threshold", 10.0)
+    lower_threshold = _threshold(o, "lower_threshold", 0.1)
+    upper_threshold = _threshold(o, "upper_threshold", 10.0)
     report = ratio_scan(lhs, rhs, ns, relation=relation)
-    spread_threshold = float(o.get("spread_threshold", 10.0))
-    lower_threshold = float(o.get("lower_threshold", 0.1))
-    upper_threshold = float(o.get("upper_threshold", 10.0))
     passed = report.verdict(
         spread_threshold=spread_threshold,
         lower_threshold=lower_threshold,
@@ -413,7 +429,7 @@ def _run_extremal(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
         raise ConfigError("which must be 1, 2, or 3")
     f = builder(n, tp)
     grid = GridSpec.minimal_for(f.bandwidth())
-    max_cells = int(o.get("max_grid_cells", DEFAULT_MAX_GRID_CELLS))
+    max_cells = _grid_budget(o)
     value, exact = class_normalizer(f, tp.source, grid, max_grid_cells=max_cells)
     out = _out_path(cfg, o.get("out", "extremal.json"))
     _write_json(out, f.to_json_dict())
@@ -434,7 +450,9 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
     tp = _theorem_params(o)
     ns = parse_range(o.get("range", "6:16:linear"))
     which = int(o.get("which", 1))
-    max_cells = int(o.get("max_grid_cells", DEFAULT_MAX_GRID_CELLS))
+    max_cells = _grid_budget(o)
+    spread_threshold = _threshold(o, "spread_threshold", 10.0)
+    fit_tolerance = _threshold(o, "fit_tolerance", 0.1)
     result = theorem1_rate_experiment(
         tp, ns, which=which, max_grid_cells=max_cells, threads=cfg.threads
     )
@@ -444,8 +462,6 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
         ["n", "error", "reference"],
         [(pt.n, pt.error, pt.reference) for pt in result.points],
     )
-    spread_threshold = float(o.get("spread_threshold", 10.0))
-    fit_tolerance = float(o.get("fit_tolerance", 0.1))
     rho_star = float(result.derived.rho_star)
     spread = result.report.spread
     spread_ok = math.isfinite(spread) and spread <= spread_threshold
@@ -481,6 +497,13 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
     summary_path = out.with_name(out.stem + ".summary.json")
     _write_json(summary_path, summary)
     manifest.summary = summary
+    manifest.stats = {
+        "levels": [
+            {"n": pt.n, "support_size": pt.support_size, "grid_cells": pt.grid_cells,
+             "normalizer_exact": pt.normalizer_exact}
+            for pt in result.points
+        ]
+    }
     return [out, summary_path]
 
 

@@ -67,6 +67,7 @@ class RatePoint:
     normalizer: float
     normalizer_exact: bool
     support_size: int
+    grid_cells: int
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,7 @@ def theorem1_rate_experiment(
             normalizer=normalizer,
             normalizer_exact=exact,
             support_size=f.n_terms,
+            grid_cells=grid.cells,
         )
 
     points = _parallel_map(eval_point, ns, threads)

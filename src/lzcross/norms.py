@@ -255,10 +255,17 @@ def lz_scalar_norm(profile, params: ScalarSpaceParams) -> float:
 def anisotropic_norm(f, params: MixedSpaceParams) -> float:
     """Mixed Lorentz-Zygmund norm of grid samples.
 
-    Magnitudes are rearranged axis by axis, then the weighted tau_j integral
-    is applied per axis, axis 0 innermost.
+    Magnitudes are rearranged axis by axis, then measured by profile_norm.
     """
-    prof = iterated_rearrangement(f)
+    return profile_norm(iterated_rearrangement(f), params)
+
+
+def profile_norm(prof: np.ndarray, params: MixedSpaceParams) -> float:
+    """Mixed Lorentz-Zygmund norm of an iterated rearrangement.
+
+    The weighted tau_j integral is applied per axis, axis 0 innermost; prof
+    is read, never written.
+    """
     if prof.ndim != params.m:
         raise ValueError("parameter arity does not match grid dimension")
     g = prof

@@ -25,7 +25,13 @@ from .indexsets import (
     cartesian_rows,
     cross_membership,
 )
-from .norms import GridFunction, MixedSpaceParams, _validated_shape, anisotropic_norm
+from .norms import (
+    GridFunction,
+    MixedSpaceParams,
+    _validated_shape,
+    iterated_rearrangement,
+    profile_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -215,6 +221,39 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     return GridFunction(samples)
 
 
+# (key, read-only iterated rearrangement) of the last polynomial grid_norm
+# measured, or None
+_held: tuple | None = None
+
+
+def grid_norm(
+    f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
+) -> float:
+    """anisotropic_norm(synthesize(f, grid), params), bit for bit.
+
+    The rearranged samples do not depend on params, and those of the last
+    polynomial measured are held, keyed by the grid shape and the bytes of
+    f's frequency and coefficient arrays: measuring a polynomial with the
+    same rows again (such as a residual that kept every row), in any space,
+    neither synthesizes nor sorts.  A miss drops the held profile before it
+    builds the new one, and releases the samples once they are sorted.
+    Threads that evict each other's entry only recompute.
+    """
+    global _held
+    if not isinstance(grid, GridSpec):
+        grid = GridSpec(tuple(grid))
+    key = (grid.shape, f.freqs.shape, f.freqs.tobytes(), f.coeffs.tobytes())
+    held = _held
+    if held is None or held[0] != key:
+        _held = None
+        samples = synthesize(f, grid)
+        prof = iterated_rearrangement(samples)
+        del samples
+        prof.setflags(write=False)
+        held = _held = (key, prof)
+    return profile_norm(held[1], params)
+
+
 def analyze(g: GridFunction, band: Sequence[int]) -> SpectralFunction:
     """Recover coefficients for |k_j| <= band_j from grid samples.
 
@@ -263,11 +302,12 @@ def truncation_error(
 ) -> float:
     """Norm of f minus its cross truncation in the target space.
 
-    With a grid, the residual is synthesized and measured by
-    anisotropic_norm.  When the target is plain L2 the coefficient l2 norm
-    of the residual is the same quantity by Parseval; it cross-checks the
-    grid value to a relative 1e-8, and when no grid is given it is returned
-    directly (plain-L2 targets only).
+    With a grid, the residual is measured by grid_norm, which reuses the
+    rearranged samples of f when the residual kept every row and f was the
+    last polynomial measured.  When the target is plain L2 the coefficient
+    l2 norm of the residual is the same quantity by Parseval; it
+    cross-checks the grid value to a relative 1e-8, and when no grid is
+    given it is returned directly (plain-L2 targets only).
     """
     residual = f.restrict(~_cross_mask(f, n, gamma))
     plain_l2 = target.is_plain_l2()
@@ -278,7 +318,7 @@ def truncation_error(
                 "a grid is required unless the target space is plain L2"
             )
         return parseval
-    value = anisotropic_norm(synthesize(residual, grid), target)
+    value = grid_norm(residual, grid, target)
     if parseval is not None:
         if abs(value - parseval) > 1e-8 * max(parseval, 1e-300):
             raise ArithmeticError(

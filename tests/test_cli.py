@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lzcross import classes, experiments, norms, spectral
 from lzcross.classes import extremal_f1
 from lzcross.cli import main, parse_range, ConfigError
 from lzcross.experiments import _EXTREMAL_BUILDERS
@@ -30,6 +31,9 @@ def read_csv(path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+RATE_1D = {"p": ["3/2"], "q": ["2"], "r": ["1"]}  # univariate rate parameters
 
 
 # -- range parsing -------------------------------------------------------------
@@ -79,6 +83,30 @@ def test_exit_one_when_threshold_is_tightened(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
     summary = read_json(tmp_path / "lemma1_report.summary.json")
     assert summary["verdict"] == "exceeded"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("argv, doc, key", [
+    (["lemma", "check", "--id", "1"], {}, "spread_threshold"),
+    (["lemma", "check", "--id", "1"], {}, "lower_threshold"),
+    (["lemma", "check", "--id", "2"], {}, "upper_threshold"),
+    (["theorem1", "rate"], RATE_1D, "spread_threshold"),
+    (["theorem1", "rate"], RATE_1D, "fit_tolerance"),
+], ids=["lemma-spread", "lemma-lower", "lemma-upper", "rate-spread", "rate-fit"])
+def test_verdict_threshold_that_is_not_positive_is_a_usage_error(
+    tmp_path, capsys, value, argv, doc, key
+):
+    # a NaN or non-positive threshold fails every verdict, whatever the run;
+    # the two keys with a flag are given by the flag, the others in --params
+    if key in ("spread_threshold", "fit_tolerance"):
+        argv = argv + ["--" + key.replace("_", "-"), value]
+    else:
+        doc = {**doc, key: float(value)}
+    argv = argv + ["--params", str(make_params_file(tmp_path, doc))]
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and captured.out == ""
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_exit_two_on_bad_lemma_case(tmp_path, capsys):
@@ -392,6 +420,55 @@ def test_extremal_which_comes_from_params_unless_flagged(tmp_path):
 # -- rate experiment -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("argv, doc, budget", [
+    (["theorem1", "rate", "--range", "6:9"], RATE_1D, -5),
+    (["theorem1", "rate", "--range", "6:9"],
+     {**RATE_1D, "beta": ["1/2"], "tau2": ["3"]}, 0),
+    (["extremal", "--n", "4"], RATE_1D, 0),
+], ids=["rate-l2", "rate-lz", "extremal"])
+def test_grid_budget_below_one_cell_is_a_usage_error(tmp_path, capsys, argv, doc, budget):
+    # it would put every level on the triangle bound, or refuse a non-L2 residual
+    params = make_params_file(tmp_path, {**doc, "max_grid_cells": budget})
+    assert main(["--out", str(tmp_path)] + argv + ["--params", str(params)]) == 2
+    assert "max_grid_cells" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_theorem1_rate_manifest_lists_each_level(tmp_path):
+    params = make_params_file(tmp_path, {**RATE_1D, "max_grid_cells": 512})
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
+    # level n has 2**n terms on a 2**(n+1) grid; 1024 cells exceed the budget
+    assert levels == [
+        {"n": n, "support_size": 2**n, "grid_cells": 2 ** (n + 1),
+         "normalizer_exact": n < 9}
+        for n in range(6, 10)
+    ]
+    assert read_json(tmp_path / "theorem1_rate.summary.json")["normalizer_exact"] is False
+
+
+def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
+    # the residual of a level keeps every row of its extremal polynomial, so
+    # the truncation error reuses the rearranged samples of the class functional
+    original = norms.iterated_rearrangement
+    calls = []
+
+    def counting(data):
+        calls.append(None)
+        return original(data)
+
+    for module in (norms, spectral, classes, experiments):
+        for attr, obj in list(vars(module).items()):
+            if obj is original:
+                monkeypatch.setattr(module, attr, counting)
+    monkeypatch.setattr(spectral, "_held", None, raising=False)
+    params = BENCH / "params" / "rate-2d-lz.json"
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    assert len(calls) == 4
+
+
 def test_zero_denominator_in_params_is_a_usage_error(tmp_path, capsys):
     for key in ("r", "alpha"):
         doc = {"p": ["3/2"], "q": ["2"], "r": ["1"]}
@@ -512,15 +589,24 @@ def parse_output(path):
     return [header] + [[float(c) for c in row] for row in rows]
 
 
-@pytest.mark.parametrize("name", ["rate-2d-l2", "rate-2d-lz"])
+# levels compared: rate-2d-l2's stored run goes to 14, too slow for every run;
+# rate-2d-lz's whole stored range
+BIVARIATE_RANGES = {"rate-2d-l2": "6:10", "rate-2d-lz": "6:12"}
+
+
+@pytest.mark.parametrize("name", sorted(BIVARIATE_RANGES))
 def test_bivariate_rate_rows_match_stored_references(tmp_path, name):
-    # levels 6..10 only: the stored runs go to 14 and 12, too slow for every run
     params = BENCH / "params" / f"{name}.json"
-    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:10"]
+    levels = BIVARIATE_RANGES[name]
+    argv = ["theorem1", "rate", "--params", str(params), "--range", levels]
     assert main(["--out", str(tmp_path)] + argv) == 0
+    ref_dir = BENCH / "reference" / name / "theorem1"
     got = parse_output(tmp_path / "theorem1_rate.csv")
-    ref = BENCH / "reference" / name / "theorem1" / "theorem1_rate.csv"
-    assert_close(got, parse_output(ref)[:6], name)
+    want = parse_output(ref_dir / "theorem1_rate.csv")
+    assert_close(got, want[: len(parse_range(levels)) + 1], name)
+    if len(got) == len(want):  # the whole stored range, so the summary too
+        summary = "theorem1_rate.summary.json"
+        assert_close(read_json(tmp_path / summary), read_json(ref_dir / summary), summary)
 
 
 @pytest.mark.parametrize("ref, argv", REFERENCE_RUNS, ids=[r for r, _ in REFERENCE_RUNS])

@@ -28,7 +28,7 @@ from lzcross.norms import (
     separable_norm,
 )
 from lzcross.norms import _cell_weights
-from lzcross.spectral import dirichlet_block, synthesize
+from lzcross.spectral import GridSpec, dirichlet_block, grid_norm, synthesize
 
 
 def test_scalar_params_validation():
@@ -222,6 +222,28 @@ def test_norm_of_synthesized_grid_holds_three_grids_at_most():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * grid_bytes
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_norm_holds_three_grids_on_a_miss_and_one_and_a_half_on_a_hit():
+    # a miss drops the held profile before it synthesizes and releases the
+    # samples before the powers are taken; a hit only takes the powers
+    params = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
+    f = dirichlet_block((8, 8))
+    grid = GridSpec((1024, 1024))
+    grid_norm(f, grid, params)  # fills the weight cache
+    other = f.scaled(2.0)
+    grid_bytes = 1024 * 1024 * 8  # one float64 grid
+    assert traced_peak(lambda: grid_norm(other, grid, params)) <= 3.0 * grid_bytes
+    assert traced_peak(lambda: grid_norm(other, grid, params)) <= 1.5 * grid_bytes
 
 
 def test_separable_norm_matches_grid_norm():

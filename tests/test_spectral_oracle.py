@@ -15,13 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lzcross import spectral
 from lzcross.indexsets import Anisotropy
-from lzcross.norms import MixedSpaceParams
+from lzcross.norms import MixedSpaceParams, anisotropic_norm
 from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
     analyze,
     cross_truncate,
+    grid_norm,
     nonzero_blocks,
     synthesize,
     truncation_error,
@@ -184,3 +186,56 @@ def test_frequency_range_is_checked():
     f = SpectralFunction(2, {(K_MAX, -K_MAX): 1.0, (1, 1): 1.0})
     assert f.bandwidth() == (K_MAX, K_MAX)
     assert list(nonzero_blocks(f)) == [(1, 1), (63, 63)]
+
+
+def measured_variants(m, terms):
+    """f, a copy of its rows (the same bytes), its frequencies under other
+    coefficients, and the empty polynomial; two grid shapes; two spaces."""
+    f = SpectralFunction(m, terms)
+    variants = [
+        f,
+        f.restrict(np.ones(f.n_terms, dtype=bool)),
+        SpectralFunction(m, (f.freqs, f.coeffs[::-1] * (1 + 1j))),
+        SpectralFunction(m),
+    ]
+    grids = [GridSpec((8,) * m), GridSpec((16,) + (8,) * (m - 1))]
+    spaces = [
+        MixedSpaceParams.of(["3/2"] * m, [0.5] * m, [2.0] * m),
+        MixedSpaceParams.of(["3"] * m, [-0.25] * m, [1.5] * m),
+    ]
+    return variants, grids, spaces
+
+
+@st.composite
+def grid_norm_sessions(draw):
+    """Terms with |k_j| <= 3 in m = 1..3 variables, and a run of
+    (variant, grid, space) choices that interleaves hits and misses."""
+    m = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), max_size=8, unique=True))
+    values = draw(st.lists(coefficients, min_size=len(keys), max_size=len(keys)))
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 1)),
+        min_size=1, max_size=8,
+    ))
+    return m, dict(zip(keys, values)), steps
+
+
+# hit under another space, miss on the grid shape, on the coefficients, on
+# the empty polynomial, then a miss on f once it was evicted
+@given(grid_norm_sessions())
+@example((2, {(1, 2): 1 + 2j, (-3, 1): 0.5, (2, 2): -1.0},
+          [(0, 0, 0), (1, 0, 1), (0, 1, 1), (2, 1, 1), (3, 0, 0), (0, 0, 0)]))
+@settings(deadline=None)
+def test_grid_norm_matches_the_norm_of_fresh_samples(session):
+    m, terms, steps = session
+    variants, grids, spaces = measured_variants(m, terms)
+    for v, g, q in steps:
+        f, grid, space = variants[v], grids[g], spaces[q]
+        got = grid_norm(f, grid, space)
+        want = anisotropic_norm(synthesize(f, grid), space)
+        assert got.hex() == want.hex()
+        key, prof = spectral._held
+        assert key[0] == grid.shape and prof.shape == grid.shape
+        assert not prof.flags.writeable
+        with pytest.raises(ValueError):
+            prof[(0,) * m] = 1.0
