@@ -321,13 +321,13 @@ def ratio_scan(
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares model log2 E = -slope n + polylog log2 n + intercept."""
+    """Least-squares model log2 E = -slope n + polylog log2 n + intercept.
+
+    The intercept is fitted but not kept: no verdict or output reads it.
+    """
 
     slope: float
     polylog: float
-    intercept: float
-    max_residual: float
-    slope_fixed: bool
 
 
 def rate_fit(
@@ -354,18 +354,8 @@ def rate_fit(
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise ValueError("degenerate design: levels do not determine the fit")
-    resid = y - design @ coef
     if fix_slope is None:
-        slope, polylog, intercept = coef
-        fixed = False
+        slope, polylog = coef[0], coef[1]
     else:
-        slope = float(fix_slope)
-        polylog, intercept = coef
-        fixed = True
-    return RateFit(
-        slope=float(slope),
-        polylog=float(polylog),
-        intercept=float(intercept),
-        max_residual=float(np.max(np.abs(resid))),
-        slope_fixed=fixed,
-    )
+        slope, polylog = fix_slope, coef[0]
+    return RateFit(slope=float(slope), polylog=float(polylog))

@@ -96,18 +96,16 @@ class DerivedExponents:
     """Rate ingredients derived from TheoremParams.
 
     Axis indices are 0-based.  delta = min_j gamma_j / gamma'_j; A collects
-    the axes attaining it, j1 = min A, j_prime = max A.  mu is the exponent
+    the axes attaining it and j1 = min A.  mu is the exponent
     of the logarithmic factor in the main rate term, and hypothesis_margin
     is the min-expression whose positivity the sharp two-sided rate needs.
     """
 
     gamma: Anisotropy
-    j0: int
     rho_star: Fraction
     delta: Fraction
     A: tuple[int, ...]
     j1: int
-    j_prime: int
     mu: float
     hypothesis_margin: float
 
@@ -145,12 +143,10 @@ def derived_exponents(tp: TheoremParams) -> DerivedExponents:
     )
     return DerivedExponents(
         gamma=gamma,
-        j0=j0,
         rho_star=rho[j0],
         delta=delta,
         A=a_set,
         j1=j1,
-        j_prime=jp,
         mu=mu,
         hypothesis_margin=margin,
     )

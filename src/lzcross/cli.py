@@ -183,8 +183,26 @@ def _threshold(o: dict, key: str, default: float) -> float:
     return value
 
 
+def _integer(o: dict, key: str, default: int) -> int:
+    """An integer option: an int, an integral float or a decimal string.
+
+    A boolean or a non-integral number is refused rather than truncated.
+    """
+    value = o.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def _grid_budget(o: dict) -> int:
-    value = int(o.get("max_grid_cells", DEFAULT_MAX_GRID_CELLS))
+    value = _integer(o, "max_grid_cells", DEFAULT_MAX_GRID_CELLS)
     if value < 1:
         raise ConfigError(f"max_grid_cells must be at least 1, got {value}")
     return value
@@ -230,13 +248,13 @@ _LEMMA_KEYS = frozenset(
 def _lemma_builders(cfg: ExperimentConfig):
     """Return (lhs, rhs, params_echo) callables for the configured lemma."""
     o = cfg.options
-    lemma_id = int(o.get("id", 0))
+    lemma_id = _integer(o, "id", 0)
     if lemma_id not in _LEMMA_PARAMS:
         raise ConfigError("lemma id must be 1, 2, 3, or 4")
     cases = _LEMMA_PARAMS[lemma_id]
     case = None
     if lemma_id == 1:
-        case = int(o.get("case", 1))
+        case = _integer(o, "case", 1)
     elif lemma_id == 2:
         case = str(o.get("case", "decay"))
     if case not in cases:
@@ -422,8 +440,8 @@ def _theorem_params(o: dict) -> TheoremParams:
 def _run_extremal(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
     o = cfg.options
     tp = _theorem_params(o)
-    which = int(o.get("which", 1))
-    n = int(o.get("n", 4))
+    which = _integer(o, "which", 1)
+    n = _integer(o, "n", 4)
     builder = _EXTREMAL_BUILDERS.get(which)
     if builder is None:
         raise ConfigError("which must be 1, 2, or 3")
@@ -449,7 +467,7 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
     o = cfg.options
     tp = _theorem_params(o)
     ns = parse_range(o.get("range", "6:16:linear"))
-    which = int(o.get("which", 1))
+    which = _integer(o, "which", 1)
     max_cells = _grid_budget(o)
     spread_threshold = _threshold(o, "spread_threshold", 10.0)
     fit_tolerance = _threshold(o, "fit_tolerance", 0.1)

@@ -64,7 +64,6 @@ class RatePoint:
     n: int
     error: float
     reference: float
-    normalizer: float
     normalizer_exact: bool
     support_size: int
     grid_cells: int
@@ -99,9 +98,11 @@ def theorem1_rate_experiment(
     For each level n the chosen extremal function is scaled to unit class
     functional and its distance from the level-n cross is measured in the
     target norm; plain-L2 targets use the exact coefficient route, any other
-    target synthesizes the residual on the minimal resolving grid (subject
-    to the cell budget).  Returns free-slope and pinned-slope fits of the
-    error decay plus the tabulated error/rate ratios.
+    target synthesizes the residual on the minimal resolving grid.  For
+    such a target every level's polynomial is built and dropped first, and a
+    level whose grid exceeds the cell budget is refused before any level is
+    measured.  Returns free-slope and pinned-slope fits of the error decay
+    plus the tabulated error/rate ratios.
     """
     if which not in _EXTREMAL_BUILDERS:
         raise ValueError("which must be 1, 2, or 3")
@@ -110,6 +111,14 @@ def theorem1_rate_experiment(
     build = _EXTREMAL_BUILDERS[which]
     d = derived_exponents(tp)
     plain_l2 = tp.target.is_plain_l2()
+    if not plain_l2:
+        for n in ns:
+            cells = GridSpec.minimal_for(build(int(n), tp).bandwidth()).cells
+            if cells > max_grid_cells:
+                raise ValueError(
+                    f"non-L2 target at n={n} needs a residual grid of {cells} "
+                    f"cells, beyond the cell budget of {max_grid_cells}"
+                )
 
     def eval_point(n: int) -> RatePoint:
         f = build(int(n), tp)
@@ -117,19 +126,13 @@ def theorem1_rate_experiment(
         normalizer, exact = class_normalizer(
             f, tp.source, grid, max_grid_cells=max_grid_cells
         )
-        if plain_l2:
-            raw = truncation_error(f, n, tp.gamma_prime, tp.target, None)
-        else:
-            if grid.cells > max_grid_cells:
-                raise ValueError(
-                    "non-L2 target needs a residual grid beyond the cell budget"
-                )
-            raw = truncation_error(f, n, tp.gamma_prime, tp.target, grid)
+        raw = truncation_error(
+            f, n, tp.gamma_prime, tp.target, None if plain_l2 else grid
+        )
         return RatePoint(
             n=int(n),
             error=raw / normalizer,
             reference=theoretical_rate(int(n), d),
-            normalizer=normalizer,
             normalizer_exact=exact,
             support_size=f.n_terms,
             grid_cells=grid.cells,

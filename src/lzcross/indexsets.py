@@ -65,11 +65,6 @@ class Anisotropy:
         w = [int(g * t) for g in self.weights]
         return w, int(lvl * t)
 
-    def level_value(self, s: Sequence[int]) -> Fraction:
-        if len(s) != self.m:
-            raise ValueError("index length does not match anisotropy")
-        return sum((w * k for w, k in zip(self.weights, s)), Fraction(0))
-
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(w) for w in self.weights)
 

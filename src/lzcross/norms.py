@@ -83,12 +83,6 @@ class MixedSpaceParams:
             )
         )
 
-    @classmethod
-    def lebesgue(cls, p: RationalLike, m: int) -> "MixedSpaceParams":
-        """Plain L_p in every axis: alpha = 0 and tau = p."""
-        pf = as_fraction(p)
-        return cls.of([pf] * m, [0.0] * m, [float(pf)] * m)
-
     @property
     def m(self) -> int:
         return len(self.axes)
@@ -158,12 +152,6 @@ class GridFunction:
         return cls(re + 1j * im)
 
 
-def _magnitudes(data) -> np.ndarray:
-    if isinstance(data, GridFunction):
-        return np.abs(data.values)
-    return np.abs(np.asarray(data))
-
-
 def iterated_rearrangement(data) -> np.ndarray:
     """Sort magnitudes in decreasing order along axis 0, 1, ..., m-1 in turn.
 
@@ -173,7 +161,8 @@ def iterated_rearrangement(data) -> np.ndarray:
     of it later several times slower.  Magnitudes are nonnegative, so every
     zero comes back as +0.0.
     """
-    arr = _magnitudes(data).astype(np.float64, copy=False)
+    values = data.values if isinstance(data, GridFunction) else np.asarray(data)
+    arr = np.abs(values).astype(np.float64, copy=False)
     np.negative(arr, out=arr)
     for axis in range(arr.ndim):
         arr.sort(axis=axis)
@@ -237,21 +226,6 @@ def cell_weights(n_cells: int, params: ScalarSpaceParams) -> np.ndarray:
     return _cell_weights(n_cells, float(params.p), params.alpha, params.tau)
 
 
-def lz_scalar_norm(profile, params: ScalarSpaceParams) -> float:
-    """One-dimensional norm of a nonincreasing profile.
-
-    Computes (sum_i v_i^tau W_i)^(1/tau) with W_i the exact cell weights,
-    which is the integral of the piecewise-constant profile.
-    """
-    v = _magnitudes(profile)
-    if v.ndim != 1:
-        raise ValueError("scalar norm expects a one-dimensional profile")
-    if np.any(v[1:] > v[:-1]):
-        raise ValueError("profile must be nonincreasing; rearrange first")
-    w = cell_weights(v.shape[0], params)
-    return float(np.dot(v**params.tau, w)) ** (1.0 / params.tau)
-
-
 def anisotropic_norm(f, params: MixedSpaceParams) -> float:
     """Mixed Lorentz-Zygmund norm of grid samples.
 
@@ -283,14 +257,22 @@ def separable_norm(
     For f(x) = prod_j g_j(x_j) on the product grid the iterated rearrangement
     is the outer product of the per-axis decreasing sorts, and the iterated
     integral factorizes; the result equals anisotropic_norm on the full grid
-    exactly, at a one-dimensional cost per axis.
+    exactly, at a one-dimensional cost per axis.  Each factor is
+    (sum_i v_i^tau W_i)^(1/tau) over the decreasing magnitudes v with W_i
+    the exact cell weights: the integral of the piecewise-constant profile.
+    v must be contiguous: numpy's vectorized power, which a reversed view
+    does not reach, can differ from the strided loop in the last bit.
     """
     if len(axis_magnitudes) != params.m:
         raise ValueError("need one magnitude vector per axis")
     out = 1.0
     for mag, ax in zip(axis_magnitudes, params.axes):
-        v = np.sort(np.abs(np.asarray(mag, dtype=np.float64)))[::-1]
-        out *= lz_scalar_norm(v, ax)
+        v = np.sort(np.abs(np.asarray(mag, dtype=np.float64)))
+        if v.ndim != 1:
+            raise ValueError("each axis needs a one-dimensional magnitude vector")
+        v = np.ascontiguousarray(v[::-1])
+        w = cell_weights(v.shape[0], ax)
+        out *= float(np.dot(v**ax.tau, w)) ** (1.0 / ax.tau)
     return out
 
 

@@ -99,9 +99,6 @@ class SpectralFunction:
     def items(self) -> list[tuple[FrequencyIndex, complex]]:
         return sorted(self.coefficients.items())
 
-    def support(self) -> list[FrequencyIndex]:
-        return sorted(self.coefficients)
-
     @property
     def n_terms(self) -> int:
         return len(self.coeffs)

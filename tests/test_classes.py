@@ -45,14 +45,14 @@ def test_theorem_params_validation():
     with pytest.raises(ValueError):
         make_tp(["3/2"], [2], ["1/6"])  # r must exceed 1/p - 1/q
     with pytest.raises(ValueError):
-        BesovParams(MixedSpaceParams.lebesgue(2, 2), (Fraction(1),), (1.0, 1.0))
+        BesovParams(MixedSpaceParams.of([2, 2], [0.0] * 2, [2.0] * 2), (Fraction(1),), (1.0, 1.0))
 
 
 def test_derived_exponents_single_axis():
     d = derived_exponents(make_tp(["3/2"], [2], [1]))
     assert d.rho_star == Fraction(5, 6)
     assert d.gamma.weights == (Fraction(1),)
-    assert d.A == (0,) and d.j0 == 0 and d.j1 == 0 and d.j_prime == 0
+    assert d.A == (0,) and d.j1 == 0
     assert d.delta == 1
     assert d.mu == 0.0
 
@@ -61,7 +61,7 @@ def test_derived_exponents_two_axes_tied():
     tp = make_tp(["3/2", "3/2"], [3, 3], [1, 1])
     d = derived_exponents(tp)
     assert d.rho_star == Fraction(2, 3)
-    assert d.A == (0, 1) and d.j1 == 0 and d.j_prime == 1
+    assert d.A == (0, 1) and d.j1 == 0
     assert d.mu == pytest.approx(0.5)  # one tied axis past j1, theta infinite
     bounded = make_tp(["3/2", "3/2"], [3, 3], [1, 1], thetas=[2.0, 2.0])
     assert derived_exponents(bounded).mu == pytest.approx(0.0)
@@ -150,7 +150,7 @@ def test_block_norm_product_path_matches_dense():
 def test_extremal_f1_single_axis():
     tp = make_tp(["3/2"], [2], [1])
     f = extremal_f1(4, tp)
-    assert f.support() == rho_block((4,))
+    assert sorted(f.coefficients) == rho_block((4,))
     want = 2.0 ** (-4 * (1 + 1 - 2.0 / 3.0))
     for _, a in f.items():
         assert a == pytest.approx(want, rel=1e-15)
@@ -174,7 +174,7 @@ def test_extremal_f2_block_choice():
     assert f.n_terms == 16
     assert f.coefficients[(1, 4)] == pytest.approx(2.0 ** (-16.0 / 3.0), rel=1e-14)
     single = extremal_f2(3, make_tp(["3/2"], [2], [1]))
-    assert single.support() == rho_block((3,))
+    assert sorted(single.coefficients) == rho_block((3,))
 
 
 def test_extremal_f3_collapses():
@@ -184,14 +184,14 @@ def test_extremal_f3_collapses():
     f = extremal_f3(5, tight)  # B empty, spread collapses to axis j1
     # frozen axes hold the lowest nonzero harmonic, landing in block level 1
     assert set(nonzero_blocks(f)) == {(5, 1)}
-    assert all(k[1] == 1 for k in f.support())
+    assert all(k[1] == 1 for k in f.coefficients)
     assert f.n_terms == 2**5
 
 
 def test_extremals_satisfy_zero_mean():
     tp = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
     for build in (extremal_f1, extremal_f2, extremal_f3):
-        for k in build(5, tp).support():
+        for k in build(5, tp).coefficients:
             assert 0 not in k
 
 
@@ -199,9 +199,9 @@ def test_extremal_f1_sits_outside_its_cross():
     tp = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
     d = derived_exponents(tp)
     f = extremal_f1(6, tp)
-    for k in f.support():
+    for k in f.coefficients:
         s = containing_block(k)
-        assert d.gamma.level_value(s) >= 6
+        assert sum(g * sj for g, sj in zip(d.gamma.weights, s)) >= 6
 
 
 def test_class_normalizer_exact_and_estimated():

@@ -434,6 +434,56 @@ def test_grid_budget_below_one_cell_is_a_usage_error(tmp_path, capsys, argv, doc
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, doc, key", [
+    (["extremal", "--n", "3"], {**RATE_1D, "which": 2.5}, "which"),
+    (["extremal", "--n", "3"], {**RATE_1D, "max_grid_cells": True}, "max_grid_cells"),
+    (["lemma", "check", "--id", "1"], {"case": 2.5}, "case"),
+], ids=["which", "max_grid_cells", "case"])
+def test_integer_option_that_is_not_an_integer_is_a_usage_error(
+    tmp_path, capsys, argv, doc, key
+):
+    # int() would truncate 2.5 to 2 and read true as a budget of one cell
+    params = make_params_file(tmp_path, doc)
+    assert main(["--out", str(tmp_path)] + argv + ["--params", str(params)]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_integer_option_accepts_integral_floats(tmp_path):
+    params = make_params_file(tmp_path, {**RATE_1D, "which": 2.0, "max_grid_cells": 1e6})
+    argv = ["extremal", "--n", "3", "--params", str(params)]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    summary = read_json(tmp_path / "manifest.json")["summary"]
+    assert summary["which"] == 2 and summary["besov_exact"] is True
+
+
+def test_non_l2_rate_over_the_cell_budget_measures_no_level(
+    tmp_path, capsys, monkeypatch
+):
+    # levels 4-6 fit 4096 cells and n=7 needs 16,384: the run must stop
+    # before the first level is synthesized, not after three of them
+    original = spectral.synthesize
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    for module in (spectral, classes, experiments):
+        for attr, obj in list(vars(module).items()):
+            if obj is original:
+                monkeypatch.setattr(module, attr, counting)
+    params = make_params_file(
+        tmp_path, {**read_json(BENCH / "params" / "rate-2d-lz.json"), "max_grid_cells": 4096}
+    )
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "4:8"]
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    err = capsys.readouterr().err
+    assert "n=7" in err and "16384 cells" in err
+    assert calls == []
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_theorem1_rate_manifest_lists_each_level(tmp_path):
     params = make_params_file(tmp_path, {**RATE_1D, "max_grid_cells": 512})
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]

@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every public definition is named by the package, the acceptance tests or a
-README example."""
+"""Every name a module of the package imports is used in that module, every
+public definition is named by the package, the acceptance tests or a README
+example, and every public method, property and dataclass field is read there."""
 
 import ast
 import re
@@ -81,10 +81,134 @@ def test_scan_finds_an_unreferenced_definition():
     assert unreferenced_definitions(modules, readers) == ["a.recursive", "a.Unused"]
 
 
-def test_every_public_definition_is_referenced():
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _members(cls: ast.ClassDef):
+    """(name, node) of every method and property, and of every dataclass field."""
+    fields = _is_dataclass(cls)
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif fields and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def _dumped_classes(trees) -> set[str]:
+    """Classes whose instances some function hands whole to asdict.
+
+    The argument is a constructor call, or a name that the same function
+    binds to one.
+    """
+    dumped = set()
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            built = {
+                target.id: node.value.func.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(fn):
+                if not (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "asdict"
+                    and len(node.args) == 1
+                ):
+                    continue
+                arg = node.args[0]
+                if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name):
+                    dumped.add(arg.func.id)
+                elif isinstance(arg, ast.Name) and arg.id in built:
+                    dumped.add(built[arg.id])
+    return dumped
+
+
+def unread_members(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """Public methods, properties and dataclass fields that no code reads.
+
+    A member is read where code loads an attribute of its name outside the
+    member itself, in a module or in the reader sources.  Passing a field as
+    a constructor keyword or assigning to it does not count; a dataclass
+    handed whole to asdict has every field read.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    everything = [*trees.values(), *(ast.parse(source) for source in readers)]
+    loads: dict[str, list[ast.Attribute]] = {}
+    for tree in everything:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.attr, []).append(node)
+    dumped = _dumped_classes(everything)
+    dead = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for name, member in _members(cls):
+                if name.startswith("_"):
+                    continue
+                if isinstance(member, ast.AnnAssign) and cls.name in dumped:
+                    continue
+                own = {id(node) for node in ast.walk(member)}
+                if not any(id(node) not in own for node in loads.get(name, [])):
+                    dead.append(f"{module}.{cls.name}.{name}")
+    return dead
+
+
+def test_scan_finds_unread_members():
+    modules = {
+        "a": "from dataclasses import asdict, dataclass\n"
+             "\n@dataclass\nclass Fit:\n    slope: float\n    spare: float\n"
+             "\n    @property\n    def doubled(self):\n        return 2 * self.slope\n"
+             "\n    def again(self):\n        return self.again()\n"
+             "\n    def used(self):\n        return self.spare\n"
+             "\n    def _private(self):\n        pass\n"
+             "\n@dataclass\nclass Dump:\n    kept: int\n"
+             "\nclass Plain:\n    count: int\n",
+        "b": "from .a import Dump, Fit, asdict\n"
+             "\ndef fit():\n    f = Fit(slope=1.0, spare=2.0)\n    f.spare = 3.0\n"
+             "    return f.slope\n"
+             "\ndef dump():\n    d = Dump(kept=1)\n    return asdict(d)\n",
+    }
+    readers = ["from pkg.a import Fit\nFit(1.0, 2.0).used()\n"]
+    # spare is read only inside used(), and used() only by a reader
+    assert unread_members(modules, readers) == ["a.Fit.doubled", "a.Fit.again"]
+    # a field only passed as a keyword or assigned, and a dataclass no
+    # longer handed to asdict
+    modules["b"] = (
+        modules["b"].replace("return f.slope", "return f.doubled").replace("asdict(d)", "d")
+    )
+    modules["a"] = modules["a"].replace("return self.spare", "return 0")
+    assert unread_members(modules, []) == [
+        "a.Fit.spare", "a.Fit.again", "a.Fit.used", "a.Dump.kept"
+    ]
+
+
+def _package_and_readers() -> tuple[dict[str, str], list[str]]:
     root = PACKAGE.parent.parent
     readme = (root / "README.md").read_text(encoding="utf-8")
     readers = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
     readers.append((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
-    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    return modules, readers
+
+
+def test_every_public_definition_is_referenced():
+    modules, readers = _package_and_readers()
     assert unreferenced_definitions(modules, readers) == []
+
+
+def test_every_public_member_is_read():
+    modules, readers = _package_and_readers()
+    assert unread_members(modules, readers) == []

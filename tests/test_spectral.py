@@ -43,7 +43,7 @@ def test_grid_spec_validation_and_sizing():
 def test_spectral_function_basics():
     f = SpectralFunction(2, {(1, -2): 1.0, (0, 5): 0.0, (-1, 1): 2j})
     assert f.n_terms == 2  # exact zeros dropped
-    assert f.support() == [(-1, 1), (1, -2)]
+    assert sorted(f.coefficients) == [(-1, 1), (1, -2)]
     assert f.bandwidth() == (1, 2)
     assert f.scaled(2.0).coefficients[(-1, 1)] == 4j
     assert SpectralFunction(1, {}).bandwidth() == (0,)
@@ -153,7 +153,7 @@ def test_cross_truncate_idempotent():
 
 
 def test_truncation_error_parseval_tail():
-    l2 = MixedSpaceParams.lebesgue(2, 1)
+    l2 = MixedSpaceParams.of([2], [0.0], [2.0])
     gamma = Anisotropy.of([1])
     f = SpectralFunction(1, {(3,): 1.0, (9,): 1.0})
     # frequency 9 sits in block 4, which level n=3 discards
@@ -165,7 +165,7 @@ def test_truncation_error_parseval_tail():
 
 def test_truncation_error_homogeneity_and_guard():
     gamma = Anisotropy.of([1])
-    l2 = MixedSpaceParams.lebesgue(2, 1)
+    l2 = MixedSpaceParams.of([2], [0.0], [2.0])
     f = SpectralFunction(1, {(3,): 0.5, (9,): 2.0})
     assert truncation_error(f.scaled(2.0), 3, gamma, l2) == pytest.approx(
         2.0 * truncation_error(f, 3, gamma, l2), rel=1e-14
@@ -177,7 +177,7 @@ def test_truncation_error_homogeneity_and_guard():
 
 def test_truncation_error_rejects_arity_mismatch():
     f = SpectralFunction(2, {(1, 8): 1.0, (1, 1): 1.0})
-    l2 = MixedSpaceParams.lebesgue(2, 2)
+    l2 = MixedSpaceParams.of([2, 2], [0.0] * 2, [2.0] * 2)
     with pytest.raises(ValueError, match="anisotropy arity does not match"):
         truncation_error(f, 2, Anisotropy.of([1]), l2, None)
 
@@ -186,7 +186,7 @@ def test_truncation_error_monotone_in_level():
     rng = np.random.default_rng(25)
     f = random_poly(rng, 2, (15, 15), 30)
     gamma = Anisotropy.of([1, 1])
-    l2 = MixedSpaceParams.lebesgue(2, 2)
+    l2 = MixedSpaceParams.of([2, 2], [0.0] * 2, [2.0] * 2)
     errs = [truncation_error(f, n, gamma, l2) for n in range(1, 8)]
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-15

@@ -113,7 +113,7 @@ def test_cross_truncation_matches_oracle(poly, data):
     kept_rows = cross_truncate(f, n, gamma).coefficients.items()
     assert list(kept_rows) == list(inside.items())
     want = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in outside.values()))
-    l2 = MixedSpaceParams.lebesgue(2, m)
+    l2 = MixedSpaceParams.of([2] * m, [0.0] * m, [2.0] * m)
     assert truncation_error(f, n, gamma, l2) == want
 
 
