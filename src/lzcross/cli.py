@@ -50,6 +50,7 @@ from .experiments import (
 from .indexsets import (
     Anisotropy,
     as_fraction,
+    as_integer,
     hyperbolic_cross,
     indices_to_json_dict,
 )
@@ -184,21 +185,7 @@ def _threshold(o: dict, key: str, default: float) -> float:
 
 
 def _integer(o: dict, key: str, default: int) -> int:
-    """An integer option: an int, an integral float or a decimal string.
-
-    A boolean or a non-integral number is refused rather than truncated.
-    """
-    value = o.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return as_integer(o.get(key, default), key)
 
 
 def _grid_budget(o: dict) -> int:
@@ -215,113 +202,83 @@ def _out_path(cfg: ExperimentConfig, name: str) -> Path:
 
 # -- experiment runners --------------------------------------------------------
 
-_LEMMA_DEFAULTS: dict[int, dict] = {
-    1: {"range": "16:4096:dyadic", "relation": "two-sided"},
-    2: {"range": "8:256:dyadic", "relation": "two-sided"},
-    3: {"range": "4:48:linear", "relation": "upper"},
-    4: {"range": "2:64:linear", "relation": "lower"},
+# lemma id -> (default range, default relation, cases), and case -> (lhs, rhs,
+# the parameters the case reads with their defaults, the fixed parameters it
+# passes and echoes but does not read); a lemma without cases has the one
+# case None.  The default of a per-axis list is its value on each axis of
+# gamma, and a gamma_prime of None means gamma.  lhs and rhs take the level
+# and the parameters by name and look each sum up by its name in this module
+# when called, so a wrapper bound to that name sees every call.
+_LEMMAS: dict[int, tuple] = {
+    1: ("16:4096:dyadic", "two-sided", {
+        1: (lambda l, **p: lemma1_sum(l, **p), lambda l, **p: lemma1_reference(l, **p),
+            {"alpha": 0.25, "beta": 0.25}, {}),
+        2: (lambda l, **p: lemma1_sum(l, **p), lambda l, **p: lemma1_reference(l, **p),
+            {"alpha": 1.0, "beta": 1.0}, {}),
+        3: (lambda l, alpha, beta: lemma1_interior_sum(l, beta),
+            lambda l, **p: lemma1_reference(l, **p), {"beta": 0.5}, {"alpha": 1.0}),
+    }),
+    2: ("8:256:dyadic", "two-sided", {
+        "decay": (lambda n, **p: lemma2_sum(n, mode="decay", **p),
+                  lambda n, **p: lemma2_reference(n, mode="decay", **p),
+                  {"beta": 1.0, "theta": 1.0, "lam1": -0.5, "lam2": 2.0}, {}),
+        "growth": (lambda n, **p: lemma2_sum(n, mode="growth", **p),
+                   lambda n, **p: lemma2_reference(n, mode="growth", **p),
+                   {"beta": 1.0, "theta": 2.0, "lam1": 1.0, "lam2": -1.0}, {}),
+    }),
+    3: ("4:48:linear", "upper", {None: (
+        lambda n, **p: lemma3_lhs(n, **p), lambda n, **p: lemma3_reference(n, **p),
+        {"gamma": ["1", "1"], "gamma_prime": None, "lams": 0.0, "thetas": 2.0,
+         "alpha": 1.0}, {})}),
+    4: ("2:64:linear", "lower", {None: (
+        lambda n, **p: lemma4_lhs(n, **p), lambda n, gamma, **p: lemma4_reference(n, **p),
+        {"gamma": ["1", "1"], "lams": 0.0, "epsilons": 1.0, "alpha": 1.0}, {})}),
 }
+_LEMMA_KEYS = frozenset({"case"}.union(
+    *(case[2] for *_, cases in _LEMMAS.values() for case in cases.values())
+))
 
 
-# lemma id -> case -> the parameters the case reads, with their defaults
-# (per axis for the lists of lemmas 3 and 4, which have no case; None for
-# gamma_prime means gamma); a parameter outside its case is refused
-_LEMMA_PARAMS: dict[int, dict] = {
-    1: {
-        1: {"alpha": 0.25, "beta": 0.25},
-        2: {"alpha": 1.0, "beta": 1.0},
-        3: {"beta": 0.5},
-    },
-    2: {
-        "decay": {"beta": 1.0, "theta": 1.0, "lam1": -0.5, "lam2": 2.0},
-        "growth": {"beta": 1.0, "theta": 2.0, "lam1": 1.0, "lam2": -1.0},
-    },
-    3: {None: {"gamma": ["1", "1"], "gamma_prime": None, "lams": 0.0,
-               "thetas": 2.0, "alpha": 1.0}},
-    4: {None: {"gamma": ["1", "1"], "lams": 0.0, "epsilons": 1.0, "alpha": 1.0}},
-}
-_LEMMA_KEYS = frozenset(
-    {"case"}.union(*(d for cases in _LEMMA_PARAMS.values() for d in cases.values()))
-)
-
-
-def _lemma_builders(cfg: ExperimentConfig):
-    """Return (lhs, rhs, params_echo) callables for the configured lemma."""
+def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
     o = cfg.options
     lemma_id = _integer(o, "id", 0)
-    if lemma_id not in _LEMMA_PARAMS:
+    if lemma_id not in _LEMMAS:
         raise ConfigError("lemma id must be 1, 2, 3, or 4")
-    cases = _LEMMA_PARAMS[lemma_id]
-    case = None
-    if lemma_id == 1:
-        case = _integer(o, "case", 1)
-    elif lemma_id == 2:
-        case = str(o.get("case", "decay"))
-    if case not in cases:
-        choices = ", ".join(map(str, cases))
-        raise ConfigError(f"lemma {lemma_id} case must be one of {choices}")
-    defaults = cases[case]
+    default_range, default_relation, cases = _LEMMAS[lemma_id]
+    case = next(iter(cases))
+    if case is not None:
+        case = (_integer(o, "case", case) if isinstance(case, int)
+                else str(o.get("case", case)))
+        if case not in cases:
+            choices = ", ".join(map(str, cases))
+            raise ConfigError(f"lemma {lemma_id} case must be one of {choices}")
+    lhs, rhs, defaults, fixed = cases[case]
     read = set(defaults) if case is None else {"case", *defaults}
     unread = sorted(_LEMMA_KEYS.intersection(o) - read)
     if unread:
         which = f"lemma {lemma_id}" + ("" if case is None else f" case {case}")
         raise ConfigError(f"{which} does not read {', '.join(unread)}")
-    v = {key: o.get(key, default) for key, default in defaults.items()}
-    if lemma_id == 1:
-        alpha = float(v.get("alpha", 1.0))  # case 3 is the alpha = 1 sum
-        beta = float(v["beta"])
-        if case == 3:
-            lhs = lambda l: lemma1_interior_sum(l, beta)
+    params = dict(fixed)
+    for key, default in defaults.items():  # gamma first: the lists take its arity
+        value = o.get(key, default)
+        if value is None:
+            params[key] = params["gamma"]
+        elif key in ("gamma", "gamma_prime"):
+            params[key] = Anisotropy.of(_rational_list(value))
+        elif key in ("lams", "thetas", "epsilons"):
+            params[key] = _float_list(o.get(key, [default] * params["gamma"].m))
         else:
-            lhs = lambda l: lemma1_sum(l, alpha, beta)
-        rhs = lambda l: lemma1_reference(l, alpha, beta)
-        return lhs, rhs, {"id": 1, "case": case, "alpha": alpha, "beta": beta}
-    if lemma_id == 2:
-        beta, theta, lam1, lam2 = (float(v[k]) for k in ("beta", "theta", "lam1", "lam2"))
-        lhs = lambda n: lemma2_sum(n, beta, theta, lam1, lam2, case)
-        rhs = lambda n: lemma2_reference(n, beta, theta, lam1, lam2, case)
-        echo = {
-            "id": 2, "case": case, "beta": beta, "theta": theta,
-            "lam1": lam1, "lam2": lam2,
-        }
-        return lhs, rhs, echo
-    gamma = Anisotropy.of(_rational_list(v["gamma"]))
-    per_axis = lambda key: _float_list(o.get(key, [defaults[key]] * gamma.m))
-    lams = per_axis("lams")
-    alpha = float(v["alpha"])
-    if lemma_id == 3:
-        gamma_prime = Anisotropy.of(_rational_list(o.get("gamma_prime", v["gamma"])))
-        thetas = per_axis("thetas")
-        lhs = lambda n: lemma3_lhs(n, gamma, gamma_prime, lams, thetas, alpha)
-        rhs = lambda n: lemma3_reference(n, gamma, gamma_prime, lams, thetas, alpha)
-        echo = {
-            "id": 3, "gamma": gamma.weights, "gamma_prime": gamma_prime.weights,
-            "lams": lams, "thetas": thetas, "alpha": alpha,
-        }
-        return lhs, rhs, echo
-    epsilons = per_axis("epsilons")
-    lhs = lambda n: lemma4_lhs(n, gamma, lams, epsilons, alpha)
-    rhs = lambda n: lemma4_reference(n, lams, epsilons, alpha)
-    echo = {
-        "id": 4, "gamma": gamma.weights, "lams": lams,
-        "epsilons": epsilons, "alpha": alpha,
-    }
-    return lhs, rhs, echo
-
-
-def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
-    o = cfg.options
-    lhs, rhs, echo = _lemma_builders(cfg)
-    lemma_id = echo["id"]
-    defaults = _LEMMA_DEFAULTS[lemma_id]
-    ns = parse_range(o.get("range", defaults["range"]))
-    relation = o.get("relation", defaults["relation"])
+            params[key] = float(value)
+    ns = parse_range(o.get("range", default_range))
+    relation = o.get("relation", default_relation)
     if relation not in ("two-sided", "lower", "upper"):
         raise ConfigError("relation must be two-sided, lower, or upper")
     spread_threshold = _threshold(o, "spread_threshold", 10.0)
     lower_threshold = _threshold(o, "lower_threshold", 0.1)
     upper_threshold = _threshold(o, "upper_threshold", 10.0)
-    report = ratio_scan(lhs, rhs, ns, relation=relation)
+    report = ratio_scan(
+        lambda n: lhs(n, **params), lambda n: rhs(n, **params), ns, relation=relation
+    )
     passed = report.verdict(
         spread_threshold=spread_threshold,
         lower_threshold=lower_threshold,
@@ -354,6 +311,8 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
             },
         }
     )
+    echo = {"id": lemma_id, "case": case, **params}
+    echo = {k: getattr(v, "weights", v) for k, v in echo.items() if v is not None}
     manifest.summary = {"params": _json_safe(echo), "points": len(ns)}
     return [out_csv, summary_path]
 
@@ -404,7 +363,9 @@ def _run_approx_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
     gamma = Anisotropy.of(_rational_list(o["gamma"]))
     target = _space_from_options(o, f.m, "target_")
     ns = parse_range(o.get("range", "1:8:linear"))
-    grid = GridSpec(tuple(int(v) for v in _as_list(o["grid"]))) if "grid" in o else None
+    grid = None
+    if "grid" in o:
+        grid = GridSpec(tuple(as_integer(v, "grid") for v in _as_list(o["grid"])))
     rows = approx_error_scan(f, gamma, target, ns, grid, threads=cfg.threads)
     out = _out_path(cfg, o.get("out", "approx.csv"))
     _write_csv(out, ["n", "error", "card"], rows)
@@ -482,7 +443,7 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
     )
     rho_star = float(result.derived.rho_star)
     spread = result.report.spread
-    spread_ok = math.isfinite(spread) and spread <= spread_threshold
+    spread_ok = result.report.verdict(spread_threshold=spread_threshold)
     slope_ok = abs(result.fit_free.slope - rho_star) <= fit_tolerance
     manifest.verdicts.append(
         {

@@ -9,6 +9,7 @@ never decides whether an index belongs to a set.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,6 +28,27 @@ def as_fraction(value: RationalLike) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def as_integer(value: object, name: str) -> int:
+    """An integer field: an int, an integral float or a decimal string.
+
+    A boolean or a non-integral number is refused, naming the field, rather
+    than truncated.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -153,14 +175,12 @@ def hyperbolic_cross(n: RationalLike, gamma: Anisotropy) -> list[FrequencyIndex]
 
 
 def cross_cardinality(n: RationalLike, gamma: Anisotropy) -> int:
-    """Number of frequencies in the step hyperbolic cross at level n."""
-    total = 0
-    for s in cross_layers(n, gamma):
-        size = 1
-        for sj in s:
-            size *= 1 if sj == 0 else 1 << sj
-        total += size
-    return total
+    """Number of frequencies in the step hyperbolic cross at level n.
+
+    Level 0 of an axis holds one frequency and level s >= 1 holds 2^s, so
+    the block at levels s holds 2^(s_1 + ... + s_m).
+    """
+    return sum(1 << sum(s) for s in cross_layers(n, gamma))
 
 
 def level_sum_dtype(w: Sequence[int], bound: int, top: Sequence[int]) -> type:

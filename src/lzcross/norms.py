@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .indexsets import MultiIndex, RationalLike, as_fraction
+from .indexsets import MultiIndex, RationalLike, as_fraction, as_integer
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LN2 = math.log(2.0)
@@ -94,7 +94,7 @@ class MixedSpaceParams:
 
 
 def _validated_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(int(n) for n in shape)
+    shape = tuple(as_integer(n, "shape entry") for n in shape)
     for n in shape:
         if n < 2 or n & (n - 1):
             raise ValueError("axis sample counts must be powers of two, at least 2")
@@ -138,7 +138,7 @@ class GridFunction:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GridFunction":
         shape = _validated_shape(doc["shape"])
-        if int(doc["m"]) != len(shape):
+        if as_integer(doc["m"], "m") != len(shape):
             raise ValueError("m does not match shape arity")
         re = np.asarray(doc["re"], dtype=np.float64).reshape(shape)
         im_raw = doc.get("im")

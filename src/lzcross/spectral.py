@@ -20,6 +20,7 @@ from .indexsets import (
     FrequencyIndex,
     MultiIndex,
     RationalLike,
+    as_integer,
     axis_block,
     block_levels,
     cartesian_rows,
@@ -147,10 +148,10 @@ class SpectralFunction:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SpectralFunction":
-        m = int(doc["m"])
+        m = as_integer(doc["m"], "m")
         coeffs: dict[FrequencyIndex, complex] = {}
         for term in doc["terms"]:
-            k = tuple(int(c) for c in term["k"])
+            k = tuple(as_integer(c, "frequency component k") for c in term["k"])
             if k in coeffs:
                 raise ValueError(f"duplicate frequency {list(k)} in polynomial terms")
             coeffs[k] = complex(float(term["re"]), float(term.get("im", 0.0)))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lzcross import classes, experiments, norms, spectral
+from lzcross import classes, cli, experiments, norms, spectral
 from lzcross.classes import extremal_f1
 from lzcross.cli import main, parse_range, ConfigError
 from lzcross.experiments import _EXTREMAL_BUILDERS
@@ -372,6 +372,49 @@ def test_approx_rejects_non_finite_coefficient(tmp_path, capsys):
     assert "coefficients must be finite" in capsys.readouterr().err
 
 
+ONE_HARMONIC = {"m": 1, "terms": [{"k": [3], "re": 1.0}]}
+
+
+@pytest.mark.parametrize("doc, config, flags, field", [
+    ({"m": 1, "terms": [{"k": [2.7], "re": 1.0}]}, {}, [], "frequency component k"),
+    ({"m": 1.5, "terms": [{"k": [2], "re": 1.0}]}, {}, [], "m"),
+    ({"m": 1.5, "shape": [2], "re": [1.0, 1.0]}, {}, [], "m"),
+    ({"m": 1, "shape": [8.9], "re": [1.0] * 8}, {}, [], "shape entry"),
+    (ONE_HARMONIC, {"grid": [16.9]}, [], "grid"),
+    (ONE_HARMONIC, {}, ["--grid", "16.5"], "grid"),
+], ids=["polynomial-k", "polynomial-m", "grid-file-m", "grid-file-shape", "config-grid",
+        "flag-grid"])
+def test_integer_field_that_is_not_an_integer_is_a_usage_error(
+    tmp_path, capsys, doc, config, flags, field
+):
+    # int() would read the frequency 2.7 as 2 and the shape 8.9 as 8
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc))
+    if "terms" in doc:
+        argv = ["approx", "--spectral", str(data), "--gamma", "1", "--range", "1:3"]
+    else:
+        argv = ["norm", "--grid", str(data)]
+    cfg = make_params_file(tmp_path, config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)] + argv + flags) == 2
+    captured = capsys.readouterr()
+    assert f"error: {field} must be an integer" in captured.err and captured.out == ""
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_integer_fields_accept_integral_floats(tmp_path, capsys):
+    poly = tmp_path / "f.json"
+    poly.write_text(json.dumps({"m": 1.0, "terms": [{"k": [3.0], "re": 1.0}]}))
+    cfg = make_params_file(tmp_path, {"grid": [16.0]})
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "approx", "--spectral",
+                 str(poly), "--gamma", "1", "--range", "1:3"]) == 0
+    assert [row[2] for row in read_csv(tmp_path / "approx.csv")[1]] == ["1", "3", "7"]
+    grid = tmp_path / "g.json"
+    grid.write_text(json.dumps({"m": 1.0, "shape": [8.0], "re": [1.0] * 8}))
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path), "norm", "--grid", str(grid)]) == 0
+    assert capsys.readouterr().out == "1.000000000000\n"
+
+
 # -- extremal builder ----------------------------------------------------------
 
 
@@ -604,16 +647,28 @@ def test_two_threads_give_the_same_outputs(tmp_path):
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
+# (reference, argv, the manifest's params echo); the lemma outputs must match
+# byte for byte, the rate run, whose stored outputs differ in the last bits,
+# to rel 1e-12
 REFERENCE_RUNS = [
     ("rate-1d/theorem1",
-     ["theorem1", "rate", "--params", str(BENCH / "params" / "rate-1d.json")]),
-    ("lemmas/lemma1-1", ["lemma", "check", "--id", "1", "--case", "1"]),
-    ("lemmas/lemma1-2", ["lemma", "check", "--id", "1", "--case", "2"]),
-    ("lemmas/lemma1-3", ["lemma", "check", "--id", "1", "--case", "3"]),
-    ("lemmas/lemma2-decay", ["lemma", "check", "--id", "2", "--case", "decay"]),
-    ("lemmas/lemma2-growth", ["lemma", "check", "--id", "2", "--case", "growth"]),
-    ("lemmas/lemma3", ["lemma", "check", "--id", "3"]),
-    ("lemmas/lemma4", ["lemma", "check", "--id", "4"]),
+     ["theorem1", "rate", "--params", str(BENCH / "params" / "rate-1d.json")], None),
+    ("lemmas/lemma1-1", ["lemma", "check", "--id", "1", "--case", "1"],
+     {"id": 1, "case": 1, "alpha": 0.25, "beta": 0.25}),
+    ("lemmas/lemma1-2", ["lemma", "check", "--id", "1", "--case", "2"],
+     {"id": 1, "case": 2, "alpha": 1.0, "beta": 1.0}),
+    ("lemmas/lemma1-3", ["lemma", "check", "--id", "1", "--case", "3"],
+     {"id": 1, "case": 3, "alpha": 1.0, "beta": 0.5}),
+    ("lemmas/lemma2-decay", ["lemma", "check", "--id", "2", "--case", "decay"],
+     {"id": 2, "case": "decay", "beta": 1.0, "theta": 1.0, "lam1": -0.5, "lam2": 2.0}),
+    ("lemmas/lemma2-growth", ["lemma", "check", "--id", "2", "--case", "growth"],
+     {"id": 2, "case": "growth", "beta": 1.0, "theta": 2.0, "lam1": 1.0, "lam2": -1.0}),
+    ("lemmas/lemma3", ["lemma", "check", "--id", "3"],
+     {"id": 3, "gamma": ["1", "1"], "gamma_prime": ["1", "1"], "lams": [0.0, 0.0],
+      "thetas": [2.0, 2.0], "alpha": 1.0}),
+    ("lemmas/lemma4", ["lemma", "check", "--id", "4"],
+     {"id": 4, "gamma": ["1", "1"], "lams": [0.0, 0.0], "epsilons": [1.0, 1.0],
+      "alpha": 1.0}),
 ]
 
 
@@ -659,11 +714,33 @@ def test_bivariate_rate_rows_match_stored_references(tmp_path, name):
         assert_close(read_json(tmp_path / summary), read_json(ref_dir / summary), summary)
 
 
-@pytest.mark.parametrize("ref, argv", REFERENCE_RUNS, ids=[r for r, _ in REFERENCE_RUNS])
-def test_outputs_match_stored_references(tmp_path, ref, argv):
+@pytest.mark.parametrize(
+    "ref, argv, params", REFERENCE_RUNS, ids=[r for r, *_ in REFERENCE_RUNS]
+)
+def test_outputs_match_stored_references(tmp_path, ref, argv, params):
     assert main(["--out", str(tmp_path)] + argv) == 0
     ref_dir = BENCH / "reference" / ref
     names = sorted(p.name for p in ref_dir.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["manifest.json"])
     for name in names:
-        assert_close(parse_output(tmp_path / name), parse_output(ref_dir / name), name)
+        if params is None:
+            assert_close(parse_output(tmp_path / name), parse_output(ref_dir / name), name)
+        else:
+            assert (tmp_path / name).read_bytes() == (ref_dir / name).read_bytes(), name
+    if params is not None:
+        assert read_json(tmp_path / "manifest.json")["summary"]["params"] == params
+
+
+@pytest.mark.parametrize("lemma_id, case, name", [
+    ("1", "1", "lemma1_sum"), ("1", "3", "lemma1_interior_sum"), ("3", None, "lemma3_lhs"),
+])
+def test_lemma_check_calls_each_sum_by_its_module_name(tmp_path, monkeypatch, lemma_id,
+                                                       case, name):
+    # per-layer tracing replaces the sums bound in lzcross.cli, so lemma check
+    # must look them up there at every call rather than hold the functions
+    calls = []
+    inner = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a[0]) or inner(*a, **k))
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", lemma_id, "--range", "4:6"]
+    assert main(argv + (["--case", case] if case else [])) == 0
+    assert calls == [4, 5, 6]

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
 public definition is named by the package, the acceptance tests or a README
-example, and every public method, property and dataclass field is read there."""
+example, every public method, property and dataclass field is read there, and
+README's lemma parameter table lists the keys each lemma case reads."""
 
 import ast
 import re
@@ -212,3 +213,24 @@ def test_every_public_definition_is_referenced():
 def test_every_public_member_is_read():
     modules, readers = _package_and_readers()
     assert unread_members(modules, readers) == []
+
+
+def test_readme_lemma_table_lists_the_keys_each_case_reads():
+    from lzcross.cli import _LEMMAS
+
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| lemma | parameter keys |\n| --- | --- |\n", 1)[1]
+    listed = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        which, keys = row.strip("|").split("|")
+        # "1, cases 1 and 2" names lemma 1 and two of its cases, "2" every case
+        lemma_id, *cases = map(int, re.findall(r"\d+", which))
+        keys = set(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", keys)))
+        for case in cases or _LEMMAS[lemma_id][2]:
+            listed[lemma_id, case] = keys
+    read = {
+        (lemma_id, case): set(defaults) | ({"case"} if case is not None else set())
+        for lemma_id, (*_, cases) in _LEMMAS.items()
+        for case, (_, _, defaults, _) in cases.items()
+    }
+    assert listed == read
