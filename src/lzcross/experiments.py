@@ -65,6 +65,7 @@ class RatePoint:
     error: float
     reference: float
     normalizer_exact: bool
+    orthant: bool
     support_size: int
     grid_cells: int
 
@@ -134,6 +135,9 @@ def theorem1_rate_experiment(
             error=raw / normalizer,
             reference=theoretical_rate(int(n), d),
             normalizer_exact=exact,
+            # the class functional measured f on its grid (exact), and did so
+            # on one orthant: the only grid a level measures of f itself
+            orthant=exact and f.sign_symmetric,
             support_size=f.n_terms,
             grid_cells=grid.cells,
         )

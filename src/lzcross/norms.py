@@ -8,7 +8,9 @@ where v* is the decreasing rearrangement.  The multivariate version sorts
 the sample magnitudes one axis at a time (axis 0 first) and then applies
 the weighted integral per axis, innermost axis first.  Integrals are taken
 over the piecewise-constant profile exactly, via Gauss-Legendre quadrature
-after the substitution u = -log2 t which makes the integrand smooth.
+after the substitution u = -log2 t which makes the integrand smooth.  So
+every norm here is the norm of the sample step function, constant on each
+grid cell, and not the norm of a polynomial between its samples.
 
 Everything here is a pure function of its arguments; quadrature weights are
 memoized per (N, p, alpha, tau).
@@ -152,6 +154,50 @@ class GridFunction:
         return cls(re + 1j * im)
 
 
+@dataclass(frozen=True)
+class OrthantSamples:
+    """Samples of a grid function that is even in every variable, on one orthant.
+
+    values[i1, ..., im] with 0 <= i_j <= N_j/2 is the sample at x_j = i_j / N_j
+    of the full grid `shape` = (N_1, ..., N_m); the sample at i_j > N_j/2
+    equals the one at N_j - i_j.  values may be any strided view.
+    """
+
+    values: np.ndarray
+    shape: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        shape = _validated_shape(self.shape)
+        if self.values.shape != tuple(n // 2 + 1 for n in shape):
+            raise ValueError("orthant extents must be N_j/2 + 1 on a grid of N_j")
+        object.__setattr__(self, "shape", shape)
+
+    def to_grid(self) -> GridFunction:
+        """Every sample of the full grid, each index i_j > N_j/2 read at N_j - i_j."""
+        folds = [np.r_[0 : n // 2 + 1, n // 2 - 1 : 0 : -1] for n in self.shape]
+        return GridFunction(self.values[np.ix_(*folds)])
+
+
+_TILE = 64
+
+
+def _tiled_copy(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src, in 64 x 64 tiles of src's fastest axis and the last.
+
+    When those differ, an element-wise copy reads or writes one of them a
+    whole row apart; two 64 x 64 tiles fit in cache.
+    """
+    fast = int(np.argmin(np.abs(src.strides)))
+    if fast == src.ndim - 1:
+        dst[...] = src
+        return
+    src, dst = np.moveaxis(src, fast, -2), np.moveaxis(dst, fast, -2)
+    for i in range(0, src.shape[-2], _TILE):
+        for j in range(0, src.shape[-1], _TILE):
+            tile = (..., slice(i, i + _TILE), slice(j, j + _TILE))
+            dst[tile] = src[tile]
+
+
 def iterated_rearrangement(data) -> np.ndarray:
     """Sort magnitudes in decreasing order along axis 0, 1, ..., m-1 in turn.
 
@@ -160,7 +206,28 @@ def iterated_rearrangement(data) -> np.ndarray:
     C-contiguous; a view reversed on every axis would make the powers taken
     of it later several times slower.  Magnitudes are nonnegative, so every
     zero comes back as +0.0.
+
+    data may also be OrthantSamples, whose rearrangement is that of
+    data.to_grid(), value for value, without the full grid being sampled:
+    every lane along axis a of the full grid holds its orthant lane plus the
+    interior entries 1..N_a/2-1 once more, so each pass appends those
+    slices along axis a before it sorts.  The copy that appends them also
+    makes axis a the contiguous last axis: a strided sort is several times
+    slower.
     """
+    if isinstance(data, OrthantSamples):
+        arr = np.abs(data.values).astype(np.float64, copy=False)
+        np.negative(arr, out=arr)
+        for axis, n in enumerate(data.shape):
+            lanes = np.moveaxis(arr, axis, -1)
+            h = lanes.shape[-1]
+            arr = np.empty(lanes.shape[:-1] + (n,))
+            _tiled_copy(arr[..., :h], lanes)
+            del lanes
+            arr[..., h:] = arr[..., 1 : h - 1]
+            arr.sort(axis=-1)
+            arr = np.moveaxis(arr, -1, axis)
+        return np.negative(arr, out=arr)
     values = data.values if isinstance(data, GridFunction) else np.asarray(data)
     arr = np.abs(values).astype(np.float64, copy=False)
     np.negative(arr, out=arr)
@@ -171,6 +238,7 @@ def iterated_rearrangement(data) -> np.ndarray:
 
 _UNIT_WINDOWS = 20000
 _DOUBLING_WINDOWS = 64
+_CELL_CHUNK = 8192  # cells per batch of Gauss-Legendre nodes: 1 MB per temporary
 
 
 @functools.lru_cache(maxsize=128)
@@ -178,7 +246,8 @@ def _cell_weights(n_cells: int, p: float, alpha: float, tau: float) -> np.ndarra
     """Integral of (1+|log2 t|)^(alpha tau) t^(tau/p-1) over each cell (i/N, (i+1)/N].
 
     In u = -log2 t the integrand is ln2 (1+u)^(alpha tau) 2^(-u tau/p) on a
-    finite interval per cell, handled by 16-point Gauss-Legendre.  The first
+    finite interval per cell, handled by 16-point Gauss-Legendre in batches
+    of _CELL_CHUNK cells, so the temporaries do not grow with N.  The first
     cell reaches u = infinity and is summed over unit windows, then over
     doubling windows once 20,000 unit windows do not suffice, until the
     remainder is negligible.  A tail that does not converge to a finite
@@ -186,18 +255,19 @@ def _cell_weights(n_cells: int, p: float, alpha: float, tau: float) -> np.ndarra
     """
     a, d = alpha * tau, tau / p
 
-    def seg(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
+    def seg(mid: np.ndarray, half: np.ndarray) -> np.ndarray:
         u = mid[..., None] + half[..., None] * _GAUSS_NODES
         vals = (1.0 + u) ** a * np.exp2(-u * d)
         return _LN2 * half * (vals @ _GAUSS_WEIGHTS)
 
-    i = np.arange(1, n_cells, dtype=np.float64)
-    u_lo = np.log2(n_cells / (i + 1.0))
-    u_hi = np.log2(n_cells / i)
+    # cell i spans u in [log2(N/(i+1)), log2(N/i)]; its width log2(1 + 1/i)
+    # is taken directly, as the difference of the two ends would cancel to
+    # about N * 2^-52 relative
     weights = np.empty(n_cells)
-    weights[1:] = seg(u_lo, u_hi)
+    for start in range(1, n_cells, _CELL_CHUNK):
+        i = np.arange(start, min(start + _CELL_CHUNK, n_cells), dtype=np.float64)
+        half = 0.5 * np.log1p(1.0 / i) / _LN2
+        weights[start : start + len(i)] = seg(np.log2(n_cells / (i + 1.0)) + half, half)
 
     # first cell: unit windows from u0 = log2 N, then doubling windows, until
     # the tail is negligible
@@ -206,7 +276,8 @@ def _cell_weights(n_cells: int, p: float, alpha: float, tau: float) -> np.ndarra
     for step in range(_UNIT_WINDOWS + _DOUBLING_WINDOWS):
         if step >= _UNIT_WINDOWS:
             width *= 2.0
-        piece = float(seg(np.array([lo]), np.array([lo + width]))[0])
+        hi = lo + width
+        piece = float(seg(np.array([0.5 * (hi + lo)]), np.array([0.5 * (hi - lo)]))[0])
         total += piece
         converged = piece <= 1e-18 * total and step >= 2
         if converged:

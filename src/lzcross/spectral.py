@@ -9,6 +9,7 @@ arithmetic of indexsets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -29,6 +30,8 @@ from .indexsets import (
 from .norms import (
     GridFunction,
     MixedSpaceParams,
+    OrthantSamples,
+    _tiled_copy,
     _validated_shape,
     iterated_rearrangement,
     profile_norm,
@@ -68,6 +71,8 @@ class SpectralFunction:
     mapping or a (freqs, coeffs) pair of arrays whose rows are distinct.
     Every component must satisfy |k_j| < 2**63: -2**63 is the one int64
     whose absolute value, and so whose block level, does not fit in int64.
+    Both arrays are fresh copies and read-only, so what is found out about
+    them once, such as the sign symmetry, stays true.
     """
 
     def __init__(
@@ -91,6 +96,8 @@ class SpectralFunction:
             ) from None
         nonzero = coeffs != 0
         self.m, self.freqs, self.coeffs = m, freqs[nonzero], coeffs[nonzero]
+        self.freqs.setflags(write=False)
+        self.coeffs.setflags(write=False)
 
     @property
     def coefficients(self) -> dict[FrequencyIndex, complex]:
@@ -106,6 +113,33 @@ class SpectralFunction:
 
     def bandwidth(self) -> tuple[int, ...]:
         return tuple(np.abs(self.freqs).max(axis=0, initial=0).tolist())
+
+    @functools.cached_property
+    def sign_symmetric(self) -> bool:
+        """Whether every coefficient is real and each single-axis sign flip
+        maps the rows onto themselves, coefficient bits included.
+
+        Rows are grouped by |k|; each group must be the whole orbit of |k|,
+        2**(nonzero components of k) distinct sign patterns, under one
+        coefficient bit pattern.  The answer is found once per polynomial.
+        """
+        if self.coeffs.imag.any():
+            return False
+        mags = np.abs(self.freqs)
+        signs = (self.freqs < 0) @ (1 << np.arange(self.m, dtype=np.int64))
+        bits = self.coeffs.real.view(np.int64)
+        order = np.lexsort((signs, bits, *mags.T[::-1]))
+        mags, signs, bits = mags[order], signs[order], bits[order]
+        first = np.ones(len(order), dtype=bool)  # first row of its |k| group
+        first[1:] = (mags[1:] != mags[:-1]).any(axis=1)
+        inside = ~first[1:]
+        starts = np.flatnonzero(first)
+        sizes = np.diff(np.r_[starts, len(order)])
+        return (
+            np.array_equal(sizes, 1 << np.count_nonzero(mags[starts], axis=1))
+            and bool((bits[1:] == bits[:-1])[inside].all())
+            and bool((signs[1:] != signs[:-1])[inside].all())
+        )
 
     def scaled(self, c: complex) -> "SpectralFunction":
         return SpectralFunction(self.m, (self.freqs, c * self.coeffs))
@@ -168,19 +202,46 @@ def _inverse_rfft(spec: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.irfft(spec, n=shape[-1], norm="forward")
 
 
-def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunction:
-    """Evaluate the polynomial on the product grid via real inverse FFTs.
+def _orthant(f: SpectralFunction, shape: tuple[int, ...]) -> OrthantSamples:
+    """Samples of a sign-symmetric polynomial on the orthant 0 <= i_j <= N_j/2.
 
-    The samples are S_1 + i S_2, where S_1 is the real polynomial with the
-    Hermitian coefficients h_k = (a_k + conj(a_{-k})) / 2 and S_2 the one
-    built the same way from -i a.  A Hermitian spectrum is stored as its half
-    N_1 x ... x (N_m/2 + 1): c_k/2 is added at k for rows with k_m >= 0 and
-    conj(c_k)/2 at -k for rows with k_m <= 0.  Halving is exact above the
-    subnormal range, and x/2 - x/2 is exactly zero, so when f is real
-    (a_{-k} = conj(a_k)) the half spectrum of S_2 is exactly zero, its
-    transform is skipped and the samples are float64.  Frequencies are placed
-    at k mod N_j, so every |k_j| must stay below N_j / 2; otherwise distinct
-    frequencies would alias.
+    Along each axis the polynomial is a cosine sum, so the real spectrum
+    H[k] = a_k over the rows with every k_j >= 0 goes through one irfft of
+    size N_j per axis (a DCT-I), and the first N_j/2 + 1 outputs are copied
+    out, so the full-length output is freed.  Each axis is transformed as
+    the contiguous last one, after a tiled copy brings it there; axis 0 goes
+    last and stays last in memory, where iterated_rearrangement sorts first.
+    """
+    half = tuple(n // 2 + 1 for n in shape)
+    keep = (f.freqs >= 0).all(axis=1)
+    where = np.ravel_multi_index(tuple(f.freqs[keep].T), half)
+    samples = np.bincount(where, f.coeffs.real[keep], math.prod(half)).reshape(half)
+    for axis in reversed(range(len(shape))):
+        lanes = np.moveaxis(samples, axis, -1)
+        spec = np.empty(lanes.shape, dtype=np.complex128)
+        _tiled_copy(spec, lanes)
+        del lanes, samples
+        samples = np.fft.irfft(spec, n=shape[axis], norm="forward")
+        del spec
+        samples = np.moveaxis(samples[..., : half[axis]].copy(), -1, axis)
+    return OrthantSamples(samples, shape)
+
+
+def _samples(
+    f: SpectralFunction, grid: GridSpec | Sequence[int]
+) -> GridFunction | OrthantSamples:
+    """f on the grid: its orthant when f.sign_symmetric, else every sample.
+
+    Every other polynomial is sampled as S_1 + i S_2, where S_1 is the real
+    polynomial with the Hermitian coefficients h_k = (a_k + conj(a_{-k})) / 2
+    and S_2 the one built the same way from -i a.  A Hermitian spectrum is
+    stored as its half N_1 x ... x (N_m/2 + 1): c_k/2 is added at k for rows
+    with k_m >= 0 and conj(c_k)/2 at -k for rows with k_m <= 0.  Halving is
+    exact above the subnormal range, and x/2 - x/2 is exactly zero, so when
+    f is real (a_{-k} = conj(a_k)) the half spectrum of S_2 is exactly zero,
+    its transform is skipped and the samples are float64.  Frequencies are
+    placed at k mod N_j, so every |k_j| must stay below N_j / 2; otherwise
+    distinct frequencies would alias.
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
@@ -189,6 +250,8 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     bw = f.bandwidth()
     if any(2 * b >= n for b, n in zip(bw, grid.shape)):
         raise ValueError("grid too coarse for the bandwidth of f")
+    if f.sign_symmetric:
+        return _orthant(f, grid.shape)
     shape = grid.shape
     half = shape[:-1] + (shape[-1] // 2 + 1,)
     # rows with k_m >= 0 give c_k / 2 at k, rows with k_m <= 0 conj(c_k) / 2 at -k
@@ -219,6 +282,18 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     return GridFunction(samples)
 
 
+def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunction:
+    """Evaluate the polynomial on the product grid via real inverse FFTs.
+
+    A sign-symmetric polynomial (f.sign_symmetric) is synthesized on
+    one orthant and mirrored, so its samples are exactly even in every
+    variable.  A real polynomial comes back as float64 samples, any other
+    one as complex128 samples.
+    """
+    samples = _samples(f, grid)
+    return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
+
+
 # (key, read-only iterated rearrangement) of the last polynomial grid_norm
 # measured, or None
 _held: tuple | None = None
@@ -236,6 +311,14 @@ def grid_norm(
     neither synthesizes nor sorts.  A miss drops the held profile before it
     builds the new one, and releases the samples once they are sorted.
     Threads that evict each other's entry only recompute.
+
+    When f.sign_symmetric, a miss synthesizes only the orthant
+    0 <= i_j <= N_j/2 and rearranges it as OrthantSamples, never sampling
+    the full grid.  The held profile is then, value for value, the
+    rearrangement of the mirrored orthant that synthesize returns, so the
+    equality above stays exact.  Complex coefficients, an axis held at
+    k_j = +1, a missing mirror row or a mirror coefficient that differs in
+    any bit keep the general path: every sample, sorted along each axis.
     """
     global _held
     if not isinstance(grid, GridSpec):
@@ -244,7 +327,7 @@ def grid_norm(
     held = _held
     if held is None or held[0] != key:
         _held = None
-        samples = synthesize(f, grid)
+        samples = _samples(f, grid)
         prof = iterated_rearrangement(samples)
         del samples
         prof.setflags(write=False)

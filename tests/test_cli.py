@@ -15,7 +15,7 @@ import pytest
 
 from lzcross import classes, cli, experiments, norms, spectral
 from lzcross.classes import extremal_f1
-from lzcross.cli import main, parse_range, ConfigError
+from lzcross.cli import _theorem_params, main, parse_range, ConfigError
 from lzcross.experiments import _EXTREMAL_BUILDERS
 from lzcross.indexsets import Anisotropy, as_fraction, hyperbolic_cross
 from lzcross.norms import GridFunction
@@ -532,13 +532,24 @@ def test_theorem1_rate_manifest_lists_each_level(tmp_path):
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
-    # level n has 2**n terms on a 2**(n+1) grid; 1024 cells exceed the budget
+    # level n has 2**n terms on a 2**(n+1) grid; 1024 cells exceed the budget,
+    # and a level measured on no grid took no orthant
     assert levels == [
         {"n": n, "support_size": 2**n, "grid_cells": 2 ** (n + 1),
-         "normalizer_exact": n < 9}
+         "normalizer_exact": n < 9, "orthant": n < 9}
         for n in range(6, 10)
     ]
     assert read_json(tmp_path / "theorem1_rate.summary.json")["normalizer_exact"] is False
+
+
+def test_theorem1_rate_manifest_marks_levels_without_the_symmetry(tmp_path):
+    # axis 1 is not tied, so f1 holds it at the one harmonic k_2 = +1
+    doc = {"p": ["3/2", "3/2"], "q": ["2", "2"], "r": ["1", "2"]}
+    argv = ["theorem1", "rate", "--params", str(make_params_file(tmp_path, doc)),
+            "--range", "6:9"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
+    assert [level["orthant"] for level in levels] == [False] * 4
 
 
 def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
@@ -646,6 +657,12 @@ def test_two_threads_give_the_same_outputs(tmp_path):
 # -- stored reference outputs --------------------------------------------------
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("workload", ["rate-1d", "rate-2d-l2", "rate-2d-lz"])
+def test_bench_extremal_polynomials_are_sign_symmetric(workload):
+    tp = _theorem_params(json.loads((BENCH / "params" / f"{workload}.json").read_text()))
+    assert all(extremal_f1(n, tp).sign_symmetric for n in (6, 9))
 
 # (reference, argv, the manifest's params echo); the lemma outputs must match
 # byte for byte, the rate run, whose stored outputs differ in the last bits,

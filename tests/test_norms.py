@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from lzcross.norms import (
     GridFunction,
     MixedSpaceParams,
+    OrthantSamples,
     ScalarSpaceParams,
     anisotropic_norm,
     cell_weights,
@@ -27,6 +28,7 @@ from lzcross.norms import (
     separable_norm,
 )
 from lzcross.norms import _cell_weights
+from lzcross import spectral
 from lzcross.spectral import GridSpec, dirichlet_block, grid_norm, synthesize
 
 
@@ -96,6 +98,52 @@ def test_rearrangements_match_flip_sort_bit_for_bit(arr):
     assert arr.tobytes() == before.tobytes()
 
 
+@given(
+    st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=3).flatmap(
+        lambda shape: st.tuples(
+            st.just(tuple(shape)),
+            st.lists(tied_entries, min_size=math.prod(n // 2 + 1 for n in shape),
+                     max_size=math.prod(n // 2 + 1 for n in shape)),
+            st.booleans(),
+        )
+    )
+)
+@settings(deadline=None)
+def test_orthant_rearrangement_matches_the_full_grid_bit_for_bit(case):
+    shape, entries, fortran = case
+    values = np.array(entries).reshape(tuple(n // 2 + 1 for n in shape))
+    if fortran:  # any memory layout of the orthant
+        values = np.asfortranarray(values)
+    orthant = OrthantSamples(values, shape)
+    got = iterated_rearrangement(orthant)
+    want = iterated_rearrangement(orthant.to_grid())
+    assert got.flags.c_contiguous
+    assert got.dtype == np.float64 and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_orthant_rearrangement_of_orthants_wider_than_a_tile():
+    # orthant extents 129 and 65 leave partial 64-wide tiles at every edge
+    rng = np.random.default_rng(21)
+    for shape in ((256, 128), (128, 4, 256)):
+        values = rng.integers(-3, 4, size=tuple(n // 2 + 1 for n in shape)) / 4.0
+        axis0_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(values, 0, -1)), -1, 0)
+        for layout in (values, np.asfortranarray(values), axis0_last):
+            orthant = OrthantSamples(layout, shape)
+            want = iterated_rearrangement(orthant.to_grid())
+            assert iterated_rearrangement(orthant).tobytes() == want.tobytes()
+
+
+def test_orthant_samples_mirror_each_interior_index():
+    assert OrthantSamples(np.array([1.0, 2.0]), (2,)).to_grid().values.tolist() == [1.0, 2.0]
+    full = OrthantSamples(np.arange(6.0).reshape(3, 2), (4, 2)).to_grid().values
+    assert full.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [2.0, 3.0]]
+    with pytest.raises(ValueError):
+        OrthantSamples(np.zeros(4), (4,))  # a grid of 4 has an orthant of 3
+    with pytest.raises(ValueError):
+        OrthantSamples(np.zeros(3), (6,))
+
+
 def test_cell_weights_total_mass():
     # alpha = 0, p = tau: the weight is identically 1, each cell has mass 1/N
     w = cell_weights(64, ScalarSpaceParams(2, 0.0, 2.0))
@@ -115,6 +163,20 @@ def test_cell_weights_square_root_mass():
     # tau/p = 1/2: integral of t^(-1/2) is 2; tau = 1 is reachable only here
     w = _cell_weights(256, 2.0, 0.0, 1.0)
     assert abs(float(w.sum()) - 2.0) < 1e-12
+
+
+def test_cell_weights_match_the_closed_form_cell_by_cell():
+    # alpha = 0: W_i = N^-d ((i+1)^d - i^d) / d with d = tau/p, taken for
+    # i >= 1 as i^d expm1(d log1p(1/i)) N^-d / d, which does not cancel; the
+    # first cell is N^-d / d
+    for n_cells in (2, 64, 1024, 1 << 17):
+        for p, tau in ((1.25, 1.1), (1.5, 1.5), (2.0, 3.0), (3.0, 2.0), (6.0, 7.0)):
+            d = tau / p
+            i = np.arange(1, n_cells, dtype=np.float64)
+            want = np.r_[1.0, i**d * np.expm1(d * np.log1p(1.0 / i))] * n_cells**-d / d
+            np.testing.assert_allclose(
+                _cell_weights(n_cells, p, 0.0, tau), want, rtol=1e-13, atol=0
+            )
 
 
 def test_cell_weights_slow_tail_first_cell():
@@ -252,6 +314,32 @@ def test_grid_norm_holds_three_grids_on_a_miss_and_one_and_a_half_on_a_hit():
     grid_bytes = 1024 * 1024 * 8  # one float64 grid
     assert traced_peak(lambda: grid_norm(other, grid, params)) <= 3.0 * grid_bytes
     assert traced_peak(lambda: grid_norm(other, grid, params)) <= 1.5 * grid_bytes
+
+
+def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
+    # the orthant path never samples the full grid: the held profile and its
+    # powers are two grids, next to the key's copy of f's arrays and the
+    # reduced rows
+    params = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
+    f = dirichlet_block((8, 8))
+    assert f.sign_symmetric
+    grid = GridSpec((1024, 1024))
+    grid_norm(f, grid, params)  # fills the weight cache
+    other = f.scaled(2.0)
+    grid_bytes = 1024 * 1024 * 8
+    key_bytes = other.freqs.nbytes + other.coeffs.nbytes
+    peak = traced_peak(lambda: grid_norm(other, grid, params))
+    assert peak <= 2.0 * grid_bytes + key_bytes + 64 * 1024
+    # the orthant keeps its own 513 x 513 samples, not the full-length
+    # transform outputs they were sliced from
+    tracemalloc.start()
+    try:
+        orthant = spectral._orthant(other, grid.shape)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert orthant.values.shape == (513, 513)
+    assert kept <= 513 * 513 * 8 + 64 * 1024
 
 
 def test_separable_norm_matches_grid_norm():

@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module, every
-public definition is named by the package, the acceptance tests or a README
-example, every public method, property and dataclass field is read there, and
-README's lemma parameter table lists the keys each lemma case reads."""
+"""Every name a module of the package imports is used in that module, no
+module imports scipy, every public definition is named by the package, the
+acceptance tests or a README example, every public method, property and
+dataclass field is read there, and README's lemma parameter table lists the
+keys each lemma case reads."""
 
 import ast
 import re
@@ -35,6 +36,35 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Imports of scipy or any submodule of it; the package depends on numpy alone."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{n} (line {node.lineno})" for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_scan_finds_scipy_imports():
+    source = (
+        "import numpy as np\nimport scipy.fft\nfrom scipy.special import gamma\n"
+        "from .scipy_like import dct\nimport scipyx\nimport os, scipy as sp\n"
+    )
+    assert scipy_imports(source) == [
+        "scipy.fft (line 2)", "scipy.special (line 3)", "scipy (line 6)"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _names(nodes) -> set[str]:

@@ -205,3 +205,22 @@ def test_dirichlet_block_l2_norm_value():
     for s in range(1, 6):
         f = dirichlet_block((s,))
         assert f.l2_norm() == pytest.approx(math.sqrt(2.0**s), rel=1e-14)
+
+
+def test_sign_symmetry_is_detected_exactly():
+    f = dirichlet_block((2, 2))
+    assert f.sign_symmetric
+    for arr in (f.freqs, f.coeffs):  # read-only, so the answer cannot go stale
+        with pytest.raises(ValueError):
+            arr[0] = 2
+    assert dirichlet_block((3, 0, 1)).sign_symmetric
+    # a frozen axis: k_2 = +1 only
+    assert not SpectralFunction(2, {(1, 1): 1.0, (-1, 1): 1.0}).sign_symmetric
+    # a whole orbit under a complex coefficient
+    assert not SpectralFunction(1, {(1,): 1j, (-1,): 1j}).sign_symmetric
+    # a missing mirror row
+    assert not f.restrict(np.arange(1, f.n_terms)).sign_symmetric
+    # a mirror coefficient one ulp off
+    coeffs = f.coeffs.real.copy()
+    coeffs[0] = np.nextafter(coeffs[0], 2.0)
+    assert not SpectralFunction(2, (f.freqs, coeffs)).sign_symmetric

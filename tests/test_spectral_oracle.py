@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from lzcross import spectral
 from lzcross.indexsets import Anisotropy
-from lzcross.norms import MixedSpaceParams, anisotropic_norm
+from lzcross.norms import GridFunction, MixedSpaceParams, anisotropic_norm
 from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
@@ -239,3 +239,53 @@ def test_grid_norm_matches_the_norm_of_fresh_samples(session):
         assert not prof.flags.writeable
         with pytest.raises(ValueError):
             prof[(0,) * m] = 1.0
+
+
+@st.composite
+def sign_symmetric_polynomials(draw):
+    """Real polynomials even in every variable, in m = 1..3 variables: whole
+    orbits of |k| with |k_j| <= 3, k_j = 0 included, under coefficients from
+    a small set, so sample magnitudes tie; on the minimal grid or one twice
+    as fine per axis.  Every grid has samples at x_j = pi."""
+    m = draw(st.integers(1, 3))
+    mags = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m), min_size=1, max_size=6,
+                         unique=True))
+    values = draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, 2.0, 1e-3]),
+                           min_size=len(mags), max_size=len(mags)))
+    terms = {}
+    for mag, a in zip(mags, values):
+        for signs in itertools.product((1, -1), repeat=m):
+            terms[tuple(sg * k for sg, k in zip(signs, mag))] = a
+    f = SpectralFunction(m, terms)
+    finer = draw(st.lists(st.sampled_from([1, 2]), min_size=m, max_size=m))
+    shape = tuple(n * c for n, c in zip(GridSpec.minimal_for(f.bandwidth()).shape, finer))
+    return f, shape
+
+
+def full_spectrum_samples(f, shape):
+    """The samples by one complex inverse FFT of the whole spectrum."""
+    spec = np.zeros(shape, dtype=np.complex128)
+    for k, a in f.coefficients.items():
+        spec[tuple(kj % n for kj, n in zip(k, shape))] += a
+    return np.fft.ifftn(spec, norm="forward")
+
+
+@given(sign_symmetric_polynomials())
+@example((SpectralFunction(3, {(0, 1, 0): 1.0, (0, -1, 0): 1.0}), (2, 4, 2)))
+@settings(deadline=None)
+def test_sign_symmetric_polynomials_match_the_full_inverse_fft(case):
+    f, shape = case
+    assert f.sign_symmetric
+    want = full_spectrum_samples(f, shape)
+    got = synthesize(f, shape).values
+    assert got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-12 * float(np.abs(f.coeffs).sum())
+    for axis, n in enumerate(shape):  # exactly even: sample i_j is sample N_j - i_j
+        assert np.array_equal(got, np.take(got, -np.arange(n) % n, axis=axis))
+    m = f.m
+    for space in (
+        MixedSpaceParams.of(["3/2"] * m, [0.5] * m, [3.0] * m),
+        MixedSpaceParams.of(["3"] * m, [-0.25] * m, [1.5] * m),
+    ):
+        norm = anisotropic_norm(GridFunction(want), space)
+        assert grid_norm(f, shape, space) == pytest.approx(norm, rel=1e-12)
