@@ -12,6 +12,12 @@ after the substitution u = -log2 t which makes the integrand smooth.  So
 every norm here is the norm of the sample step function, constant on each
 grid cell, and not the norm of a polynomial between its samples.
 
+A space with alpha = 0 and tau = p on every axis, with one p, is plain L_p
+(MixedSpaceParams.lebesgue_index).  Its norm does not depend on the order of
+the samples, so they are measured unsorted, as (sum_i w_i |v_i|^p)^(1/p)
+with the weights w_i = prod_j 1/N_j: the exact L_p norm of the same step
+function, with no quadrature.
+
 Everything here is a pure function of its arguments; quadrature weights are
 memoized per (N, p, alpha, tau).
 """
@@ -89,10 +95,22 @@ class MixedSpaceParams:
     def m(self) -> int:
         return len(self.axes)
 
+    def lebesgue_index(self) -> Fraction | None:
+        """p when the space is plain L_p: one p, alpha = 0 and tau = p on every axis.
+
+        tau is compared with float(p), the p the cell weights are taken
+        with, so a space qualifies exactly when its weight t^(tau/p - 1)
+        is t^0 there too.
+        """
+        p = self.axes[0].p
+        if all(
+            ax.p == p and ax.alpha == 0.0 and ax.tau == float(p) for ax in self.axes
+        ):
+            return p
+        return None
+
     def is_plain_l2(self) -> bool:
-        return all(
-            ax.p == 2 and ax.alpha == 0.0 and ax.tau == 2.0 for ax in self.axes
-        )
+        return self.lebesgue_index() == 2
 
 
 def _validated_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -297,26 +315,87 @@ def cell_weights(n_cells: int, params: ScalarSpaceParams) -> np.ndarray:
     return _cell_weights(n_cells, float(params.p), params.alpha, params.tau)
 
 
+_COLUMNS = 256  # columns per batch of powers: N_0 x 256 floats per temporary
+
+
+def _power_sums(
+    g: np.ndarray, w: np.ndarray, power: float, magnitudes: bool = False
+) -> np.ndarray:
+    """sum_i w_i g[i, ...]**power, as np.tensordot(g**power, w, axes=(0, 0));
+    of |g| when magnitudes is set.
+
+    An array of two or more axes is reduced in batches of _COLUMNS columns
+    of g.reshape(N_0, -1), so no power of the whole grid is ever held; on
+    C-contiguous profiles the sums match the tensordot of the whole grid
+    bit for bit.
+    """
+
+    def powers(x: np.ndarray) -> np.ndarray:
+        if not magnitudes:
+            return x**power
+        x = np.abs(x)
+        return np.power(x, power, out=x)
+
+    if g.ndim == 1:
+        return np.tensordot(powers(g), w, axes=(0, 0))
+    cols = g.reshape(g.shape[0], -1)
+    out = np.empty(cols.shape[1])
+    for j in range(0, cols.shape[1], _COLUMNS):
+        out[j : j + _COLUMNS] = np.tensordot(
+            powers(cols[:, j : j + _COLUMNS]), w, axes=(0, 0)
+        )
+    return out.reshape(g.shape[1:])
+
+
+def _lebesgue_norm(data, p: float) -> float:
+    """(sum_i w_i |v_i|^p)^(1/p) over the samples v of a grid, unsorted.
+
+    w_i = prod_j 1/N_j; an OrthantSamples index stands for the 1 or 2 grid
+    indices it mirrors along each axis, so its weights per axis are
+    [1, 2, ..., 2, 1] / N_j and the full grid is never built.  The axis
+    slowest in memory is reduced first, so each batch of powers reads
+    contiguous rows.
+    """
+    if isinstance(data, OrthantSamples):
+        values = data.values
+        weights = [np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] / n for n in data.shape]
+    else:
+        values = data.values if isinstance(data, GridFunction) else np.asarray(data)
+        weights = [np.full(n, 1.0 / n) for n in _validated_shape(values.shape)]
+    order = sorted(range(values.ndim), key=lambda a: -abs(values.strides[a]))
+    g = _power_sums(values.transpose(order), weights[order[0]], p, magnitudes=True)
+    for axis in order[1:]:
+        g = np.tensordot(g, weights[axis], axes=(0, 0))
+    return float(g) ** (1.0 / p)
+
+
 def anisotropic_norm(f, params: MixedSpaceParams) -> float:
     """Mixed Lorentz-Zygmund norm of grid samples.
 
-    Magnitudes are rearranged axis by axis, then measured by profile_norm.
+    Magnitudes are rearranged axis by axis, then measured by profile_norm;
+    in a plain L_p space (params.lebesgue_index()) they are summed unsorted.
     """
-    return profile_norm(iterated_rearrangement(f), params)
+    p = params.lebesgue_index()
+    if p is None:
+        return profile_norm(iterated_rearrangement(f), params)
+    if np.ndim(getattr(f, "values", f)) != params.m:
+        raise ValueError("parameter arity does not match grid dimension")
+    return _lebesgue_norm(f, float(p))
 
 
 def profile_norm(prof: np.ndarray, params: MixedSpaceParams) -> float:
     """Mixed Lorentz-Zygmund norm of an iterated rearrangement.
 
     The weighted tau_j integral is applied per axis, axis 0 innermost; prof
-    is read, never written.
+    is read, never written, and its powers are taken a batch of columns at
+    a time.
     """
     if prof.ndim != params.m:
         raise ValueError("parameter arity does not match grid dimension")
     g = prof
     for ax in params.axes:
         w = cell_weights(g.shape[0], ax)
-        g = np.tensordot(g**ax.tau, w, axes=(0, 0)) ** (1.0 / ax.tau)
+        g = _power_sums(g, w, ax.tau) ** (1.0 / ax.tau)
     return float(g)
 
 
@@ -332,16 +411,22 @@ def separable_norm(
     (sum_i v_i^tau W_i)^(1/tau) over the decreasing magnitudes v with W_i
     the exact cell weights: the integral of the piecewise-constant profile.
     v must be contiguous: numpy's vectorized power, which a reversed view
-    does not reach, can differ from the strided loop in the last bit.
+    does not reach, can differ from the strided loop in the last bit.  In
+    a plain L_p space each factor is the unsorted power sum of
+    anisotropic_norm instead.
     """
     if len(axis_magnitudes) != params.m:
         raise ValueError("need one magnitude vector per axis")
+    p = params.lebesgue_index()
     out = 1.0
     for mag, ax in zip(axis_magnitudes, params.axes):
-        v = np.sort(np.abs(np.asarray(mag, dtype=np.float64)))
+        v = np.abs(np.asarray(mag, dtype=np.float64))
         if v.ndim != 1:
             raise ValueError("each axis needs a one-dimensional magnitude vector")
-        v = np.ascontiguousarray(v[::-1])
+        if p is not None:
+            out *= _lebesgue_norm(v, float(p))
+            continue
+        v = np.ascontiguousarray(np.sort(v)[::-1])
         w = cell_weights(v.shape[0], ax)
         out *= float(np.dot(v**ax.tau, w)) ** (1.0 / ax.tau)
     return out

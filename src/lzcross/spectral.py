@@ -33,6 +33,7 @@ from .norms import (
     OrthantSamples,
     _tiled_copy,
     _validated_shape,
+    anisotropic_norm,
     iterated_rearrangement,
     profile_norm,
 )
@@ -294,31 +295,38 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
 
 
-# (key, read-only iterated rearrangement) of the last polynomial grid_norm
-# measured, or None
+# (key, read-only samples, read-only iterated rearrangement or None) of the
+# last polynomial grid_norm measured, or None
 _held: tuple | None = None
 
 
 def grid_norm(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> float:
-    """anisotropic_norm(synthesize(f, grid), params), bit for bit.
+    """anisotropic_norm(synthesize(f, grid), params).
 
-    The rearranged samples do not depend on params, and those of the last
-    polynomial measured are held, keyed by the grid shape and the bytes of
-    f's frequency and coefficient arrays: measuring a polynomial with the
-    same rows again (such as a residual that kept every row), in any space,
-    neither synthesizes nor sorts.  A miss drops the held profile before it
-    builds the new one, and releases the samples once they are sorted.
-    Threads that evict each other's entry only recompute.
+    The samples of the last polynomial measured are held, keyed by the grid
+    shape and the bytes of f's frequency and coefficient arrays, and so is
+    their iterated rearrangement once a space other than plain L_p
+    (params.lebesgue_index() is None) asks for it: measuring a polynomial
+    with the same rows again (such as a residual that kept every row), in
+    any space, neither synthesizes nor sorts it again.  A plain L_p norm
+    always sums the held samples, unsorted, so its bits do not depend on
+    which spaces were asked for before.  A miss drops the held entry before
+    it synthesizes the new one.  Threads that evict each other's entry only
+    recompute.
 
     When f.sign_symmetric, a miss synthesizes only the orthant
-    0 <= i_j <= N_j/2 and rearranges it as OrthantSamples, never sampling
-    the full grid.  The held profile is then, value for value, the
-    rearrangement of the mirrored orthant that synthesize returns, so the
-    equality above stays exact.  Complex coefficients, an axis held at
-    k_j = +1, a missing mirror row or a mirror coefficient that differs in
-    any bit keep the general path: every sample, sorted along each axis.
+    0 <= i_j <= N_j/2 and never samples the full grid: the orthant is
+    rearranged as OrthantSamples, or summed with each sample weighted by
+    the number of grid samples it mirrors.  Outside plain L_p spaces the
+    profile is then, value for value, the rearrangement of the mirrored
+    orthant that synthesize returns, and the equality above holds bit for
+    bit; inside them the orthant's sum runs in another order than the full
+    grid's, and the two agree to a relative 1e-13.  Complex coefficients,
+    an axis held at k_j = +1, a missing mirror row or a mirror coefficient
+    that differs in any bit keep the general path: every sample, sorted
+    along each axis when sorted at all.
     """
     global _held
     if not isinstance(grid, GridSpec):
@@ -326,13 +334,17 @@ def grid_norm(
     key = (grid.shape, f.freqs.shape, f.freqs.tobytes(), f.coeffs.tobytes())
     held = _held
     if held is None or held[0] != key:
-        _held = None
+        held = _held = None
         samples = _samples(f, grid)
-        prof = iterated_rearrangement(samples)
-        del samples
+        samples.values.setflags(write=False)
+        held = _held = (key, samples, None)
+    if params.lebesgue_index() is not None:
+        return anisotropic_norm(held[1], params)
+    if held[2] is None:
+        prof = iterated_rearrangement(held[1])
         prof.setflags(write=False)
-        held = _held = (key, prof)
-    return profile_norm(held[1], params)
+        held = _held = held[:2] + (prof,)
+    return profile_norm(held[2], params)
 
 
 def analyze(g: GridFunction, band: Sequence[int]) -> SpectralFunction:
@@ -384,15 +396,15 @@ def truncation_error(
     """Norm of f minus its cross truncation in the target space.
 
     With a grid, the residual is measured by grid_norm, which reuses the
-    rearranged samples of f when the residual kept every row and f was the
-    last polynomial measured.  When the target is plain L2 the coefficient
-    l2 norm of the residual is the same quantity by Parseval; it
-    cross-checks the grid value to a relative 1e-8, and when no grid is
-    given it is returned directly (plain-L2 targets only).
+    samples of f, and their rearrangement once made, when the residual kept
+    every row and f was the last polynomial measured.  When the target is plain L2
+    (target.lebesgue_index() == 2) the coefficient l2 norm of the residual
+    is the same quantity by Parseval; it cross-checks the grid value to a
+    relative 1e-8, and when no grid is given it is returned directly
+    (plain-L2 targets only).
     """
     residual = f.restrict(~_cross_mask(f, n, gamma))
-    plain_l2 = target.is_plain_l2()
-    parseval = residual.l2_norm() if plain_l2 else None
+    parseval = residual.l2_norm() if target.lebesgue_index() == 2 else None
     if grid is None:
         if parseval is None:
             raise ValueError(

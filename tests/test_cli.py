@@ -552,9 +552,8 @@ def test_theorem1_rate_manifest_marks_levels_without_the_symmetry(tmp_path):
     assert [level["orthant"] for level in levels] == [False] * 4
 
 
-def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
-    # the residual of a level keeps every row of its extremal polynomial, so
-    # the truncation error reuses the rearranged samples of the class functional
+def count_rearrangements(monkeypatch) -> list:
+    """A list that gains one entry per call of iterated_rearrangement."""
     original = norms.iterated_rearrangement
     calls = []
 
@@ -567,10 +566,27 @@ def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
             if obj is original:
                 monkeypatch.setattr(module, attr, counting)
     monkeypatch.setattr(spectral, "_held", None, raising=False)
+    return calls
+
+
+def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
+    # the source space is plain L_{3/2}, measured unsorted; the residual of a
+    # level keeps every row of its extremal polynomial, so the truncation
+    # error rearranges the samples the class functional synthesized
+    calls = count_rearrangements(monkeypatch)
     params = BENCH / "params" / "rate-2d-lz.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
     assert len(calls) == 4
+
+
+def test_plain_lebesgue_rate_levels_rearrange_nothing(tmp_path, monkeypatch):
+    # plain L_{3/2} source, plain L2 target: every norm is a sum of powers
+    calls = count_rearrangements(monkeypatch)
+    params = BENCH / "params" / "rate-2d-l2.json"
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    assert calls == []
 
 
 def test_zero_denominator_in_params_is_a_usage_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ Analytic anchors used below:
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,8 +29,14 @@ from lzcross.norms import (
     separable_norm,
 )
 from lzcross.norms import _cell_weights
-from lzcross import spectral
-from lzcross.spectral import GridSpec, dirichlet_block, grid_norm, synthesize
+from lzcross import norms, spectral
+from lzcross.spectral import (
+    GridSpec,
+    SpectralFunction,
+    dirichlet_block,
+    grid_norm,
+    synthesize,
+)
 
 
 def test_scalar_params_validation():
@@ -46,9 +53,14 @@ def test_mixed_params_constructors():
     with pytest.raises(ValueError):
         MixedSpaceParams.of([2, 2], [0.0], [2.0, 2.0])
     leb = MixedSpaceParams.of([2] * 3, [0.0] * 3, [2.0] * 3)
-    assert leb.m == 3 and leb.is_plain_l2()
-    assert not MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2).is_plain_l2()
-    assert not MixedSpaceParams.of([2], [1.0], [2.0]).is_plain_l2()
+    assert leb.m == 3 and leb.lebesgue_index() == 2
+    l32 = MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)
+    assert l32.lebesgue_index() == Fraction(3, 2)  # plain L_{3/2}, not L2
+    assert MixedSpaceParams.of([2], [1.0], [2.0]).lebesgue_index() is None
+    # alpha = 0 and tau = p on every axis, but two p: a mixed norm, not L_p
+    assert MixedSpaceParams.of([2, "3/2"], [0.0] * 2, [2.0, 1.5]).lebesgue_index() is None
+    # tau is the float nearest p, as the options give it
+    assert MixedSpaceParams.of(["4/3"], [0.0], [4 / 3]).lebesgue_index() == Fraction(4, 3)
 
 
 def test_iterated_rearrangement_of_product_data():
@@ -230,14 +242,18 @@ def test_scalar_norm_rejects_bad_profiles():
         separable_norm([np.ones((4, 4))], MixedSpaceParams((params,)))
     with pytest.raises(ValueError):
         cell_weights(12, params)
+    for space in (MixedSpaceParams((params,)), MixedSpaceParams.of([2], [0.5], [2.0])):
+        with pytest.raises(ValueError, match="powers of two"):
+            separable_norm([np.ones(12)], space)
 
 
 def test_separable_norm_takes_powers_of_a_contiguous_profile():
     # a reversed view would take numpy's strided power loop, which can differ
-    # from the vectorized one in the last bit and move the block norms
-    block = dirichlet_block((6,))  # on 256 points the two loops can differ here
+    # from the vectorized one in the last bit and move the block norms; only
+    # spaces other than plain L_p sort, so this one has alpha != 0
+    block = dirichlet_block((6,))  # on 256 points the two loops differ here
     mag = np.abs(synthesize(block, GridSpec((256,))).values)
-    params = MixedSpaceParams.of(["3/2"], [0.0], [1.5])
+    params = MixedSpaceParams.of(["3"], [0.5], [1.5])
     v = np.sort(mag)[::-1].copy()
     w = cell_weights(v.shape[0], params.axes[0])
     assert separable_norm([mag], params) == float(np.dot(v**1.5, w)) ** (1.0 / 1.5)
@@ -316,6 +332,41 @@ def test_grid_norm_holds_three_grids_on_a_miss_and_one_and_a_half_on_a_hit():
     assert traced_peak(lambda: grid_norm(other, grid, params)) <= 1.5 * grid_bytes
 
 
+def test_grid_norm_hit_takes_its_powers_one_batch_of_columns_at_a_time():
+    # neither the profile nor the samples are raised to a power as a whole:
+    # a hit holds one batch of full-height columns, next to the key's copy
+    # of f's arrays and a few vectors of one grid row
+    lz = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
+    leb = MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)
+    f = dirichlet_block((8, 8))
+    grid = GridSpec((1024, 1024))
+    grid_norm(f, grid, lz)  # fills the weight cache, holds samples and profile
+    batch = 1024 * norms._COLUMNS * 8
+    key_bytes = f.freqs.nbytes + f.coeffs.nbytes
+    bound = batch + key_bytes + 128 * 1024
+    for space in (lz, leb):
+        assert traced_peak(lambda: grid_norm(f, grid, space)) <= bound
+    assert bound < 0.6 * 1024 * 1024 * 8  # the bound of a whole power is 1.5 grids
+
+
+def test_lebesgue_grid_norm_does_not_depend_on_the_spaces_asked_before():
+    # a plain L_p norm sums the held samples, also once their rearrangement
+    # is held for another space
+    leb = MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)
+    lz = MixedSpaceParams.of(["2"] * 2, [0.5] * 2, [3.0] * 2)
+    grid = GridSpec((64, 32))
+    general = SpectralFunction(2, {(3, -2): 1 + 0.5j, (-5, 7): 0.25, (1, 1): -1.0})
+    for f in (dirichlet_block((4, 3)), general):
+        spectral._held = None
+        first = grid_norm(f, grid, leb)
+        grid_norm(f, grid, lz)
+        assert spectral._held[2] is not None
+        assert grid_norm(f, grid, leb).hex() == first.hex()
+        spectral._held = None
+        grid_norm(f, grid, lz)
+        assert grid_norm(f, grid, leb).hex() == first.hex()
+
+
 def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
     # the orthant path never samples the full grid: the held profile and its
     # powers are two grids, next to the key's copy of f's arrays and the
@@ -347,9 +398,10 @@ def test_separable_norm_matches_grid_norm():
     g = rng.random(8)
     h = rng.random(16)
     params = MixedSpaceParams.of([2, 1.5], [0.0, 1.0], [2.0, 3.0])
-    full = anisotropic_norm(GridFunction(np.outer(g, h)), params)
-    split = separable_norm([g, h], params)
-    assert abs(full - split) < 1e-12 * full
+    for space in (params, MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)):
+        full = anisotropic_norm(GridFunction(np.outer(g, h)), space)
+        split = separable_norm([g, h], space)
+        assert abs(full - split) < 1e-12 * full
     with pytest.raises(ValueError):
         separable_norm([g], params)
 

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from lzcross import spectral
 from lzcross.indexsets import Anisotropy
-from lzcross.norms import GridFunction, MixedSpaceParams, anisotropic_norm
+from lzcross.norms import (
+    GridFunction,
+    MixedSpaceParams,
+    anisotropic_norm,
+    iterated_rearrangement,
+    profile_norm,
+)
 from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
@@ -234,9 +240,9 @@ def test_grid_norm_matches_the_norm_of_fresh_samples(session):
         got = grid_norm(f, grid, space)
         want = anisotropic_norm(synthesize(f, grid), space)
         assert got.hex() == want.hex()
-        key, prof = spectral._held
+        key, samples, prof = spectral._held
         assert key[0] == grid.shape and prof.shape == grid.shape
-        assert not prof.flags.writeable
+        assert not prof.flags.writeable and not samples.values.flags.writeable
         with pytest.raises(ValueError):
             prof[(0,) * m] = 1.0
 
@@ -289,3 +295,48 @@ def test_sign_symmetric_polynomials_match_the_full_inverse_fft(case):
     ):
         norm = anisotropic_norm(GridFunction(want), space)
         assert grid_norm(f, shape, space) == pytest.approx(norm, rel=1e-12)
+
+
+@st.composite
+def lebesgue_cases(draw):
+    """A sign-symmetric, a general real or a complex polynomial in m = 1..3
+    variables, on its minimal grid or one twice as fine on some axes, and a
+    plain L_p space."""
+    kind = draw(st.sampled_from(["symmetric", "real", "complex"]))
+    if kind == "symmetric":
+        f, shape = draw(sign_symmetric_polynomials())
+    else:
+        m = draw(st.integers(1, 3))
+        keys = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * m), min_size=1,
+                             max_size=8, unique=True))
+        values = draw(st.lists(
+            st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+            min_size=len(keys), max_size=len(keys),
+        ))
+        terms = {}
+        for k, a in zip(keys, values):
+            if kind == "real":  # a_{-k} = conj(a_k): the samples are real
+                minus = tuple(-kj for kj in k)
+                a = a.real if k == minus else a
+                terms[minus] = a.conjugate()
+            terms[k] = a
+        f = SpectralFunction(m, terms)
+        finer = draw(st.lists(st.sampled_from([1, 2]), min_size=m, max_size=m))
+        minimal = GridSpec.minimal_for(f.bandwidth()).shape
+        shape = tuple(n * c for n, c in zip(minimal, finer))
+    p = draw(st.sampled_from(["4/3", "3/2", "2", "3"]))
+    m = f.m
+    space = MixedSpaceParams.of([p] * m, [0.0] * m, [float(Fraction(p))] * m)
+    return kind, f, shape, space
+
+
+@given(lebesgue_cases())
+@settings(deadline=None)
+def test_lebesgue_sums_match_the_quadrature_of_the_rearranged_samples(case):
+    kind, f, shape, space = case
+    assert space.lebesgue_index() is not None
+    assert f.sign_symmetric or kind != "symmetric"
+    samples = synthesize(f, shape)
+    want = profile_norm(iterated_rearrangement(samples), space)
+    assert grid_norm(f, shape, space) == pytest.approx(want, rel=1e-13)
+    assert anisotropic_norm(samples, space) == pytest.approx(want, rel=1e-13)
