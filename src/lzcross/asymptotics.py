@@ -154,19 +154,12 @@ def lemma3_lhs(
                 f"or {DEFAULT_MAX_GRID_CELLS} cells"
             )
         dtype = level_sum_dtype(w, bound, box)
-        axes_levels = [np.arange(b + 1) for b in box]
-        level = np.zeros(dims)
-        inside = np.zeros(dims, dtype=dtype)
-        for j, s in enumerate(axes_levels):
-            shape = [1] * len(box)
-            shape[j] = s.size
-            level = level + (s * gfloat[j]).reshape(shape)
-            inside = inside + (s.astype(dtype) * w[j]).reshape(shape)
+        mesh = np.ix_(*(np.arange(b + 1) for b in box))
+        level = sum(s * g for s, g in zip(mesh, gfloat))
+        inside = sum(s.astype(dtype) * wj for s, wj in zip(mesh, w))
         term = np.exp2(-alpha * level)
-        for j, s in enumerate(axes_levels):
-            shape = [1] * len(box)
-            shape[j] = s.size
-            term = term * ((s + 1.0) ** lams[j]).reshape(shape)
+        for s, lam in zip(mesh, lams):
+            term = term * (s + 1.0) ** lam
         term[inside < bound] = 0.0
         return mixed_reduce(term, thetas)
 

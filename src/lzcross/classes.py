@@ -190,29 +190,20 @@ def block_norm(
 
 
 def besov_functional(
-    f: SpectralFunction, params: BesovParams, grid: GridSpec | Sequence[int]
+    f: SpectralFunction,
+    params: BesovParams,
+    grid: GridSpec | Sequence[int],
+    exact: bool = True,
 ) -> float:
     """Class functional: whole-function norm plus weighted block-norm sequence norm.
 
     Requires the zero-mean support condition: any coefficient on a
     hyperplane k_j = 0 is rejected, since such functions lie outside the
-    class.  The grid must resolve the full bandwidth of f.
-    """
-    return _class_functional(f, params, grid, exact=True)
-
-
-def _class_functional(
-    f: SpectralFunction,
-    params: BesovParams,
-    grid: GridSpec | Sequence[int],
-    exact: bool,
-) -> float:
-    """Class functional of f, with the whole-function norm exact or bounded.
-
-    With exact the whole-function norm is measured on the grid.  Without,
-    it is replaced by its triangle-inequality upper bound, the sum of the
-    block norms, and no full grid is synthesized; the sequence term is
-    exact either way, since block norms factorize per axis.
+    class.  The grid must resolve the full bandwidth of f.  With exact the
+    whole-function norm is measured on the grid.  Without, it is replaced
+    by its triangle-inequality upper bound, the sum of the block norms, and
+    no full grid is synthesized; the sequence term is exact either way,
+    since block norms factorize per axis.
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))

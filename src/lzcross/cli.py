@@ -659,6 +659,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     except Exception as exc:  # pragma: no cover - unexpected faults
         print(f"fault: {exc!r}", file=sys.stderr)
         return 3

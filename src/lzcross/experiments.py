@@ -18,7 +18,6 @@ from .classes import (
     BesovParams,
     DerivedExponents,
     TheoremParams,
-    _class_functional,
     besov_functional,
     derived_exponents,
     extremal_f1,
@@ -45,18 +44,14 @@ def class_normalizer(
     grid: GridSpec,
     max_grid_cells: int = DEFAULT_MAX_GRID_CELLS,
 ) -> tuple[float, bool]:
-    """Class functional of f, or a controlled estimate when the grid is too big.
+    """besov_functional of f, exact within the cell budget and with the
+    triangle bound (exact=False) above it, and whether it was exact.
 
-    Under the cell budget this is besov_functional exactly.  Above it, the
-    whole-function norm is replaced by its triangle-inequality upper bound,
-    the plain sum of block norms, while the sequence term stays exact.  The
-    flag in the result records which path was taken; for the block-built
-    extremal functions the replaced term is a vanishing fraction of the
-    total, the bound being attained block-by-block.
+    For the block-built extremal functions the replaced term is a vanishing
+    fraction of the total, the bound being attained block by block.
     """
-    if grid.cells <= max_grid_cells:
-        return besov_functional(f, params, grid), True
-    return _class_functional(f, params, grid, exact=False), False
+    exact = grid.cells <= max_grid_cells
+    return besov_functional(f, params, grid, exact), exact
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,17 @@ class SpectralFunction:
             and bool((signs[1:] != signs[:-1])[inside].all())
         )
 
+    @functools.cached_property
+    def real_valued(self) -> bool:
+        """Whether a_{-k} = conj(a_k) for every row k, compared by value, so
+        that every sample is real: sorted, the rows and their negations match
+        row for row, and the coefficients of matched rows are conjugate."""
+        order = np.lexsort(self.freqs.T[::-1])
+        mirror = np.lexsort(-self.freqs.T[::-1])
+        return np.array_equal(self.freqs[order], -self.freqs[mirror]) and bool(
+            (self.coeffs[order] == self.coeffs[mirror].conj()).all()
+        )
+
     def scaled(self, c: complex) -> "SpectralFunction":
         return SpectralFunction(self.m, (self.freqs, c * self.coeffs))
 
@@ -193,16 +204,6 @@ class SpectralFunction:
         return cls(m, coeffs)
 
 
-def _inverse_rfft(spec: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Real samples, without the 1/N factor, from a Hermitian half spectrum.
-
-    Every axis but the last is transformed in place, so spec is overwritten.
-    """
-    for axis in range(len(shape) - 1):
-        np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
-    return np.fft.irfft(spec, n=shape[-1], norm="forward")
-
-
 def _orthant(f: SpectralFunction, shape: tuple[int, ...]) -> OrthantSamples:
     """Samples of a sign-symmetric polynomial on the orthant 0 <= i_j <= N_j/2.
 
@@ -231,18 +232,15 @@ def _orthant(f: SpectralFunction, shape: tuple[int, ...]) -> OrthantSamples:
 def _samples(
     f: SpectralFunction, grid: GridSpec | Sequence[int]
 ) -> GridFunction | OrthantSamples:
-    """f on the grid: its orthant when f.sign_symmetric, else every sample.
+    """f on the grid, by the inverse FFT of its symmetry class.
 
-    Every other polynomial is sampled as S_1 + i S_2, where S_1 is the real
-    polynomial with the Hermitian coefficients h_k = (a_k + conj(a_{-k})) / 2
-    and S_2 the one built the same way from -i a.  A Hermitian spectrum is
-    stored as its half N_1 x ... x (N_m/2 + 1): c_k/2 is added at k for rows
-    with k_m >= 0 and conj(c_k)/2 at -k for rows with k_m <= 0.  Halving is
-    exact above the subnormal range, and x/2 - x/2 is exactly zero, so when
-    f is real (a_{-k} = conj(a_k)) the half spectrum of S_2 is exactly zero,
-    its transform is skipped and the samples are float64.  Frequencies are
-    placed at k mod N_j, so every |k_j| must stay below N_j / 2; otherwise
-    distinct frequencies would alias.
+    A sign-symmetric f gives its orthant, by a DCT-I per axis.  A real-valued
+    f writes a_k of its rows with k_m >= 0 into the half spectrum
+    N_1 x ... x (N_m/2 + 1), transforms it by an ifft along every axis but the
+    last and an irfft along the last.  Any other f writes a_k into the full
+    spectrum and transforms it in place by an ifft along every axis, so it
+    holds one complex grid.  a_k goes to k mod N_j, so every |k_j| must stay
+    below N_j / 2; otherwise distinct frequencies would alias.
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
@@ -253,43 +251,30 @@ def _samples(
         raise ValueError("grid too coarse for the bandwidth of f")
     if f.sign_symmetric:
         return _orthant(f, grid.shape)
-    shape = grid.shape
-    half = shape[:-1] + (shape[-1] // 2 + 1,)
-    # rows with k_m >= 0 give c_k / 2 at k, rows with k_m <= 0 conj(c_k) / 2 at -k
-    up = np.flatnonzero(f.freqs[:, -1] >= 0)
-    order = np.concatenate([up, np.flatnonzero(f.freqs[:, -1] <= 0)])
-    lower = slice(len(up), None)
-    rows, halves = f.freqs[order], f.coeffs[order] * 0.5
-    rows[lower] *= -1
-    rows &= np.array(shape) - 1  # k mod N_j, as every N_j is a power of two
-    where = np.ravel_multi_index(tuple(rows.T), half)
-    halves[lower] = np.conj(halves[lower])
-    # for -i a: -i a_k / 2 at k and conj(-i a_k) / 2 = -(-i conj(a_k) / 2) at -k
-    imag_halves = halves * -1j
-    imag_halves[lower] *= -1
-
-    # S_2 first: when its halves cancel, spec holds zeros again and serves S_1
-    spec = np.zeros(half, dtype=np.complex128)
-    np.add.at(spec.reshape(-1), where, imag_halves)
-    imag = None
-    if spec.reshape(-1)[where].any():
-        imag = _inverse_rfft(spec, shape)
-        spec = np.zeros(half, dtype=np.complex128)
-    np.add.at(spec.reshape(-1), where, halves)
-    samples = _inverse_rfft(spec, shape)
-    if imag is not None:
-        samples = samples.astype(np.complex128)
-        samples.imag = imag
-    return GridFunction(samples)
+    shape, rows, coeffs = grid.shape, f.freqs, f.coeffs
+    real = f.real_valued
+    if real:  # the rows with k_m <= 0 are the conjugate mirror of the rest
+        keep = rows[:, -1] >= 0
+        rows, coeffs = rows[keep], coeffs[keep]
+    last = shape[-1] // 2 + 1 if real else shape[-1]
+    spec = np.zeros(shape[:-1] + (last,), dtype=np.complex128)
+    # k mod N_j, as every N_j is a power of two; distinct rows stay distinct
+    spec[tuple((rows & (np.array(shape) - 1)).T)] = coeffs
+    for axis in range(f.m - 1 if real else f.m):
+        np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
+    if real:
+        spec = np.fft.irfft(spec, n=shape[-1], norm="forward")
+    return GridFunction(spec)
 
 
 def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunction:
-    """Evaluate the polynomial on the product grid via real inverse FFTs.
+    """Evaluate the polynomial on the product grid via inverse FFTs.
 
-    A sign-symmetric polynomial (f.sign_symmetric) is synthesized on
-    one orthant and mirrored, so its samples are exactly even in every
-    variable.  A real polynomial comes back as float64 samples, any other
-    one as complex128 samples.
+    A sign-symmetric polynomial (f.sign_symmetric) is synthesized on one
+    orthant and mirrored, so its samples are float64 and exactly even in
+    every variable.  Any other real-valued polynomial (f.real_valued) comes
+    back as float64 samples of a real inverse FFT, and every other one as
+    complex128 samples of a complex inverse FFT.
     """
     samples = _samples(f, grid)
     return samples.to_grid() if isinstance(samples, OrthantSamples) else samples

@@ -115,6 +115,15 @@ def test_exit_two_on_bad_lemma_case(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_exit_four_on_numerical_failure(tmp_path, capsys):
+    # at beta = 100 the growth case's sums leave the float range: a numerical
+    # failure, told apart from a configuration error (2) and a fault (3)
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", "2", "--case", "growth",
+            "--params", str(make_params_file(tmp_path, {"beta": 100}))]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
 @pytest.mark.parametrize("lemma_id, case, doc, key", [
     ("1", "3", {"alpha": 0.7, "beta": 0.5}, "alpha"),
     ("2", "decay", {"beta": 1.0, "gamma": ["1", "1"]}, "gamma"),

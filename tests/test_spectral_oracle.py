@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lzcross import spectral
@@ -298,6 +298,47 @@ def test_sign_symmetric_polynomials_match_the_full_inverse_fft(case):
 
 
 @st.composite
+def general_polynomials(draw, real):
+    """A polynomial in m = 1..3 variables with |k_j| <= 5, real-valued
+    (a_{-k} = conj(a_k)) when real, on its minimal grid or one twice as
+    fine on some axes; real comes back first."""
+    m = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * m), min_size=1,
+                         max_size=8, unique=True))
+    values = draw(st.lists(
+        st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+        min_size=len(keys), max_size=len(keys),
+    ))
+    terms = {}
+    for k, a in zip(keys, values):
+        if real:
+            minus = tuple(-kj for kj in k)
+            a = a.real if k == minus else a
+            terms[minus] = a.conjugate()
+        terms[k] = a
+    f = SpectralFunction(m, terms)
+    finer = draw(st.lists(st.sampled_from([1, 2]), min_size=m, max_size=m))
+    minimal = GridSpec.minimal_for(f.bandwidth()).shape
+    return real, f, tuple(n * c for n, c in zip(minimal, finer))
+
+
+@given(st.booleans().flatmap(general_polynomials))
+@example((True, SpectralFunction(2, {(0, 0): 2.0, (1, -2): 1 + 1j, (-1, 2): 1 - 1j}),
+          (4, 16)))
+@example((False, SpectralFunction(3, {(0, 0, 0): 1j, (3, -1, 2): 0.5}), (16, 4, 16)))
+@settings(deadline=None)
+def test_general_polynomials_match_the_full_inverse_fft(case):
+    real, f, shape = case
+    assume(not f.sign_symmetric)
+    if real:
+        assert f.real_valued
+    got = synthesize(f, shape).values
+    assert got.dtype == (np.float64 if f.real_valued else np.complex128)
+    want = full_spectrum_samples(f, shape)
+    assert np.abs(got - want).max() <= 1e-12 * float(np.abs(f.coeffs).sum())
+
+
+@st.composite
 def lebesgue_cases(draw):
     """A sign-symmetric, a general real or a complex polynomial in m = 1..3
     variables, on its minimal grid or one twice as fine on some axes, and a
@@ -306,24 +347,7 @@ def lebesgue_cases(draw):
     if kind == "symmetric":
         f, shape = draw(sign_symmetric_polynomials())
     else:
-        m = draw(st.integers(1, 3))
-        keys = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * m), min_size=1,
-                             max_size=8, unique=True))
-        values = draw(st.lists(
-            st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
-            min_size=len(keys), max_size=len(keys),
-        ))
-        terms = {}
-        for k, a in zip(keys, values):
-            if kind == "real":  # a_{-k} = conj(a_k): the samples are real
-                minus = tuple(-kj for kj in k)
-                a = a.real if k == minus else a
-                terms[minus] = a.conjugate()
-            terms[k] = a
-        f = SpectralFunction(m, terms)
-        finer = draw(st.lists(st.sampled_from([1, 2]), min_size=m, max_size=m))
-        minimal = GridSpec.minimal_for(f.bandwidth()).shape
-        shape = tuple(n * c for n, c in zip(minimal, finer))
+        _, f, shape = draw(general_polynomials(kind == "real"))
     p = draw(st.sampled_from(["4/3", "3/2", "2", "3"]))
     m = f.m
     space = MixedSpaceParams.of([p] * m, [0.0] * m, [float(Fraction(p))] * m)
