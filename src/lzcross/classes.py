@@ -216,8 +216,8 @@ def besov_functional(
     if not f.n_terms:
         return 0.0
     # the full grid goes first, so its temporaries are freed before the
-    # blocks are split off; grid_norm keeps its samples for a residual of f
-    # that kept every row
+    # blocks are split off; f keeps the samples for a residual that kept
+    # every row, which is f itself
     first = grid_norm(f, grid, params.space) if exact else None
     norms = {
         s: block_norm(comp, params.space, grid)

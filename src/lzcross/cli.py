@@ -4,7 +4,8 @@ Every command builds an ExperimentConfig, executes it through run(), and
 writes a manifest listing each emitted file with its content hash plus the
 pass/fail verdicts.  Exit status: 0 when all verdicts pass, 1 when a
 verdict fails, 2 for configuration or usage errors, 3 for unexpected
-faults.  Identical configs produce byte-identical CSV bodies.
+faults, 4 for numerical failures.  Identical configs produce
+byte-identical CSV bodies.
 
 Config files are flat JSON; numeric fields accept exact rationals as
 strings like "2/3", and a key the experiment kind does not read is a
@@ -51,6 +52,7 @@ from .indexsets import (
     Anisotropy,
     as_fraction,
     as_integer,
+    cross_cardinality,
     hyperbolic_cross,
     indices_to_json_dict,
 )
@@ -125,15 +127,25 @@ def _as_list(value) -> list:
     return [value]
 
 
+def _rational(value) -> Fraction:
+    """An exact rational whose float is finite."""
+    out = as_fraction(str(value))
+    try:
+        float(out)
+    except OverflowError:
+        raise ConfigError(f"{value!r} is beyond the float range") from None
+    return out
+
+
 def _float_list(value) -> list[float]:
     return [
-        math.inf if str(v).lower() in ("inf", "infinity") else float(as_fraction(str(v)))
+        math.inf if str(v).lower() in ("inf", "infinity") else float(_rational(v))
         for v in _as_list(value)
     ]
 
 
 def _rational_list(value) -> list[Fraction]:
-    return [as_fraction(str(v)) for v in _as_list(value)]
+    return [_rational(v) for v in _as_list(value)]
 
 
 def _json_safe(value):
@@ -323,6 +335,9 @@ def _run_cross_gen(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
         raise ConfigError("cross-gen requires gamma")
     gamma = Anisotropy.of(_rational_list(o["gamma"]))
     n = as_fraction(str(o.get("n", 1)))
+    budget = DEFAULT_MAX_GRID_CELLS  # counted before any frequency is listed
+    if cross_cardinality(n, gamma, cap=budget) > budget:
+        raise ConfigError(f"the cross at n={n} holds more than {budget} frequencies")
     indices = hyperbolic_cross(n, gamma)
     out = _out_path(cfg, o.get("out", "cross.json"))
     _write_json(out, indices_to_json_dict(gamma.m, indices))

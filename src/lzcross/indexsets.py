@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,33 +132,32 @@ def containing_block(k: Sequence[int]) -> MultiIndex:
     return tuple(block_levels(np.asarray(k, dtype=np.int64)).tolist())
 
 
-def _walk(n: RationalLike, gamma: Anisotropy, exact: bool) -> list[MultiIndex]:
+def _walk(n: RationalLike, gamma: Anisotropy, exact: bool) -> Iterator[MultiIndex]:
     """Block levels s in Z_+^m in lex order: <s, gamma> = n if exact, else < n.
 
-    The level sums are Python integers (gamma.scaled), so any weights are exact.
+    The level sums are Python integers (gamma.scaled), so any weights are
+    exact.  The levels are generated one at a time, so a caller may stop early.
     """
     w, bound = gamma.scaled(n)
     last = len(w) - 1
-    out: list[MultiIndex] = []
 
-    def rec(prefix: MultiIndex, rem: int) -> None:
+    def rec(prefix: MultiIndex, rem: int) -> Iterator[MultiIndex]:
         j = len(prefix)
         top = (rem if exact else rem - 1) // w[j]  # largest s_j that can fit
         if j < last:
             for s in range(top + 1):
-                rec(prefix + (s,), rem - s * w[j])
+                yield from rec(prefix + (s,), rem - s * w[j])
         elif not exact:
-            out.extend(prefix + (s,) for s in range(top + 1))
+            yield from (prefix + (s,) for s in range(top + 1))
         elif rem >= 0 and top * w[j] == rem:
-            out.append(prefix + (top,))
+            yield prefix + (top,)
 
-    rec((), bound)
-    return out
+    return rec((), bound)
 
 
 def cross_layers(n: RationalLike, gamma: Anisotropy) -> list[MultiIndex]:
     """Block levels s in Z_+^m with <s, gamma> < n, lexicographic order."""
-    return _walk(n, gamma, exact=False)
+    return list(_walk(n, gamma, exact=False))
 
 
 def hyperbolic_cross(n: RationalLike, gamma: Anisotropy) -> list[FrequencyIndex]:
@@ -174,13 +173,22 @@ def hyperbolic_cross(n: RationalLike, gamma: Anisotropy) -> list[FrequencyIndex]
     return out
 
 
-def cross_cardinality(n: RationalLike, gamma: Anisotropy) -> int:
+def cross_cardinality(
+    n: RationalLike, gamma: Anisotropy, cap: int | None = None
+) -> int:
     """Number of frequencies in the step hyperbolic cross at level n.
 
     Level 0 of an axis holds one frequency and level s >= 1 holds 2^s, so
-    the block at levels s holds 2^(s_1 + ... + s_m).
+    the block at levels s holds 2^(s_1 + ... + s_m).  With a cap the walk
+    stops at the first block that takes the count above it, so a cross of
+    any size, such as one at level 10**400, is answered within cap + 1 blocks.
     """
-    return sum(1 << sum(s) for s in cross_layers(n, gamma))
+    total = 0
+    for s in _walk(n, gamma, exact=False):
+        total += 1 << sum(s)
+        if cap is not None and total > cap:
+            break
+    return total
 
 
 def level_sum_dtype(w: Sequence[int], bound: int, top: Sequence[int]) -> type:
@@ -210,7 +218,7 @@ def cross_membership(
 
 def layer_exact(n: RationalLike, gamma: Anisotropy) -> list[MultiIndex]:
     """Block levels with <s, gamma> equal to n exactly, lexicographic order."""
-    return _walk(n, gamma, exact=True)
+    return list(_walk(n, gamma, exact=True))
 
 
 def indices_to_json_dict(m: int, indices: Iterable[Sequence[int]]) -> dict:

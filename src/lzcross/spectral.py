@@ -99,6 +99,8 @@ class SpectralFunction:
         self.m, self.freqs, self.coeffs = m, freqs[nonzero], coeffs[nonzero]
         self.freqs.setflags(write=False)
         self.coeffs.setflags(write=False)
+        # (grid shape, read-only samples, read-only profile or None) of grid_norm
+        self._measured: tuple | None = None
 
     @property
     def coefficients(self) -> dict[FrequencyIndex, complex]:
@@ -157,7 +159,10 @@ class SpectralFunction:
         return SpectralFunction(self.m, (self.freqs, c * self.coeffs))
 
     def restrict(self, keep: np.ndarray) -> "SpectralFunction":
-        """The rows selected by keep: a boolean mask or an array of row numbers."""
+        """The rows selected by keep: a boolean mask (f itself if it keeps
+        every row, as the arrays are read-only) or an array of row numbers."""
+        if keep.dtype == bool and keep.shape == (self.n_terms,) and keep.all():
+            return self
         return SpectralFunction(self.m, (self.freqs[keep], self.coeffs[keep]))
 
     def l2_norm(self) -> float:
@@ -280,55 +285,37 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
 
 
-# (key, read-only samples, read-only iterated rearrangement or None) of the
-# last polynomial grid_norm measured, or None
-_held: tuple | None = None
-
-
 def grid_norm(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> float:
     """anisotropic_norm(synthesize(f, grid), params).
 
-    The samples of the last polynomial measured are held, keyed by the grid
-    shape and the bytes of f's frequency and coefficient arrays, and so is
-    their iterated rearrangement once a space other than plain L_p
-    (params.lebesgue_index() is None) asks for it: measuring a polynomial
-    with the same rows again (such as a residual that kept every row), in
-    any space, neither synthesizes nor sorts it again.  A plain L_p norm
-    always sums the held samples, unsorted, so its bits do not depend on
-    which spaces were asked for before.  A miss drops the held entry before
-    it synthesizes the new one.  Threads that evict each other's entry only
-    recompute.
+    f keeps the samples of the grid it was last measured on, and their
+    iterated rearrangement once a space other than plain L_p
+    (params.lebesgue_index() is None) asks for it, so measuring f again on
+    that grid, in any space, neither synthesizes nor sorts it again; another
+    grid shape replaces them.  A plain L_p norm always sums the samples
+    unsorted, so its bits do not depend on the spaces asked for before.
 
-    When f.sign_symmetric, a miss synthesizes only the orthant
-    0 <= i_j <= N_j/2 and never samples the full grid: the orthant is
-    rearranged as OrthantSamples, or summed with each sample weighted by
-    the number of grid samples it mirrors.  Outside plain L_p spaces the
-    profile is then, value for value, the rearrangement of the mirrored
-    orthant that synthesize returns, and the equality above holds bit for
-    bit; inside them the orthant's sum runs in another order than the full
-    grid's, and the two agree to a relative 1e-13.  Complex coefficients,
-    an axis held at k_j = +1, a missing mirror row or a mirror coefficient
-    that differs in any bit keep the general path: every sample, sorted
-    along each axis when sorted at all.
+    A sign-symmetric f is sampled and rearranged on its orthant only
+    (OrthantSamples): outside plain L_p the profile, and so the norm, equals
+    the full grid's bit for bit; inside, the orthant's weighted sum agrees
+    with the full grid's to a relative 1e-13.
     """
-    global _held
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
-    key = (grid.shape, f.freqs.shape, f.freqs.tobytes(), f.coeffs.tobytes())
-    held = _held
-    if held is None or held[0] != key:
-        held = _held = None
+    held = f._measured
+    if held is None or held[0] != grid.shape:
+        held = f._measured = None
         samples = _samples(f, grid)
         samples.values.setflags(write=False)
-        held = _held = (key, samples, None)
+        held = f._measured = (grid.shape, samples, None)
     if params.lebesgue_index() is not None:
         return anisotropic_norm(held[1], params)
     if held[2] is None:
         prof = iterated_rearrangement(held[1])
         prof.setflags(write=False)
-        held = _held = held[:2] + (prof,)
+        held = f._measured = held[:2] + (prof,)
     return profile_norm(held[2], params)
 
 
@@ -380,9 +367,9 @@ def truncation_error(
 ) -> float:
     """Norm of f minus its cross truncation in the target space.
 
-    With a grid, the residual is measured by grid_norm, which reuses the
-    samples of f, and their rearrangement once made, when the residual kept
-    every row and f was the last polynomial measured.  When the target is plain L2
+    With a grid, the residual is measured by grid_norm.  A residual that
+    kept every row is f itself, so it reuses the samples f was measured on
+    there, and their rearrangement once made.  When the target is plain L2
     (target.lebesgue_index() == 2) the coefficient l2 norm of the residual
     is the same quantity by Parseval; it cross-checks the grid value to a
     relative 1e-8, and when no grid is given it is returned directly

@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from lzcross.cli import _theorem_params, main, parse_range, ConfigError
 from lzcross.experiments import _EXTREMAL_BUILDERS
 from lzcross.indexsets import Anisotropy, as_fraction, hyperbolic_cross
 from lzcross.norms import GridFunction
-from lzcross.spectral import SpectralFunction
+from lzcross.spectral import GridSpec, SpectralFunction, truncation_error
 
 
 def read_csv(path):
@@ -124,6 +125,21 @@ def test_exit_four_on_numerical_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["lemma", "check", "--id", "4"], {"lams": ["1e400", 1]}),
+    (["theorem1", "rate", "--range", "6:9"], {**RATE_1D, "q": ["1e400"]}),
+])
+def test_config_number_beyond_the_float_range_is_a_usage_error(
+    tmp_path, capsys, argv, doc
+):
+    # a configuration error (2), not a numerical failure (4) of the run
+    argv = ["--out", str(tmp_path)] + argv + [
+        "--params", str(make_params_file(tmp_path, doc))]
+    assert main(argv) == 2
+    assert "'1e400' is beyond the float range" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("lemma_id, case, doc, key", [
     ("1", "3", {"alpha": 0.7, "beta": 0.5}, "alpha"),
     ("2", "decay", {"beta": 1.0, "gamma": ["1", "1"]}, "gamma"),
@@ -201,6 +217,22 @@ def test_cross_gen_accepts_rational_level_and_weights(tmp_path):
     doc = read_json(tmp_path / "cross.json")
     expected = hyperbolic_cross(as_fraction("3/2"), Anisotropy.of(["1", "2/3"]))
     assert {tuple(row) for row in doc["indices"]} == set(expected)
+
+
+@pytest.mark.parametrize("n, gamma", [("26", "1,1"), ("1e400", "1,1"),
+                                      ("25", "1,1,1,1,1,1,1,1")])
+def test_cross_gen_over_the_cell_budget_lists_no_frequency(
+    tmp_path, capsys, monkeypatch, n, gamma
+):
+    # 2**25 frequencies at most; the count stops before it walks every layer
+    def listing(*args):
+        raise AssertionError("a frequency was listed")
+
+    monkeypatch.setattr(cli, "hyperbolic_cross", listing)
+    rc = main(["--out", str(tmp_path), "cross", "gen", "--n", n, "--gamma", gamma])
+    assert rc == 2
+    assert "holds more than 33554432 frequencies" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_zero_denominator_flag_is_a_usage_error(tmp_path, capsys):
@@ -574,8 +606,25 @@ def count_rearrangements(monkeypatch) -> list:
         for attr, obj in list(vars(module).items()):
             if obj is original:
                 monkeypatch.setattr(module, attr, counting)
-    monkeypatch.setattr(spectral, "_held", None, raising=False)
     return calls
+
+
+def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
+    # the class functional samples f on its 2-D grid; the truncation error
+    # measures the residual, f itself, on the samples f holds (the blocks
+    # are measured on 1-D axis grids)
+    original = spectral._samples
+    shapes = []
+
+    def counting(f, grid):
+        shapes.append(tuple(getattr(grid, "shape", grid)))
+        return original(f, grid)
+
+    monkeypatch.setattr(spectral, "_samples", counting)
+    params = BENCH / "params" / "rate-2d-lz.json"
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    assert [s for s in shapes if len(s) == 2] == [(2 ** n,) * 2 for n in range(6, 10)]
 
 
 def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
@@ -587,6 +636,20 @@ def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
     assert len(calls) == 4
+
+
+def test_rate_experiment_keeps_no_grid_after_it_returns():
+    # a level's samples and profile are freed with its polynomial, so after
+    # the run less than one grid of the last level, n=9, is still allocated
+    tp = _theorem_params(read_json(BENCH / "params" / "rate-2d-lz.json"))
+    tracemalloc.start()
+    try:
+        result = experiments.theorem1_rate_experiment(tp, range(6, 10))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.points[-1].grid_cells == 512 * 512
+    assert kept < 512 * 512 * 8
 
 
 def test_plain_lebesgue_rate_levels_rearrange_nothing(tmp_path, monkeypatch):
@@ -662,20 +725,25 @@ def test_two_threads_give_the_same_outputs(tmp_path):
     f = SpectralFunction(2, {(3, 1): 1.0, (-5, 2): 0.5j, (9, -12): 2.0, (0, 0): 1.0})
     spectral_file = tmp_path / "f.json"
     spectral_file.write_text(json.dumps(f.to_json_dict()))
+    rate_outputs = ["theorem1_rate.csv", "theorem1_rate.summary.json"]
     runs = {
         "rate": (["theorem1", "rate", "--params", str(params), "--range", "6:10"],
-                 "theorem1_rate.csv"),
+                 rate_outputs),
+        # each level measures its own polynomial's samples, held by it alone
+        "rate-lz": (["theorem1", "rate", "--params",
+                     str(BENCH / "params" / "rate-2d-lz.json"), "--range", "6:9"],
+                    rate_outputs),
         "approx": (["approx", "--spectral", str(spectral_file), "--gamma", "1,1/2",
                     "--range", "1:8", "--grid", "32,32", "--target-p", "3/2,2",
                     "--target-alpha", "1/2,0", "--target-tau", "3,2"],
-                   "approx.csv"),
+                   ["approx.csv"]),
     }
-    for name, (argv, csv_name) in runs.items():
+    for name, (argv, outputs) in runs.items():
         bodies = []
         for threads in ("1", "2"):
             out = tmp_path / f"{name}-{threads}"
             assert main(["--out", str(out), "--threads", threads] + argv) == 0
-            bodies.append((out / csv_name).read_bytes())
+            bodies.append([(out / output).read_bytes() for output in outputs])
         assert bodies[0] == bodies[1]
 
 
@@ -688,6 +756,22 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def test_bench_extremal_polynomials_are_sign_symmetric(workload):
     tp = _theorem_params(json.loads((BENCH / "params" / f"{workload}.json").read_text()))
     assert all(extremal_f1(n, tp).sign_symmetric for n in (6, 9))
+
+
+def test_oversampling_moves_the_normalized_error_by_under_two_percent():
+    # every norm is one of the sample step function, so a finer grid moves
+    # it; at 4x the samples per axis the rate-2d-lz points move by -1.0..-1.5%
+    tp = _theorem_params(json.loads((BENCH / "params" / "rate-2d-lz.json").read_text()))
+    for n in (6, 7, 8):
+        f = extremal_f1(n, tp)
+        minimal = GridSpec.minimal_for(f.bandwidth()).shape
+        ratios = []
+        for factor in (1, 4):
+            grid = GridSpec(tuple(factor * c for c in minimal))
+            error = truncation_error(f, n, tp.gamma_prime, tp.target, grid)
+            ratios.append(error / classes.besov_functional(f, tp.source, grid))
+        assert abs(ratios[1] / ratios[0] - 1.0) < 0.02
+
 
 # (reference, argv, the manifest's params echo); the lemma outputs must match
 # byte for byte, the rate run, whose stored outputs differ in the last bits,

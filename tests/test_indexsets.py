@@ -109,7 +109,15 @@ def test_cross_cardinality_matches_enumeration():
         (Anisotropy.of(["2/3", 1]), Fraction(5, 2)),
         (Anisotropy.of([1, "1/2", 2]), 3),
     ]:
-        assert cross_cardinality(n, gamma) == len(hyperbolic_cross(n, gamma))
+        card = len(hyperbolic_cross(n, gamma))
+        assert cross_cardinality(n, gamma) == card
+        assert cross_cardinality(n, gamma, cap=card) == card
+        assert cross_cardinality(n, gamma, cap=0) == 1  # the block (0, ..., 0)
+
+
+def test_capped_cross_cardinality_stops_on_a_huge_level():
+    # blocks (0, 0), (0, 1), ..., (0, 4) hold 1 + 2 + ... + 16 = 31 > 20
+    assert cross_cardinality(10**400, Anisotropy.of([1, 1]), cap=20) == 31
 
 
 def test_cross_monotone_in_level():

@@ -8,7 +8,9 @@ Analytic anchors used below:
 """
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -320,8 +322,8 @@ def traced_peak(fn) -> int:
 
 
 def test_grid_norm_holds_three_grids_on_a_miss_and_one_and_a_half_on_a_hit():
-    # a miss drops the held profile before it synthesizes and releases the
-    # samples before the powers are taken; a hit only takes the powers
+    # a miss synthesizes, rearranges and measures the polynomial; a hit
+    # only takes the powers of the profile it holds
     params = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
     f = dirichlet_block((8, 8))
     grid = GridSpec((1024, 1024))
@@ -334,43 +336,62 @@ def test_grid_norm_holds_three_grids_on_a_miss_and_one_and_a_half_on_a_hit():
 
 def test_grid_norm_hit_takes_its_powers_one_batch_of_columns_at_a_time():
     # neither the profile nor the samples are raised to a power as a whole:
-    # a hit holds one batch of full-height columns, next to the key's copy
-    # of f's arrays and a few vectors of one grid row
+    # a hit holds one batch of full-height columns and a few vectors of one
+    # grid row
     lz = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
     leb = MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)
     f = dirichlet_block((8, 8))
     grid = GridSpec((1024, 1024))
     grid_norm(f, grid, lz)  # fills the weight cache, holds samples and profile
     batch = 1024 * norms._COLUMNS * 8
-    key_bytes = f.freqs.nbytes + f.coeffs.nbytes
-    bound = batch + key_bytes + 128 * 1024
+    bound = batch + 128 * 1024
     for space in (lz, leb):
         assert traced_peak(lambda: grid_norm(f, grid, space)) <= bound
     assert bound < 0.6 * 1024 * 1024 * 8  # the bound of a whole power is 1.5 grids
 
 
 def test_lebesgue_grid_norm_does_not_depend_on_the_spaces_asked_before():
-    # a plain L_p norm sums the held samples, also once their rearrangement
-    # is held for another space
+    # a plain L_p norm sums the samples f holds, also once their
+    # rearrangement is held for another space
     leb = MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)
     lz = MixedSpaceParams.of(["2"] * 2, [0.5] * 2, [3.0] * 2)
     grid = GridSpec((64, 32))
     general = SpectralFunction(2, {(3, -2): 1 + 0.5j, (-5, 7): 0.25, (1, 1): -1.0})
     for f in (dirichlet_block((4, 3)), general):
-        spectral._held = None
+        f._measured = None
         first = grid_norm(f, grid, leb)
         grid_norm(f, grid, lz)
-        assert spectral._held[2] is not None
+        assert f._measured[2] is not None
         assert grid_norm(f, grid, leb).hex() == first.hex()
-        spectral._held = None
+        f._measured = None
         grid_norm(f, grid, lz)
         assert grid_norm(f, grid, leb).hex() == first.hex()
+
+
+def test_threads_measuring_one_polynomial_get_the_values_of_fresh_samples():
+    # threads share f's slot: a race may replace it or recompute, but each
+    # call measures one consistent (grid, samples, profile)
+    f = SpectralFunction(2, {(3, -2): 1 + 0.5j, (-5, 7): 0.25, (1, 1): -1.0})
+    grids = [GridSpec((32, 32)), GridSpec((64, 16))]
+    spaces = [MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2),
+              MixedSpaceParams.of(["2", "3"], [0.5, -0.25], [3.0, 1.5])]
+    want = {(g, q): anisotropic_norm(synthesize(f, grids[g]), spaces[q]).hex()
+            for g in range(2) for q in range(2)}
+    jobs = [(i // 2 % 2, i % 2) for i in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(grid_norm, f, grids[g], spaces[q]) for g, q in jobs]
+            got = [fut.result(timeout=60).hex() for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[job] for job in jobs]
 
 
 def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
     # the orthant path never samples the full grid: the held profile and its
-    # powers are two grids, next to the key's copy of f's arrays and the
-    # reduced rows
+    # powers are two grids, next to the reduced rows
     params = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
     f = dirichlet_block((8, 8))
     assert f.sign_symmetric
@@ -378,9 +399,8 @@ def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
     grid_norm(f, grid, params)  # fills the weight cache
     other = f.scaled(2.0)
     grid_bytes = 1024 * 1024 * 8
-    key_bytes = other.freqs.nbytes + other.coeffs.nbytes
     peak = traced_peak(lambda: grid_norm(other, grid, params))
-    assert peak <= 2.0 * grid_bytes + key_bytes + 64 * 1024
+    assert peak <= 2.0 * grid_bytes + 64 * 1024
     # the orthant keeps its own 513 x 513 samples, not the full-length
     # transform outputs they were sliced from
     tracemalloc.start()

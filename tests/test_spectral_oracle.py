@@ -15,7 +15,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lzcross import spectral
 from lzcross.indexsets import Anisotropy
 from lzcross.norms import (
     GridFunction,
@@ -240,8 +239,8 @@ def test_grid_norm_matches_the_norm_of_fresh_samples(session):
         got = grid_norm(f, grid, space)
         want = anisotropic_norm(synthesize(f, grid), space)
         assert got.hex() == want.hex()
-        key, samples, prof = spectral._held
-        assert key[0] == grid.shape and prof.shape == grid.shape
+        shape, samples, prof = f._measured
+        assert shape == grid.shape and prof.shape == grid.shape
         assert not prof.flags.writeable and not samples.values.flags.writeable
         with pytest.raises(ValueError):
             prof[(0,) * m] = 1.0
