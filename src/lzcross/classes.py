@@ -28,12 +28,7 @@ from .indexsets import (
     cartesian_rows,
     layer_exact,
 )
-from .norms import (
-    MixedSpaceParams,
-    anisotropic_norm,
-    mixed_sequence_norm,
-    separable_norm,
-)
+from .norms import MixedSpaceParams, anisotropic_norm, mixed_sequence_norm
 from .spectral import (
     GridSpec,
     SpectralFunction,
@@ -174,18 +169,20 @@ def block_norm(
     """Target-space norm of one block component on the given grid.
 
     Blocks with a constant coefficient on a product support factorize: the
-    norm is |c| times the product of one-dimensional norms computed at the
-    same per-axis resolutions, which agrees with the full grid quadrature
-    exactly and avoids materializing the product grid.
+    norm is |c| times the product of the one-axis norms of the axis factors,
+    each in its own axis's space on its own axis of the grid.  It agrees
+    with the norm of the full grid to rounding, and the product grid is
+    never synthesized.
     """
     c = block.coeffs
     axis_sets = [_distinct(block.freqs[:, j]) for j in range(block.m)]
     if c.size and (c == c[0]).all() and math.prod(map(len, axis_sets)) == c.size:
-        mags = []
-        for axis_set, n in zip(axis_sets, grid.shape):
-            axis_poly = SpectralFunction(1, (axis_set[:, None], np.ones(len(axis_set))))
-            mags.append(np.abs(synthesize(axis_poly, GridSpec((n,))).values))
-        return abs(complex(c[0])) * separable_norm(mags, space)
+        factors = []
+        for k, n, ax in zip(axis_sets, grid.shape, space.axes, strict=True):
+            axis_poly = SpectralFunction(1, (k[:, None], np.ones(len(k))))
+            axis_grid = synthesize(axis_poly, GridSpec((n,)))
+            factors.append(anisotropic_norm(axis_grid, MixedSpaceParams((ax,))))
+        return abs(complex(c[0])) * math.prod(factors)
     return anisotropic_norm(synthesize(block, grid), space)
 
 

@@ -280,7 +280,7 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
         elif key in ("lams", "thetas", "epsilons"):
             params[key] = _float_list(o.get(key, [default] * params["gamma"].m))
         else:
-            params[key] = float(value)
+            params[key] = float(_rational(value))
     ns = parse_range(o.get("range", default_range))
     relation = o.get("relation", default_relation)
     if relation not in ("two-sided", "lower", "upper"):
@@ -345,8 +345,8 @@ def _run_cross_gen(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
     return [out]
 
 
-def _space_from_options(o: dict, m: int, prefix: str, default_p="2") -> MixedSpaceParams:
-    p = _rational_list(o.get(f"{prefix}p", [default_p] * m))
+def _space_from_options(o: dict, m: int, prefix: str) -> MixedSpaceParams:
+    p = _rational_list(o.get(f"{prefix}p", ["2"] * m))
     alpha = _float_list(o.get(f"{prefix}alpha", [0.0] * len(p)))
     tau = _float_list(o.get(f"{prefix}tau", [float(v) for v in p]))
     if not (len(p) == len(alpha) == len(tau) == m):

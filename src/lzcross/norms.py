@@ -399,39 +399,6 @@ def profile_norm(prof: np.ndarray, params: MixedSpaceParams) -> float:
     return float(g)
 
 
-def separable_norm(
-    axis_magnitudes: Sequence[np.ndarray], params: MixedSpaceParams
-) -> float:
-    """Mixed norm of a product function from its per-axis sample magnitudes.
-
-    For f(x) = prod_j g_j(x_j) on the product grid the iterated rearrangement
-    is the outer product of the per-axis decreasing sorts, and the iterated
-    integral factorizes; the result equals anisotropic_norm on the full grid
-    exactly, at a one-dimensional cost per axis.  Each factor is
-    (sum_i v_i^tau W_i)^(1/tau) over the decreasing magnitudes v with W_i
-    the exact cell weights: the integral of the piecewise-constant profile.
-    v must be contiguous: numpy's vectorized power, which a reversed view
-    does not reach, can differ from the strided loop in the last bit.  In
-    a plain L_p space each factor is the unsorted power sum of
-    anisotropic_norm instead.
-    """
-    if len(axis_magnitudes) != params.m:
-        raise ValueError("need one magnitude vector per axis")
-    p = params.lebesgue_index()
-    out = 1.0
-    for mag, ax in zip(axis_magnitudes, params.axes):
-        v = np.abs(np.asarray(mag, dtype=np.float64))
-        if v.ndim != 1:
-            raise ValueError("each axis needs a one-dimensional magnitude vector")
-        if p is not None:
-            out *= _lebesgue_norm(v, float(p))
-            continue
-        v = np.ascontiguousarray(np.sort(v)[::-1])
-        w = cell_weights(v.shape[0], ax)
-        out *= float(np.dot(v**ax.tau, w)) ** (1.0 / ax.tau)
-    return out
-
-
 def _exponents(thetas: Sequence[float]) -> tuple[float, ...]:
     """Sequence-norm exponents as floats: at least one, each positive (inf allowed)."""
     thetas = tuple(float(t) for t in thetas)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lzcross import classes
 from lzcross.classes import (
     BesovParams,
     TheoremParams,
@@ -134,17 +135,31 @@ def test_besov_functional_homogeneous():
     )
 
 
-def test_block_norm_product_path_matches_dense():
-    space = MixedSpaceParams.of(["3/2", 2], [0.5, 0.0], [2.0, 3.0])
+def test_block_norm_product_path_matches_dense(monkeypatch):
+    # a uniform block on a product support is synthesized on its axis grids
+    # only, any other block on the whole grid
+    shapes = []
+
+    def spy(f, grid):
+        shapes.append(grid.shape)
+        return synthesize(f, grid)
+
+    monkeypatch.setattr(classes, "synthesize", spy)
     grid = GridSpec((16, 8))
     uniform = SpectralFunction(2, {k: 0.7 for k in rho_block((2, 1))})
-    dense = anisotropic_norm(synthesize(uniform, grid), space)
-    assert block_norm(uniform, space, grid) == pytest.approx(dense, rel=1e-12)
     coeffs = {k: 0.7 for k in rho_block((2, 1))}
     coeffs[(2, 1)] = 0.1  # break uniformity, forcing the grid path
     ragged = SpectralFunction(2, coeffs)
-    dense = anisotropic_norm(synthesize(ragged, grid), space)
-    assert block_norm(ragged, space, grid) == pytest.approx(dense, rel=1e-12)
+    for space in (
+        MixedSpaceParams.of(["3/2", 2], [0.5, 0.0], [2.0, 3.0]),
+        MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2),  # plain L_{3/2}
+    ):
+        for block, synthesized in ((uniform, [(16,), (8,)]), (ragged, [(16, 8)])):
+            shapes.clear()
+            got = block_norm(block, space, grid)
+            assert shapes == synthesized
+            dense = anisotropic_norm(synthesize(block, grid), space)
+            assert got == pytest.approx(dense, rel=1e-12)
 
 
 def test_extremal_f1_single_axis():

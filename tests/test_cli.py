@@ -128,6 +128,8 @@ def test_exit_four_on_numerical_failure(tmp_path, capsys):
 @pytest.mark.parametrize("argv, doc", [
     (["lemma", "check", "--id", "4"], {"lams": ["1e400", 1]}),
     (["theorem1", "rate", "--range", "6:9"], {**RATE_1D, "q": ["1e400"]}),
+    (["lemma", "check", "--id", "3"], {"alpha": "1e400"}),
+    (["lemma", "check", "--id", "2", "--case", "decay"], {"beta": "1e400"}),
 ])
 def test_config_number_beyond_the_float_range_is_a_usage_error(
     tmp_path, capsys, argv, doc

@@ -28,7 +28,7 @@ from lzcross.norms import (
     iterated_rearrangement,
     mixed_reduce,
     mixed_sequence_norm,
-    separable_norm,
+    profile_norm,
 )
 from lzcross.norms import _cell_weights
 from lzcross import norms, spectral
@@ -223,7 +223,7 @@ def test_scalar_norm_of_constant_one():
     for p in (2.0, 1.5, 3.0):
         params = MixedSpaceParams.of([p], [0.0], [p])
         v = np.ones(16)
-        assert abs(separable_norm([v], params) - 1.0) < 1e-12
+        assert abs(anisotropic_norm(GridFunction(v), params) - 1.0) < 1e-12
 
 
 def test_scalar_norm_indicator_formula():
@@ -235,21 +235,21 @@ def test_scalar_norm_indicator_formula():
             v = np.zeros(n)
             v[: int(a * n)] = 1.0
             want = (p / tau) ** (1.0 / tau) * a ** (1.0 / p)
-            assert abs(separable_norm([v], params) - want) < 1e-8 * want
+            assert abs(anisotropic_norm(GridFunction(v), params) - want) < 1e-8 * want
 
 
 def test_scalar_norm_rejects_bad_profiles():
     params = ScalarSpaceParams(2, 0.0, 2.0)
     with pytest.raises(ValueError):
-        separable_norm([np.ones((4, 4))], MixedSpaceParams((params,)))
+        anisotropic_norm(GridFunction(np.ones((4, 4))), MixedSpaceParams((params,)))
     with pytest.raises(ValueError):
         cell_weights(12, params)
     for space in (MixedSpaceParams((params,)), MixedSpaceParams.of([2], [0.5], [2.0])):
         with pytest.raises(ValueError, match="powers of two"):
-            separable_norm([np.ones(12)], space)
+            anisotropic_norm(np.ones(12), space)
 
 
-def test_separable_norm_takes_powers_of_a_contiguous_profile():
+def test_profile_norm_takes_powers_of_a_contiguous_profile():
     # a reversed view would take numpy's strided power loop, which can differ
     # from the vectorized one in the last bit and move the block norms; only
     # spaces other than plain L_p sort, so this one has alpha != 0
@@ -258,7 +258,8 @@ def test_separable_norm_takes_powers_of_a_contiguous_profile():
     params = MixedSpaceParams.of(["3"], [0.5], [1.5])
     v = np.sort(mag)[::-1].copy()
     w = cell_weights(v.shape[0], params.axes[0])
-    assert separable_norm([mag], params) == float(np.dot(v**1.5, w)) ** (1.0 / 1.5)
+    want = float(np.dot(v**1.5, w) ** (1.0 / 1.5))
+    assert profile_norm(iterated_rearrangement(mag), params) == want
 
 
 def test_anisotropic_norm_constant_one():
@@ -413,17 +414,18 @@ def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
     assert kept <= 513 * 513 * 8 + 64 * 1024
 
 
-def test_separable_norm_matches_grid_norm():
+def test_product_grid_norm_is_the_product_of_axis_norms():
     rng = np.random.default_rng(14)
     g = rng.random(8)
     h = rng.random(16)
     params = MixedSpaceParams.of([2, 1.5], [0.0, 1.0], [2.0, 3.0])
     for space in (params, MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)):
         full = anisotropic_norm(GridFunction(np.outer(g, h)), space)
-        split = separable_norm([g, h], space)
+        split = math.prod(
+            anisotropic_norm(GridFunction(v), MixedSpaceParams((ax,)))
+            for v, ax in zip((g, h), space.axes)
+        )
         assert abs(full - split) < 1e-12 * full
-    with pytest.raises(ValueError):
-        separable_norm([g], params)
 
 
 def test_mixed_reduce_values():
