@@ -18,7 +18,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .indexsets import Anisotropy, RationalLike, as_fraction, layer_exact, level_sum_dtype
+from .indexsets import Anisotropy, RationalLike, as_fraction, cross_membership, layer_exact
 from .norms import DEFAULT_MAX_GRID_CELLS, mixed_reduce, mixed_sequence_norm
 
 
@@ -136,14 +136,13 @@ def lemma3_lhs(
     sum is evaluated on growing boxes until enlarging the box changes the
     value by less than 1e-13 relative twice in a row.  A box beyond 4096
     levels per axis or DEFAULT_MAX_GRID_CELLS cells raises ValueError before
-    it is allocated.  Membership is exact integer arithmetic; alpha > 0 makes
-    the tail summable for any finite exponents.
+    it is allocated.  indexsets.cross_membership decides membership exactly;
+    alpha > 0 makes the tail summable for any finite exponents.
     """
     if gamma.m != gamma_prime.m or len(lams) != gamma.m or len(thetas) != gamma.m:
         raise ValueError("dimension mismatch among weights and exponents")
     if not alpha > 0:
         raise ValueError("alpha must be positive for the tail to converge")
-    w, bound = gamma_prime.scaled(n)
     gfloat = gamma.as_floats()
 
     def value_on_box(box: list[int]) -> float:
@@ -153,14 +152,12 @@ def lemma3_lhs(
                 f"lemma 3 box {dims} exceeds the limit of 4096 levels per axis "
                 f"or {DEFAULT_MAX_GRID_CELLS} cells"
             )
-        dtype = level_sum_dtype(w, bound, box)
         mesh = np.ix_(*(np.arange(b + 1) for b in box))
         level = sum(s * g for s, g in zip(mesh, gfloat))
-        inside = sum(s.astype(dtype) * wj for s, wj in zip(mesh, w))
         term = np.exp2(-alpha * level)
         for s, lam in zip(mesh, lams):
             term = term * (s + 1.0) ** lam
-        term[inside < bound] = 0.0
+        term[cross_membership(n, gamma_prime, mesh)] = 0.0
         return mixed_reduce(term, thetas)
 
     box = [int(max(1, -(-as_fraction(n) // g)) + 8) for g in gamma_prime.weights]

@@ -636,21 +636,22 @@ _NON_OPTIONS = frozenset(
 )
 
 
+def _json_number(text: str) -> float | str:
+    """A JSON number as a float, or as its text, for its field to refuse, if not finite."""
+    value = float(text)
+    return value if math.isfinite(value) else text
+
+
 def _collect_options(args: argparse.Namespace) -> dict:
     options: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ConfigError("config file must hold a JSON object")
-            options.update(doc)
-    params_file = getattr(args, "params", None)
-    if params_file:
-        with open(params_file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ConfigError("params file must hold a JSON object")
-            options.update(doc)
+    for what, path in (("config", args.config), ("params", getattr(args, "params", None))):
+        if not path:
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, parse_float=_json_number)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{what} file must hold a JSON object")
+        options.update(doc)
     options.update(
         (key, value)
         for key, value in vars(args).items()

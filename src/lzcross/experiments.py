@@ -106,7 +106,7 @@ def theorem1_rate_experiment(
         raise ValueError("at least four points are required")
     build = _EXTREMAL_BUILDERS[which]
     d = derived_exponents(tp)
-    plain_l2 = tp.target.lebesgue_index() == 2
+    plain_l2 = tp.target.is_plain_l2()
     if not plain_l2:
         for n in ns:
             cells = GridSpec.minimal_for(build(int(n), tp).bandwidth()).cells

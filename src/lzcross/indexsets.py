@@ -84,8 +84,8 @@ class Anisotropy:
         """
         lvl = as_fraction(level)
         t = math.lcm(lvl.denominator, *(w.denominator for w in self.weights))
-        w = [int(g * t) for g in self.weights]
-        return w, int(lvl * t)
+        w = [t // g.denominator * g.numerator for g in self.weights]
+        return w, t // lvl.denominator * lvl.numerator
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(w) for w in self.weights)
@@ -191,29 +191,22 @@ def cross_cardinality(
     return total
 
 
-def level_sum_dtype(w: Sequence[int], bound: int, top: Sequence[int]) -> type:
-    """Integer dtype that holds every sum of s_j * w_j with 0 <= s_j <= top_j.
-
-    int64 when the largest such sum and the bound both fit below 2**63,
-    Python integers (object) otherwise; the weights are positive, so no
-    partial sum exceeds the largest one.
-    """
-    largest = sum(int(t) * wj for t, wj in zip(top, w))
-    return np.int64 if max(largest, abs(bound)) < 1 << 63 else object
-
-
 def cross_membership(
-    n: RationalLike, gamma: Anisotropy, levels: np.ndarray
+    n: RationalLike, gamma: Anisotropy, levels: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Which rows of an (N, m) array of block levels lie in the level-n cross.
+    """Which block level vectors s lie in the level-n cross, <s, gamma> < n.
 
-    The level sums are exact: level_sum_dtype falls back to Python integers
-    when the integer weights of gamma.scaled could overflow int64.
+    levels holds one integer array per axis, broadcast against each other:
+    rows go in as block_levels(freqs).T, a box as np.ix_ of its axes.  The
+    exact level sums are int64 when the largest, the bound and every weight
+    fit below 2**63 (the weights are positive, so no partial sum exceeds the
+    largest), and Python integers otherwise.
     """
     w, bound = gamma.scaled(n)
-    levels = np.asarray(levels)
-    dtype = level_sum_dtype(w, bound, levels.max(axis=0, initial=0))
-    return levels.astype(dtype) @ np.array(w, dtype=dtype) < bound
+    largest = sum(int(s.max(initial=0)) * wj for s, wj in zip(levels, w, strict=True))
+    dtype = np.int64 if max(largest, abs(bound), *w) < 1 << 63 else object
+    total = sum(np.asarray(s, dtype=dtype) * wj for s, wj in zip(levels, w, strict=True))
+    return total < bound
 
 
 def layer_exact(n: RationalLike, gamma: Anisotropy) -> list[MultiIndex]:

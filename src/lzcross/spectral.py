@@ -348,7 +348,7 @@ def nonzero_blocks(f: SpectralFunction) -> dict[MultiIndex, SpectralFunction]:
 def _cross_mask(f: SpectralFunction, n: RationalLike, gamma: Anisotropy) -> np.ndarray:
     if gamma.m != f.m:
         raise ValueError("anisotropy arity does not match spectral function")
-    return cross_membership(n, gamma, block_levels(f.freqs))
+    return cross_membership(n, gamma, block_levels(f.freqs).T)
 
 
 def cross_truncate(
@@ -370,13 +370,13 @@ def truncation_error(
     With a grid, the residual is measured by grid_norm.  A residual that
     kept every row is f itself, so it reuses the samples f was measured on
     there, and their rearrangement once made.  When the target is plain L2
-    (target.lebesgue_index() == 2) the coefficient l2 norm of the residual
+    (target.is_plain_l2()) the coefficient l2 norm of the residual
     is the same quantity by Parseval; it cross-checks the grid value to a
     relative 1e-8, and when no grid is given it is returned directly
     (plain-L2 targets only).
     """
     residual = f.restrict(~_cross_mask(f, n, gamma))
-    parseval = residual.l2_norm() if target.lebesgue_index() == 2 else None
+    parseval = residual.l2_norm() if target.is_plain_l2() else None
     if grid is None:
         if parseval is None:
             raise ValueError(

@@ -130,6 +130,10 @@ def test_exit_four_on_numerical_failure(tmp_path, capsys):
     (["theorem1", "rate", "--range", "6:9"], {**RATE_1D, "q": ["1e400"]}),
     (["lemma", "check", "--id", "3"], {"alpha": "1e400"}),
     (["lemma", "check", "--id", "2", "--case", "decay"], {"beta": "1e400"}),
+    # bare JSON numbers, which a float parse would turn into inf, as file text
+    (["lemma", "check", "--id", "4"], '{"lams": [1e400, 1]}'),
+    (["lemma", "check", "--id", "3"], '{"alpha": 1e400}'),
+    (["theorem1", "rate", "--range", "6:9"], '{"p": [1e400], "q": ["2"], "r": ["1"]}'),
 ])
 def test_config_number_beyond_the_float_range_is_a_usage_error(
     tmp_path, capsys, argv, doc
@@ -140,6 +144,14 @@ def test_config_number_beyond_the_float_range_is_a_usage_error(
     assert main(argv) == 2
     assert "'1e400' is beyond the float range" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_integer_option_beyond_the_float_range_names_the_literal(tmp_path, capsys):
+    params = make_params_file(tmp_path, '{"which": 1e400, "p": ["3/2"], "q": ["2"], "r": ["1"]}')
+    argv = ["--out", str(tmp_path), "theorem1", "rate", "--range", "6:9",
+            "--params", str(params)]
+    assert main(argv) == 2
+    assert "which must be an integer, got '1e400'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lemma_id, case, doc, key", [
@@ -462,8 +474,10 @@ def test_integer_fields_accept_integral_floats(tmp_path, capsys):
 
 
 def make_params_file(tmp_path, doc):
+    # text goes in as it is: json.dumps writes a number beyond the float
+    # range as Infinity, not as the 1e400 a config file may hold
     p = tmp_path / "params.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return p
 
 

@@ -133,7 +133,7 @@ def test_in_cross_agrees_with_enumeration():
     n = Fraction(5, 2)
     members = set(hyperbolic_cross(n, gamma))
     ks = [(k1, k2) for k1 in range(-8, 9) for k2 in range(-8, 9)]
-    inside = cross_membership(n, gamma, block_levels(np.array(ks)))
+    inside = cross_membership(n, gamma, block_levels(np.array(ks)).T)
     assert inside.tolist() == [k in members for k in ks]
 
 
@@ -147,7 +147,7 @@ def test_membership_is_exact_not_float():
     levels = [(s1, s2) for s1 in range(64) for s2 in range(32)]
     values = [level_value(gamma, s) for s in levels]
     for n in sorted(set(values)):
-        inside = cross_membership(n, gamma, np.array(levels))
+        inside = cross_membership(n, gamma, np.array(levels).T)
         assert inside.tolist() == [v < n for v in values]
 
 
@@ -157,10 +157,15 @@ def test_membership_falls_back_to_python_integers():
     gamma = Anisotropy.of(["999999937/1000000007", "999999929/1000000009"])
     levels = [(s1, s2) for s1 in range(12) for s2 in range(12)]
     values = [level_value(gamma, s) for s in levels]
-    inside = cross_membership(4, gamma, np.array(levels))
+    inside = cross_membership(4, gamma, np.array(levels).T)
     assert inside.tolist() == [v < 4 for v in values]
     # on the boundary: every s1 + s2 = 4 is inside, every s1 + s2 = 5 outside
     assert sum(inside.tolist()) == 15
+    # a weight past 2**63 on an axis whose levels are all 0 adds nothing to
+    # the largest sum, yet an int64 product with it would overflow
+    gamma = Anisotropy.of(["1/4000000000", "4000000001"])
+    inside = cross_membership(3, gamma, np.array([[0, 0], [5, 0]]).T)
+    assert inside.tolist() == [True, True]
 
 
 def test_layer_exact_examples():
@@ -220,10 +225,15 @@ _weights = st.lists(
 )
 @settings(deadline=None, max_examples=60)
 def test_walker_matches_box_enumeration(weights, n):
-    """cross_layers and layer_exact equal a brute-force box scan, in lex order."""
+    """cross_layers, layer_exact and cross_membership, on the box's open mesh
+    and on its rows, equal a brute-force box scan, in lex order."""
     gamma = Anisotropy.of(weights)
     box = [range(int(n / w) + 1) for w in gamma.weights]  # holds every s with sum <= n
     levels = list(itertools.product(*box))  # lex order
     values = [level_value(gamma, s) for s in levels]  # Fraction sums
     assert cross_layers(n, gamma) == [s for s, v in zip(levels, values) if v < n]
     assert layer_exact(n, gamma) == [s for s, v in zip(levels, values) if v == n]
+    inside = [v < n for v in values]
+    mesh = np.ix_(*(np.arange(len(r)) for r in box))
+    assert cross_membership(n, gamma, mesh).ravel().tolist() == inside
+    assert cross_membership(n, gamma, np.array(levels).T).tolist() == inside

@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in that module, no
 module imports scipy, every public definition is named by the package, the
-acceptance tests or a README example, every public method, property and
-dataclass field is read there, and README's lemma parameter table lists the
-keys each lemma case reads."""
+acceptance tests or a README example, every private one by the package,
+every public method, property and dataclass field is read there, and
+README's lemma parameter table lists the keys each lemma case reads."""
 
 import ast
 import re
@@ -80,11 +80,13 @@ def _names(nodes) -> set[str]:
 
 
 def unreferenced_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """Public top-level functions and classes that no code names.
+    """Top-level functions and classes that no code names.
 
     A definition is referenced when its name appears in a module outside the
-    definition itself, or anywhere in the reader sources.  Imports do not
-    count, so a name that is only imported somewhere stays unreferenced.
+    definition itself, or, for a public name, anywhere in the reader sources.
+    A private name (a leading underscore) must be named by the modules.
+    Imports do not count, so a name that is only imported somewhere stays
+    unreferenced.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
     statements = [stmt for tree in trees.values() for stmt in tree.body]
@@ -95,7 +97,7 @@ def unreferenced_definitions(modules: dict[str, str], readers: list[str]) -> lis
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_") or node.name in read:
+            if not node.name.startswith("_") and node.name in read:
                 continue
             if not any(node.name in names for stmt, names in mentions if stmt is not node):
                 dead.append(f"{module}.{node.name}")
@@ -104,12 +106,17 @@ def unreferenced_definitions(modules: dict[str, str], readers: list[str]) -> lis
 
 def test_scan_finds_an_unreferenced_definition():
     modules = {
-        "a": "def used():\n    return 1\n\ndef recursive(n):\n    return recursive(n - 1)\n"
-             "\nclass Unused:\n    pass\n\ndef _private():\n    pass\n",
+        "a": "def used():\n    return _helper()\n\ndef _helper():\n    return 1\n"
+             "\ndef recursive(n):\n    return recursive(n - 1)\n"
+             "\nclass Unused:\n    pass\n\ndef _private():\n    pass\n"
+             "\nclass _Tested:\n    pass\n",
         "b": "from .a import Unused\n\ndef caller():\n    return used()\n",
     }
-    readers = ["from pkg.b import caller\ncaller()\n"]
-    assert unreferenced_definitions(modules, readers) == ["a.recursive", "a.Unused"]
+    # a reader naming a private definition does not keep it
+    readers = ["from pkg.b import caller\ncaller()\nfrom pkg.a import _Tested\n_Tested()\n"]
+    assert unreferenced_definitions(modules, readers) == [
+        "a.recursive", "a.Unused", "a._private", "a._Tested"
+    ]
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
