@@ -34,6 +34,7 @@ from .spectral import (
     SpectralFunction,
     grid_norm,
     nonzero_blocks,
+    product_factors,
     synthesize,
 )
 
@@ -154,35 +155,27 @@ def theoretical_rate(n: int, d: DerivedExponents) -> float:
     return 2.0 ** (-n * float(d.rho_star)) * float(n) ** d.mu
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values), by a sort and a mask of the entries unlike their
-    predecessor; np.unique hashes int64 arrays, many times slower here."""
-    values = np.sort(values)
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first]
-
-
 def block_norm(
     block: SpectralFunction, space: MixedSpaceParams, grid: GridSpec
 ) -> float:
     """Target-space norm of one block component on the given grid.
 
-    Blocks with a constant coefficient on a product support factorize: the
-    norm is |c| times the product of the one-axis norms of the axis factors,
-    each in its own axis's space on its own axis of the grid.  It agrees
-    with the norm of the full grid to rounding, and the product grid is
-    never synthesized.
+    Blocks with a constant coefficient on a product support
+    (spectral.product_factors) factorize: the norm is |c| times the product
+    of the one-axis norms of the axis factors, each in its own axis's space
+    on its own axis of the grid.  It agrees with the norm of the full grid
+    to rounding, and the product grid is never synthesized.  Any other
+    block is synthesized on the whole grid.
     """
-    c = block.coeffs
-    axis_sets = [_distinct(block.freqs[:, j]) for j in range(block.m)]
-    if c.size and (c == c[0]).all() and math.prod(map(len, axis_sets)) == c.size:
+    product = product_factors(block)
+    if product is not None:
+        c, axis_sets = product
         factors = []
         for k, n, ax in zip(axis_sets, grid.shape, space.axes, strict=True):
             axis_poly = SpectralFunction(1, (k[:, None], np.ones(len(k))))
             axis_grid = synthesize(axis_poly, GridSpec((n,)))
             factors.append(anisotropic_norm(axis_grid, MixedSpaceParams((ax,))))
-        return abs(complex(c[0])) * math.prod(factors)
+        return abs(c) * math.prod(factors)
     return anisotropic_norm(synthesize(block, grid), space)
 
 
@@ -197,10 +190,14 @@ def besov_functional(
     Requires the zero-mean support condition: any coefficient on a
     hyperplane k_j = 0 is rejected, since such functions lie outside the
     class.  The grid must resolve the full bandwidth of f.  With exact the
-    whole-function norm is measured on the grid.  Without, it is replaced
-    by its triangle-inequality upper bound, the sum of the block norms, and
-    no full grid is synthesized; the sequence term is exact either way,
-    since block norms factorize per axis.
+    whole-function norm is grid_norm(f, grid, params.space): in a plain L_p
+    space a bivariate sum of uniform product blocks that holds no samples
+    of the grid is summed from its 1-D axis factors, any other f is
+    sampled on the grid, or reuses the samples it holds.  Without, it is
+    replaced by its triangle-inequality upper bound, the sum of the block
+    norms, and no full grid is synthesized; the sequence term is exact
+    either way, since block norms factorize per axis.  f is split into its
+    blocks once (nonzero_blocks), for both terms.
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
@@ -212,9 +209,6 @@ def besov_functional(
         )
     if not f.n_terms:
         return 0.0
-    # the full grid goes first, so its temporaries are freed before the
-    # blocks are split off; f keeps the samples for a residual that kept
-    # every row, which is f itself
     first = grid_norm(f, grid, params.space) if exact else None
     norms = {
         s: block_norm(comp, params.space, grid)

@@ -494,7 +494,7 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
     manifest.stats = {
         "levels": [
             {"n": pt.n, "support_size": pt.support_size, "grid_cells": pt.grid_cells,
-             "normalizer_exact": pt.normalizer_exact, "orthant": pt.orthant}
+             "normalizer_exact": pt.normalizer_exact, "normalizer": pt.normalizer}
             for pt in result.points
         ]
     }

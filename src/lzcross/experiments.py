@@ -9,7 +9,6 @@ thread pool; results are merged in ascending level order either way.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,12 +26,14 @@ from .classes import (
 )
 from .indexsets import Anisotropy, cross_cardinality
 from .norms import DEFAULT_MAX_GRID_CELLS, MixedSpaceParams
-from .spectral import GridSpec, SpectralFunction, truncation_error
+from .spectral import GridSpec, SpectralFunction, grid_route, truncation_error
 
 
 def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
     """fn over items on up to `threads` threads; results in input order."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -60,7 +61,7 @@ class RatePoint:
     error: float
     reference: float
     normalizer_exact: bool
-    orthant: bool
+    normalizer: str  # "product", "orthant" or "grid" (grid_route), or "bound"
     support_size: int
     grid_cells: int
 
@@ -97,8 +98,14 @@ def theorem1_rate_experiment(
     target synthesizes the residual on the minimal resolving grid.  For
     such a target every level's polynomial is built and dropped first, and a
     level whose grid exceeds the cell budget is refused before any level is
-    measured.  Returns free-slope and pinned-slope fits of the error decay
-    plus the tabulated error/rate ratios.
+    measured.  A level measures its residual before its class functional:
+    the residual of an extremal function that kept every row is f itself,
+    so the functional then sums the samples the residual left on f; with a
+    plain-L2 target, whose residual needs no grid, it takes the product
+    route of grid_norm when f qualifies.  Each point records the route of
+    its functional (grid_route), or "bound" above the cell budget.  Returns
+    free-slope and pinned-slope fits of the error decay plus the tabulated
+    error/rate ratios.
     """
     if which not in _EXTREMAL_BUILDERS:
         raise ValueError("which must be 1, 2, or 3")
@@ -119,20 +126,19 @@ def theorem1_rate_experiment(
     def eval_point(n: int) -> RatePoint:
         f = build(int(n), tp)
         grid = GridSpec.minimal_for(f.bandwidth())
-        normalizer, exact = class_normalizer(
-            f, tp.source, grid, max_grid_cells=max_grid_cells
-        )
         raw = truncation_error(
             f, n, tp.gamma_prime, tp.target, None if plain_l2 else grid
+        )
+        route = grid_route(f, grid, tp.source.space)
+        normalizer, exact = class_normalizer(
+            f, tp.source, grid, max_grid_cells=max_grid_cells
         )
         return RatePoint(
             n=int(n),
             error=raw / normalizer,
             reference=theoretical_rate(int(n), d),
             normalizer_exact=exact,
-            # the class functional measured f on its grid (exact), and did so
-            # on one orthant: the only grid a level measures of f itself
-            orthant=exact and f.sign_symmetric,
+            normalizer=route if exact else "bound",
             support_size=f.n_terms,
             grid_cells=grid.cells,
         )

@@ -347,6 +347,12 @@ def _power_sums(
     return out.reshape(g.shape[1:])
 
 
+def _orthant_weights(n: int) -> np.ndarray:
+    """[1, 2, ..., 2, 1] / n: the share of a grid of n samples that each
+    orthant index 0..n/2 stands for."""
+    return np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] / n
+
+
 def _lebesgue_norm(data, p: float) -> float:
     """(sum_i w_i |v_i|^p)^(1/p) over the samples v of a grid, unsorted.
 
@@ -358,7 +364,7 @@ def _lebesgue_norm(data, p: float) -> float:
     """
     if isinstance(data, OrthantSamples):
         values = data.values
-        weights = [np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] / n for n in data.shape]
+        weights = [_orthant_weights(n) for n in data.shape]
     else:
         values = data.values if isinstance(data, GridFunction) else np.asarray(data)
         weights = [np.full(n, 1.0 / n) for n in _validated_shape(values.shape)]

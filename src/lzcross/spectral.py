@@ -31,6 +31,7 @@ from .norms import (
     GridFunction,
     MixedSpaceParams,
     OrthantSamples,
+    _orthant_weights,
     _tiled_copy,
     _validated_shape,
     anisotropic_norm,
@@ -101,6 +102,8 @@ class SpectralFunction:
         self.coeffs.setflags(write=False)
         # (grid shape, read-only samples, read-only profile or None) of grid_norm
         self._measured: tuple | None = None
+        # {level: block} of nonzero_blocks, made on its first call
+        self._blocks: dict | None = None
 
     @property
     def coefficients(self) -> dict[FrequencyIndex, complex]:
@@ -234,6 +237,19 @@ def _orthant(f: SpectralFunction, shape: tuple[int, ...]) -> OrthantSamples:
     return OrthantSamples(samples, shape)
 
 
+def _resolving(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridSpec:
+    """grid as a GridSpec, checked to have f's arity and to resolve its
+    bandwidth: a_k goes to k mod N_j, so every |k_j| must stay below N_j / 2,
+    or distinct frequencies would alias."""
+    if not isinstance(grid, GridSpec):
+        grid = GridSpec(tuple(grid))
+    if grid.m != f.m:
+        raise ValueError("grid arity does not match spectral function")
+    if any(2 * b >= n for b, n in zip(f.bandwidth(), grid.shape)):
+        raise ValueError("grid too coarse for the bandwidth of f")
+    return grid
+
+
 def _samples(
     f: SpectralFunction, grid: GridSpec | Sequence[int]
 ) -> GridFunction | OrthantSamples:
@@ -244,16 +260,9 @@ def _samples(
     N_1 x ... x (N_m/2 + 1), transforms it by an ifft along every axis but the
     last and an irfft along the last.  Any other f writes a_k into the full
     spectrum and transforms it in place by an ifft along every axis, so it
-    holds one complex grid.  a_k goes to k mod N_j, so every |k_j| must stay
-    below N_j / 2; otherwise distinct frequencies would alias.
+    holds one complex grid.  The grid must resolve f (_resolving).
     """
-    if not isinstance(grid, GridSpec):
-        grid = GridSpec(tuple(grid))
-    if grid.m != f.m:
-        raise ValueError("grid arity does not match spectral function")
-    bw = f.bandwidth()
-    if any(2 * b >= n for b, n in zip(bw, grid.shape)):
-        raise ValueError("grid too coarse for the bandwidth of f")
+    grid = _resolving(f, grid)
     if f.sign_symmetric:
         return _orthant(f, grid.shape)
     shape, rows, coeffs = grid.shape, f.freqs, f.coeffs
@@ -294,29 +303,131 @@ def grid_norm(
     iterated rearrangement once a space other than plain L_p
     (params.lebesgue_index() is None) asks for it, so measuring f again on
     that grid, in any space, neither synthesizes nor sorts it again; another
-    grid shape replaces them.  A plain L_p norm always sums the samples
-    unsorted, so its bits do not depend on the spaces asked for before.
+    grid shape replaces them.
 
-    A sign-symmetric f is sampled and rearranged on its orthant only
-    (OrthantSamples): outside plain L_p the profile, and so the norm, equals
-    the full grid's bit for bit; inside, the orthant's weighted sum agrees
-    with the full grid's to a relative 1e-13.
+    grid_route(f, grid, params) names the samples measured.  "product": a
+    plain L_p norm of a bivariate sum of uniform product blocks that holds
+    no samples of the grid is summed from the blocks' 1-D axis factors
+    (_product_norm); no grid is built and nothing is kept.  "orthant": a
+    sign-symmetric f is sampled and rearranged on its orthant only
+    (OrthantSamples).  "grid": any other f is sampled on the whole grid.
+    Outside plain L_p the profile, and so the norm, equals the full grid's
+    bit for bit; inside, the product and orthant sums agree with the full
+    grid's to a relative 1e-13.
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
+    p = params.lebesgue_index()
+    pieces = _product_pieces(f, grid, params)
+    if pieces is not None:
+        return _product_norm(pieces, grid.shape, float(p))
     held = f._measured
     if held is None or held[0] != grid.shape:
         held = f._measured = None
         samples = _samples(f, grid)
         samples.values.setflags(write=False)
         held = f._measured = (grid.shape, samples, None)
-    if params.lebesgue_index() is not None:
+    if p is not None:
         return anisotropic_norm(held[1], params)
     if held[2] is None:
         prof = iterated_rearrangement(held[1])
         prof.setflags(write=False)
         held = f._measured = held[:2] + (prof,)
     return profile_norm(held[2], params)
+
+
+def grid_route(
+    f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
+) -> str:
+    """The route grid_norm(f, grid, params) takes now: "product", "orthant"
+    or "grid" (see grid_norm).  It can change once f holds samples of grid."""
+    if not isinstance(grid, GridSpec):
+        grid = GridSpec(tuple(grid))
+    if _product_pieces(f, grid, params) is not None:
+        return "product"
+    return "orthant" if f.sign_symmetric else "grid"
+
+
+def product_factors(
+    block: SpectralFunction,
+) -> tuple[complex, list[np.ndarray]] | None:
+    """(c, [K_1, ..., K_m]) when the block is the constant c on the product
+    K_1 x ... x K_m of its distinct frequencies per axis, else None.
+
+    The rows are distinct, so they fill that product exactly when there are
+    as many of them as it has points.
+    """
+    c = block.coeffs
+    axis_sets = [_distinct(block.freqs[:, j]) for j in range(block.m)]
+    if c.size and (c == c[0]).all() and math.prod(map(len, axis_sets)) == c.size:
+        return complex(c[0]), axis_sets
+    return None
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values), by a sort and a mask of the entries unlike their
+    predecessor; np.unique hashes int64 arrays, many times slower here."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def _product_pieces(
+    f: SpectralFunction, grid: GridSpec, params: MixedSpaceParams
+) -> list[tuple[complex, list[np.ndarray]]] | None:
+    """product_factors of every block of f when grid_norm takes the product
+    route: a plain L_p space, m = 2, f sign-symmetric and holding no samples
+    of grid, and every block uniform on a product support; else None.  A
+    grid that does not resolve f raises, as on every other route."""
+    if params.lebesgue_index() is None or f.m != 2 or params.m != 2:
+        return None
+    held = f._measured
+    if not f.sign_symmetric or (held is not None and held[0] == grid.shape):
+        return None
+    _resolving(f, grid)
+    pieces = [product_factors(b) for b in nonzero_blocks(f).values()]
+    return None if None in pieces else pieces
+
+
+_ROWS = 256  # orthant rows per batch of the product route
+
+
+def _product_norm(
+    pieces: list[tuple[complex, list[np.ndarray]]], shape: tuple[int, int], p: float
+) -> float:
+    """Plain L_p norm on the grid `shape` of sum_b c_b D_{K_b0}(x_0) D_{K_b1}(x_1),
+    D_K the sum of exp(i k x) over k in K, from its 1-D axis factors.
+
+    Each K is sign-symmetric, so on the orthant the samples are
+    G_0 diag(c) G_1^T, column b of G_j the orthant synthesis of K_bj on N_j
+    points.  They are formed _ROWS rows at a time in one reused buffer, and
+    the powers of each batch are summed with the orthant weights
+    [1, 2, ..., 2, 1] / N_j, so no 2-D grid is ever held.
+    """
+    g0, g1 = (
+        _axis_factors([ks[j] for _, ks in pieces], n) for j, n in enumerate(shape)
+    )
+    g0 *= np.array([c.real for c, _ in pieces])
+    w0, w1 = (_orthant_weights(n) for n in shape)
+    total, buf = 0.0, np.empty((min(_ROWS, len(g0)), len(g1)))
+    for i in range(0, len(g0), _ROWS):
+        rows = g0[i : i + _ROWS]
+        batch = np.matmul(rows, g1.T, out=buf[: len(rows)])
+        np.abs(batch, out=batch)
+        np.power(batch, p, out=batch)
+        total += float(w0[i : i + _ROWS] @ (batch @ w1))
+    return total ** (1.0 / p)
+
+
+def _axis_factors(axis_sets: list[np.ndarray], n: int) -> np.ndarray:
+    """(n/2 + 1, len(axis_sets)) array whose column b is the orthant synthesis,
+    on n points, of coefficient 1 on each frequency of axis_sets[b]."""
+    g = np.empty((n // 2 + 1, len(axis_sets)))
+    for b, k in enumerate(axis_sets):
+        unit = SpectralFunction(1, (k[:, None], np.ones(len(k))))
+        g[:, b] = _orthant(unit, (n,)).values
+    return g
 
 
 def analyze(g: GridFunction, band: Sequence[int]) -> SpectralFunction:
@@ -336,13 +447,21 @@ def analyze(g: GridFunction, band: Sequence[int]) -> SpectralFunction:
 
 
 def nonzero_blocks(f: SpectralFunction) -> dict[MultiIndex, SpectralFunction]:
-    """Partition the rows of f by block level; lex-ordered keys, rows in order."""
-    levels = block_levels(f.freqs)
-    order = np.lexsort(levels.T[::-1])  # stable, so rows keep their order
-    ordered = levels[order]
-    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
-    groups = np.split(order, cuts) if f.n_terms else []
-    return {tuple(levels[rows[0]].tolist()): f.restrict(rows) for rows in groups}
+    """Partition the rows of f by block level; lex-ordered keys, rows in order.
+
+    The partition is made once per polynomial and kept on it, as its rows
+    never change; each call returns a fresh dict of the same blocks.
+    """
+    if f._blocks is None:
+        levels = block_levels(f.freqs)
+        order = np.lexsort(levels.T[::-1])  # stable, so rows keep their order
+        ordered = levels[order]
+        cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+        groups = np.split(order, cuts) if f.n_terms else []
+        f._blocks = {
+            tuple(levels[rows[0]].tolist()): f.restrict(rows) for rows in groups
+        }
+    return dict(f._blocks)
 
 
 def _cross_mask(f: SpectralFunction, n: RationalLike, gamma: Anisotropy) -> np.ndarray:

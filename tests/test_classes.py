@@ -1,11 +1,12 @@
 """Class functional, derived rate exponents, extremal polynomials."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from lzcross import classes
+from lzcross import classes, spectral
 from lzcross.classes import (
     BesovParams,
     TheoremParams,
@@ -19,7 +20,14 @@ from lzcross.classes import (
 )
 from lzcross.indexsets import Anisotropy, containing_block, rho_block
 from lzcross.norms import MixedSpaceParams, anisotropic_norm
-from lzcross.spectral import GridSpec, SpectralFunction, nonzero_blocks, synthesize
+from lzcross.spectral import (
+    GridSpec,
+    SpectralFunction,
+    grid_norm,
+    grid_route,
+    nonzero_blocks,
+    synthesize,
+)
 from lzcross.experiments import class_normalizer
 
 
@@ -160,6 +168,42 @@ def test_block_norm_product_path_matches_dense(monkeypatch):
             assert shapes == synthesized
             dense = anisotropic_norm(synthesize(block, grid), space)
             assert got == pytest.approx(dense, rel=1e-12)
+
+
+def test_plain_lebesgue_norm_of_f1_holds_under_a_quarter_of_its_grid():
+    # the product route forms 256 orthant rows at a time from the 1-D axis
+    # factors of the nine blocks; the orthant alone is 513 x 513 floats
+    tp = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
+    f = extremal_f1(10, tp)
+    grid = GridSpec((1024, 1024))
+    space = tp.source.space
+    tracemalloc.start()
+    try:
+        grid_norm(f, grid, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid_route(f, grid, space) == "product"
+    assert peak < 1024 * 1024 * 8 / 4
+
+
+def test_class_functional_splits_the_blocks_once(monkeypatch):
+    # the product route of the whole-function norm and the block norms share
+    # one split of f into blocks
+    calls = []
+    original = spectral.block_levels
+
+    def counting(freqs):
+        calls.append(None)
+        return original(freqs)
+
+    monkeypatch.setattr(spectral, "block_levels", counting)
+    tp = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
+    f = extremal_f1(8, tp)
+    grid = GridSpec.minimal_for(f.bandwidth())
+    assert grid_route(f, grid, tp.source.space) == "product"
+    besov_functional(f, tp.source, grid)
+    assert len(calls) == 1
 
 
 def test_extremal_f1_single_axis():

@@ -590,23 +590,24 @@ def test_theorem1_rate_manifest_lists_each_level(tmp_path):
     assert main(["--out", str(tmp_path)] + argv) == 0
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
     # level n has 2**n terms on a 2**(n+1) grid; 1024 cells exceed the budget,
-    # and a level measured on no grid took no orthant
+    # so n=9 takes the triangle bound; a univariate f1 is sampled on its orthant
     assert levels == [
         {"n": n, "support_size": 2**n, "grid_cells": 2 ** (n + 1),
-         "normalizer_exact": n < 9, "orthant": n < 9}
+         "normalizer_exact": n < 9, "normalizer": "orthant" if n < 9 else "bound"}
         for n in range(6, 10)
     ]
     assert read_json(tmp_path / "theorem1_rate.summary.json")["normalizer_exact"] is False
 
 
 def test_theorem1_rate_manifest_marks_levels_without_the_symmetry(tmp_path):
-    # axis 1 is not tied, so f1 holds it at the one harmonic k_2 = +1
+    # axis 1 is not tied, so f1 holds it at the one harmonic k_2 = +1: f1 is
+    # not sign-symmetric, and its functional samples the whole grid
     doc = {"p": ["3/2", "3/2"], "q": ["2", "2"], "r": ["1", "2"]}
     argv = ["theorem1", "rate", "--params", str(make_params_file(tmp_path, doc)),
             "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
-    assert [level["orthant"] for level in levels] == [False] * 4
+    assert [level["normalizer"] for level in levels] == ["grid"] * 4
 
 
 def count_rearrangements(monkeypatch) -> list:
@@ -626,9 +627,9 @@ def count_rearrangements(monkeypatch) -> list:
 
 
 def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
-    # the class functional samples f on its 2-D grid; the truncation error
-    # measures the residual, f itself, on the samples f holds (the blocks
-    # are measured on 1-D axis grids)
+    # the truncation error measures the residual, f itself, on its 2-D grid
+    # first; the class functional then sums the samples f holds instead of
+    # taking the product route (the blocks are measured on 1-D axis grids)
     original = spectral._samples
     shapes = []
 
@@ -644,14 +645,41 @@ def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
 
 
 def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
-    # the source space is plain L_{3/2}, measured unsorted; the residual of a
-    # level keeps every row of its extremal polynomial, so the truncation
-    # error rearranges the samples the class functional synthesized
+    # the residual of a level keeps every row of its extremal polynomial, so
+    # the truncation error rearranges the samples of f itself; the class
+    # functional then sums those samples unsorted in plain L_{3/2}
     calls = count_rearrangements(monkeypatch)
     params = BENCH / "params" / "rate-2d-lz.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
     assert len(calls) == 4
+
+
+def test_lorentz_zygmund_rate_levels_take_no_product_route(tmp_path):
+    params = BENCH / "params" / "rate-2d-lz.json"
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
+    assert [level["normalizer"] for level in levels] == ["orthant"] * 4
+
+
+def test_plain_l2_rate_levels_synthesize_no_bivariate_grid(tmp_path, monkeypatch):
+    # the residual is measured by Parseval and the class functional sums the
+    # product of its 1-D axis factors: every sampled grid has one axis
+    original = spectral._samples
+    shapes = []
+
+    def counting(f, grid):
+        shapes.append(tuple(getattr(grid, "shape", grid)))
+        return original(f, grid)
+
+    monkeypatch.setattr(spectral, "_samples", counting)
+    params = BENCH / "params" / "rate-2d-l2.json"
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    assert shapes and all(len(s) == 1 for s in shapes)
+    levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
+    assert [level["normalizer"] for level in levels] == ["product"] * 4
 
 
 def test_rate_experiment_keeps_no_grid_after_it_returns():

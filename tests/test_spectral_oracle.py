@@ -15,7 +15,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lzcross.indexsets import Anisotropy
+from lzcross import spectral
+from lzcross.indexsets import Anisotropy, axis_block
 from lzcross.norms import (
     GridFunction,
     MixedSpaceParams,
@@ -29,6 +30,7 @@ from lzcross.spectral import (
     analyze,
     cross_truncate,
     grid_norm,
+    grid_route,
     nonzero_blocks,
     synthesize,
     truncation_error,
@@ -363,3 +365,75 @@ def test_lebesgue_sums_match_the_quadrature_of_the_rearranged_samples(case):
     want = profile_norm(iterated_rearrangement(samples), space)
     assert grid_norm(f, shape, space) == pytest.approx(want, rel=1e-13)
     assert anisotropic_norm(samples, space) == pytest.approx(want, rel=1e-13)
+
+
+def plain_lp(p, m):
+    return MixedSpaceParams.of([p] * m, [0.0] * m, [float(Fraction(p))] * m)
+
+
+@st.composite
+def product_block_sums(draw):
+    """Sign-symmetric sums of uniform product blocks in two variables: at up
+    to five distinct level vectors (entries 0..5), the product of a
+    sign-symmetric subset of each axis block under one nonzero coefficient;
+    on the minimal grid or one twice as fine on some axes, with a plain L_p
+    space."""
+    levels = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                           min_size=1, max_size=5, unique=True))
+    terms = {}
+    for s in levels:
+        axis_sets = []
+        for sj in s:
+            positive = [k for k in axis_block(sj) if k >= 0]
+            kept = draw(st.lists(st.sampled_from(positive), min_size=1, unique=True))
+            axis_sets.append(sorted({sign * k for k in kept for sign in (1, -1)}))
+        c = draw(st.floats(min_value=1e-3, max_value=1e3)) * draw(signs)
+        for k in itertools.product(*axis_sets):
+            terms[k] = c
+    f = SpectralFunction(2, terms)
+    finer = draw(st.lists(st.sampled_from([1, 2]), min_size=2, max_size=2))
+    shape = tuple(n * c for n, c in zip(GridSpec.minimal_for(f.bandwidth()).shape, finer))
+    return f, shape, plain_lp(draw(st.sampled_from(["4/3", "3/2", "2", "3"])), 2)
+
+
+@given(product_block_sums())
+@example((SpectralFunction(2, {(k0, k1): -2.5 for k0 in (-1, 1) for k1 in (-3, -2, 2, 3)}),
+          (4, 16), plain_lp("3/2", 2)))
+@settings(deadline=None)
+def test_product_route_matches_the_norm_of_the_samples(case):
+    f, shape, space = case
+    assert grid_route(f, shape, space) == "product"
+    got = grid_norm(f, shape, space)
+    assert f._measured is None  # no samples were made, so none are kept
+    want = anisotropic_norm(synthesize(f, shape), space)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_blocks_off_the_product_form_take_the_fft_path():
+    # level (2, 2) holds the frequencies with |k_j| in {2, 3}
+    block = {(k0, k1): 1.0 for k0 in (-3, -2, 2, 3) for k1 in (-3, -2, 2, 3)}
+    other = {(k0, k1): 0.5 for k0 in (-1, 1) for k1 in (-5, 5)}
+    ragged = {**block, **{(k0, k1): 2.0 for k0 in (-3, 3) for k1 in (-3, 3)}}
+    diagonal = {k: 1.0 for k in block if abs(k[0]) == abs(k[1])}
+    space, shape = plain_lp("3/2", 2), (16, 16)
+    for terms in (ragged, diagonal):
+        f = SpectralFunction(2, {**terms, **other})
+        assert f.sign_symmetric
+        assert grid_route(f, shape, space) == "orthant"
+        want = anisotropic_norm(spectral._samples(f, GridSpec(shape)), space)
+        assert grid_norm(f, shape, space).hex() == want.hex()
+        assert f._measured[0] == shape
+    # the same blocks, each made whole and uniform, take the product route
+    f = SpectralFunction(2, {**block, **other})
+    assert grid_route(f, shape, space) == "product"
+    # held samples of the grid come first; another space or m rules it out
+    grid_norm(f, shape, MixedSpaceParams.of(["2"] * 2, [0.5] * 2, [3.0] * 2))
+    assert grid_route(f, shape, space) == "orthant"
+    assert grid_route(f, (32, 16), space) == "product"
+    single = SpectralFunction(1, {(k,): 1.0 for k in (-3, -2, 2, 3)})
+    assert grid_route(single, (16,), plain_lp("3/2", 1)) == "orthant"
+    # a grid that does not resolve f is refused on the product route too
+    f = SpectralFunction(2, other)
+    for coarse in ((2, 16), (4, 8)):  # |k_0| = 1 and |k_1| = 5
+        with pytest.raises(ValueError, match="too coarse"):
+            grid_norm(f, coarse, space)
