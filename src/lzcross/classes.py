@@ -161,22 +161,33 @@ def block_norm(
     """Target-space norm of one block component on the given grid.
 
     Blocks with a constant coefficient on a product support
-    (spectral.product_factors) factorize: the norm is |c| times the product
-    of the one-axis norms of the axis factors, each in its own axis's space
-    on its own axis of the grid.  It agrees with the norm of the full grid
-    to rounding, and the product grid is never synthesized.  Any other
-    block is synthesized on the whole grid.
+    (spectral.product_factors) are measured by _factor_norm, and the product
+    grid is never synthesized.  Any other block is synthesized on the whole
+    grid.
     """
     product = product_factors(block)
-    if product is not None:
-        c, axis_sets = product
-        factors = []
-        for k, n, ax in zip(axis_sets, grid.shape, space.axes, strict=True):
-            axis_poly = SpectralFunction(1, (k[:, None], np.ones(len(k))))
-            axis_grid = synthesize(axis_poly, GridSpec((n,)))
-            factors.append(anisotropic_norm(axis_grid, MixedSpaceParams((ax,))))
-        return abs(c) * math.prod(factors)
-    return anisotropic_norm(synthesize(block, grid), space)
+    if product is None:
+        return anisotropic_norm(synthesize(block, grid), space)
+    return _factor_norm(product, space, grid)
+
+
+def _factor_norm(
+    product: tuple[complex, list[np.ndarray]], space: MixedSpaceParams, grid: GridSpec
+) -> float:
+    """Target-space norm on the grid of the block that is the constant c on
+    K_1 x ... x K_m, for product = (c, [K_1, ..., K_m]).
+
+    The norm factorizes: |c| times the product of the one-axis norms of the
+    axis factors, each in its own axis's space on its own axis of the grid.
+    It agrees with the norm of the full grid to rounding.
+    """
+    c, axis_sets = product
+    factors = []
+    for k, n, ax in zip(axis_sets, grid.shape, space.axes, strict=True):
+        axis_poly = SpectralFunction(1, (k[:, None], np.ones(len(k))))
+        axis_grid = synthesize(axis_poly, GridSpec((n,)))
+        factors.append(anisotropic_norm(axis_grid, MixedSpaceParams((ax,))))
+    return abs(c) * math.prod(factors)
 
 
 def besov_functional(
@@ -191,13 +202,13 @@ def besov_functional(
     hyperplane k_j = 0 is rejected, since such functions lie outside the
     class.  The grid must resolve the full bandwidth of f.  With exact the
     whole-function norm is grid_norm(f, grid, params.space): in a plain L_p
-    space a bivariate sum of uniform product blocks that holds no samples
-    of the grid is summed from its 1-D axis factors, any other f is
-    sampled on the grid, or reuses the samples it holds.  Without, it is
-    replaced by its triangle-inequality upper bound, the sum of the block
-    norms, and no full grid is synthesized; the sequence term is exact
-    either way, since block norms factorize per axis.  f is split into its
-    blocks once (nonzero_blocks), for both terms.
+    space a bivariate sum of uniform product blocks is summed from its 1-D
+    axis factors, any other f is sampled on the grid, or reuses the samples
+    it holds.  Without, it is replaced by its triangle-inequality upper
+    bound, the sum of the block norms, and no full grid is synthesized; the
+    sequence term is exact either way, since block norms factorize per
+    axis.  When every block of f is a uniform product (f.product_blocks),
+    both terms read the one split of f that found it.
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
@@ -210,10 +221,16 @@ def besov_functional(
     if not f.n_terms:
         return 0.0
     first = grid_norm(f, grid, params.space) if exact else None
-    norms = {
-        s: block_norm(comp, params.space, grid)
-        for s, comp in nonzero_blocks(f).items()
-    }
+    if f.product_blocks is not None:
+        norms = {
+            s: _factor_norm(product, params.space, grid)
+            for s, product in f.product_blocks.items()
+        }
+    else:
+        norms = {
+            s: block_norm(comp, params.space, grid)
+            for s, comp in nonzero_blocks(f).items()
+        }
     r = [float(v) for v in params.r]
     weighted = {
         s: 2.0 ** (sum(sj * rj for sj, rj in zip(s, r))) * v

@@ -98,14 +98,10 @@ def theorem1_rate_experiment(
     target synthesizes the residual on the minimal resolving grid.  For
     such a target every level's polynomial is built and dropped first, and a
     level whose grid exceeds the cell budget is refused before any level is
-    measured.  A level measures its residual before its class functional:
-    the residual of an extremal function that kept every row is f itself,
-    so the functional then sums the samples the residual left on f; with a
-    plain-L2 target, whose residual needs no grid, it takes the product
-    route of grid_norm when f qualifies.  Each point records the route of
-    its functional (grid_route), or "bound" above the cell budget.  Returns
-    free-slope and pinned-slope fits of the error decay plus the tabulated
-    error/rate ratios.
+    measured.  Each point records the samples its class functional measured
+    (grid_route), or "bound" above the cell budget.  Returns free-slope and
+    pinned-slope fits of the error decay plus the tabulated error/rate
+    ratios.
     """
     if which not in _EXTREMAL_BUILDERS:
         raise ValueError("which must be 1, 2, or 3")
@@ -126,12 +122,12 @@ def theorem1_rate_experiment(
     def eval_point(n: int) -> RatePoint:
         f = build(int(n), tp)
         grid = GridSpec.minimal_for(f.bandwidth())
-        raw = truncation_error(
-            f, n, tp.gamma_prime, tp.target, None if plain_l2 else grid
-        )
-        route = grid_route(f, grid, tp.source.space)
+        route = grid_route(f, grid, tp.source.space)  # f holds no samples yet
         normalizer, exact = class_normalizer(
             f, tp.source, grid, max_grid_cells=max_grid_cells
+        )
+        raw = truncation_error(
+            f, n, tp.gamma_prime, tp.target, None if plain_l2 else grid
         )
         return RatePoint(
             n=int(n),

@@ -102,8 +102,6 @@ class SpectralFunction:
         self.coeffs.setflags(write=False)
         # (grid shape, read-only samples, read-only profile or None) of grid_norm
         self._measured: tuple | None = None
-        # {level: block} of nonzero_blocks, made on its first call
-        self._blocks: dict | None = None
 
     @property
     def coefficients(self) -> dict[FrequencyIndex, complex]:
@@ -146,6 +144,22 @@ class SpectralFunction:
             and bool((bits[1:] == bits[:-1])[inside].all())
             and bool((signs[1:] != signs[:-1])[inside].all())
         )
+
+    @functools.cached_property
+    def product_blocks(
+        self,
+    ) -> dict[MultiIndex, tuple[complex, list[np.ndarray]]] | None:
+        """{level: product_factors(block)} over the nonzero blocks of f, in
+        the order of nonzero_blocks, when every block is a constant on a
+        product support; None as soon as one is not.  Found once per
+        polynomial; it keeps only the axis sets, not the blocks' rows."""
+        out = {}
+        for s, rows in _block_rows(self).items():
+            product = product_factors(self.restrict(rows))
+            if product is None:
+                return None
+            out[s] = product
+        return out
 
     @functools.cached_property
     def real_valued(self) -> bool:
@@ -306,28 +320,28 @@ def grid_norm(
     grid shape replaces them.
 
     grid_route(f, grid, params) names the samples measured.  "product": a
-    plain L_p norm of a bivariate sum of uniform product blocks that holds
-    no samples of the grid is summed from the blocks' 1-D axis factors
-    (_product_norm); no grid is built and nothing is kept.  "orthant": a
-    sign-symmetric f is sampled and rearranged on its orthant only
-    (OrthantSamples).  "grid": any other f is sampled on the whole grid.
-    Outside plain L_p the profile, and so the norm, equals the full grid's
-    bit for bit; inside, the product and orthant sums agree with the full
-    grid's to a relative 1e-13.
+    plain L_p norm of a bivariate sign-symmetric sum of uniform product
+    blocks (f.product_blocks) that holds no samples of the grid is summed
+    from the blocks' 1-D axis factors (_product_norm); no grid is built and
+    nothing is kept.  "orthant": any other sign-symmetric f is sampled and
+    rearranged on its orthant only (OrthantSamples).  "grid": any other f is
+    sampled on the whole grid.  Outside plain L_p the profile, and so the
+    norm, equals the full grid's bit for bit; inside, the product and
+    orthant sums agree with the full grid's to a relative 1e-13.
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
-    p = params.lebesgue_index()
-    pieces = _product_pieces(f, grid, params)
-    if pieces is not None:
-        return _product_norm(pieces, grid.shape, float(p))
+    if grid_route(f, grid, params) == "product":
+        pieces = list(f.product_blocks.values())
+        shape, p = _resolving(f, grid).shape, float(params.lebesgue_index())
+        return _product_norm(pieces, shape, p)
     held = f._measured
     if held is None or held[0] != grid.shape:
         held = f._measured = None
         samples = _samples(f, grid)
         samples.values.setflags(write=False)
         held = f._measured = (grid.shape, samples, None)
-    if p is not None:
+    if params.lebesgue_index() is not None:
         return anisotropic_norm(held[1], params)
     if held[2] is None:
         prof = iterated_rearrangement(held[1])
@@ -339,11 +353,26 @@ def grid_norm(
 def grid_route(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> str:
-    """The route grid_norm(f, grid, params) takes now: "product", "orthant"
-    or "grid" (see grid_norm).  It can change once f holds samples of grid."""
+    """The samples grid_norm(f, grid, params) measures now (see grid_norm).
+
+    "product" for a plain L_p space, m = 2, f sign-symmetric, with terms,
+    holding no samples of grid, and every block uniform on a product
+    support; else "orthant" if f is sign-symmetric, else "grid".  Samples f
+    holds are summed as they are, so the route of f can change once it is
+    measured on grid in another space.  The blocks are tested once per
+    polynomial (f.product_blocks).
+    """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
-    if _product_pieces(f, grid, params) is not None:
+    held = f._measured
+    if (
+        params.lebesgue_index() is not None
+        and f.m == params.m == 2
+        and f.n_terms
+        and f.sign_symmetric
+        and (held is None or held[0] != grid.shape)
+        and f.product_blocks is not None
+    ):
         return "product"
     return "orthant" if f.sign_symmetric else "grid"
 
@@ -371,23 +400,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]
-
-
-def _product_pieces(
-    f: SpectralFunction, grid: GridSpec, params: MixedSpaceParams
-) -> list[tuple[complex, list[np.ndarray]]] | None:
-    """product_factors of every block of f when grid_norm takes the product
-    route: a plain L_p space, m = 2, f sign-symmetric and holding no samples
-    of grid, and every block uniform on a product support; else None.  A
-    grid that does not resolve f raises, as on every other route."""
-    if params.lebesgue_index() is None or f.m != 2 or params.m != 2:
-        return None
-    held = f._measured
-    if not f.sign_symmetric or (held is not None and held[0] == grid.shape):
-        return None
-    _resolving(f, grid)
-    pieces = [product_factors(b) for b in nonzero_blocks(f).values()]
-    return None if None in pieces else pieces
 
 
 _ROWS = 256  # orthant rows per batch of the product route
@@ -447,21 +459,18 @@ def analyze(g: GridFunction, band: Sequence[int]) -> SpectralFunction:
 
 
 def nonzero_blocks(f: SpectralFunction) -> dict[MultiIndex, SpectralFunction]:
-    """Partition the rows of f by block level; lex-ordered keys, rows in order.
+    """Partition the rows of f by block level; lex-ordered keys, rows in order."""
+    return {s: f.restrict(rows) for s, rows in _block_rows(f).items()}
 
-    The partition is made once per polynomial and kept on it, as its rows
-    never change; each call returns a fresh dict of the same blocks.
-    """
-    if f._blocks is None:
-        levels = block_levels(f.freqs)
-        order = np.lexsort(levels.T[::-1])  # stable, so rows keep their order
-        ordered = levels[order]
-        cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
-        groups = np.split(order, cuts) if f.n_terms else []
-        f._blocks = {
-            tuple(levels[rows[0]].tolist()): f.restrict(rows) for rows in groups
-        }
-    return dict(f._blocks)
+
+def _block_rows(f: SpectralFunction) -> dict[MultiIndex, np.ndarray]:
+    """The row numbers of each block of f (nonzero_blocks)."""
+    levels = block_levels(f.freqs)
+    order = np.lexsort(levels.T[::-1])  # stable, so rows keep their order
+    ordered = levels[order]
+    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+    groups = np.split(order, cuts) if f.n_terms else []
+    return {tuple(levels[rows[0]].tolist()): rows for rows in groups}
 
 
 def _cross_mask(f: SpectralFunction, n: RationalLike, gamma: Anisotropy) -> np.ndarray:

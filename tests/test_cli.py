@@ -374,6 +374,21 @@ def test_approx_scan_two_harmonics(tmp_path):
         assert card == 2**n - 1
 
 
+def test_approx_on_a_grid_measures_an_empty_residual_as_zero(tmp_path):
+    # one uniform product block at level (1, 2); by n=4 the cross holds it
+    f = SpectralFunction(2, {(k0, k1): 1.0 for k0 in (-1, 1) for k1 in (-3, 3)})
+    spectral_file = tmp_path / "f.json"
+    spectral_file.write_text(json.dumps(f.to_json_dict()))
+    rc = main(
+        ["--out", str(tmp_path), "approx", "--spectral", str(spectral_file),
+         "--gamma", "1,1", "--range", "1:4", "--grid", "8,8", "--target-p", "2,2"]
+    )
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "approx.csv")
+    assert [float(r[1]) for r in rows] == pytest.approx([2.0, 2.0, 2.0, 0.0], rel=1e-12)
+    assert float(rows[-1][1]) == 0.0
+
+
 def test_approx_rejects_frequency_outside_range(tmp_path, capsys):
     spectral_file = tmp_path / "f.json"
     doc = {"m": 1, "terms": [{"k": [2**63], "re": 1.0}]}
@@ -627,9 +642,9 @@ def count_rearrangements(monkeypatch) -> list:
 
 
 def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
-    # the truncation error measures the residual, f itself, on its 2-D grid
-    # first; the class functional then sums the samples f holds instead of
-    # taking the product route (the blocks are measured on 1-D axis grids)
+    # the class functional sums the product of f's 1-D axis factors; the
+    # truncation error samples the residual, f itself, on its 2-D grid (the
+    # axis factors and blocks are measured on 1-D axis grids)
     original = spectral._samples
     shapes = []
 
@@ -645,9 +660,8 @@ def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
 
 
 def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
-    # the residual of a level keeps every row of its extremal polynomial, so
-    # the truncation error rearranges the samples of f itself; the class
-    # functional then sums those samples unsorted in plain L_{3/2}
+    # the source space is plain L_{3/2}, measured unsorted; only the
+    # truncation error rearranges the samples of its residual, f itself
     calls = count_rearrangements(monkeypatch)
     params = BENCH / "params" / "rate-2d-lz.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
@@ -655,12 +669,13 @@ def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
-def test_lorentz_zygmund_rate_levels_take_no_product_route(tmp_path):
+def test_lorentz_zygmund_rate_levels_take_the_product_route(tmp_path):
+    # the route follows the source space, plain L_{3/2}, not the target
     params = BENCH / "params" / "rate-2d-lz.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
-    assert [level["normalizer"] for level in levels] == ["orthant"] * 4
+    assert [level["normalizer"] for level in levels] == ["product"] * 4
 
 
 def test_plain_l2_rate_levels_synthesize_no_bivariate_grid(tmp_path, monkeypatch):

@@ -409,6 +409,14 @@ def test_product_route_matches_the_norm_of_the_samples(case):
     assert got == pytest.approx(want, rel=1e-13)
 
 
+def test_polynomial_without_terms_has_norm_zero_on_every_route():
+    empty = SpectralFunction(2)
+    assert empty.sign_symmetric and empty.product_blocks == {}
+    for p in ("3/2", "2"):
+        assert grid_route(empty, (4, 4), plain_lp(p, 2)) == "orthant"
+        assert grid_norm(empty, (4, 4), plain_lp(p, 2)) == 0.0
+
+
 def test_blocks_off_the_product_form_take_the_fft_path():
     # level (2, 2) holds the frequencies with |k_j| in {2, 3}
     block = {(k0, k1): 1.0 for k0 in (-3, -2, 2, 3) for k1 in (-3, -2, 2, 3)}
