@@ -203,11 +203,10 @@ def besov_functional(
     class.  The grid must resolve the full bandwidth of f.  With exact the
     whole-function norm is grid_norm(f, grid, params.space): in a plain L_p
     space a bivariate sum of uniform product blocks is summed from its 1-D
-    axis factors, any other f is sampled on the grid, or reuses the samples
-    it holds.  Without, it is replaced by its triangle-inequality upper
-    bound, the sum of the block norms, and no full grid is synthesized; the
-    sequence term is exact either way, since block norms factorize per
-    axis.  When every block of f is a uniform product (f.product_blocks),
+    axis factors, and any other f is sampled on the grid.  Without, it is
+    replaced by its triangle-inequality upper bound, the sum of the block
+    norms, and no full grid is synthesized; the sequence term is exact
+    either way, since block norms factorize per axis.  When every block of f is a uniform product (f.product_blocks),
     both terms read the one split of f that found it.
     """
     if not isinstance(grid, GridSpec):

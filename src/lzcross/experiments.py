@@ -122,7 +122,7 @@ def theorem1_rate_experiment(
     def eval_point(n: int) -> RatePoint:
         f = build(int(n), tp)
         grid = GridSpec.minimal_for(f.bandwidth())
-        route = grid_route(f, grid, tp.source.space)  # f holds no samples yet
+        route = grid_route(f, grid, tp.source.space)
         normalizer, exact = class_normalizer(
             f, tp.source, grid, max_grid_cells=max_grid_cells
         )

@@ -35,8 +35,6 @@ from .norms import (
     _tiled_copy,
     _validated_shape,
     anisotropic_norm,
-    iterated_rearrangement,
-    profile_norm,
 )
 
 
@@ -100,8 +98,6 @@ class SpectralFunction:
         self.m, self.freqs, self.coeffs = m, freqs[nonzero], coeffs[nonzero]
         self.freqs.setflags(write=False)
         self.coeffs.setflags(write=False)
-        # (grid shape, read-only samples, read-only profile or None) of grid_norm
-        self._measured: tuple | None = None
 
     @property
     def coefficients(self) -> dict[FrequencyIndex, complex]:
@@ -311,66 +307,42 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
 def grid_norm(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> float:
-    """anisotropic_norm(synthesize(f, grid), params).
-
-    f keeps the samples of the grid it was last measured on, and their
-    iterated rearrangement once a space other than plain L_p
-    (params.lebesgue_index() is None) asks for it, so measuring f again on
-    that grid, in any space, neither synthesizes nor sorts it again; another
-    grid shape replaces them.
+    """anisotropic_norm(synthesize(f, grid), params), keeping nothing between
+    calls.
 
     grid_route(f, grid, params) names the samples measured.  "product": a
     plain L_p norm of a bivariate sign-symmetric sum of uniform product
-    blocks (f.product_blocks) that holds no samples of the grid is summed
-    from the blocks' 1-D axis factors (_product_norm); no grid is built and
-    nothing is kept.  "orthant": any other sign-symmetric f is sampled and
-    rearranged on its orthant only (OrthantSamples).  "grid": any other f is
-    sampled on the whole grid.  Outside plain L_p the profile, and so the
-    norm, equals the full grid's bit for bit; inside, the product and
-    orthant sums agree with the full grid's to a relative 1e-13.
+    blocks (f.product_blocks) is summed from the blocks' 1-D axis factors
+    (_product_norm); no grid is built.  "orthant": any other sign-symmetric
+    f is sampled and rearranged on its orthant only (OrthantSamples).
+    "grid": any other f is sampled on the whole grid.  Outside plain L_p the
+    profile, and so the norm, equals the full grid's bit for bit; inside,
+    the product and orthant sums agree with the full grid's to a relative
+    1e-13.
     """
-    if not isinstance(grid, GridSpec):
-        grid = GridSpec(tuple(grid))
     if grid_route(f, grid, params) == "product":
         pieces = list(f.product_blocks.values())
         shape, p = _resolving(f, grid).shape, float(params.lebesgue_index())
         return _product_norm(pieces, shape, p)
-    held = f._measured
-    if held is None or held[0] != grid.shape:
-        held = f._measured = None
-        samples = _samples(f, grid)
-        samples.values.setflags(write=False)
-        held = f._measured = (grid.shape, samples, None)
-    if params.lebesgue_index() is not None:
-        return anisotropic_norm(held[1], params)
-    if held[2] is None:
-        prof = iterated_rearrangement(held[1])
-        prof.setflags(write=False)
-        held = f._measured = held[:2] + (prof,)
-    return profile_norm(held[2], params)
+    return anisotropic_norm(_samples(f, grid), params)
 
 
 def grid_route(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> str:
-    """The samples grid_norm(f, grid, params) measures now (see grid_norm).
+    """The samples grid_norm(f, grid, params) measures (see grid_norm).
 
     "product" for a plain L_p space, m = 2, f sign-symmetric, with terms,
-    holding no samples of grid, and every block uniform on a product
-    support; else "orthant" if f is sign-symmetric, else "grid".  Samples f
-    holds are summed as they are, so the route of f can change once it is
-    measured on grid in another space.  The blocks are tested once per
-    polynomial (f.product_blocks).
+    and every block uniform on a product support; else "orthant" if f is
+    sign-symmetric, else "grid".  The route is the same on every grid that
+    resolves f.  The blocks are tested once per polynomial
+    (f.product_blocks).
     """
-    if not isinstance(grid, GridSpec):
-        grid = GridSpec(tuple(grid))
-    held = f._measured
     if (
         params.lebesgue_index() is not None
         and f.m == params.m == 2
         and f.n_terms
         and f.sign_symmetric
-        and (held is None or held[0] != grid.shape)
         and f.product_blocks is not None
     ):
         return "product"
@@ -495,10 +467,8 @@ def truncation_error(
 ) -> float:
     """Norm of f minus its cross truncation in the target space.
 
-    With a grid, the residual is measured by grid_norm.  A residual that
-    kept every row is f itself, so it reuses the samples f was measured on
-    there, and their rearrangement once made.  When the target is plain L2
-    (target.is_plain_l2()) the coefficient l2 norm of the residual
+    With a grid, the residual is measured by grid_norm.  When the target is
+    plain L2 (target.is_plain_l2()) the coefficient l2 norm of the residual
     is the same quantity by Parseval; it cross-checks the grid value to a
     relative 1e-8, and when no grid is given it is returned directly
     (plain-L2 targets only).

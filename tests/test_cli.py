@@ -788,7 +788,7 @@ def test_two_threads_give_the_same_outputs(tmp_path):
     runs = {
         "rate": (["theorem1", "rate", "--params", str(params), "--range", "6:10"],
                  rate_outputs),
-        # each level measures its own polynomial's samples, held by it alone
+        # each level samples and sorts its own residual
         "rate-lz": (["theorem1", "rate", "--params",
                      str(BENCH / "params" / "rate-2d-lz.json"), "--range", "6:9"],
                     rate_outputs),

@@ -322,56 +322,49 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_grid_norm_holds_three_grids_on_a_miss_and_one_and_a_half_on_a_hit():
-    # a miss synthesizes, rearranges and measures the polynomial; a hit
-    # only takes the powers of the profile it holds
+def test_grid_norm_holds_three_grids_on_every_call():
+    # each call synthesizes, rearranges and measures the polynomial afresh
     params = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
     f = dirichlet_block((8, 8))
     grid = GridSpec((1024, 1024))
     grid_norm(f, grid, params)  # fills the weight cache
-    other = f.scaled(2.0)
     grid_bytes = 1024 * 1024 * 8  # one float64 grid
-    assert traced_peak(lambda: grid_norm(other, grid, params)) <= 3.0 * grid_bytes
-    assert traced_peak(lambda: grid_norm(other, grid, params)) <= 1.5 * grid_bytes
+    for g in (f, f, f.scaled(2.0)):
+        assert traced_peak(lambda: grid_norm(g, grid, params)) <= 3.0 * grid_bytes
 
 
-def test_grid_norm_hit_takes_its_powers_one_batch_of_columns_at_a_time():
-    # neither the profile nor the samples are raised to a power as a whole:
-    # a hit holds one batch of full-height columns and a few vectors of one
-    # grid row
+def test_profile_and_orthant_norms_take_their_powers_one_batch_of_columns_at_a_time():
+    # neither the profile nor the orthant samples are raised to a power as a
+    # whole: a norm of either holds one batch of full-height columns and a
+    # few vectors of one grid row
     lz = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
     leb = MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)
     f = dirichlet_block((8, 8))
     grid = GridSpec((1024, 1024))
-    grid_norm(f, grid, lz)  # fills the weight cache, holds samples and profile
+    grid_norm(f, grid, lz)  # fills the weight cache
+    samples = spectral._orthant(f, grid.shape)
+    prof = iterated_rearrangement(samples)
     batch = 1024 * norms._COLUMNS * 8
     bound = batch + 128 * 1024
-    for space in (lz, leb):
-        assert traced_peak(lambda: grid_norm(f, grid, space)) <= bound
+    assert traced_peak(lambda: profile_norm(prof, lz)) <= bound
+    assert traced_peak(lambda: anisotropic_norm(samples, leb)) <= bound
     assert bound < 0.6 * 1024 * 1024 * 8  # the bound of a whole power is 1.5 grids
 
 
 def test_lebesgue_grid_norm_does_not_depend_on_the_spaces_asked_before():
-    # a plain L_p norm sums the samples f holds, also once their
-    # rearrangement is held for another space
     leb = MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)
     lz = MixedSpaceParams.of(["2"] * 2, [0.5] * 2, [3.0] * 2)
     grid = GridSpec((64, 32))
     general = SpectralFunction(2, {(3, -2): 1 + 0.5j, (-5, 7): 0.25, (1, 1): -1.0})
     for f in (dirichlet_block((4, 3)), general):
-        f._measured = None
         first = grid_norm(f, grid, leb)
-        grid_norm(f, grid, lz)
-        assert f._measured[2] is not None
-        assert grid_norm(f, grid, leb).hex() == first.hex()
-        f._measured = None
         grid_norm(f, grid, lz)
         assert grid_norm(f, grid, leb).hex() == first.hex()
 
 
 def test_threads_measuring_one_polynomial_get_the_values_of_fresh_samples():
-    # threads share f's slot: a race may replace it or recompute, but each
-    # call measures one consistent (grid, samples, profile)
+    # threads share f and its cached symmetry tests, and each call measures
+    # samples of its own
     f = SpectralFunction(2, {(3, -2): 1 + 0.5j, (-5, 7): 0.25, (1, 1): -1.0})
     grids = [GridSpec((32, 32)), GridSpec((64, 16))]
     spaces = [MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2),
@@ -391,7 +384,7 @@ def test_threads_measuring_one_polynomial_get_the_values_of_fresh_samples():
 
 
 def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
-    # the orthant path never samples the full grid: the held profile and its
+    # the orthant path never samples the full grid: the profile and its
     # powers are two grids, next to the reduced rows
     params = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
     f = dirichlet_block((8, 8))
@@ -412,6 +405,22 @@ def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
         tracemalloc.stop()
     assert orthant.values.shape == (513, 513)
     assert kept <= 513 * 513 * 8 + 64 * 1024
+
+
+def test_product_route_builds_no_grid():
+    # the product test copies the 65,536 rows of the block once; neither
+    # the 1024^2 grid nor its orthant is sampled, and no measurement moves
+    # the route
+    leb = MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)
+    lz = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
+    grid = GridSpec((1024, 1024))
+    f, g = dirichlet_block((8, 8)), dirichlet_block((8, 8))
+    assert spectral.grid_route(g, grid, leb) == "product"
+    assert traced_peak(lambda: grid_norm(f, grid, leb)) < 1024 * 1024 * 8
+    for space in (lz, leb):
+        grid_norm(g, grid, space)
+        assert spectral.grid_route(g, grid, leb) == "product"
+        assert spectral.grid_route(g, grid, lz) == "orthant"
 
 
 def test_product_grid_norm_is_the_product_of_axis_norms():
