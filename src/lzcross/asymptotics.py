@@ -294,7 +294,9 @@ def ratio_scan(
     """Evaluate lhs(n)/rhs(n) over the given levels.
 
     References must be strictly positive; a vanishing lhs is recorded as
-    ratio 0 and will fail any two-sided or lower verdict honestly.
+    ratio 0 and will fail any two-sided or lower verdict honestly.  A
+    non-finite lhs or rhs is a numerical failure (ArithmeticError), a
+    negative lhs or a reference <= 0 a ValueError.
     """
     if len(ns) == 0:
         raise ValueError("at least one level is required")
@@ -302,7 +304,7 @@ def ratio_scan(
     for n in ns:
         lv, rv = float(lhs(n)), float(rhs(n))
         if not (math.isfinite(lv) and math.isfinite(rv)):
-            raise ValueError(f"non-finite value at n={n}")
+            raise ArithmeticError(f"non-finite value at n={n}")
         if rv <= 0 or lv < 0:
             raise ValueError(f"sign violation at n={n}: lhs={lv}, rhs={rv}")
         rows.append((int(n), lv, rv, lv / rv))

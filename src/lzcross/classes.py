@@ -28,7 +28,12 @@ from .indexsets import (
     cartesian_rows,
     layer_exact,
 )
-from .norms import MixedSpaceParams, anisotropic_norm, mixed_sequence_norm
+from .norms import (
+    DEFAULT_MAX_GRID_CELLS,
+    MixedSpaceParams,
+    anisotropic_norm,
+    mixed_sequence_norm,
+)
 from .spectral import (
     GridSpec,
     SpectralFunction,
@@ -249,39 +254,85 @@ def _coefficient(s_full: Sequence[int], tp: TheoremParams) -> float:
     return out
 
 
-def _spread_support(
-    n: int, tp: TheoremParams, d: DerivedExponents, varying: Sequence[int]
-) -> SpectralFunction:
-    """Block-sum function over the layer of the given varying axes.
+def extremal_levels(n: int, tp: TheoremParams, which: int) -> list[list[int]]:
+    """Block level vectors of the extremal function f_which at level n, in
+    the order its blocks are listed; an axis held at the single harmonic
+    k_j = 1 reads level 0.
 
-    The layer holds the level vectors on the varying axes with gamma-weighted
-    sum exactly n and all entries >= 1; every block carries the prefactor
-    n^(-sum_{j in A, j != j1} 1/theta_j).  Frozen axes carry the single
-    harmonic k_j = 1: the lowest nonzero frequency, standing in for the
-    empty level-zero block so the zero-mean support condition holds while
-    the level sum is unchanged in order.
+    f_1 and f_3 spread over a layer of varying axes: the level vectors on
+    them with gamma-weighted sum exactly n and all entries >= 1.  f_2 is one
+    block.  Block s holds 2**sum(s) frequencies, and a function of more than
+    DEFAULT_MAX_GRID_CELLS of them is refused here, before any is listed.
     """
-    sub = Anisotropy(tuple(d.gamma.weights[j] for j in varying))
-    layer = [s for s in layer_exact(n, sub) if min(s) >= 1]
-    if not layer:
-        raise ValueError(
-            f"empty layer: no level vector on the axes {list(varying)} sums to n"
-        )
-    prefactor = float(n) ** (
-        -sum(_inv(tp.source.thetas[j]) for j in d.A if j != d.j1)
-    )
+    if which not in (1, 2, 3):
+        raise ValueError("which must be 1, 2, or 3")
+    if n < 1:
+        raise ValueError("level must be a positive integer")
     m = tp.m
-    freqs, coeffs = [], []
-    for s_var in layer:
-        s_full = [0] * m
-        for pos, j in enumerate(varying):
-            s_full[j] = s_var[pos]
-        block = cartesian_rows(
-            [axis_block(s_full[j]) if j in varying else [1] for j in range(m)]
+    if which == 2:
+        gp = tp.gamma_prime.weights
+        s = [1] * m
+        rem = as_fraction(n) - sum(gp[:-1], Fraction(0))
+        s[-1] = max(1, math.ceil(rem / gp[-1]))
+        levels = [s]
+    else:
+        d = derived_exponents(tp)
+        varying = d.A if which == 1 else _tight_axes(tp, d)
+        sub = Anisotropy(tuple(d.gamma.weights[j] for j in varying))
+        layer = [s for s in layer_exact(n, sub) if min(s) >= 1]
+        if not layer:
+            raise ValueError(
+                f"empty layer: no level vector on the axes {list(varying)} sums to n"
+            )
+        levels = []
+        for s_var in layer:
+            s_full = [0] * m
+            for pos, j in enumerate(varying):
+                s_full[j] = s_var[pos]
+            levels.append(s_full)
+    rows = sum(1 << min(sum(s), 64) for s in levels)  # exact below 2**64
+    if rows > DEFAULT_MAX_GRID_CELLS:
+        count = rows if rows < 1 << 64 else "at least 2**64"
+        raise ValueError(
+            f"the extremal function at n={n} would hold {count} frequencies, "
+            f"more than {DEFAULT_MAX_GRID_CELLS}"
         )
+    return levels
+
+
+def _tight_axes(tp: TheoremParams, d: DerivedExponents) -> list[int]:
+    """B' = (A intersect B) union {j1}, B the axes with tau2_j < theta_j."""
+    b_set = {
+        j
+        for j, (ax, theta) in enumerate(zip(tp.target.axes, tp.source.thetas))
+        if ax.tau < theta
+    }
+    return sorted((set(d.A) & b_set) | {d.j1})
+
+
+def level_bandwidth(levels: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Per-axis bandwidth of the extremal function with these block levels
+    (extremal_levels): 2**s_j - 1 at level s_j >= 1, and 1 at level 0."""
+    return tuple(max(max(1, (1 << sj) - 1) for sj in axis) for axis in zip(*levels))
+
+
+def _extremal(n: int, tp: TheoremParams, which: int) -> SpectralFunction:
+    """f_which at level n: coefficient prefactor * _coefficient(s) on every
+    frequency of each block s of extremal_levels, and k_j = 1 on the axes at
+    level 0, which stands in for the empty level-zero block so the zero-mean
+    support condition holds while the level sum is unchanged in order."""
+    levels = extremal_levels(n, tp, which)
+    prefactor = 1.0
+    if which != 2:
+        d = derived_exponents(tp)
+        thetas = tp.source.thetas
+        prefactor = float(n) ** (-sum(_inv(thetas[j]) for j in d.A if j != d.j1))
+    freqs, coeffs = [], []
+    for s in levels:
+        block = cartesian_rows([axis_block(sj) if sj else [1] for sj in s])
         freqs.append(block)
-        coeffs.append(np.full(len(block), prefactor * _coefficient(s_full, tp)))
-    return SpectralFunction(m, (np.concatenate(freqs), np.concatenate(coeffs)))
+        coeffs.append(np.full(len(block), prefactor * _coefficient(s, tp)))
+    return SpectralFunction(tp.m, (np.concatenate(freqs), np.concatenate(coeffs)))
 
 
 def extremal_f1(n: int, tp: TheoremParams) -> SpectralFunction:
@@ -291,10 +342,7 @@ def extremal_f1(n: int, tp: TheoremParams) -> SpectralFunction:
     A with weighted sum exactly n (entries >= 1), scaled by
     n^(-sum_{j in A, j != j1} 1/theta_j).
     """
-    if n < 1:
-        raise ValueError("level must be a positive integer")
-    d = derived_exponents(tp)
-    return _spread_support(n, tp, d, d.A)
+    return _extremal(n, tp, 1)
 
 
 def extremal_f2(n: int, tp: TheoremParams) -> SpectralFunction:
@@ -303,16 +351,7 @@ def extremal_f2(n: int, tp: TheoremParams) -> SpectralFunction:
     Uses the lexicographically smallest level vector with all entries >= 1
     whose gamma'-weighted sum reaches n.
     """
-    if n < 1:
-        raise ValueError("level must be a positive integer")
-    m = tp.m
-    gp = tp.gamma_prime.weights
-    s = [1] * m
-    rem = as_fraction(n) - sum(gp[:-1], Fraction(0))
-    s[-1] = max(1, math.ceil(rem / gp[-1]))
-    c = _coefficient(s, tp)
-    freqs = cartesian_rows([axis_block(sj) for sj in s])
-    return SpectralFunction(m, (freqs, np.full(len(freqs), c)))
+    return _extremal(n, tp, 2)
 
 
 def extremal_f3(n: int, tp: TheoremParams) -> SpectralFunction:
@@ -322,13 +361,4 @@ def extremal_f3(n: int, tp: TheoremParams) -> SpectralFunction:
     B' = (A intersect B) union {j1} and the remaining axes are frozen, with
     the same prefactor as extremal_f1.
     """
-    if n < 1:
-        raise ValueError("level must be a positive integer")
-    d = derived_exponents(tp)
-    b_set = {
-        j
-        for j, (ax, theta) in enumerate(zip(tp.target.axes, tp.source.thetas))
-        if ax.tau < theta
-    }
-    b_prime = sorted((set(d.A) & b_set) | {d.j1})
-    return _spread_support(n, tp, d, b_prime)
+    return _extremal(n, tp, 3)

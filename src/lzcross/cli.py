@@ -2,10 +2,11 @@
 
 Every command builds an ExperimentConfig, executes it through run(), and
 writes a manifest listing each emitted file with its content hash plus the
-pass/fail verdicts.  Exit status: 0 when all verdicts pass, 1 when a
-verdict fails, 2 for configuration or usage errors, 3 for unexpected
-faults, 4 for numerical failures.  Identical configs produce
-byte-identical CSV bodies.
+pass/fail verdicts, with status "ok".  A run that fails after its arguments
+are parsed writes a manifest with status "error", the message and the exit
+code instead.  Exit status: 0 when all verdicts pass, 1 when a verdict
+fails, 2 for configuration or usage errors, 3 for unexpected faults, 4 for
+numerical failures.  Identical configs produce byte-identical CSV bodies.
 
 Config files are flat JSON; numeric fields accept exact rationals as
 strings like "2/3", and a key the experiment kind does not read is a
@@ -90,6 +91,7 @@ class RunManifest:
     verdicts: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
+    status: str = "ok"
 
 
 # -- small parsing helpers ----------------------------------------------------
@@ -673,18 +675,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         manifest = run(config)
     except (ConfigError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: {exc}"
     except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
+        code, message = 4, f"numerical failure: {exc}"
     except Exception as exc:  # pragma: no cover - unexpected faults
-        print(f"fault: {exc!r}", file=sys.stderr)
-        return 3
-    for verdict in manifest.verdicts:
-        state = "PASS" if verdict["passed"] else "FAIL"
-        print(f"{state} {verdict['name']}")
-    return 0 if all(v["passed"] for v in manifest.verdicts) else 1
+        code, message = 3, f"fault: {exc!r}"
+    else:
+        for verdict in manifest.verdicts:
+            state = "PASS" if verdict["passed"] else "FAIL"
+            print(f"{state} {verdict['name']}")
+        return 0 if all(v["passed"] for v in manifest.verdicts) else 1
+    print(message, file=sys.stderr)
+    failed = {"kind": args.kind, "version": __version__, "status": "error",
+              "message": message, "exit_code": code}
+    try:
+        _write_json(Path(args.out_dir) / "manifest.json", failed)
+    except OSError:
+        pass  # the exit code still tells the failure
+    return code
 
 
 if __name__ == "__main__":

@@ -22,6 +22,8 @@ from .classes import (
     extremal_f1,
     extremal_f2,
     extremal_f3,
+    extremal_levels,
+    level_bandwidth,
     theoretical_rate,
 )
 from .indexsets import Anisotropy, cross_cardinality
@@ -95,10 +97,11 @@ def theorem1_rate_experiment(
     For each level n the chosen extremal function is scaled to unit class
     functional and its distance from the level-n cross is measured in the
     target norm; plain-L2 targets use the exact coefficient route, any other
-    target synthesizes the residual on the minimal resolving grid.  For
-    such a target every level's polynomial is built and dropped first, and a
-    level whose grid exceeds the cell budget is refused before any level is
-    measured.  Each point records the samples its class functional measured
+    target synthesizes the residual on the minimal resolving grid.  Every
+    level's block levels are found first, and a level whose polynomial
+    would hold more than DEFAULT_MAX_GRID_CELLS frequencies, or, for such a
+    target, whose grid exceeds the cell budget, is refused before any level
+    is built.  Each point records the samples its class functional measured
     (grid_route), or "bound" above the cell budget.  Returns free-slope and
     pinned-slope fits of the error decay plus the tabulated error/rate
     ratios.
@@ -110,14 +113,16 @@ def theorem1_rate_experiment(
     build = _EXTREMAL_BUILDERS[which]
     d = derived_exponents(tp)
     plain_l2 = tp.target.is_plain_l2()
-    if not plain_l2:
-        for n in ns:
-            cells = GridSpec.minimal_for(build(int(n), tp).bandwidth()).cells
-            if cells > max_grid_cells:
-                raise ValueError(
-                    f"non-L2 target at n={n} needs a residual grid of {cells} "
-                    f"cells, beyond the cell budget of {max_grid_cells}"
-                )
+    for n in ns:
+        levels = extremal_levels(int(n), tp, which)
+        if plain_l2:
+            continue
+        cells = GridSpec.minimal_for(level_bandwidth(levels)).cells
+        if cells > max_grid_cells:
+            raise ValueError(
+                f"non-L2 target at n={n} needs a residual grid of {cells} "
+                f"cells, beyond the cell budget of {max_grid_cells}"
+            )
 
     def eval_point(n: int) -> RatePoint:
         f = build(int(n), tp)

@@ -225,8 +225,11 @@ def test_ratio_scan_guards():
         ratio_scan(lambda n: 1.0, lambda n: 0.0, [1])
     with pytest.raises(ValueError):
         ratio_scan(lambda n: -1.0, lambda n: 1.0, [1])
-    with pytest.raises(ValueError):
-        ratio_scan(lambda n: math.nan, lambda n: 1.0, [1])
+    for bad in (math.nan, math.inf):  # a numerical failure, not a bad input
+        with pytest.raises(ArithmeticError, match="non-finite value at n=1"):
+            ratio_scan(lambda n: bad, lambda n: 1.0, [1])
+        with pytest.raises(ArithmeticError, match="non-finite value at n=1"):
+            ratio_scan(lambda n: 1.0, lambda n: bad, [1])
     # a vanishing lhs is recorded, and honestly fails two-sided verdicts
     report = ratio_scan(lambda n: 0.0, lambda n: 1.0, [1, 2])
     assert report.spread == math.inf

@@ -16,6 +16,8 @@ from lzcross.classes import (
     extremal_f1,
     extremal_f2,
     extremal_f3,
+    extremal_levels,
+    level_bandwidth,
     theoretical_rate,
 )
 from lzcross.indexsets import Anisotropy, containing_block, rho_block
@@ -245,6 +247,42 @@ def test_extremal_f3_collapses():
     assert set(nonzero_blocks(f)) == {(5, 1)}
     assert all(k[1] == 1 for k in f.coefficients)
     assert f.n_terms == 2**5
+
+
+def test_extremal_levels_describe_the_built_function():
+    # rows and bandwidth follow from the levels alone; level 0 is k_j = 1
+    cases = [
+        make_tp(["3/2"], [2], [1]),
+        make_tp(["3/2", "3/2"], [2, 2], [1, 1]),
+        make_tp(["3/2", "3/2"], [2, 2], [1, 1], thetas=[2.0, 2.0]),
+        make_tp(["3/2", "2"], [2, 3], [1, 2], gamma_prime=["1", "1/2"]),
+    ]
+    for tp in cases:
+        for which, build in ((1, extremal_f1), (2, extremal_f2), (3, extremal_f3)):
+            for n in (3, 6):
+                levels = extremal_levels(n, tp, which)
+                f = build(n, tp)
+                assert sum(2 ** sum(s) for s in levels) == f.n_terms
+                assert level_bandwidth(levels) == f.bandwidth()
+
+
+def test_extremal_function_over_the_row_cap_lists_no_frequency(monkeypatch):
+    # block s holds 2**sum(s) frequencies; 2**25 is the cap
+    one = make_tp(["3/2"], [2], [1])
+    assert extremal_levels(25, one, 1) == [[25]]
+
+    def listing(*args):
+        raise AssertionError("a frequency was listed")
+
+    monkeypatch.setattr(classes, "axis_block", listing)
+    for build in (extremal_f1, extremal_f2, extremal_f3):
+        with pytest.raises(ValueError, match="n=26 would hold 67108864 frequencies, "
+                                             "more than 33554432"):
+            build(26, one)
+    with pytest.raises(ValueError, match=f"n={10**12} would hold at least 2\\*\\*64"):
+        extremal_levels(10**12, one, 1)
+    with pytest.raises(ValueError, match="which must be 1, 2, or 3"):
+        extremal_levels(4, one, 4)
 
 
 def test_extremals_satisfy_zero_mean():

@@ -34,6 +34,14 @@ def read_json(path):
         return json.load(fh)
 
 
+def assert_failed_manifest(out_dir, code=2):
+    # a failed run leaves a manifest that records the failure and lists no output
+    doc = read_json(out_dir / "manifest.json")
+    assert doc["status"] == "error" and doc["exit_code"] == code
+    assert doc["message"].startswith("error:" if code == 2 else "numerical failure:")
+    assert "outputs" not in doc
+
+
 RATE_1D = {"p": ["3/2"], "q": ["2"], "r": ["1"]}  # univariate rate parameters
 
 
@@ -107,7 +115,7 @@ def test_verdict_threshold_that_is_not_positive_is_a_usage_error(
     assert main(["--out", str(tmp_path)] + argv) == 2
     captured = capsys.readouterr()
     assert key in captured.err and captured.out == ""
-    assert not (tmp_path / "manifest.json").exists()
+    assert_failed_manifest(tmp_path)
 
 
 def test_exit_two_on_bad_lemma_case(tmp_path, capsys):
@@ -123,6 +131,39 @@ def test_exit_four_on_numerical_failure(tmp_path, capsys):
             "--params", str(make_params_file(tmp_path, {"beta": 100}))]
     assert main(argv) == 4
     assert capsys.readouterr().err.startswith("numerical failure:")
+    assert_failed_manifest(tmp_path, 4)
+
+
+def test_non_finite_lemma_value_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lemma1_sum", lambda l, **p: math.nan)
+    assert main(["--out", str(tmp_path), "lemma", "check", "--id", "1"]) == 4
+    assert capsys.readouterr().err == "numerical failure: non-finite value at n=16\n"
+    assert_failed_manifest(tmp_path, 4)
+
+
+def test_failed_run_replaces_the_manifest_with_its_failure(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", "1"]
+    assert main(argv) == 0
+    assert read_json(tmp_path / "manifest.json")["status"] == "ok"
+    assert main(argv + ["--case", "9"]) == 2
+    assert read_json(tmp_path / "manifest.json") == {
+        "kind": "lemma-check", "version": cli.__version__, "status": "error",
+        "message": capsys.readouterr().err.strip(), "exit_code": 2,
+    }
+
+
+def test_failure_whose_manifest_cannot_be_written_keeps_its_exit_code(
+    tmp_path, capsys, monkeypatch
+):
+    def unwritable(path, doc):
+        raise PermissionError(f"cannot write {path}")
+
+    monkeypatch.setattr(cli, "_write_json", unwritable)
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", "2", "--case", "growth",
+            "--params", str(make_params_file(tmp_path, {"beta": 100}))]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -143,7 +184,7 @@ def test_config_number_beyond_the_float_range_is_a_usage_error(
         "--params", str(make_params_file(tmp_path, doc))]
     assert main(argv) == 2
     assert "'1e400' is beyond the float range" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
+    assert_failed_manifest(tmp_path)
 
 
 def test_integer_option_beyond_the_float_range_names_the_literal(tmp_path, capsys):
@@ -170,7 +211,7 @@ def test_lemma_parameter_the_lemma_does_not_read_is_a_usage_error(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"lemma {lemma_id}" in err and key in err
-    assert not (tmp_path / "manifest.json").exists()
+    assert_failed_manifest(tmp_path)
     del doc[key]
     make_params_file(tmp_path, doc)
     assert main(argv) == 0
@@ -246,7 +287,23 @@ def test_cross_gen_over_the_cell_budget_lists_no_frequency(
     rc = main(["--out", str(tmp_path), "cross", "gen", "--n", n, "--gamma", gamma])
     assert rc == 2
     assert "holds more than 33554432 frequencies" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
+    assert_failed_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [["extremal", "--n", "26"],
+                                  ["theorem1", "rate", "--range", "6:30"]])
+def test_extremal_function_over_the_row_cap_is_refused_before_any_level(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # 2**26 frequencies at n = 26 in one variable; no level is built first
+    def listing(*args):
+        raise AssertionError("a frequency was listed")
+
+    monkeypatch.setattr(classes, "axis_block", listing)
+    argv = argv + ["--params", str(BENCH / "params" / "rate-1d.json")]
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    assert "n=26 would hold 67108864 frequencies" in capsys.readouterr().err
+    assert_failed_manifest(tmp_path)
 
 
 def test_zero_denominator_flag_is_a_usage_error(tmp_path, capsys):
@@ -468,7 +525,7 @@ def test_integer_field_that_is_not_an_integer_is_a_usage_error(
     assert main(["--config", str(cfg), "--out", str(tmp_path)] + argv + flags) == 2
     captured = capsys.readouterr()
     assert f"error: {field} must be an integer" in captured.err and captured.out == ""
-    assert not (tmp_path / "manifest.json").exists()
+    assert_failed_manifest(tmp_path)
 
 
 def test_integer_fields_accept_integral_floats(tmp_path, capsys):
@@ -546,7 +603,7 @@ def test_grid_budget_below_one_cell_is_a_usage_error(tmp_path, capsys, argv, doc
     params = make_params_file(tmp_path, {**doc, "max_grid_cells": budget})
     assert main(["--out", str(tmp_path)] + argv + ["--params", str(params)]) == 2
     assert "max_grid_cells" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
+    assert_failed_manifest(tmp_path)
 
 
 @pytest.mark.parametrize("argv, doc, key", [
@@ -561,7 +618,7 @@ def test_integer_option_that_is_not_an_integer_is_a_usage_error(
     params = make_params_file(tmp_path, doc)
     assert main(["--out", str(tmp_path)] + argv + ["--params", str(params)]) == 2
     assert f"{key} must be an integer" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
+    assert_failed_manifest(tmp_path)
 
 
 def test_integer_option_accepts_integral_floats(tmp_path):
@@ -596,7 +653,7 @@ def test_non_l2_rate_over_the_cell_budget_measures_no_level(
     err = capsys.readouterr().err
     assert "n=7" in err and "16384 cells" in err
     assert calls == []
-    assert not (tmp_path / "manifest.json").exists()
+    assert_failed_manifest(tmp_path)
 
 
 def test_theorem1_rate_manifest_lists_each_level(tmp_path):
