@@ -279,6 +279,8 @@ def extremal_levels(n: int, tp: TheoremParams, which: int) -> list[list[int]]:
         d = derived_exponents(tp)
         varying = d.A if which == 1 else _tight_axes(tp, d)
         sub = Anisotropy(tuple(d.gamma.weights[j] for j in varying))
+        if n > 64 * max(sub.weights):  # so sum(s) > 64 on the whole layer
+            raise _too_many(n, "at least 2**64")
         layer = [s for s in layer_exact(n, sub) if min(s) >= 1]
         if not layer:
             raise ValueError(
@@ -292,12 +294,15 @@ def extremal_levels(n: int, tp: TheoremParams, which: int) -> list[list[int]]:
             levels.append(s_full)
     rows = sum(1 << min(sum(s), 64) for s in levels)  # exact below 2**64
     if rows > DEFAULT_MAX_GRID_CELLS:
-        count = rows if rows < 1 << 64 else "at least 2**64"
-        raise ValueError(
-            f"the extremal function at n={n} would hold {count} frequencies, "
-            f"more than {DEFAULT_MAX_GRID_CELLS}"
-        )
+        raise _too_many(n, rows if rows < 1 << 64 else "at least 2**64")
     return levels
+
+
+def _too_many(n: int, count: int | str) -> ValueError:
+    return ValueError(
+        f"the extremal function at n={n} would hold {count} frequencies, "
+        f"more than {DEFAULT_MAX_GRID_CELLS}"
+    )
 
 
 def _tight_axes(tp: TheoremParams, d: DerivedExponents) -> list[int]:

@@ -279,8 +279,11 @@ def test_extremal_function_over_the_row_cap_lists_no_frequency(monkeypatch):
         with pytest.raises(ValueError, match="n=26 would hold 67108864 frequencies, "
                                              "more than 33554432"):
             build(26, one)
-    with pytest.raises(ValueError, match=f"n={10**12} would hold at least 2\\*\\*64"):
-        extremal_levels(10**12, one, 1)
+    two = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
+    for tp, which in ((one, 1), (one, 2), (two, 1), (two, 3)):
+        # the layer of 10**12 level vectors is not listed either
+        with pytest.raises(ValueError, match=f"n={10**12} would hold at least 2\\*\\*64"):
+            extremal_levels(10**12, tp, which)
     with pytest.raises(ValueError, match="which must be 1, 2, or 3"):
         extremal_levels(4, one, 4)
 
