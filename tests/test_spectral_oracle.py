@@ -225,8 +225,8 @@ def measured_terms(draw):
 @given(measured_terms())
 @example((2, {(1, 2): 1 + 2j, (-3, 1): 0.5, (2, 2): -1.0}))
 @settings(deadline=None)
-def test_grid_norm_matches_the_norm_of_fresh_samples(session):
-    variants, grids, spaces = measured_variants(*session)
+def test_grid_norm_matches_the_norm_of_fresh_samples(case):
+    variants, grids, spaces = measured_variants(*case)
     for f, grid, space in itertools.product(variants, grids, spaces):
         got = grid_norm(f, grid, space)
         want = anisotropic_norm(synthesize(f, grid), space)
