@@ -136,8 +136,10 @@ def lemma3_lhs(
     sum is evaluated on growing boxes until enlarging the box changes the
     value by less than 1e-13 relative twice in a row.  A box beyond 4096
     levels per axis or DEFAULT_MAX_GRID_CELLS cells raises ValueError before
-    it is allocated.  indexsets.cross_membership decides membership exactly;
-    alpha > 0 makes the tail summable for any finite exponents.
+    it is allocated, and a box value that is not finite (a term beyond the
+    float range) raises ArithmeticError.  indexsets.cross_membership decides
+    membership exactly; alpha > 0 makes the tail summable for any finite
+    exponents.
     """
     if gamma.m != gamma_prime.m or len(lams) != gamma.m or len(thetas) != gamma.m:
         raise ValueError("dimension mismatch among weights and exponents")
@@ -154,11 +156,15 @@ def lemma3_lhs(
             )
         mesh = np.ix_(*(np.arange(b + 1) for b in box))
         level = sum(s * g for s, g in zip(mesh, gfloat))
-        term = np.exp2(-alpha * level)
-        for s, lam in zip(mesh, lams):
-            term = term * (s + 1.0) ** lam
-        term[cross_membership(n, gamma_prime, mesh)] = 0.0
-        return mixed_reduce(term, thetas)
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = np.exp2(-alpha * level)
+            for s, lam in zip(mesh, lams):
+                term = term * (s + 1.0) ** lam
+            term[cross_membership(n, gamma_prime, mesh)] = 0.0
+            value = mixed_reduce(term, thetas)
+        if not math.isfinite(value):
+            raise ArithmeticError(f"lemma 3 box {dims} value at n={n} is not finite")
+        return value
 
     box = [int(max(1, -(-as_fraction(n) // g)) + 8) for g in gamma_prime.weights]
     prev = value_on_box(box)

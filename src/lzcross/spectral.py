@@ -147,8 +147,9 @@ class SpectralFunction:
     ) -> dict[MultiIndex, tuple[complex, list[np.ndarray]]] | None:
         """{level: product_factors(block)} over the nonzero blocks of f, in
         the order of nonzero_blocks, when every block is a constant on a
-        product support; None as soon as one is not.  Found once per
-        polynomial; it keeps only the axis sets, not the blocks' rows."""
+        product of sign-symmetric axis sets; None as soon as one is not.
+        Found once per polynomial; it keeps only the axis sets, not the
+        blocks' rows."""
         out = {}
         for s, rows in _block_rows(self).items():
             product = product_factors(self.restrict(rows))
@@ -156,17 +157,6 @@ class SpectralFunction:
                 return None
             out[s] = product
         return out
-
-    @functools.cached_property
-    def real_valued(self) -> bool:
-        """Whether a_{-k} = conj(a_k) for every row k, compared by value, so
-        that every sample is real: sorted, the rows and their negations match
-        row for row, and the coefficients of matched rows are conjugate."""
-        order = np.lexsort(self.freqs.T[::-1])
-        mirror = np.lexsort(-self.freqs.T[::-1])
-        return np.array_equal(self.freqs[order], -self.freqs[mirror]) and bool(
-            (self.coeffs[order] == self.coeffs[mirror].conj()).all()
-        )
 
     def scaled(self, c: complex) -> "SpectralFunction":
         return SpectralFunction(self.m, (self.freqs, c * self.coeffs))
@@ -222,8 +212,11 @@ class SpectralFunction:
         return cls(m, coeffs)
 
 
-def _orthant(f: SpectralFunction, shape: tuple[int, ...]) -> OrthantSamples:
-    """Samples of a sign-symmetric polynomial on the orthant 0 <= i_j <= N_j/2.
+def _orthant(
+    freqs: np.ndarray, coeffs: np.ndarray, shape: tuple[int, ...]
+) -> OrthantSamples:
+    """Samples on the orthant 0 <= i_j <= N_j/2 of the sign-symmetric
+    polynomial with the real coefficients coeffs on the rows of freqs.
 
     Along each axis the polynomial is a cosine sum, so the real spectrum
     H[k] = a_k over the rows with every k_j >= 0 goes through one irfft of
@@ -233,9 +226,9 @@ def _orthant(f: SpectralFunction, shape: tuple[int, ...]) -> OrthantSamples:
     last and stays last in memory, where iterated_rearrangement sorts first.
     """
     half = tuple(n // 2 + 1 for n in shape)
-    keep = (f.freqs >= 0).all(axis=1)
-    where = np.ravel_multi_index(tuple(f.freqs[keep].T), half)
-    samples = np.bincount(where, f.coeffs.real[keep], math.prod(half)).reshape(half)
+    keep = (freqs >= 0).all(axis=1)
+    where = np.ravel_multi_index(tuple(freqs[keep].T), half)
+    samples = np.bincount(where, coeffs[keep], math.prod(half)).reshape(half)
     for axis in reversed(range(len(shape))):
         lanes = np.moveaxis(samples, axis, -1)
         spec = np.empty(lanes.shape, dtype=np.complex128)
@@ -265,29 +258,20 @@ def _samples(
 ) -> GridFunction | OrthantSamples:
     """f on the grid, by the inverse FFT of its symmetry class.
 
-    A sign-symmetric f gives its orthant, by a DCT-I per axis.  A real-valued
-    f writes a_k of its rows with k_m >= 0 into the half spectrum
-    N_1 x ... x (N_m/2 + 1), transforms it by an ifft along every axis but the
-    last and an irfft along the last.  Any other f writes a_k into the full
-    spectrum and transforms it in place by an ifft along every axis, so it
-    holds one complex grid.  The grid must resolve f (_resolving).
+    A sign-symmetric f gives its orthant, by a DCT-I per axis.  Any other f
+    writes a_k into the full spectrum and transforms it in place by an ifft
+    along every axis, so it holds one complex grid.  The grid must resolve
+    f (_resolving).
     """
     grid = _resolving(f, grid)
     if f.sign_symmetric:
-        return _orthant(f, grid.shape)
-    shape, rows, coeffs = grid.shape, f.freqs, f.coeffs
-    real = f.real_valued
-    if real:  # the rows with k_m <= 0 are the conjugate mirror of the rest
-        keep = rows[:, -1] >= 0
-        rows, coeffs = rows[keep], coeffs[keep]
-    last = shape[-1] // 2 + 1 if real else shape[-1]
-    spec = np.zeros(shape[:-1] + (last,), dtype=np.complex128)
+        return _orthant(f.freqs, f.coeffs.real, grid.shape)
+    shape = grid.shape
+    spec = np.zeros(shape, dtype=np.complex128)
     # k mod N_j, as every N_j is a power of two; distinct rows stay distinct
-    spec[tuple((rows & (np.array(shape) - 1)).T)] = coeffs
-    for axis in range(f.m - 1 if real else f.m):
+    spec[tuple((f.freqs & (np.array(shape) - 1)).T)] = f.coeffs
+    for axis in range(f.m):
         np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
-    if real:
-        spec = np.fft.irfft(spec, n=shape[-1], norm="forward")
     return GridFunction(spec)
 
 
@@ -296,9 +280,8 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
 
     A sign-symmetric polynomial (f.sign_symmetric) is synthesized on one
     orthant and mirrored, so its samples are float64 and exactly even in
-    every variable.  Any other real-valued polynomial (f.real_valued) comes
-    back as float64 samples of a real inverse FFT, and every other one as
-    complex128 samples of a complex inverse FFT.
+    every variable.  Every other one comes back as complex128 samples of a
+    complex inverse FFT.
     """
     samples = _samples(f, grid)
     return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
@@ -353,14 +336,20 @@ def product_factors(
     block: SpectralFunction,
 ) -> tuple[complex, list[np.ndarray]] | None:
     """(c, [K_1, ..., K_m]) when the block is the constant c on the product
-    K_1 x ... x K_m of its distinct frequencies per axis, else None.
+    K_1 x ... x K_m of its distinct frequencies per axis and every K_j is
+    sign-symmetric (K_j = -K_j), else None.
 
     The rows are distinct, so they fill that product exactly when there are
     as many of them as it has points.
     """
     c = block.coeffs
     axis_sets = [_distinct(block.freqs[:, j]) for j in range(block.m)]
-    if c.size and (c == c[0]).all() and math.prod(map(len, axis_sets)) == c.size:
+    if (
+        c.size
+        and (c == c[0]).all()
+        and math.prod(map(len, axis_sets)) == c.size
+        and all(np.array_equal(k, -k[::-1]) for k in axis_sets)
+    ):
         return complex(c[0]), axis_sets
     return None
 
@@ -374,6 +363,43 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
+def _axis_factor(k: np.ndarray, n: int) -> OrthantSamples:
+    """The orthant synthesis on n points of coefficient 1 on each frequency
+    of the sign-symmetric axis set k."""
+    return _orthant(k[:, None], np.ones(len(k)), (n,))
+
+
+def block_norms(
+    f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
+) -> dict[MultiIndex, float]:
+    """{level: norm in params on the grid} over the nonzero blocks of f, in
+    the order of nonzero_blocks.
+
+    A block that is the constant c on a product of sign-symmetric axis sets
+    (product_factors; f.product_blocks when every block is one) has the norm
+    |c| times the product of its axis factors' one-axis norms, each factor
+    synthesized on its orthant (_axis_factor) and mirrored to its full axis
+    of the grid; the product grid is never built.  Any other block is
+    synthesized on the whole grid.  The grid must resolve f (_resolving).
+    """
+    shape = _resolving(f, grid).shape
+    blocks = f.product_blocks
+    if blocks is None:
+        blocks = {s: product_factors(b) or b for s, b in nonzero_blocks(f).items()}
+    norms = {}
+    for s, block in blocks.items():
+        if isinstance(block, SpectralFunction):  # not a uniform product
+            norms[s] = anisotropic_norm(synthesize(block, shape), params)
+        else:
+            c, axis_sets = block
+            factors = [
+                anisotropic_norm(_axis_factor(k, n).to_grid(), MixedSpaceParams((ax,)))
+                for k, n, ax in zip(axis_sets, shape, params.axes, strict=True)
+            ]
+            norms[s] = abs(c) * math.prod(factors)
+    return norms
+
+
 _ROWS = 256  # orthant rows per batch of the product route
 
 
@@ -385,12 +411,13 @@ def _product_norm(
 
     Each K is sign-symmetric, so on the orthant the samples are
     G_0 diag(c) G_1^T, column b of G_j the orthant synthesis of K_bj on N_j
-    points.  They are formed _ROWS rows at a time in one reused buffer, and
-    the powers of each batch are summed with the orthant weights
-    [1, 2, ..., 2, 1] / N_j, so no 2-D grid is ever held.
+    points (_axis_factor).  They are formed _ROWS rows at a time in one
+    reused buffer, and the powers of each batch are summed with the orthant
+    weights [1, 2, ..., 2, 1] / N_j, so no 2-D grid is ever held.
     """
     g0, g1 = (
-        _axis_factors([ks[j] for _, ks in pieces], n) for j, n in enumerate(shape)
+        np.column_stack([_axis_factor(ks[j], n).values for _, ks in pieces])
+        for j, n in enumerate(shape)
     )
     g0 *= np.array([c.real for c, _ in pieces])
     w0, w1 = (_orthant_weights(n) for n in shape)
@@ -402,16 +429,6 @@ def _product_norm(
         np.power(batch, p, out=batch)
         total += float(w0[i : i + _ROWS] @ (batch @ w1))
     return total ** (1.0 / p)
-
-
-def _axis_factors(axis_sets: list[np.ndarray], n: int) -> np.ndarray:
-    """(n/2 + 1, len(axis_sets)) array whose column b is the orthant synthesis,
-    on n points, of coefficient 1 on each frequency of axis_sets[b]."""
-    g = np.empty((n // 2 + 1, len(axis_sets)))
-    for b, k in enumerate(axis_sets):
-        unit = SpectralFunction(1, (k[:, None], np.ones(len(k))))
-        g[:, b] = _orthant(unit, (n,)).values
-    return g
 
 
 def analyze(g: GridFunction, band: Sequence[int]) -> SpectralFunction:

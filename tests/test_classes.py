@@ -11,7 +11,6 @@ from lzcross.classes import (
     BesovParams,
     TheoremParams,
     besov_functional,
-    block_norm,
     derived_exponents,
     extremal_f1,
     extremal_f2,
@@ -25,6 +24,7 @@ from lzcross.norms import MixedSpaceParams, anisotropic_norm
 from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
+    block_norms,
     grid_norm,
     grid_route,
     nonzero_blocks,
@@ -146,30 +146,57 @@ def test_besov_functional_homogeneous():
 
 
 def test_block_norm_product_path_matches_dense(monkeypatch):
-    # a uniform block on a product support is synthesized on its axis grids
-    # only, any other block on the whole grid
-    shapes = []
+    # a uniform block on a product of sign-symmetric axis sets is
+    # synthesized on its axis orthants only, any other block on the whole
+    # grid
+    calls = []
+    orthant, synthesize_ = spectral._orthant, spectral.synthesize
 
-    def spy(f, grid):
-        shapes.append(grid.shape)
-        return synthesize(f, grid)
+    def orthant_spy(freqs, coeffs, shape):
+        calls.append(("orthant", shape))
+        return orthant(freqs, coeffs, shape)
 
-    monkeypatch.setattr(classes, "synthesize", spy)
+    def synthesize_spy(f, grid):
+        calls.append(("grid", grid))
+        return synthesize_(f, grid)
+
+    monkeypatch.setattr(spectral, "_orthant", orthant_spy)
+    monkeypatch.setattr(spectral, "synthesize", synthesize_spy)
     grid = GridSpec((16, 8))
     uniform = SpectralFunction(2, {k: 0.7 for k in rho_block((2, 1))})
     coeffs = {k: 0.7 for k in rho_block((2, 1))}
     coeffs[(2, 1)] = 0.1  # break uniformity, forcing the grid path
     ragged = SpectralFunction(2, coeffs)
+    # uniform on {2, 3} x {-1, 1}: a product, but not of sign-symmetric sets
+    one_sided = SpectralFunction(2, {(k0, k1): 0.7 for k0 in (2, 3) for k1 in (-1, 1)})
+    expected = {uniform: [("orthant", (16,)), ("orthant", (8,))],
+                ragged: [("grid", (16, 8))], one_sided: [("grid", (16, 8))]}
     for space in (
         MixedSpaceParams.of(["3/2", 2], [0.5, 0.0], [2.0, 3.0]),
         MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2),  # plain L_{3/2}
     ):
-        for block, synthesized in ((uniform, [(16,), (8,)]), (ragged, [(16, 8)])):
-            shapes.clear()
-            got = block_norm(block, space, grid)
-            assert shapes == synthesized
-            dense = anisotropic_norm(synthesize(block, grid), space)
-            assert got == pytest.approx(dense, rel=1e-12)
+        for block, synthesized in expected.items():
+            calls.clear()
+            got = block_norms(block, grid, space)
+            assert list(got) == [(2, 1)]
+            assert calls == synthesized
+            dense = anisotropic_norm(synthesize_(block, grid), space)
+            assert got[(2, 1)] == pytest.approx(dense, rel=1e-12)
+
+
+def test_triangle_bound_refuses_a_grid_too_coarse_for_f():
+    # the block norms check the grid once, on the product path as on the
+    # dense one; |k_0| reaches 3 at level 2
+    params = single_block_params()
+    coeffs = {k: 0.3 for k in rho_block((2, 1))}
+    uniform = SpectralFunction(2, coeffs)
+    ragged = SpectralFunction(2, {**coeffs, (2, 1): 0.1})
+    assert uniform.product_blocks is not None and ragged.product_blocks is None
+    for f in (uniform, ragged):
+        assert besov_functional(f, params, (8, 8), exact=False) > 0.0
+        for coarse in ((4, 8), (8, 2)):
+            with pytest.raises(ValueError, match="too coarse"):
+                besov_functional(f, params, coarse, exact=False)
 
 
 def test_plain_lebesgue_norm_of_f1_holds_under_a_quarter_of_its_grid():

@@ -5,6 +5,7 @@ directory, then inspects exit codes, emitted files, and the manifest.
 """
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from lzcross import classes, cli, experiments, norms, spectral
-from lzcross.classes import extremal_f1
+from lzcross.classes import extremal_f1, extremal_levels
 from lzcross.cli import _theorem_params, main, parse_range, ConfigError
 from lzcross.experiments import _EXTREMAL_BUILDERS
 from lzcross.indexsets import Anisotropy, as_fraction, hyperbolic_cross
@@ -138,6 +139,19 @@ def test_non_finite_lemma_value_is_a_numerical_failure(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "lemma1_sum", lambda l, **p: math.nan)
     assert main(["--out", str(tmp_path), "lemma", "check", "--id", "1"]) == 4
     assert capsys.readouterr().err == "numerical failure: non-finite value at n=16\n"
+    assert_failed_manifest(tmp_path, 4)
+
+
+def test_lemma3_box_value_beyond_the_float_range_is_a_numerical_failure(
+    tmp_path, capsys
+):
+    # (s + 1)**200 on both axes overflows: the first non-finite box value
+    # ends the run, rather than growing the box to its 4096-level limit
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", "3",
+            "--params", str(make_params_file(tmp_path, {"lams": [200, 200]}))]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: lemma 3 box (13, 13) value at n=4 is not finite\n")
     assert_failed_manifest(tmp_path, 4)
 
 
@@ -737,21 +751,58 @@ def test_lorentz_zygmund_rate_levels_take_the_product_route(tmp_path):
 
 def test_plain_l2_rate_levels_synthesize_no_bivariate_grid(tmp_path, monkeypatch):
     # the residual is measured by Parseval and the class functional sums the
-    # product of its 1-D axis factors: every sampled grid has one axis
-    original = spectral._samples
+    # product of its 1-D axis factors: every sampled grid has one axis, and
+    # the block norms sample one 1-D factor per block and axis
     shapes = []
+    for name in ("_samples", "_orthant"):
+        original = getattr(spectral, name)
 
-    def counting(f, grid):
-        shapes.append(tuple(getattr(grid, "shape", grid)))
-        return original(f, grid)
+        def counting(*args, original=original):
+            shapes.append(tuple(getattr(args[-1], "shape", args[-1])))
+            return original(*args)
 
-    monkeypatch.setattr(spectral, "_samples", counting)
+        monkeypatch.setattr(spectral, name, counting)
     params = BENCH / "params" / "rate-2d-l2.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
-    assert shapes and all(len(s) == 1 for s in shapes)
+    blocks = sum(len(extremal_levels(n, _theorem_params(read_json(params)), 1))
+                 for n in range(6, 10))
+    assert len(shapes) >= 2 * blocks
+    assert all(len(s) == 1 for s in shapes)
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
     assert [level["normalizer"] for level in levels] == ["product"] * 4
+
+
+@pytest.mark.parametrize("workload", ["rate-2d-l2", "rate-2d-lz"])
+def test_rate_levels_test_sign_symmetry_once_and_synthesize_nothing(
+    tmp_path, monkeypatch, workload
+):
+    # the block norms synthesize each 1-D factor from its axis set, with no
+    # polynomial and no symmetry test of their own: the one test per level
+    # is of f, whose residual keeps every row
+    tested, synthesized = [], []
+    symmetric, synthesize = SpectralFunction.sign_symmetric.func, spectral.synthesize
+
+    def testing(f):
+        tested.append(f)
+        return symmetric(f)
+
+    def synthesizing(*args):
+        synthesized.append(args)
+        return synthesize(*args)
+
+    prop = functools.cached_property(testing)
+    prop.__set_name__(SpectralFunction, "sign_symmetric")
+    monkeypatch.setattr(SpectralFunction, "sign_symmetric", prop)
+    monkeypatch.setattr(spectral, "synthesize", synthesizing)
+    params = BENCH / "params" / f"{workload}.json"
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    tp = _theorem_params(read_json(params))
+    assert [f.n_terms for f in tested] == [
+        sum(2 ** sum(s) for s in extremal_levels(n, tp, 1)) for n in range(6, 10)
+    ]
+    assert synthesized == []
 
 
 def test_rate_experiment_keeps_no_grid_after_it_returns():

@@ -342,7 +342,7 @@ def test_profile_and_orthant_norms_take_their_powers_one_batch_of_columns_at_a_t
     f = dirichlet_block((8, 8))
     grid = GridSpec((1024, 1024))
     grid_norm(f, grid, lz)  # fills the weight cache
-    samples = spectral._orthant(f, grid.shape)
+    samples = spectral._samples(f, grid)
     prof = iterated_rearrangement(samples)
     batch = 1024 * norms._COLUMNS * 8
     bound = batch + 128 * 1024
@@ -399,7 +399,7 @@ def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
     # transform outputs they were sliced from
     tracemalloc.start()
     try:
-        orthant = spectral._orthant(other, grid.shape)
+        orthant = spectral._samples(other, grid)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

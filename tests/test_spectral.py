@@ -227,30 +227,11 @@ def test_sign_symmetry_is_detected_exactly():
     assert not SpectralFunction(2, (f.freqs, coeffs)).sign_symmetric
 
 
-def test_real_valued_is_detected_exactly():
-    f = SpectralFunction(2, {(1, 2): 1 + 2j, (-1, -2): 1 - 2j, (0, 0): 3.0,
-                             (0, -1): 0.5j, (0, 1): -0.5j})
-    assert f.real_valued and not f.sign_symmetric
-    assert dirichlet_block((2, 3)).real_valued
-    assert SpectralFunction(2).real_valued
-    # a missing mirror row
-    assert not f.restrict(np.arange(1, f.n_terms)).real_valued
-    # a mirror coefficient one ulp off
-    coeffs = f.coeffs.copy()
-    coeffs[1] = complex(np.nextafter(1.0, 2.0), -2.0)
-    assert not SpectralFunction(2, (f.freqs, coeffs)).real_valued
-    # a nonzero imaginary part at k = 0
-    coeffs = f.coeffs.copy()
-    coeffs[2] = complex(3.0, 5e-324)
-    assert not SpectralFunction(2, (f.freqs, coeffs)).real_valued
-
-
 def test_complex_synthesis_holds_one_complex_grid():
     # the full spectrum is transformed in place and returned as the samples;
     # what else is held scales with the rows, not with the grid
     grid = GridSpec((1024, 1024))
     f = dirichlet_block((4, 4)).scaled(1 + 1j)
-    assert not f.real_valued
     synthesize(f.scaled(2.0), grid)  # plans the transforms
     tracemalloc.start()
     try:
