@@ -147,7 +147,7 @@ class SpectralFunction:
     ) -> dict[MultiIndex, tuple[complex, list[np.ndarray]]] | None:
         """{level: product_factors(block)} over the nonzero blocks of f, in
         the order of nonzero_blocks, when every block is a constant on a
-        product of sign-symmetric axis sets; None as soon as one is not.
+        product support; None as soon as one is not.
         Found once per polynomial; it keeps only the axis sets, not the
         blocks' rows."""
         out = {}
@@ -266,11 +266,19 @@ def _samples(
     grid = _resolving(f, grid)
     if f.sign_symmetric:
         return _orthant(f.freqs, f.coeffs.real, grid.shape)
-    shape = grid.shape
+    return _complex_samples(f.freqs, f.coeffs, grid.shape)
+
+
+def _complex_samples(
+    freqs: np.ndarray, coeffs: np.ndarray, shape: tuple[int, ...]
+) -> GridFunction:
+    """Samples on the whole grid `shape` of the polynomial with the
+    coefficients coeffs on the rows of freqs: a_k is written into the full
+    spectrum, which an ifft along every axis transforms in place."""
     spec = np.zeros(shape, dtype=np.complex128)
     # k mod N_j, as every N_j is a power of two; distinct rows stay distinct
-    spec[tuple((f.freqs & (np.array(shape) - 1)).T)] = f.coeffs
-    for axis in range(f.m):
+    spec[tuple((freqs & (np.array(shape) - 1)).T)] = coeffs
+    for axis in range(len(shape)):
         np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
     return GridFunction(spec)
 
@@ -336,20 +344,14 @@ def product_factors(
     block: SpectralFunction,
 ) -> tuple[complex, list[np.ndarray]] | None:
     """(c, [K_1, ..., K_m]) when the block is the constant c on the product
-    K_1 x ... x K_m of its distinct frequencies per axis and every K_j is
-    sign-symmetric (K_j = -K_j), else None.
+    K_1 x ... x K_m of its distinct frequencies per axis, else None.
 
     The rows are distinct, so they fill that product exactly when there are
     as many of them as it has points.
     """
     c = block.coeffs
     axis_sets = [_distinct(block.freqs[:, j]) for j in range(block.m)]
-    if (
-        c.size
-        and (c == c[0]).all()
-        and math.prod(map(len, axis_sets)) == c.size
-        and all(np.array_equal(k, -k[::-1]) for k in axis_sets)
-    ):
+    if c.size and (c == c[0]).all() and math.prod(map(len, axis_sets)) == c.size:
         return complex(c[0]), axis_sets
     return None
 
@@ -369,34 +371,44 @@ def _axis_factor(k: np.ndarray, n: int) -> OrthantSamples:
     return _orthant(k[:, None], np.ones(len(k)), (n,))
 
 
+def _axis_samples(k: np.ndarray, n: int) -> GridFunction:
+    """Coefficient 1 on each frequency of the sorted axis set k, sampled on
+    n points: on its orthant and mirrored when k = -k, else by one complex
+    ifft."""
+    if np.array_equal(k, -k[::-1]):
+        return _axis_factor(k, n).to_grid()
+    return _complex_samples(k[:, None], np.ones(len(k)), (n,))
+
+
 def block_norms(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> dict[MultiIndex, float]:
     """{level: norm in params on the grid} over the nonzero blocks of f, in
     the order of nonzero_blocks.
 
-    A block that is the constant c on a product of sign-symmetric axis sets
+    A block that is the constant c on a product of axis sets
     (product_factors; f.product_blocks when every block is one) has the norm
     |c| times the product of its axis factors' one-axis norms, each factor
-    synthesized on its orthant (_axis_factor) and mirrored to its full axis
-    of the grid; the product grid is never built.  Any other block is
-    synthesized on the whole grid.  The grid must resolve f (_resolving).
+    sampled on its own axis of the grid (_axis_samples); the product grid is
+    never built.  Any other block is synthesized on the whole grid.  The
+    grid must resolve f (_resolving).
     """
     shape = _resolving(f, grid).shape
-    blocks = f.product_blocks
-    if blocks is None:
-        blocks = {s: product_factors(b) or b for s, b in nonzero_blocks(f).items()}
+    products = f.product_blocks
+    blocks = nonzero_blocks(f) if products is None else {}
+    if products is None:
+        products = {s: product_factors(b) for s, b in blocks.items()}
     norms = {}
-    for s, block in blocks.items():
-        if isinstance(block, SpectralFunction):  # not a uniform product
-            norms[s] = anisotropic_norm(synthesize(block, shape), params)
-        else:
-            c, axis_sets = block
-            factors = [
-                anisotropic_norm(_axis_factor(k, n).to_grid(), MixedSpaceParams((ax,)))
-                for k, n, ax in zip(axis_sets, shape, params.axes, strict=True)
-            ]
-            norms[s] = abs(c) * math.prod(factors)
+    for s, product in products.items():
+        if product is None:  # not a uniform product
+            norms[s] = anisotropic_norm(synthesize(blocks[s], shape), params)
+            continue
+        c, axis_sets = product
+        factors = [
+            anisotropic_norm(_axis_samples(k, n), MixedSpaceParams((ax,)))
+            for k, n, ax in zip(axis_sets, shape, params.axes, strict=True)
+        ]
+        norms[s] = abs(c) * math.prod(factors)
     return norms
 
 
@@ -409,7 +421,8 @@ def _product_norm(
     """Plain L_p norm on the grid `shape` of sum_b c_b D_{K_b0}(x_0) D_{K_b1}(x_1),
     D_K the sum of exp(i k x) over k in K, from its 1-D axis factors.
 
-    Each K is sign-symmetric, so on the orthant the samples are
+    The sum is sign-symmetric (grid_route), so each K is too, and on the
+    orthant the samples are
     G_0 diag(c) G_1^T, column b of G_j the orthant synthesis of K_bj on N_j
     points (_axis_factor).  They are formed _ROWS rows at a time in one
     reused buffer, and the powers of each batch are summed with the orthant

@@ -146,31 +146,30 @@ def test_besov_functional_homogeneous():
 
 
 def test_block_norm_product_path_matches_dense(monkeypatch):
-    # a uniform block on a product of sign-symmetric axis sets is
-    # synthesized on its axis orthants only, any other block on the whole
-    # grid
+    # a uniform block on a product support is synthesized on its axis grids
+    # only, a sign-symmetric axis set on its orthant and any other by a
+    # complex ifft; any other block is synthesized on the whole grid
     calls = []
-    orthant, synthesize_ = spectral._orthant, spectral.synthesize
+    for name in ("_orthant", "_complex_samples"):
+        original = getattr(spectral, name)
 
-    def orthant_spy(freqs, coeffs, shape):
-        calls.append(("orthant", shape))
-        return orthant(freqs, coeffs, shape)
+        def spy(freqs, coeffs, shape, name=name, original=original):
+            calls.append((name, shape))
+            return original(freqs, coeffs, shape)
 
-    def synthesize_spy(f, grid):
-        calls.append(("grid", grid))
-        return synthesize_(f, grid)
-
-    monkeypatch.setattr(spectral, "_orthant", orthant_spy)
-    monkeypatch.setattr(spectral, "synthesize", synthesize_spy)
+        monkeypatch.setattr(spectral, name, spy)
     grid = GridSpec((16, 8))
     uniform = SpectralFunction(2, {k: 0.7 for k in rho_block((2, 1))})
     coeffs = {k: 0.7 for k in rho_block((2, 1))}
     coeffs[(2, 1)] = 0.1  # break uniformity, forcing the grid path
     ragged = SpectralFunction(2, coeffs)
-    # uniform on {2, 3} x {-1, 1}: a product, but not of sign-symmetric sets
+    # uniform on {2, 3} x {-1, 1}: a product whose axis-0 set is one-sided
     one_sided = SpectralFunction(2, {(k0, k1): 0.7 for k0 in (2, 3) for k1 in (-1, 1)})
-    expected = {uniform: [("orthant", (16,)), ("orthant", (8,))],
-                ragged: [("grid", (16, 8))], one_sided: [("grid", (16, 8))]}
+    expected = {
+        uniform: [("_orthant", (16,)), ("_orthant", (8,))],
+        ragged: [("_complex_samples", (16, 8))],
+        one_sided: [("_complex_samples", (16,)), ("_orthant", (8,))],
+    }
     for space in (
         MixedSpaceParams.of(["3/2", 2], [0.5, 0.0], [2.0, 3.0]),
         MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2),  # plain L_{3/2}
@@ -180,8 +179,37 @@ def test_block_norm_product_path_matches_dense(monkeypatch):
             got = block_norms(block, grid, space)
             assert list(got) == [(2, 1)]
             assert calls == synthesized
-            dense = anisotropic_norm(synthesize_(block, grid), space)
+            dense = anisotropic_norm(synthesize(block, grid), space)
             assert got[(2, 1)] == pytest.approx(dense, rel=1e-12)
+
+
+def test_triangle_bound_on_a_held_axis_samples_no_bivariate_grid(monkeypatch):
+    # r = (1, 2): axis 1 is not tied, so f1 holds it at the one harmonic
+    # k_1 = +1; f1 is not sign-symmetric, but each block is still measured
+    # from its 1-D axis factors, and only the exact norm samples the grid
+    tp = make_tp(["3/2", "3/2"], [2, 2], [1, 2])
+    f = extremal_f1(8, tp)
+    assert not f.sign_symmetric and f.product_blocks is not None
+    grid = GridSpec.minimal_for(f.bandwidth())
+    shapes = []
+    for name in ("_orthant", "_complex_samples"):
+        original = getattr(spectral, name)
+
+        def spy(freqs, coeffs, shape, original=original):
+            shapes.append(shape)
+            return original(freqs, coeffs, shape)
+
+        monkeypatch.setattr(spectral, name, spy)
+    bound = besov_functional(f, tp.source, grid, exact=False)
+    blocks = nonzero_blocks(f)
+    assert len(shapes) == 2 * len(blocks) and all(len(s) == 1 for s in shapes)
+    norms = block_norms(f, grid, tp.source.space)
+    for s, block in blocks.items():
+        dense = anisotropic_norm(synthesize(block, grid), tp.source.space)
+        assert norms[s] == pytest.approx(dense, rel=1e-12)
+    shapes.clear()
+    exact = besov_functional(f, tp.source, grid, exact=True)
+    assert grid.shape in shapes and exact <= bound * (1 + 1e-12)
 
 
 def test_triangle_bound_refuses_a_grid_too_coarse_for_f():
