@@ -19,7 +19,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .indexsets import Anisotropy, RationalLike, as_fraction, cross_membership, layer_exact
-from .norms import DEFAULT_MAX_GRID_CELLS, mixed_reduce, mixed_sequence_norm
+from .norms import _check_cells, mixed_reduce, mixed_sequence_norm
 
 
 def _inv(theta: float) -> float:
@@ -149,11 +149,9 @@ def lemma3_lhs(
 
     def value_on_box(box: list[int]) -> float:
         dims = tuple(b + 1 for b in box)
-        if max(box) > 4096 or math.prod(dims) > DEFAULT_MAX_GRID_CELLS:
-            raise ValueError(
-                f"lemma 3 box {dims} exceeds the limit of 4096 levels per axis "
-                f"or {DEFAULT_MAX_GRID_CELLS} cells"
-            )
+        if max(box) > 4096:
+            raise ValueError(f"lemma 3 box {dims} exceeds the limit of 4096 levels")
+        _check_cells("lemma 3 box", dims)
         mesh = np.ix_(*(np.arange(b + 1) for b in box))
         level = sum(s * g for s, g in zip(mesh, gfloat))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -226,11 +224,16 @@ def lemma4_lhs(
 ) -> float:
     """Mixed sequence norm of the same weights over the exact layer <s, gamma> = n.
 
-    The layer is finite; an empty layer yields 0.
+    The layer is finite; an empty layer yields 0.  Its box, of
+    floor(n / gamma_j) + 1 levels per axis, above DEFAULT_MAX_GRID_CELLS
+    cells raises ValueError before the layer is listed.
     """
     if len(lams) != gamma.m or len(epsilons) != gamma.m:
         raise ValueError("dimension mismatch among weights and exponents")
-    nf = float(as_fraction(n))
+    nq = as_fraction(n)
+    box = tuple(max(0, nq // g) + 1 for g in gamma.weights)
+    _check_cells(f"lemma 4 layer box at n={n}", box)
+    nf = float(nq)
     values = {
         s: 2.0 ** (-alpha * nf)
         * math.prod((sj + 1.0) ** lam for sj, lam in zip(s, lams))

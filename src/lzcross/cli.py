@@ -488,7 +488,7 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
         "polylog_free": result.fit_free.polylog,
         "polylog_pinned": result.fit_pinned.polylog,
         "spread": spread if math.isfinite(spread) else None,
-        "normalizer_exact": all(pt.normalizer_exact for pt in result.points),
+        "normalizer_exact": all(pt.normalizer != "bound" for pt in result.points),
     }
     summary_path = out.with_name(out.stem + ".summary.json")
     _write_json(summary_path, summary)
@@ -496,7 +496,7 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
     manifest.stats = {
         "levels": [
             {"n": pt.n, "support_size": pt.support_size, "grid_cells": pt.grid_cells,
-             "normalizer_exact": pt.normalizer_exact, "normalizer": pt.normalizer}
+             "normalizer_exact": pt.normalizer != "bound", "normalizer": pt.normalizer}
             for pt in result.points
         ]
     }

@@ -59,10 +59,12 @@ def class_normalizer(
 
 @dataclass(frozen=True)
 class RatePoint:
+    """One level of theorem1_rate_experiment; its class functional is exact
+    unless the normalizer is "bound" (class_normalizer)."""
+
     n: int
     error: float
     reference: float
-    normalizer_exact: bool
     normalizer: str  # "product", "orthant" or "grid" (grid_route), or "bound"
     support_size: int
     grid_cells: int
@@ -127,7 +129,6 @@ def theorem1_rate_experiment(
     def eval_point(n: int) -> RatePoint:
         f = build(int(n), tp)
         grid = GridSpec.minimal_for(f.bandwidth())
-        route = grid_route(f, grid, tp.source.space)
         normalizer, exact = class_normalizer(
             f, tp.source, grid, max_grid_cells=max_grid_cells
         )
@@ -138,8 +139,7 @@ def theorem1_rate_experiment(
             n=int(n),
             error=raw / normalizer,
             reference=theoretical_rate(int(n), d),
-            normalizer_exact=exact,
-            normalizer=route if exact else "bound",
+            normalizer=grid_route(f, grid, tp.source.space) if exact else "bound",
             support_size=f.n_terms,
             grid_cells=grid.cells,
         )

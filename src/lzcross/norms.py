@@ -434,10 +434,22 @@ def mixed_reduce(values: np.ndarray, thetas: Sequence[float]) -> float:
     return float(arr)
 
 
+def _check_cells(what: str, dims: tuple[int, ...]) -> None:
+    """Refuse a dense array of shape dims above DEFAULT_MAX_GRID_CELLS cells,
+    before it is allocated."""
+    cells = math.prod(dims)
+    if cells > DEFAULT_MAX_GRID_CELLS:
+        raise ValueError(
+            f"{what} {dims} needs {cells} cells, beyond the cell budget of "
+            f"{DEFAULT_MAX_GRID_CELLS} (DEFAULT_MAX_GRID_CELLS)"
+        )
+
+
 def mixed_sequence_norm(
     values: Mapping[MultiIndex, float], thetas: Sequence[float]
 ) -> float:
-    """Iterated sequence norm of a finitely supported map from level vectors."""
+    """Iterated sequence norm of a finitely supported map from level vectors,
+    taken on a dense box up to its largest level per axis (_check_cells)."""
     thetas = _exponents(thetas)
     if not values:
         return 0.0
@@ -446,6 +458,7 @@ def mixed_sequence_norm(
     if any(len(s) != m or min(s) < 0 for s in support):
         raise ValueError("support entries must be nonnegative of matching arity")
     dims = tuple(max(s[j] for s in support) + 1 for j in range(m))
+    _check_cells("the sequence array", dims)
     arr = np.zeros(dims)
     for s, x in zip(support, values.values()):
         x = float(x)

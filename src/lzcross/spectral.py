@@ -145,14 +145,14 @@ class SpectralFunction:
     def product_blocks(
         self,
     ) -> dict[MultiIndex, tuple[complex, list[np.ndarray]]] | None:
-        """{level: product_factors(block)} over the nonzero blocks of f, in
-        the order of nonzero_blocks, when every block is a constant on a
-        product support; None as soon as one is not.
+        """{level: product_factors of the block's row arrays} over the
+        nonzero blocks of f, in the order of block_rows, when every block is
+        a constant on a product support; None as soon as one is not.
         Found once per polynomial; it keeps only the axis sets, not the
         blocks' rows."""
         out = {}
-        for s, rows in _block_rows(self).items():
-            product = product_factors(self.restrict(rows))
+        for s, rows in block_rows(self).items():
+            product = product_factors(self.freqs[rows], self.coeffs[rows])
             if product is None:
                 return None
             out[s] = product
@@ -302,14 +302,15 @@ def grid_norm(
     calls.
 
     grid_route(f, grid, params) names the samples measured.  "product": a
-    plain L_p norm of a bivariate sign-symmetric sum of uniform product
-    blocks (f.product_blocks) is summed from the blocks' 1-D axis factors
-    (_product_norm); no grid is built.  "orthant": any other sign-symmetric
-    f is sampled and rearranged on its orthant only (OrthantSamples).
-    "grid": any other f is sampled on the whole grid.  Outside plain L_p the
-    profile, and so the norm, equals the full grid's bit for bit; inside,
-    the product and orthant sums agree with the full grid's to a relative
-    1e-13.
+    plain L_p norm of a sign-symmetric sum of uniform product blocks
+    (f.product_blocks) in m >= 2 variables is summed from the blocks' 1-D
+    axis factors (_product_norm); no grid of two or more axes is built.
+    "orthant": a sign-symmetric f of one variable, or without product
+    blocks, or in any other space, is sampled and rearranged on its orthant
+    only (OrthantSamples).  "grid": any other f is sampled on the whole
+    grid.  Outside plain L_p the profile, and so the norm, equals the full
+    grid's bit for bit; inside, the product and orthant sums agree with the
+    full grid's to a relative 1e-13.
     """
     if grid_route(f, grid, params) == "product":
         pieces = list(f.product_blocks.values())
@@ -323,15 +324,15 @@ def grid_route(
 ) -> str:
     """The samples grid_norm(f, grid, params) measures (see grid_norm).
 
-    "product" for a plain L_p space, m = 2, f sign-symmetric, with terms,
+    "product" for a plain L_p space, m >= 2, f sign-symmetric, with terms,
     and every block uniform on a product support; else "orthant" if f is
-    sign-symmetric, else "grid".  The route is the same on every grid that
-    resolves f.  The blocks are tested once per polynomial
-    (f.product_blocks).
+    sign-symmetric (one variable is its own axis factor), else "grid".  The
+    route is the same on every grid that resolves f.  The blocks are tested
+    once per polynomial (f.product_blocks).
     """
     if (
         params.lebesgue_index() is not None
-        and f.m == params.m == 2
+        and f.m == params.m >= 2
         and f.n_terms
         and f.sign_symmetric
         and f.product_blocks is not None
@@ -341,18 +342,19 @@ def grid_route(
 
 
 def product_factors(
-    block: SpectralFunction,
+    freqs: np.ndarray, coeffs: np.ndarray
 ) -> tuple[complex, list[np.ndarray]] | None:
-    """(c, [K_1, ..., K_m]) when the block is the constant c on the product
-    K_1 x ... x K_m of its distinct frequencies per axis, else None.
+    """(c, [K_1, ..., K_m]) when the block of coefficients coeffs on the rows
+    freqs is the constant c on the product K_1 x ... x K_m of its distinct
+    frequencies per axis, else None.
 
     The rows are distinct, so they fill that product exactly when there are
     as many of them as it has points.
     """
-    c = block.coeffs
-    axis_sets = [_distinct(block.freqs[:, j]) for j in range(block.m)]
-    if c.size and (c == c[0]).all() and math.prod(map(len, axis_sets)) == c.size:
-        return complex(c[0]), axis_sets
+    axis_sets = [_distinct(k) for k in freqs.T]
+    uniform = coeffs.size and (coeffs == coeffs[0]).all()
+    if uniform and math.prod(map(len, axis_sets)) == coeffs.size:
+        return complex(coeffs[0]), axis_sets
     return None
 
 
@@ -384,24 +386,27 @@ def block_norms(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> dict[MultiIndex, float]:
     """{level: norm in params on the grid} over the nonzero blocks of f, in
-    the order of nonzero_blocks.
+    the order of block_rows.
 
     A block that is the constant c on a product of axis sets
-    (product_factors; f.product_blocks when every block is one) has the norm
-    |c| times the product of its axis factors' one-axis norms, each factor
-    sampled on its own axis of the grid (_axis_samples); the product grid is
-    never built.  Any other block is synthesized on the whole grid.  The
-    grid must resolve f (_resolving).
+    (product_factors of its rows; f.product_blocks when every block is one)
+    has the norm |c| times the product of its axis factors' one-axis norms,
+    each factor sampled on its own axis of the grid (_axis_samples); the
+    product grid is never built.  Any other block is synthesized on the
+    whole grid.  The grid must resolve f (_resolving).
     """
     shape = _resolving(f, grid).shape
-    products = f.product_blocks
-    blocks = nonzero_blocks(f) if products is None else {}
-    if products is None:
-        products = {s: product_factors(b) for s, b in blocks.items()}
+    products, rows = f.product_blocks, {}
+    if products is None:  # some block is not a uniform product
+        rows = block_rows(f)
+        products = {
+            s: product_factors(f.freqs[r], f.coeffs[r]) for s, r in rows.items()
+        }
     norms = {}
     for s, product in products.items():
         if product is None:  # not a uniform product
-            norms[s] = anisotropic_norm(synthesize(blocks[s], shape), params)
+            block = synthesize(f.restrict(rows[s]), shape)
+            norms[s] = anisotropic_norm(block, params)
             continue
         c, axis_sets = product
         factors = [
@@ -416,31 +421,36 @@ _ROWS = 256  # orthant rows per batch of the product route
 
 
 def _product_norm(
-    pieces: list[tuple[complex, list[np.ndarray]]], shape: tuple[int, int], p: float
+    pieces: list[tuple[complex, list[np.ndarray]]], shape: tuple[int, ...], p: float
 ) -> float:
-    """Plain L_p norm on the grid `shape` of sum_b c_b D_{K_b0}(x_0) D_{K_b1}(x_1),
+    """Plain L_p norm on the grid `shape` of sum_b c_b prod_j D_{K_bj}(x_j),
     D_K the sum of exp(i k x) over k in K, from its 1-D axis factors.
 
-    The sum is sign-symmetric (grid_route), so each K is too, and on the
-    orthant the samples are
-    G_0 diag(c) G_1^T, column b of G_j the orthant synthesis of K_bj on N_j
-    points (_axis_factor).  They are formed _ROWS rows at a time in one
-    reused buffer, and the powers of each batch are summed with the orthant
-    weights [1, 2, ..., 2, 1] / N_j, so no 2-D grid is ever held.
+    The sum is sign-symmetric (grid_route), so each K is too.  Column b of
+    G_j is the orthant synthesis of K_bj on N_j points (_axis_factor).  The
+    orthant rows (i_0, ..., i_{m-2}) are walked in C order, _ROWS at a time
+    into one reused buffer: (c o G_0[i_0] o ... o G_{m-2}[i_{m-2}]) G_{m-1}^T
+    samples the row along the last axis, and its powers are summed with the
+    orthant weights [1, 2, ..., 2, 1] / N_j, so no grid of two or more axes
+    is ever held.
     """
-    g0, g1 = (
+    *heads, last = (
         np.column_stack([_axis_factor(ks[j], n).values for _, ks in pieces])
         for j, n in enumerate(shape)
     )
-    g0 *= np.array([c.real for c, _ in pieces])
-    w0, w1 = (_orthant_weights(n) for n in shape)
-    total, buf = 0.0, np.empty((min(_ROWS, len(g0)), len(g1)))
-    for i in range(0, len(g0), _ROWS):
-        rows = g0[i : i + _ROWS]
-        batch = np.matmul(rows, g1.T, out=buf[: len(rows)])
+    heads[0] *= np.array([c.real for c, _ in pieces])
+    *head_weights, w_last = (_orthant_weights(n) for n in shape)
+    half = tuple(len(g) for g in heads)
+    count = math.prod(half)
+    total, buf = 0.0, np.empty((min(_ROWS, count), len(last)))
+    for i in range(0, count, _ROWS):
+        at = np.unravel_index(np.arange(i, min(i + _ROWS, count)), half)
+        rows = math.prod(g[k] for g, k in zip(heads, at))
+        batch = np.matmul(rows, last.T, out=buf[: len(rows)])
         np.abs(batch, out=batch)
         np.power(batch, p, out=batch)
-        total += float(w0[i : i + _ROWS] @ (batch @ w1))
+        weights = math.prod(w[k] for w, k in zip(head_weights, at))
+        total += float(weights @ (batch @ w_last))
     return total ** (1.0 / p)
 
 
@@ -460,13 +470,10 @@ def analyze(g: GridFunction, band: Sequence[int]) -> SpectralFunction:
     return SpectralFunction(g.m, (freqs, hat[tuple((freqs % np.array(g.shape)).T)]))
 
 
-def nonzero_blocks(f: SpectralFunction) -> dict[MultiIndex, SpectralFunction]:
-    """Partition the rows of f by block level; lex-ordered keys, rows in order."""
-    return {s: f.restrict(rows) for s, rows in _block_rows(f).items()}
-
-
-def _block_rows(f: SpectralFunction) -> dict[MultiIndex, np.ndarray]:
-    """The row numbers of each block of f (nonzero_blocks)."""
+def block_rows(f: SpectralFunction) -> dict[MultiIndex, np.ndarray]:
+    """Partition the rows of f by block level: {level: row numbers}, with
+    lex-ordered keys and each block's rows in order (f.restrict(rows) is the
+    block as a polynomial)."""
     levels = block_levels(f.freqs)
     order = np.lexsort(levels.T[::-1])  # stable, so rows keep their order
     ordered = levels[order]

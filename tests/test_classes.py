@@ -25,9 +25,9 @@ from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
     block_norms,
+    block_rows,
     grid_norm,
     grid_route,
-    nonzero_blocks,
     synthesize,
 )
 from lzcross.experiments import class_normalizer
@@ -201,11 +201,11 @@ def test_triangle_bound_on_a_held_axis_samples_no_bivariate_grid(monkeypatch):
 
         monkeypatch.setattr(spectral, name, spy)
     bound = besov_functional(f, tp.source, grid, exact=False)
-    blocks = nonzero_blocks(f)
+    blocks = block_rows(f)
     assert len(shapes) == 2 * len(blocks) and all(len(s) == 1 for s in shapes)
     norms = block_norms(f, grid, tp.source.space)
-    for s, block in blocks.items():
-        dense = anisotropic_norm(synthesize(block, grid), tp.source.space)
+    for s, rows in blocks.items():
+        dense = anisotropic_norm(synthesize(f.restrict(rows), grid), tp.source.space)
         assert norms[s] == pytest.approx(dense, rel=1e-12)
     shapes.clear()
     exact = besov_functional(f, tp.source, grid, exact=True)
@@ -277,8 +277,7 @@ def test_extremal_f1_single_axis():
 def test_extremal_f1_layer_spread():
     tp = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
     f = extremal_f1(6, tp)
-    blocks = nonzero_blocks(f)
-    assert set(blocks) == {(1, 5), (2, 4), (3, 3), (4, 2), (5, 1)}
+    assert set(block_rows(f)) == {(1, 5), (2, 4), (3, 3), (4, 2), (5, 1)}
     assert f.n_terms == 5 * 2**6
     assert f.coefficients[(1, 16)] == pytest.approx(2.0**-8, rel=1e-14)
 
@@ -286,7 +285,7 @@ def test_extremal_f1_layer_spread():
 def test_extremal_f2_block_choice():
     tp = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
     f = extremal_f2(4, tp)
-    assert set(nonzero_blocks(f)) == {(1, 3)}
+    assert set(block_rows(f)) == {(1, 3)}
     assert f.n_terms == 16
     assert f.coefficients[(1, 4)] == pytest.approx(2.0 ** (-16.0 / 3.0), rel=1e-14)
     single = extremal_f2(3, make_tp(["3/2"], [2], [1]))
@@ -299,7 +298,7 @@ def test_extremal_f3_collapses():
     tight = make_tp(["3/2", "3/2"], [2, 2], [1, 1], thetas=[2.0, 2.0])
     f = extremal_f3(5, tight)  # B empty, spread collapses to axis j1
     # frozen axes hold the lowest nonzero harmonic, landing in block level 1
-    assert set(nonzero_blocks(f)) == {(5, 1)}
+    assert set(block_rows(f)) == {(5, 1)}
     assert all(k[1] == 1 for k in f.coefficients)
     assert f.n_terms == 2**5
 

@@ -9,6 +9,7 @@ import functools
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -240,6 +241,23 @@ def test_lemma3_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):
                "--params", str(params), "--range", "4:5"])
     assert rc == 2
     assert "lemma 3 box (409, 409, 409)" in capsys.readouterr().err
+
+
+def test_lemma4_layer_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):
+    # five unit weights at n=32 span a 33**5-cell box, past the 2**25-cell
+    # budget; it is refused before the layer is listed
+    params = tmp_path / "lemma4.json"
+    params.write_text(json.dumps({"gamma": [1] * 5}))
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", "4",
+            "--params", str(params)]
+    assert main(argv + ["--range", "32:32"]) == 2
+    err = capsys.readouterr().err
+    assert "(33, 33, 33, 33, 33) needs 39135393 cells" in err
+    assert str(norms.DEFAULT_MAX_GRID_CELLS) in err
+    # four unit weights keep their largest box of the default range 2:64,
+    # 65**4 cells, within the budget
+    params.write_text(json.dumps({"gamma": [1] * 4}))
+    assert main(argv + ["--range", "64:64"]) == 0
 
 
 def test_exit_two_on_missing_config(tmp_path):
@@ -773,6 +791,20 @@ def test_plain_l2_rate_levels_synthesize_no_bivariate_grid(tmp_path, monkeypatch
     assert [level["normalizer"] for level in levels] == ["product"] * 4
 
 
+def count_symmetry_tests(monkeypatch) -> list:
+    """A list that gains each polynomial whose sign symmetry is tested."""
+    symmetric, tested = SpectralFunction.sign_symmetric.func, []
+
+    def testing(f):
+        tested.append(f)
+        return symmetric(f)
+
+    prop = functools.cached_property(testing)
+    prop.__set_name__(SpectralFunction, "sign_symmetric")
+    monkeypatch.setattr(SpectralFunction, "sign_symmetric", prop)
+    return tested
+
+
 @pytest.mark.parametrize("workload", ["rate-2d-l2", "rate-2d-lz"])
 def test_rate_levels_test_sign_symmetry_once_and_synthesize_nothing(
     tmp_path, monkeypatch, workload
@@ -780,20 +812,13 @@ def test_rate_levels_test_sign_symmetry_once_and_synthesize_nothing(
     # the block norms synthesize each 1-D factor from its axis set, with no
     # polynomial and no symmetry test of their own: the one test per level
     # is of f, whose residual keeps every row
-    tested, synthesized = [], []
-    symmetric, synthesize = SpectralFunction.sign_symmetric.func, spectral.synthesize
-
-    def testing(f):
-        tested.append(f)
-        return symmetric(f)
+    tested, synthesized = count_symmetry_tests(monkeypatch), []
+    synthesize = spectral.synthesize
 
     def synthesizing(*args):
         synthesized.append(args)
         return synthesize(*args)
 
-    prop = functools.cached_property(testing)
-    prop.__set_name__(SpectralFunction, "sign_symmetric")
-    monkeypatch.setattr(SpectralFunction, "sign_symmetric", prop)
     monkeypatch.setattr(spectral, "synthesize", synthesizing)
     params = BENCH / "params" / f"{workload}.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
@@ -803,6 +828,21 @@ def test_rate_levels_test_sign_symmetry_once_and_synthesize_nothing(
         sum(2 ** sum(s) for s in extremal_levels(n, tp, 1)) for n in range(6, 10)
     ]
     assert synthesized == []
+
+
+def test_bound_levels_test_no_sign_symmetry(tmp_path, monkeypatch):
+    # n=13 and 14 are above the cell budget: their normalizer is the triangle
+    # bound, which needs no route, so only n=11 and 12 are tested
+    tested = count_symmetry_tests(monkeypatch)
+    params = BENCH / "params" / "rate-2d-l2.json"
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "11:14"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    tp = _theorem_params(read_json(params))
+    assert [f.n_terms for f in tested] == [
+        sum(2 ** sum(s) for s in extremal_levels(n, tp, 1)) for n in (11, 12)
+    ]
+    levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
+    assert [level["normalizer"] for level in levels] == ["product"] * 2 + ["bound"] * 2
 
 
 def test_rate_experiment_keeps_no_grid_after_it_returns():
@@ -826,6 +866,21 @@ def test_plain_lebesgue_rate_levels_rearrange_nothing(tmp_path, monkeypatch):
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
     assert calls == []
+
+
+def test_trivariate_plain_l2_rate_pins_the_log_exponent():
+    # the criterion-9 exponents on three axes: levels 4-9 fit the cell budget
+    # and take the product route, 10-12 the triangle bound; the pinned log
+    # exponent is near mu = 1 (the free slope, about 0.95 against
+    # rho* = 5/6, is outside its 0.1 tolerance over this range)
+    tp = _theorem_params({"p": ["3/2"] * 3, "q": ["2"] * 3, "r": ["1"] * 3})
+    t0 = time.perf_counter()
+    result = experiments.theorem1_rate_experiment(tp, range(4, 13))
+    elapsed = time.perf_counter() - t0
+    assert [pt.normalizer for pt in result.points] == ["product"] * 6 + ["bound"] * 3
+    assert result.derived.mu == 1.0
+    assert abs(result.fit_pinned.polylog - result.derived.mu) < 0.3
+    assert elapsed < 60.0
 
 
 def test_zero_denominator_in_params_is_a_usage_error(tmp_path, capsys):

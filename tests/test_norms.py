@@ -423,6 +423,17 @@ def test_product_route_builds_no_grid():
         assert spectral.grid_route(g, grid, lz) == "orthant"
 
 
+def test_three_axis_product_route_holds_less_than_one_orthant():
+    # the route walks the 65 x 65 orthant rows of the first two axes in
+    # batches, so neither the 128^3 grid nor its 65^3 orthant is sampled
+    leb = MixedSpaceParams.of(["3/2"] * 3, [0.0] * 3, [1.5] * 3)
+    grid = GridSpec((128, 128, 128))
+    f = dirichlet_block((4, 4, 4))
+    assert spectral.grid_route(f, grid, leb) == "product"
+    f = dirichlet_block((4, 4, 4))
+    assert traced_peak(lambda: grid_norm(f, grid, leb)) < 65**3 * 8
+
+
 def test_product_grid_norm_is_the_product_of_axis_norms():
     rng = np.random.default_rng(14)
     g = rng.random(8)
@@ -473,6 +484,21 @@ def test_mixed_sequence_norm_over_support():
         mixed_sequence_norm({(0, 1): -1.0}, spec)
     with pytest.raises(ValueError):
         mixed_sequence_norm({(0, -1): 1.0}, spec)
+
+
+def test_mixed_sequence_norm_refuses_a_box_over_the_cell_budget():
+    # two levels on the axes span a 5793 x 5793 box, just past the 2**25-cell
+    # budget; it is refused before its 268 MB are allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            mixed_sequence_norm({(5792, 0): 1.0, (0, 5792): 1.0}, (1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "(5793, 5793) needs 33558849 cells" in str(info.value)
+    assert str(norms.DEFAULT_MAX_GRID_CELLS) in str(info.value)
+    assert peak < 1 << 20
 
 
 def test_sequence_spec_validation():

@@ -12,9 +12,9 @@ from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
     analyze,
+    block_rows,
     cross_truncate,
     dirichlet_block,
-    nonzero_blocks,
     synthesize,
     truncation_error,
 )
@@ -126,11 +126,11 @@ def test_parseval_identity():
 def test_blocks_partition_support():
     rng = np.random.default_rng(23)
     f = random_poly(rng, 1, (7,), 9)
-    split = nonzero_blocks(f)
+    split = block_rows(f)
     assert list(split) == sorted(split)
     merged = {}
-    for comp in split.values():
-        merged.update(comp.coefficients)
+    for rows in split.values():
+        merged.update(f.restrict(rows).coefficients)
     assert merged == f.coefficients
 
 

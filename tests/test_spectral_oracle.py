@@ -28,10 +28,10 @@ from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
     analyze,
+    block_rows,
     cross_truncate,
     grid_norm,
     grid_route,
-    nonzero_blocks,
     synthesize,
     truncation_error,
 )
@@ -91,11 +91,11 @@ def test_blocks_and_bandwidth_match_oracle(poly):
     groups = {}
     for k, a in kept.items():
         groups.setdefault(oracle_level(k), {})[k] = a
-    blocks = nonzero_blocks(f)
+    blocks = block_rows(f)
     assert list(blocks) == sorted(groups)
-    for s, comp in blocks.items():
+    for s, rows in blocks.items():
         # same members, in the order they were given
-        assert list(comp.coefficients.items()) == list(groups[s].items())
+        assert list(f.restrict(rows).coefficients.items()) == list(groups[s].items())
     assert f.bandwidth() == tuple(
         max((abs(k[j]) for k in kept), default=0) for j in range(m)
     )
@@ -190,7 +190,7 @@ def test_frequency_range_is_checked():
         SpectralFunction(1, (freqs, np.ones(1)))
     f = SpectralFunction(2, {(K_MAX, -K_MAX): 1.0, (1, 1): 1.0})
     assert f.bandwidth() == (K_MAX, K_MAX)
-    assert list(nonzero_blocks(f)) == [(1, 1), (63, 63)]
+    assert list(block_rows(f)) == [(1, 1), (63, 63)]
 
 
 def measured_variants(m, terms):
@@ -354,13 +354,15 @@ def plain_lp(p, m):
 
 @st.composite
 def product_block_sums(draw):
-    """Sign-symmetric sums of uniform product blocks in two variables: at up
-    to five distinct level vectors (entries 0..5), the product of a
-    sign-symmetric subset of each axis block under one nonzero coefficient;
-    on the minimal grid or one twice as fine on some axes, with a plain L_p
-    space."""
-    levels = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                           min_size=1, max_size=5, unique=True))
+    """Sign-symmetric sums of uniform product blocks in two or three
+    variables: at up to five distinct level vectors (entries 0..5, or 0..3
+    in three), the product of a sign-symmetric subset of each axis block
+    under one nonzero coefficient; on the minimal grid or one twice as fine
+    on some axes, with a plain L_p space."""
+    m = draw(st.sampled_from([2, 3]))
+    level = st.integers(0, 5 if m == 2 else 3)
+    levels = draw(st.lists(st.tuples(*[level] * m), min_size=1, max_size=5,
+                           unique=True))
     terms = {}
     for s in levels:
         axis_sets = []
@@ -371,15 +373,18 @@ def product_block_sums(draw):
         c = draw(st.floats(min_value=1e-3, max_value=1e3)) * draw(signs)
         for k in itertools.product(*axis_sets):
             terms[k] = c
-    f = SpectralFunction(2, terms)
-    finer = draw(st.lists(st.sampled_from([1, 2]), min_size=2, max_size=2))
+    f = SpectralFunction(m, terms)
+    finer = draw(st.lists(st.sampled_from([1, 2]), min_size=m, max_size=m))
     shape = tuple(n * c for n, c in zip(GridSpec.minimal_for(f.bandwidth()).shape, finer))
-    return f, shape, plain_lp(draw(st.sampled_from(["4/3", "3/2", "2", "3"])), 2)
+    return f, shape, plain_lp(draw(st.sampled_from(["4/3", "3/2", "2", "3"])), m)
 
 
 @given(product_block_sums())
 @example((SpectralFunction(2, {(k0, k1): -2.5 for k0 in (-1, 1) for k1 in (-3, -2, 2, 3)}),
           (4, 16), plain_lp("3/2", 2)))
+@example((SpectralFunction(3, {(k0, k1, k2): 1.5 for k0 in (-1, 1)
+                               for k1 in (-3, -2, 2, 3) for k2 in (-5, 5)}),
+          (4, 16, 16), plain_lp("4/3", 3)))
 @settings(deadline=None)
 def test_product_route_matches_the_norm_of_the_samples(case):
     f, shape, space = case
