@@ -496,7 +496,9 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
     manifest.stats = {
         "levels": [
             {"n": pt.n, "support_size": pt.support_size, "grid_cells": pt.grid_cells,
-             "normalizer_exact": pt.normalizer != "bound", "normalizer": pt.normalizer}
+             "normalizer_exact": pt.normalizer != "bound", "normalizer": pt.normalizer,
+             "blocks": pt.blocks, "build_s": pt.build_s, "normalize_s": pt.normalize_s,
+             "truncate_s": pt.truncate_s}
             for pt in result.points
         ]
     }

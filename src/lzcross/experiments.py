@@ -9,6 +9,7 @@ thread pool; results are merged in ascending level order either way.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -60,14 +61,20 @@ def class_normalizer(
 @dataclass(frozen=True)
 class RatePoint:
     """One level of theorem1_rate_experiment; its class functional is exact
-    unless the normalizer is "bound" (class_normalizer)."""
+    unless the normalizer is "bound" (class_normalizer).  The *_s fields are
+    the wall seconds of its three stages: building f, its class functional
+    (with the route), and its truncation error."""
 
     n: int
     error: float
     reference: float
     normalizer: str  # "product", "orthant" or "grid" (grid_route), or "bound"
     support_size: int
+    blocks: int
     grid_cells: int
+    build_s: float
+    normalize_s: float
+    truncate_s: float
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,10 @@ def theorem1_rate_experiment(
     build = _EXTREMAL_BUILDERS[which]
     d = derived_exponents(tp)
     plain_l2 = tp.target.is_plain_l2()
+    blocks = {}
     for n in ns:
         levels = extremal_levels(int(n), tp, which)
+        blocks[n] = len(levels)
         if plain_l2:
             continue
         cells = GridSpec.minimal_for(level_bandwidth(levels)).cells
@@ -127,11 +136,15 @@ def theorem1_rate_experiment(
             )
 
     def eval_point(n: int) -> RatePoint:
+        start = time.perf_counter()
         f = build(int(n), tp)
         grid = GridSpec.minimal_for(f.bandwidth())
+        built = time.perf_counter()
         normalizer, exact = class_normalizer(
             f, tp.source, grid, max_grid_cells=max_grid_cells
         )
+        route = grid_route(f, grid, tp.source.space) if exact else "bound"
+        normalized = time.perf_counter()
         raw = truncation_error(
             f, n, tp.gamma_prime, tp.target, None if plain_l2 else grid
         )
@@ -139,9 +152,13 @@ def theorem1_rate_experiment(
             n=int(n),
             error=raw / normalizer,
             reference=theoretical_rate(int(n), d),
-            normalizer=grid_route(f, grid, tp.source.space) if exact else "bound",
+            normalizer=route,
             support_size=f.n_terms,
+            blocks=blocks[n],
             grid_cells=grid.cells,
+            build_s=built - start,
+            normalize_s=normalized - built,
+            truncate_s=time.perf_counter() - normalized,
         )
 
     points = _parallel_map(eval_point, ns, threads)

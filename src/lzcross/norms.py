@@ -242,7 +242,12 @@ def iterated_rearrangement(data) -> np.ndarray:
             arr = np.empty(lanes.shape[:-1] + (n,))
             _tiled_copy(arr[..., :h], lanes)
             del lanes
-            arr[..., h:] = arr[..., 1 : h - 1]
+            # the two slices share arr's buffer, so numpy copies the source
+            # first: appended _TILE lanes at a time, that copy stays small
+            rows = arr.reshape(-1, n)
+            for i in range(0, len(rows), _TILE):
+                tile = rows[i : i + _TILE]
+                tile[:, h:] = tile[:, 1 : h - 1]
             arr.sort(axis=-1)
             arr = np.moveaxis(arr, -1, axis)
         return np.negative(arr, out=arr)

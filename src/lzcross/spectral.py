@@ -37,6 +37,8 @@ from .norms import (
     anisotropic_norm,
 )
 
+Product = tuple[complex, list[np.ndarray]]  # (c, [K_1, ..., K_m]): product_factors
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -142,9 +144,7 @@ class SpectralFunction:
         )
 
     @functools.cached_property
-    def product_blocks(
-        self,
-    ) -> dict[MultiIndex, tuple[complex, list[np.ndarray]]] | None:
+    def product_blocks(self) -> dict[MultiIndex, Product] | None:
         """{level: product_factors of the block's row arrays} over the
         nonzero blocks of f, in the order of block_rows, when every block is
         a constant on a product support; None as soon as one is not.
@@ -224,6 +224,8 @@ def _orthant(
     out, so the full-length output is freed.  Each axis is transformed as
     the contiguous last one, after a tiled copy brings it there; axis 0 goes
     last and stays last in memory, where iterated_rearrangement sorts first.
+    Used for one variable, so for every axis factor, and for f without
+    product blocks (_samples).
     """
     half = tuple(n // 2 + 1 for n in shape)
     keep = (freqs >= 0).all(axis=1)
@@ -256,14 +258,19 @@ def _resolving(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridSpec:
 def _samples(
     f: SpectralFunction, grid: GridSpec | Sequence[int]
 ) -> GridFunction | OrthantSamples:
-    """f on the grid, by the inverse FFT of its symmetry class.
+    """f on the grid, by the synthesis of its symmetry class.
 
-    A sign-symmetric f gives its orthant, by a DCT-I per axis.  Any other f
-    writes a_k into the full spectrum and transforms it in place by an ifft
-    along every axis, so it holds one complex grid.  The grid must resolve
-    f (_resolving).
+    A sign-symmetric f gives its orthant: in m >= 2 variables, with terms,
+    and every block uniform on a product support (f.product_blocks), from
+    the blocks' 1-D axis factors (_product_orthant); otherwise by a DCT-I
+    per axis (_orthant).  Any other f writes a_k into the full spectrum and
+    transforms it in place by an ifft along every axis, so it holds one
+    complex grid.  The grid must resolve f (_resolving).
     """
     grid = _resolving(f, grid)
+    pieces = _product_pieces(f)
+    if pieces is not None:
+        return _product_orthant(pieces, grid.shape)
     if f.sign_symmetric:
         return _orthant(f.freqs, f.coeffs.real, grid.shape)
     return _complex_samples(f.freqs, f.coeffs, grid.shape)
@@ -287,9 +294,10 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     """Evaluate the polynomial on the product grid via inverse FFTs.
 
     A sign-symmetric polynomial (f.sign_symmetric) is synthesized on one
-    orthant and mirrored, so its samples are float64 and exactly even in
-    every variable.  Every other one comes back as complex128 samples of a
-    complex inverse FFT.
+    orthant (_samples: from its axis factors when it is a sum of uniform
+    product blocks, else by a DCT-I) and mirrored, so its samples are
+    float64 and exactly even in every variable.  Every other one comes back
+    as complex128 samples of a complex inverse FFT.
     """
     samples = _samples(f, grid)
     return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
@@ -307,15 +315,15 @@ def grid_norm(
     axis factors (_product_norm); no grid of two or more axes is built.
     "orthant": a sign-symmetric f of one variable, or without product
     blocks, or in any other space, is sampled and rearranged on its orthant
-    only (OrthantSamples).  "grid": any other f is sampled on the whole
+    only (OrthantSamples), which _samples fills from the same axis factors
+    when f has product blocks.  "grid": any other f is sampled on the whole
     grid.  Outside plain L_p the profile, and so the norm, equals the full
     grid's bit for bit; inside, the product and orthant sums agree with the
     full grid's to a relative 1e-13.
     """
     if grid_route(f, grid, params) == "product":
-        pieces = list(f.product_blocks.values())
         shape, p = _resolving(f, grid).shape, float(params.lebesgue_index())
-        return _product_norm(pieces, shape, p)
+        return _product_norm(_product_pieces(f), shape, p)
     return anisotropic_norm(_samples(f, grid), params)
 
 
@@ -330,20 +338,20 @@ def grid_route(
     route is the same on every grid that resolves f.  The blocks are tested
     once per polynomial (f.product_blocks).
     """
-    if (
-        params.lebesgue_index() is not None
-        and f.m == params.m >= 2
-        and f.n_terms
-        and f.sign_symmetric
-        and f.product_blocks is not None
-    ):
+    if params.lebesgue_index() is not None and f.m == params.m and _product_pieces(f):
         return "product"
     return "orthant" if f.sign_symmetric else "grid"
 
 
-def product_factors(
-    freqs: np.ndarray, coeffs: np.ndarray
-) -> tuple[complex, list[np.ndarray]] | None:
+def _product_pieces(f: SpectralFunction) -> list[Product] | None:
+    """f.product_blocks as a list when f is sign-symmetric with terms in
+    m >= 2 variables and every block is a uniform product; else None."""
+    if f.m >= 2 and f.n_terms and f.sign_symmetric and f.product_blocks is not None:
+        return list(f.product_blocks.values())
+    return None
+
+
+def product_factors(freqs: np.ndarray, coeffs: np.ndarray) -> Product | None:
     """(c, [K_1, ..., K_m]) when the block of coefficients coeffs on the rows
     freqs is the constant c on the product K_1 x ... x K_m of its distinct
     frequencies per axis, else None.
@@ -417,35 +425,66 @@ def block_norms(
     return norms
 
 
-_ROWS = 256  # orthant rows per batch of the product route
+_ROWS = 256  # orthant rows per batch of _row_batches
 
 
-def _product_norm(
-    pieces: list[tuple[complex, list[np.ndarray]]], shape: tuple[int, ...], p: float
-) -> float:
-    """Plain L_p norm on the grid `shape` of sum_b c_b prod_j D_{K_bj}(x_j),
-    D_K the sum of exp(i k x) over k in K, from its 1-D axis factors.
+def _factor_matrices(pieces: list[Product], shape: tuple[int, ...]) -> list[np.ndarray]:
+    """[G_0, ..., G_{m-1}] of sum_b c_b prod_j D_{K_bj}(x_j) over the pieces
+    (c_b, [K_b0, ...]), D_K the sum of exp(i k x) over k in K: column b of
+    G_j is the orthant synthesis of K_bj on N_j points (_axis_factor), each
+    distinct (K, N_j) made once, and G_0's columns are scaled by c_b."""
 
-    The sum is sign-symmetric (grid_route), so each K is too.  Column b of
-    G_j is the orthant synthesis of K_bj on N_j points (_axis_factor).  The
-    orthant rows (i_0, ..., i_{m-2}) are walked in C order, _ROWS at a time
-    into one reused buffer: (c o G_0[i_0] o ... o G_{m-2}[i_{m-2}]) G_{m-1}^T
-    samples the row along the last axis, and its powers are summed with the
-    orthant weights [1, 2, ..., 2, 1] / N_j, so no grid of two or more axes
-    is ever held.
-    """
-    *heads, last = (
-        np.column_stack([_axis_factor(ks[j], n).values for _, ks in pieces])
+    @functools.cache
+    def factor(k: bytes, n: int) -> np.ndarray:
+        return _axis_factor(np.frombuffer(k, dtype=np.int64), n).values
+
+    factors = [
+        np.column_stack([factor(ks[j].tobytes(), n) for _, ks in pieces])
         for j, n in enumerate(shape)
-    )
-    heads[0] *= np.array([c.real for c, _ in pieces])
-    *head_weights, w_last = (_orthant_weights(n) for n in shape)
+    ]
+    factors[0] *= np.array([c.real for c, _ in pieces])
+    return factors
+
+
+def _row_batches(heads: list[np.ndarray]):
+    """(first row number, index arrays at, G_0[at[0]] o ... o G_{k-1}[at[k-1]])
+    per _ROWS orthant rows of the factor matrices heads, in C order."""
     half = tuple(len(g) for g in heads)
     count = math.prod(half)
-    total, buf = 0.0, np.empty((min(_ROWS, count), len(last)))
     for i in range(0, count, _ROWS):
         at = np.unravel_index(np.arange(i, min(i + _ROWS, count)), half)
-        rows = math.prod(g[k] for g, k in zip(heads, at))
+        yield i, at, math.prod(g[k] for g, k in zip(heads, at))
+
+
+def _product_orthant(pieces: list[Product], shape: tuple[int, ...]) -> OrthantSamples:
+    """The orthant of the sum of the pieces (_factor_matrices) on the grid
+    `shape`, axis 0 contiguous as in _orthant: G_1 G_0^T transposed, or for
+    m >= 3 each batch of rows of axes m-1..1 (_row_batches) times G_0^T."""
+    *heads, last = _factor_matrices(pieces, shape)[::-1]
+    if len(heads) == 1:
+        values = heads[0] @ last.T
+    else:
+        values = np.empty(tuple(len(g) for g in heads) + (len(last),))
+        flat = values.reshape(-1, len(last))
+        for i, _, rows in _row_batches(heads):
+            np.matmul(rows, last.T, out=flat[i : i + len(rows)])
+    return OrthantSamples(values.transpose(), shape)
+
+
+def _product_norm(pieces: list[Product], shape: tuple[int, ...], p: float) -> float:
+    """Plain L_p norm on the grid `shape` of the sum of the pieces
+    (_factor_matrices), from its 1-D axis factors.
+
+    The sum is sign-symmetric (grid_route), so each K is too.  The orthant
+    rows (i_0, ..., i_{m-2}) are walked (_row_batches) into one reused
+    buffer: each batch times G_{m-1}^T samples its rows along the last
+    axis, and their powers are summed with the orthant weights
+    [1, 2, ..., 2, 1] / N_j, so no grid of two or more axes is ever held.
+    """
+    *heads, last = _factor_matrices(pieces, shape)
+    *head_weights, w_last = (_orthant_weights(n) for n in shape)
+    total, buf = 0.0, np.empty((min(_ROWS, math.prod(map(len, heads))), len(last)))
+    for _, at, rows in _row_batches(heads):
         batch = np.matmul(rows, last.T, out=buf[: len(rows)])
         np.abs(batch, out=batch)
         np.power(batch, p, out=batch)

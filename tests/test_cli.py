@@ -693,11 +693,14 @@ def test_theorem1_rate_manifest_lists_each_level(tmp_path):
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
-    # level n has 2**n terms on a 2**(n+1) grid; 1024 cells exceed the budget,
-    # so n=9 takes the triangle bound; a univariate f1 is sampled on its orthant
-    assert levels == [
+    # level n has 2**n terms in one block on a 2**(n+1) grid; 1024 cells
+    # exceed the budget, so n=9 takes the triangle bound; a univariate f1 is
+    # sampled on its orthant; the stage seconds are checked on their own
+    stages = ("build_s", "normalize_s", "truncate_s")
+    assert [{k: v for k, v in level.items() if k not in stages} for level in levels] == [
         {"n": n, "support_size": 2**n, "grid_cells": 2 ** (n + 1),
-         "normalizer_exact": n < 9, "normalizer": "orthant" if n < 9 else "bound"}
+         "normalizer_exact": n < 9, "normalizer": "orthant" if n < 9 else "bound",
+         "blocks": 1}
         for n in range(6, 10)
     ]
     assert read_json(tmp_path / "theorem1_rate.summary.json")["normalizer_exact"] is False
@@ -732,8 +735,9 @@ def count_rearrangements(monkeypatch) -> list:
 
 def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
     # the class functional sums the product of f's 1-D axis factors; the
-    # truncation error samples the residual, f itself, on its 2-D grid (the
-    # axis factors and blocks are measured on 1-D axis grids)
+    # truncation error samples the residual, f itself, on the orthant of its
+    # 2-D grid, filled from the same kind of factors (the axis factors and
+    # blocks are measured on 1-D axis grids)
     original = spectral._samples
     shapes = []
 
@@ -746,6 +750,38 @@ def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
     assert [s for s in shapes if len(s) == 2] == [(2 ** n,) * 2 for n in range(6, 10)]
+
+
+def test_lorentz_zygmund_rate_levels_transform_no_bivariate_orthant(
+    tmp_path, monkeypatch
+):
+    # f is a sum of uniform product blocks, so the orthant of its residual is
+    # filled from its 1-D axis factors: the DCT-I only ever transforms those
+    original, shapes = spectral._orthant, []
+
+    def counting(freqs, coeffs, shape):
+        shapes.append(tuple(shape))
+        return original(freqs, coeffs, shape)
+
+    monkeypatch.setattr(spectral, "_orthant", counting)
+    params = BENCH / "params" / "rate-2d-lz.json"
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    assert shapes and [s for s in shapes if len(s) >= 2] == []
+
+
+def test_rate_manifest_times_the_stages_of_each_level(tmp_path):
+    params = BENCH / "params" / "rate-2d-lz.json"
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
+    tp = _theorem_params(read_json(params))
+    assert [level["blocks"] for level in levels] == [
+        len(extremal_levels(n, tp, 1)) for n in range(6, 10)
+    ]
+    for level in levels:
+        for stage in ("build_s", "normalize_s", "truncate_s"):
+            assert isinstance(level[stage], float) and level[stage] >= 0.0
 
 
 def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):

@@ -434,6 +434,19 @@ def test_three_axis_product_route_holds_less_than_one_orthant():
     assert traced_peak(lambda: grid_norm(f, grid, leb)) < 65**3 * 8
 
 
+def test_product_orthant_holds_one_orthant_and_its_factor_matrices():
+    # a product f's orthant is filled from its axis factors, in two and in
+    # three variables: one float64 orthant next to the factor matrices,
+    # below the complex orthant the DCT-I path transforms
+    for f, grid in ((dirichlet_block((8, 8)), GridSpec((1024, 1024))),
+                    (dirichlet_block((4, 4, 4)), GridSpec((128, 128, 128)))):
+        assert f.sign_symmetric and len(f.product_blocks) == 1  # tested untraced
+        half = [n // 2 + 1 for n in grid.shape]
+        orthant, factors = math.prod(half) * 8, sum(half) * 8
+        peak = traced_peak(lambda: spectral._samples(f, grid))
+        assert peak <= orthant + factors + 64 * 1024 < 2 * orthant
+
+
 def test_product_grid_norm_is_the_product_of_axis_norms():
     rng = np.random.default_rng(14)
     g = rng.random(8)

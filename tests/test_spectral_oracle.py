@@ -395,6 +395,62 @@ def test_product_route_matches_the_norm_of_the_samples(case):
     assert got == pytest.approx(want, rel=1e-13)
 
 
+def dct_calls(mp) -> list:
+    """A list that gains the shape of each spectral._orthant call, patched
+    in through the monkeypatch mp."""
+    original, shapes = spectral._orthant, []
+
+    def counting(freqs, coeffs, shape):
+        shapes.append(tuple(shape))
+        return original(freqs, coeffs, shape)
+
+    mp.setattr(spectral, "_orthant", counting)
+    return shapes
+
+
+@given(product_block_sums())
+@example((SpectralFunction(2, {(k0, k1): -2.5 for k0 in (-1, 1) for k1 in (-3, -2, 2, 3)}),
+          (4, 16), plain_lp("3/2", 2)))
+# K = {±2, ±3} on both axes of the first block and on axis 0 of the second
+@example((SpectralFunction(2, {**{(k0, k1): 0.5 for k0 in (-3, -2, 2, 3)
+                                  for k1 in (-3, -2, 2, 3)},
+                               **{(k0, k1): -1.5 for k0 in (-3, -2, 2, 3)
+                                  for k1 in (-5, 5)}}),
+          (16, 16), plain_lp("2", 2)))
+@settings(deadline=None)
+def test_product_orthant_matches_the_dct_of_the_coefficients(case):
+    # the orthant of a product f is filled from its axis factors, axis 0
+    # contiguous as the DCT-I leaves it; the DCT-I transforms only the 1-D
+    # factors
+    f, shape, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = dct_calls(mp)
+        got = spectral._samples(f, GridSpec(shape))
+    assert shapes and all(len(s) == 1 for s in shapes)
+    want = spectral._orthant(f.freqs, f.coeffs.real, shape)
+    assert got.shape == want.shape and got.values.shape == want.values.shape
+    assert got.values.strides[0] == got.values.itemsize
+    assert np.abs(got.values - want.values).max() <= 1e-13 * float(np.abs(f.coeffs).sum())
+
+
+def test_blocks_off_the_product_form_and_one_variable_keep_the_dct(monkeypatch):
+    # level (2, 2) holds the frequencies with |k_j| in {2, 3}; a ragged or
+    # diagonal block, or a polynomial of one variable, is transformed whole
+    shapes = dct_calls(monkeypatch)
+    block = {(k0, k1): 1.0 for k0 in (-3, -2, 2, 3) for k1 in (-3, -2, 2, 3)}
+    other = {(k0, k1): 0.5 for k0 in (-1, 1) for k1 in (-5, 5)}
+    ragged = {**block, **{(k0, k1): 2.0 for k0 in (-3, 3) for k1 in (-3, 3)}}
+    diagonal = {k: 1.0 for k in block if abs(k[0]) == abs(k[1])}
+    for terms in (ragged, diagonal):
+        f = SpectralFunction(2, {**terms, **other})
+        assert f.sign_symmetric and f.product_blocks is None
+        spectral._samples(f, GridSpec((16, 16)))
+        assert shapes.pop() == (16, 16) and shapes == []
+    single = SpectralFunction(1, {(k,): 1.0 for k in (-3, -2, 2, 3)})
+    spectral._samples(single, GridSpec((16,)))
+    assert shapes == [(16,)]
+
+
 def test_polynomial_without_terms_has_norm_zero_on_every_route():
     empty = SpectralFunction(2)
     assert empty.sign_symmetric and empty.product_blocks == {}
