@@ -241,13 +241,8 @@ def iterated_rearrangement(data) -> np.ndarray:
             h = lanes.shape[-1]
             arr = np.empty(lanes.shape[:-1] + (n,))
             _tiled_copy(arr[..., :h], lanes)
+            _tiled_copy(arr[..., h:], lanes[..., 1 : h - 1])
             del lanes
-            # the two slices share arr's buffer, so numpy copies the source
-            # first: appended _TILE lanes at a time, that copy stays small
-            rows = arr.reshape(-1, n)
-            for i in range(0, len(rows), _TILE):
-                tile = rows[i : i + _TILE]
-                tile[:, h:] = tile[:, 1 : h - 1]
             arr.sort(axis=-1)
             arr = np.moveaxis(arr, -1, axis)
         return np.negative(arr, out=arr)

@@ -221,11 +221,10 @@ def _orthant(
     Along each axis the polynomial is a cosine sum, so the real spectrum
     H[k] = a_k over the rows with every k_j >= 0 goes through one irfft of
     size N_j per axis (a DCT-I), and the first N_j/2 + 1 outputs are copied
-    out, so the full-length output is freed.  Each axis is transformed as
-    the contiguous last one, after a tiled copy brings it there; axis 0 goes
-    last and stays last in memory, where iterated_rearrangement sorts first.
-    Used for one variable, so for every axis factor, and for f without
-    product blocks (_samples).
+    out, freeing the full-length output.  Each axis is transformed as the
+    contiguous last one, after a tiled copy brings it there; axis 0 goes
+    last and stays last in memory, where iterated_rearrangement sorts
+    first.  Used in one variable and without product blocks (_samples).
     """
     half = tuple(n // 2 + 1 for n in shape)
     keep = (freqs >= 0).all(axis=1)
@@ -260,10 +259,9 @@ def _samples(
 ) -> GridFunction | OrthantSamples:
     """f on the grid, by the synthesis of its symmetry class.
 
-    A sign-symmetric f gives its orthant: in m >= 2 variables, with terms,
-    and every block uniform on a product support (f.product_blocks), from
-    the blocks' 1-D axis factors (_product_orthant); otherwise by a DCT-I
-    per axis (_orthant).  Any other f writes a_k into the full spectrum and
+    A sign-symmetric f gives its orthant: from the blocks' 1-D axis factors
+    (_product_orthant) when _product_pieces has them, else by a DCT-I per
+    axis (_orthant).  Any other f writes a_k into the full spectrum and
     transforms it in place by an ifft along every axis, so it holds one
     complex grid.  The grid must resolve f (_resolving).
     """
@@ -294,10 +292,9 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     """Evaluate the polynomial on the product grid via inverse FFTs.
 
     A sign-symmetric polynomial (f.sign_symmetric) is synthesized on one
-    orthant (_samples: from its axis factors when it is a sum of uniform
-    product blocks, else by a DCT-I) and mirrored, so its samples are
-    float64 and exactly even in every variable.  Every other one comes back
-    as complex128 samples of a complex inverse FFT.
+    orthant, from its axis factors or by a DCT-I (_samples), and mirrored,
+    so its samples are float64 and exactly even in every variable.  Every
+    other one comes back as complex128 samples of a complex inverse FFT.
     """
     samples = _samples(f, grid)
     return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
@@ -314,12 +311,12 @@ def grid_norm(
     (f.product_blocks) in m >= 2 variables is summed from the blocks' 1-D
     axis factors (_product_norm); no grid of two or more axes is built.
     "orthant": a sign-symmetric f of one variable, or without product
-    blocks, or in any other space, is sampled and rearranged on its orthant
-    only (OrthantSamples), which _samples fills from the same axis factors
-    when f has product blocks.  "grid": any other f is sampled on the whole
-    grid.  Outside plain L_p the profile, and so the norm, equals the full
-    grid's bit for bit; inside, the product and orthant sums agree with the
-    full grid's to a relative 1e-13.
+    blocks, or in any other space, is sampled on its orthant only
+    (OrthantSamples; from the same axis factors when f has product blocks)
+    and rearranged.  "grid": any other f is sampled on the whole grid.
+    Outside plain L_p the profile, and so the norm, equals the full grid's
+    bit for bit; inside, the product and orthant sums agree with the full
+    grid's to a relative 1e-13.
     """
     if grid_route(f, grid, params) == "product":
         shape, p = _resolving(f, grid).shape, float(params.lebesgue_index())
@@ -457,29 +454,23 @@ def _row_batches(heads: list[np.ndarray]):
 
 
 def _product_orthant(pieces: list[Product], shape: tuple[int, ...]) -> OrthantSamples:
-    """The orthant of the sum of the pieces (_factor_matrices) on the grid
-    `shape`, axis 0 contiguous as in _orthant: G_1 G_0^T transposed, or for
-    m >= 3 each batch of rows of axes m-1..1 (_row_batches) times G_0^T."""
+    """The orthant of the sum of the pieces on the grid `shape`: each batch
+    of rows over axes m-1..1 (_row_batches) times G_0^T, axis 0 contiguous."""
     *heads, last = _factor_matrices(pieces, shape)[::-1]
-    if len(heads) == 1:
-        values = heads[0] @ last.T
-    else:
-        values = np.empty(tuple(len(g) for g in heads) + (len(last),))
-        flat = values.reshape(-1, len(last))
-        for i, _, rows in _row_batches(heads):
-            np.matmul(rows, last.T, out=flat[i : i + len(rows)])
-    return OrthantSamples(values.transpose(), shape)
+    values = np.empty((math.prod(map(len, heads)), len(last)))
+    for i, _, rows in _row_batches(heads):
+        np.matmul(rows, last.T, out=values[i : i + len(rows)])
+    return OrthantSamples(values.reshape([*map(len, heads), len(last)]).T, shape)
 
 
 def _product_norm(pieces: list[Product], shape: tuple[int, ...], p: float) -> float:
     """Plain L_p norm on the grid `shape` of the sum of the pieces
     (_factor_matrices), from its 1-D axis factors.
 
-    The sum is sign-symmetric (grid_route), so each K is too.  The orthant
-    rows (i_0, ..., i_{m-2}) are walked (_row_batches) into one reused
-    buffer: each batch times G_{m-1}^T samples its rows along the last
-    axis, and their powers are summed with the orthant weights
-    [1, 2, ..., 2, 1] / N_j, so no grid of two or more axes is ever held.
+    The sum is sign-symmetric (grid_route), so each K is too.  Each batch of
+    orthant rows (_row_batches) times G_{m-1}^T samples them along the last
+    axis in one reused buffer, and their powers are summed with the orthant
+    weights [1, 2, ..., 2, 1] / N_j: no grid of two or more axes is held.
     """
     *heads, last = _factor_matrices(pieces, shape)
     *head_weights, w_last = (_orthant_weights(n) for n in shape)

@@ -22,7 +22,7 @@ from lzcross.cli import _theorem_params, main, parse_range, ConfigError
 from lzcross.experiments import _EXTREMAL_BUILDERS
 from lzcross.indexsets import Anisotropy, as_fraction, hyperbolic_cross
 from lzcross.norms import GridFunction
-from lzcross.spectral import GridSpec, SpectralFunction, truncation_error
+from lzcross.spectral import GridSpec, SpectralFunction, block_rows, truncation_error
 
 
 def read_csv(path):
@@ -776,8 +776,9 @@ def test_rate_manifest_times_the_stages_of_each_level(tmp_path):
     assert main(["--out", str(tmp_path)] + argv) == 0
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
     tp = _theorem_params(read_json(params))
+    # blocks counts the nonzero blocks of the level's polynomial
     assert [level["blocks"] for level in levels] == [
-        len(extremal_levels(n, tp, 1)) for n in range(6, 10)
+        len(block_rows(extremal_f1(n, tp))) for n in range(6, 10)
     ]
     for level in levels:
         for stage in ("build_s", "normalize_s", "truncate_s"):
