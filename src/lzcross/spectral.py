@@ -32,7 +32,6 @@ from .norms import (
     MixedSpaceParams,
     OrthantSamples,
     _orthant_weights,
-    _tiled_copy,
     _validated_shape,
     anisotropic_norm,
 )
@@ -212,35 +211,6 @@ class SpectralFunction:
         return cls(m, coeffs)
 
 
-def _orthant(
-    freqs: np.ndarray, coeffs: np.ndarray, shape: tuple[int, ...]
-) -> OrthantSamples:
-    """Samples on the orthant 0 <= i_j <= N_j/2 of the sign-symmetric
-    polynomial with the real coefficients coeffs on the rows of freqs.
-
-    Along each axis the polynomial is a cosine sum, so the real spectrum
-    H[k] = a_k over the rows with every k_j >= 0 goes through one irfft of
-    size N_j per axis (a DCT-I), and the first N_j/2 + 1 outputs are copied
-    out, freeing the full-length output.  Each axis is transformed as the
-    contiguous last one, after a tiled copy brings it there; axis 0 goes
-    last and stays last in memory, where iterated_rearrangement sorts
-    first.  Used in one variable and without product blocks (_samples).
-    """
-    half = tuple(n // 2 + 1 for n in shape)
-    keep = (freqs >= 0).all(axis=1)
-    where = np.ravel_multi_index(tuple(freqs[keep].T), half)
-    samples = np.bincount(where, coeffs[keep], math.prod(half)).reshape(half)
-    for axis in reversed(range(len(shape))):
-        lanes = np.moveaxis(samples, axis, -1)
-        spec = np.empty(lanes.shape, dtype=np.complex128)
-        _tiled_copy(spec, lanes)
-        del lanes, samples
-        samples = np.fft.irfft(spec, n=shape[axis], norm="forward")
-        del spec
-        samples = np.moveaxis(samples[..., : half[axis]].copy(), -1, axis)
-    return OrthantSamples(samples, shape)
-
-
 def _resolving(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridSpec:
     """grid as a GridSpec, checked to have f's arity and to resolve its
     bandwidth: a_k goes to k mod N_j, so every |k_j| must stay below N_j / 2,
@@ -257,21 +227,24 @@ def _resolving(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridSpec:
 def _samples(
     f: SpectralFunction, grid: GridSpec | Sequence[int]
 ) -> GridFunction | OrthantSamples:
-    """f on the grid, by the synthesis of its symmetry class.
+    """f on the grid, by one of two syntheses.
 
-    A sign-symmetric f gives its orthant: from the blocks' 1-D axis factors
-    (_product_orthant) when _product_pieces has them, else by a DCT-I per
-    axis (_orthant).  Any other f writes a_k into the full spectrum and
-    transforms it in place by an ifft along every axis, so it holds one
-    complex grid.  The grid must resolve f (_resolving).
+    A sign-symmetric sum of uniform product blocks (_product_pieces) gives
+    its orthant, filled from the blocks' 1-D axis factors
+    (_product_orthant).  Any other f is sampled on the whole grid by a
+    complex ifft (_complex_samples); a sign-symmetric one keeps the real
+    part of its orthant, a fresh array, so the complex grid is freed before
+    the orthant is measured.  The grid must resolve f (_resolving).
     """
     grid = _resolving(f, grid)
     pieces = _product_pieces(f)
     if pieces is not None:
         return _product_orthant(pieces, grid.shape)
-    if f.sign_symmetric:
-        return _orthant(f.freqs, f.coeffs.real, grid.shape)
-    return _complex_samples(f.freqs, f.coeffs, grid.shape)
+    samples = _complex_samples(f.freqs, f.coeffs, grid.shape)
+    if not f.sign_symmetric:
+        return samples
+    orthant = tuple(slice(n // 2 + 1) for n in grid.shape)
+    return OrthantSamples(samples.values[orthant].real.copy(), grid.shape)
 
 
 def _complex_samples(
@@ -291,10 +264,11 @@ def _complex_samples(
 def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunction:
     """Evaluate the polynomial on the product grid via inverse FFTs.
 
-    A sign-symmetric polynomial (f.sign_symmetric) is synthesized on one
-    orthant, from its axis factors or by a DCT-I (_samples), and mirrored,
-    so its samples are float64 and exactly even in every variable.  Every
-    other one comes back as complex128 samples of a complex inverse FFT.
+    A sign-symmetric polynomial (f.sign_symmetric) is sampled on one
+    orthant, from its axis factors or as the real part of a complex inverse
+    FFT (_samples), and mirrored, so its samples are float64 and exactly
+    even in every variable.  Every other one comes back as complex128
+    samples of a complex inverse FFT.
     """
     samples = _samples(f, grid)
     return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
@@ -308,12 +282,12 @@ def grid_norm(
 
     grid_route(f, grid, params) names the samples measured.  "product": a
     plain L_p norm of a sign-symmetric sum of uniform product blocks
-    (f.product_blocks) in m >= 2 variables is summed from the blocks' 1-D
-    axis factors (_product_norm); no grid of two or more axes is built.
-    "orthant": a sign-symmetric f of one variable, or without product
-    blocks, or in any other space, is sampled on its orthant only
-    (OrthantSamples; from the same axis factors when f has product blocks)
-    and rearranged.  "grid": any other f is sampled on the whole grid.
+    (f.product_blocks) is summed from the blocks' 1-D axis factors
+    (_product_norm); no grid of two or more axes is built.  "orthant": a
+    sign-symmetric f without product blocks, or in any other space, is
+    measured on its orthant only (OrthantSamples: filled from the same axis
+    factors when f has product blocks, else cut from the complex grid) and
+    rearranged.  "grid": any other f is sampled on the whole grid.
     Outside plain L_p the profile, and so the norm, equals the full grid's
     bit for bit; inside, the product and orthant sums agree with the full
     grid's to a relative 1e-13.
@@ -329,9 +303,9 @@ def grid_route(
 ) -> str:
     """The samples grid_norm(f, grid, params) measures (see grid_norm).
 
-    "product" for a plain L_p space, m >= 2, f sign-symmetric, with terms,
-    and every block uniform on a product support; else "orthant" if f is
-    sign-symmetric (one variable is its own axis factor), else "grid".  The
+    "product" for a plain L_p space, f sign-symmetric, with terms, and every
+    block uniform on a product support (_product_pieces), in any number of
+    variables; else "orthant" if f is sign-symmetric, else "grid".  The
     route is the same on every grid that resolves f.  The blocks are tested
     once per polynomial (f.product_blocks).
     """
@@ -341,9 +315,10 @@ def grid_route(
 
 
 def _product_pieces(f: SpectralFunction) -> list[Product] | None:
-    """f.product_blocks as a list when f is sign-symmetric with terms in
-    m >= 2 variables and every block is a uniform product; else None."""
-    if f.m >= 2 and f.n_terms and f.sign_symmetric and f.product_blocks is not None:
+    """f.product_blocks as a list when f is sign-symmetric with terms and
+    every block is a uniform product, in any number of variables (in one,
+    every block with one coefficient is); else None."""
+    if f.n_terms and f.sign_symmetric and f.product_blocks is not None:
         return list(f.product_blocks.values())
     return None
 
@@ -373,9 +348,13 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _axis_factor(k: np.ndarray, n: int) -> OrthantSamples:
-    """The orthant synthesis on n points of coefficient 1 on each frequency
-    of the sign-symmetric axis set k."""
-    return _orthant(k[:, None], np.ones(len(k)), (n,))
+    """Coefficient 1 on each frequency of the sign-symmetric axis set k, on
+    the orthant of n points: a DCT-I, the irfft of the half-spectrum with 1
+    at each k >= 0, of which the first n/2 + 1 outputs are kept."""
+    spec = np.zeros(n // 2 + 1, dtype=np.complex128)
+    spec[k[k >= 0]] = 1
+    samples = np.fft.irfft(spec, n, norm="forward")
+    return OrthantSamples(samples[: n // 2 + 1].copy(), (n,))
 
 
 def _axis_samples(k: np.ndarray, n: int) -> GridFunction:
@@ -443,14 +422,17 @@ def _factor_matrices(pieces: list[Product], shape: tuple[int, ...]) -> list[np.n
     return factors
 
 
-def _row_batches(heads: list[np.ndarray]):
+def _row_batches(heads: list[np.ndarray], width: int):
     """(first row number, index arrays at, G_0[at[0]] o ... o G_{k-1}[at[k-1]])
-    per _ROWS orthant rows of the factor matrices heads, in C order."""
-    half = tuple(len(g) for g in heads)
+    per _ROWS orthant rows of the factor matrices heads, `width` columns
+    each, in C order: every product starts from ones, so no heads make one
+    batch of one row of ones."""
+    half = tuple(len(g) for g in heads) or (1,)
     count = math.prod(half)
     for i in range(0, count, _ROWS):
         at = np.unravel_index(np.arange(i, min(i + _ROWS, count)), half)
-        yield i, at, math.prod(g[k] for g, k in zip(heads, at))
+        ones = np.ones((len(at[0]), width))
+        yield i, at, math.prod((g[k] for g, k in zip(heads, at)), start=ones)
 
 
 def _product_orthant(pieces: list[Product], shape: tuple[int, ...]) -> OrthantSamples:
@@ -458,7 +440,7 @@ def _product_orthant(pieces: list[Product], shape: tuple[int, ...]) -> OrthantSa
     of rows over axes m-1..1 (_row_batches) times G_0^T, axis 0 contiguous."""
     *heads, last = _factor_matrices(pieces, shape)[::-1]
     values = np.empty((math.prod(map(len, heads)), len(last)))
-    for i, _, rows in _row_batches(heads):
+    for i, _, rows in _row_batches(heads, len(pieces)):
         np.matmul(rows, last.T, out=values[i : i + len(rows)])
     return OrthantSamples(values.reshape([*map(len, heads), len(last)]).T, shape)
 
@@ -475,11 +457,13 @@ def _product_norm(pieces: list[Product], shape: tuple[int, ...], p: float) -> fl
     *heads, last = _factor_matrices(pieces, shape)
     *head_weights, w_last = (_orthant_weights(n) for n in shape)
     total, buf = 0.0, np.empty((min(_ROWS, math.prod(map(len, heads))), len(last)))
-    for _, at, rows in _row_batches(heads):
+    for _, at, rows in _row_batches(heads, len(pieces)):
         batch = np.matmul(rows, last.T, out=buf[: len(rows)])
         np.abs(batch, out=batch)
         np.power(batch, p, out=batch)
-        weights = math.prod(w[k] for w, k in zip(head_weights, at))
+        weights = math.prod(
+            (w[k] for w, k in zip(head_weights, at)), start=np.ones(len(rows))
+        )
         total += float(weights @ (batch @ w_last))
     return total ** (1.0 / p)
 

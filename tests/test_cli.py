@@ -695,11 +695,12 @@ def test_theorem1_rate_manifest_lists_each_level(tmp_path):
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
     # level n has 2**n terms in one block on a 2**(n+1) grid; 1024 cells
     # exceed the budget, so n=9 takes the triangle bound; a univariate f1 is
-    # sampled on its orthant; the stage seconds are checked on their own
+    # one uniform block, its own axis factor, so its plain L_p functional
+    # takes the product route; the stage seconds are checked on their own
     stages = ("build_s", "normalize_s", "truncate_s")
     assert [{k: v for k, v in level.items() if k not in stages} for level in levels] == [
         {"n": n, "support_size": 2**n, "grid_cells": 2 ** (n + 1),
-         "normalizer_exact": n < 9, "normalizer": "orthant" if n < 9 else "bound",
+         "normalizer_exact": n < 9, "normalizer": "product" if n < 9 else "bound",
          "blocks": 1}
         for n in range(6, 10)
     ]
@@ -752,22 +753,33 @@ def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
     assert [s for s in shapes if len(s) == 2] == [(2 ** n,) * 2 for n in range(6, 10)]
 
 
+def count_kernel_calls(monkeypatch) -> dict:
+    """{name: [grid, ...]} that gains the grid of each call of _samples(f,
+    grid), as its shape, and of the synthesis kernels _axis_factor(k, n) and
+    _complex_samples(freqs, coeffs, shape)."""
+    calls = {}
+    for name in ("_samples", "_axis_factor", "_complex_samples"):
+        original, calls[name] = getattr(spectral, name), []
+
+        def counting(*args, seen=calls[name], original=original):
+            seen.append(getattr(args[-1], "shape", args[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(spectral, name, counting)
+    return calls
+
+
 def test_lorentz_zygmund_rate_levels_transform_no_bivariate_orthant(
     tmp_path, monkeypatch
 ):
     # f is a sum of uniform product blocks, so the orthant of its residual is
-    # filled from its 1-D axis factors: the DCT-I only ever transforms those
-    original, shapes = spectral._orthant, []
-
-    def counting(freqs, coeffs, shape):
-        shapes.append(tuple(shape))
-        return original(freqs, coeffs, shape)
-
-    monkeypatch.setattr(spectral, "_orthant", counting)
+    # filled from its 1-D axis factors: the DCT-I only ever transforms those,
+    # and no complex ifft runs, not even on one axis
+    calls = count_kernel_calls(monkeypatch)
     params = BENCH / "params" / "rate-2d-lz.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
-    assert shapes and [s for s in shapes if len(s) >= 2] == []
+    assert calls["_axis_factor"] and calls["_complex_samples"] == []
 
 
 def test_rate_manifest_times_the_stages_of_each_level(tmp_path):
@@ -806,24 +818,16 @@ def test_lorentz_zygmund_rate_levels_take_the_product_route(tmp_path):
 
 def test_plain_l2_rate_levels_synthesize_no_bivariate_grid(tmp_path, monkeypatch):
     # the residual is measured by Parseval and the class functional sums the
-    # product of its 1-D axis factors: every sampled grid has one axis, and
-    # the block norms sample one 1-D factor per block and axis
-    shapes = []
-    for name in ("_samples", "_orthant"):
-        original = getattr(spectral, name)
-
-        def counting(*args, original=original):
-            shapes.append(tuple(getattr(args[-1], "shape", args[-1])))
-            return original(*args)
-
-        monkeypatch.setattr(spectral, name, counting)
+    # product of its 1-D axis factors: no grid is sampled, no complex ifft
+    # runs, and the block norms take one 1-D factor per block and axis
+    calls = count_kernel_calls(monkeypatch)
     params = BENCH / "params" / "rate-2d-l2.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
     blocks = sum(len(extremal_levels(n, _theorem_params(read_json(params)), 1))
                  for n in range(6, 10))
-    assert len(shapes) >= 2 * blocks
-    assert all(len(s) == 1 for s in shapes)
+    assert len(calls["_axis_factor"]) >= 2 * blocks
+    assert calls["_samples"] == calls["_complex_samples"] == []
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
     assert [level["normalizer"] for level in levels] == ["product"] * 4
 

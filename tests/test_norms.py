@@ -407,6 +407,23 @@ def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
     assert kept <= 513 * 513 * 8 + 64 * 1024
 
 
+def test_symmetric_polynomial_off_the_product_form_frees_its_complex_grid():
+    # a ragged block puts f off the product form, so its orthant is cut from
+    # one complex grid; that grid is freed before the orthant is rearranged,
+    # so neither the synthesis nor the norm holds more than the two
+    block = {(k0, k1): 1.0 for k0 in (-3, -2, 2, 3) for k1 in (-3, -2, 2, 3)}
+    ragged = {**block, **{(k0, k1): 2.0 for k0 in (-3, 3) for k1 in (-3, 3)}}
+    params = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
+    grid = GridSpec((1024, 1024))
+    f = SpectralFunction(2, ragged)
+    assert f.sign_symmetric and f.product_blocks is None
+    grid_norm(f, grid, params)  # fills the weight cache
+    bound = 1024 * 1024 * 16 + 513 * 513 * 8 + 64 * 1024  # complex grid, orthant
+    f = f.scaled(2.0)  # fresh, so its symmetry and block tests are traced too
+    assert traced_peak(lambda: spectral._samples(f, grid)) <= bound
+    assert traced_peak(lambda: grid_norm(f, grid, params)) <= bound
+
+
 def test_product_route_builds_no_grid():
     # the product test copies the 65,536 rows of the block once; neither
     # the 1024^2 grid nor its orthant is sampled, and no measurement moves
@@ -437,7 +454,7 @@ def test_three_axis_product_route_holds_less_than_one_orthant():
 def test_product_orthant_holds_one_orthant_and_its_factor_matrices():
     # a product f's orthant is filled from its axis factors, in two and in
     # three variables: one float64 orthant next to the factor matrices,
-    # below the complex orthant the DCT-I path transforms
+    # below twice the orthant
     for f, grid in ((dirichlet_block((8, 8)), GridSpec((1024, 1024))),
                     (dirichlet_block((4, 4, 4)), GridSpec((128, 128, 128)))):
         assert f.sign_symmetric and len(f.product_blocks) == 1  # tested untraced

@@ -354,13 +354,13 @@ def plain_lp(p, m):
 
 @st.composite
 def product_block_sums(draw):
-    """Sign-symmetric sums of uniform product blocks in two or three
+    """Sign-symmetric sums of uniform product blocks in one, two or three
     variables: at up to five distinct level vectors (entries 0..5, or 0..3
     in three), the product of a sign-symmetric subset of each axis block
     under one nonzero coefficient; on the minimal grid or one twice as fine
     on some axes, with a plain L_p space."""
-    m = draw(st.sampled_from([2, 3]))
-    level = st.integers(0, 5 if m == 2 else 3)
+    m = draw(st.sampled_from([1, 2, 3]))
+    level = st.integers(0, 3 if m == 3 else 5)
     levels = draw(st.lists(st.tuples(*[level] * m), min_size=1, max_size=5,
                            unique=True))
     terms = {}
@@ -385,6 +385,7 @@ def product_block_sums(draw):
 @example((SpectralFunction(3, {(k0, k1, k2): 1.5 for k0 in (-1, 1)
                                for k1 in (-3, -2, 2, 3) for k2 in (-5, 5)}),
           (4, 16, 16), plain_lp("4/3", 3)))
+@example((SpectralFunction(1, {(k,): -2.5 for k in (-3, -2, 2, 3)}), (16,), plain_lp("3/2", 1)))
 @settings(deadline=None)
 def test_product_route_matches_the_norm_of_the_samples(case):
     f, shape, space = case
@@ -395,17 +396,20 @@ def test_product_route_matches_the_norm_of_the_samples(case):
     assert got == pytest.approx(want, rel=1e-13)
 
 
-def dct_calls(mp) -> list:
-    """A list that gains the shape of each spectral._orthant call, patched
-    in through the monkeypatch mp."""
-    original, shapes = spectral._orthant, []
+def kernel_calls(mp) -> list:
+    """A list that gains (name, grid shape) for each call of the synthesis
+    kernels _axis_factor(k, n) and _complex_samples(freqs, coeffs, shape),
+    patched in through the monkeypatch mp."""
+    calls = []
+    for name in ("_axis_factor", "_complex_samples"):
+        original = getattr(spectral, name)
 
-    def counting(freqs, coeffs, shape):
-        shapes.append(tuple(shape))
-        return original(freqs, coeffs, shape)
+        def counting(*args, name=name, original=original):
+            calls.append((name, tuple(np.ravel(args[-1]).tolist())))
+            return original(*args)
 
-    mp.setattr(spectral, "_orthant", counting)
-    return shapes
+        mp.setattr(spectral, name, counting)
+    return calls
 
 
 @given(product_block_sums())
@@ -417,26 +421,28 @@ def dct_calls(mp) -> list:
                                **{(k0, k1): -1.5 for k0 in (-3, -2, 2, 3)
                                   for k1 in (-5, 5)}}),
           (16, 16), plain_lp("2", 2)))
+@example((SpectralFunction(1, {(k,): -2.5 for k in (-3, -2, 2, 3)}), (16,), plain_lp("3/2", 1)))
 @settings(deadline=None)
-def test_product_orthant_matches_the_dct_of_the_coefficients(case):
+def test_product_orthant_matches_the_full_inverse_fft(case):
     # the orthant of a product f is filled from its axis factors, axis 0
-    # contiguous as the DCT-I leaves it; the DCT-I transforms only the 1-D
-    # factors
+    # contiguous; only the 1-D factors are transformed, by the DCT-I
     f, shape, _ = case
     with pytest.MonkeyPatch.context() as mp:
-        shapes = dct_calls(mp)
+        calls = kernel_calls(mp)
         got = spectral._samples(f, GridSpec(shape))
-    assert shapes and all(len(s) == 1 for s in shapes)
-    want = spectral._orthant(f.freqs, f.coeffs.real, shape)
-    assert got.shape == want.shape and got.values.shape == want.values.shape
+    assert calls and all(name == "_axis_factor" and len(s) == 1 for name, s in calls)
+    want = full_spectrum_samples(f, shape)[tuple(slice(n // 2 + 1) for n in shape)]
+    assert got.shape == shape and got.values.shape == want.shape
     assert got.values.strides[0] == got.values.itemsize
-    assert np.abs(got.values - want.values).max() <= 1e-13 * float(np.abs(f.coeffs).sum())
+    assert np.abs(got.values - want).max() <= 1e-13 * float(np.abs(f.coeffs).sum())
 
 
-def test_blocks_off_the_product_form_and_one_variable_keep_the_dct(monkeypatch):
+def test_blocks_off_the_product_form_reach_the_complex_fft_once(monkeypatch):
     # level (2, 2) holds the frequencies with |k_j| in {2, 3}; a ragged or
-    # diagonal block, or a polynomial of one variable, is transformed whole
-    shapes = dct_calls(monkeypatch)
+    # diagonal block makes f sampled whole by one complex ifft, of which the
+    # real orthant is kept; a uniform polynomial of one variable is its own
+    # axis factor
+    calls = kernel_calls(monkeypatch)
     block = {(k0, k1): 1.0 for k0 in (-3, -2, 2, 3) for k1 in (-3, -2, 2, 3)}
     other = {(k0, k1): 0.5 for k0 in (-1, 1) for k1 in (-5, 5)}
     ragged = {**block, **{(k0, k1): 2.0 for k0 in (-3, 3) for k1 in (-3, 3)}}
@@ -444,11 +450,14 @@ def test_blocks_off_the_product_form_and_one_variable_keep_the_dct(monkeypatch):
     for terms in (ragged, diagonal):
         f = SpectralFunction(2, {**terms, **other})
         assert f.sign_symmetric and f.product_blocks is None
-        spectral._samples(f, GridSpec((16, 16)))
-        assert shapes.pop() == (16, 16) and shapes == []
+        got = spectral._samples(f, GridSpec((16, 16)))
+        assert calls == [("_complex_samples", (16, 16))]
+        assert got.values.shape == (9, 9) and got.values.dtype == np.float64
+        assert synthesize(f, (16, 16)).values.dtype == np.float64
+        calls.clear()
     single = SpectralFunction(1, {(k,): 1.0 for k in (-3, -2, 2, 3)})
     spectral._samples(single, GridSpec((16,)))
-    assert shapes == [(16,)]
+    assert calls == [("_axis_factor", (16,))]
 
 
 def test_polynomial_without_terms_has_norm_zero_on_every_route():
@@ -474,7 +483,7 @@ def test_blocks_off_the_product_form_take_the_fft_path():
         assert grid_norm(f, shape, space).hex() == want.hex()
     # the same blocks, each made whole and uniform, take the product route,
     # also after f was measured on the grid in another space; another space
-    # or m rules it out
+    # rules it out, and so does a one-variable block off one coefficient
     f = SpectralFunction(2, {**block, **other})
     assert grid_route(f, shape, space) == "product"
     lz = MixedSpaceParams.of(["2"] * 2, [0.5] * 2, [3.0] * 2)
@@ -483,7 +492,9 @@ def test_blocks_off_the_product_form_take_the_fft_path():
     assert grid_route(f, shape, lz) == "orthant"
     assert grid_route(f, (32, 16), space) == "product"
     single = SpectralFunction(1, {(k,): 1.0 for k in (-3, -2, 2, 3)})
-    assert grid_route(single, (16,), plain_lp("3/2", 1)) == "orthant"
+    assert grid_route(single, (16,), plain_lp("3/2", 1)) == "product"
+    uneven = SpectralFunction(1, {(k,): abs(k) - 1.0 for k in (-3, -2, 2, 3)})
+    assert grid_route(uneven, (16,), plain_lp("3/2", 1)) == "orthant"
     # a grid that does not resolve f is refused on the product route too
     f = SpectralFunction(2, other)
     for coarse in ((2, 16), (4, 8)):  # |k_0| = 1 and |k_1| = 5
