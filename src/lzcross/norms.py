@@ -6,9 +6,13 @@ The scalar norm of a nonnegative profile v sorted on (0,1] is
 
 where v* is the decreasing rearrangement.  The multivariate version sorts
 the sample magnitudes one axis at a time (axis 0 first) and then applies
-the weighted integral per axis, innermost axis first.  Integrals are taken
-over the piecewise-constant profile exactly, via Gauss-Legendre quadrature
-after the substitution u = -log2 t which makes the integrand smooth.  So
+the weighted integral per axis, innermost axis first.  The sorts along
+axes 0..m-2 are taken slab by slab of the last axis and written into one
+output grid, which is then sorted along the last axis, so a rearrangement
+holds its input, one grid and one slab (iterated_rearrangement).
+Integrals are taken over the piecewise-constant profile exactly, via
+Gauss-Legendre quadrature after the substitution u = -log2 t which makes
+the integrand smooth.  So
 every norm here is the norm of the sample step function, constant on each
 grid cell, and not the norm of a polynomial between its samples.
 
@@ -216,42 +220,58 @@ def _tiled_copy(dst: np.ndarray, src: np.ndarray) -> None:
             dst[tile] = src[tile]
 
 
+_SLAB_CELLS = 1 << 18  # grid cells per slab of iterated_rearrangement: 2 MB
+
+
 def iterated_rearrangement(data) -> np.ndarray:
     """Sort magnitudes in decreasing order along axis 0, 1, ..., m-1 in turn.
 
-    The fresh magnitude array is negated, sorted in place in increasing
-    order and negated back, so no sorted copy is made and the result stays
-    C-contiguous; a view reversed on every axis would make the powers taken
-    of it later several times slower.  Magnitudes are nonnegative, so every
-    zero comes back as +0.0.
-
-    data may also be OrthantSamples, whose rearrangement is that of
+    data may be OrthantSamples, whose rearrangement is that of
     data.to_grid(), value for value, without the full grid being sampled:
-    every lane along axis a of the full grid holds its orthant lane plus the
-    interior entries 1..N_a/2-1 once more, so each pass appends those
-    slices along axis a before it sorts.  The copy that appends them also
-    makes axis a the contiguous last axis: a strided sort is several times
-    slower.
+    every lane along axis a of the full grid holds its orthant lane plus
+    the interior entries 1..N_a/2-1 once more.
+
+    The sorts along axes 0..m-2 never mix two indices of the last axis, so
+    they are taken slab by slab of that axis, about _SLAB_CELLS grid cells
+    each: before each sort the negated magnitudes are copied so that the
+    axis sorted is the contiguous last one (a strided sort is several times
+    slower), with an orthant's interior slices along it appended.  Each
+    sorted slab goes into the one output grid, an orthant's interior
+    indices of the last axis once more after its N/2+1; the grid is then
+    sorted along its last axis and negated back.  So the walk holds one
+    grid and one slab besides its input, the result is C-contiguous (a view
+    reversed on every axis would make the powers taken of it later several
+    times slower), and every zero comes back as +0.0.
     """
     if isinstance(data, OrthantSamples):
-        arr = np.abs(data.values).astype(np.float64, copy=False)
-        np.negative(arr, out=arr)
-        for axis, n in enumerate(data.shape):
-            lanes = np.moveaxis(arr, axis, -1)
-            h = lanes.shape[-1]
-            arr = np.empty(lanes.shape[:-1] + (n,))
-            _tiled_copy(arr[..., :h], lanes)
-            _tiled_copy(arr[..., h:], lanes[..., 1 : h - 1])
+        values, shape = data.values, data.shape
+    else:
+        values = data.values if isinstance(data, GridFunction) else np.asarray(data)
+        shape = values.shape
+    *heads, n = shape
+    h = values.shape[-1]
+    out = np.empty(shape)
+    width = max(1, _SLAB_CELLS // math.prod(heads))
+    for i in range(0, h, width):
+        slab = np.abs(values[..., i : i + width]).astype(np.float64, copy=False)
+        np.negative(slab, out=slab)
+        for axis, n_a in enumerate(heads):
+            lanes = np.moveaxis(slab, axis, -1)
+            h_a = lanes.shape[-1]
+            slab = np.empty(lanes.shape[:-1] + (n_a,))
+            _tiled_copy(slab[..., :h_a], lanes)
+            _tiled_copy(slab[..., h_a:], lanes[..., 1 : 1 + n_a - h_a])
             del lanes
-            arr.sort(axis=-1)
-            arr = np.moveaxis(arr, -1, axis)
-        return np.negative(arr, out=arr)
-    values = data.values if isinstance(data, GridFunction) else np.asarray(data)
-    arr = np.abs(values).astype(np.float64, copy=False)
-    np.negative(arr, out=arr)
-    for axis in range(arr.ndim):
-        arr.sort(axis=axis)
-    return np.negative(arr, out=arr)
+            slab.sort(axis=-1)
+            slab = np.moveaxis(slab, -1, axis)
+        end = i + slab.shape[-1]
+        _tiled_copy(out[..., i:end], slab)
+        # last-axis indices 1..n-h once more, at h..n-1
+        lo, hi = max(i, 1), min(end, 1 + n - h)
+        if lo < hi:
+            _tiled_copy(out[..., h + lo - 1 : h + hi - 1], slab[..., lo - i : hi - i])
+    out.sort(axis=-1)
+    return np.negative(out, out=out)
 
 
 _UNIT_WINDOWS = 20000

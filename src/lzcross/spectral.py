@@ -31,6 +31,7 @@ from .norms import (
     GridFunction,
     MixedSpaceParams,
     OrthantSamples,
+    ScalarSpaceParams,
     _orthant_weights,
     _validated_shape,
     anisotropic_norm,
@@ -375,8 +376,9 @@ def block_norms(
     A block that is the constant c on a product of axis sets
     (product_factors of its rows; f.product_blocks when every block is one)
     has the norm |c| times the product of its axis factors' one-axis norms,
-    each factor sampled on its own axis of the grid (_axis_samples); the
-    product grid is never built.  Any other block is synthesized on the
+    each factor sampled on its own axis of the grid (_axis_samples) and
+    measured once per call for each distinct (axis set, N_j, axis space);
+    the product grid is never built.  Any other block is synthesized on the
     whole grid.  The grid must resolve f (_resolving).
     """
     shape = _resolving(f, grid).shape
@@ -386,6 +388,12 @@ def block_norms(
         products = {
             s: product_factors(f.freqs[r], f.coeffs[r]) for s, r in rows.items()
         }
+
+    @functools.cache
+    def factor_norm(k: bytes, n: int, ax: ScalarSpaceParams) -> float:
+        samples = _axis_samples(np.frombuffer(k, dtype=np.int64), n)
+        return anisotropic_norm(samples, MixedSpaceParams((ax,)))
+
     norms = {}
     for s, product in products.items():
         if product is None:  # not a uniform product
@@ -394,7 +402,7 @@ def block_norms(
             continue
         c, axis_sets = product
         factors = [
-            anisotropic_norm(_axis_samples(k, n), MixedSpaceParams((ax,)))
+            factor_norm(k.tobytes(), n, ax)
             for k, n, ax in zip(axis_sets, shape, params.axes, strict=True)
         ]
         norms[s] = abs(c) * math.prod(factors)

@@ -185,6 +185,44 @@ def test_block_norm_product_path_matches_dense(monkeypatch):
             assert got[(2, 1)] == pytest.approx(dense, rel=1e-12)
 
 
+def test_block_norms_measure_each_distinct_axis_factor_once(monkeypatch):
+    # on a square grid with one space on both axes, block (s, t) of f1 shares
+    # its axis sets with block (t, s): each distinct (axis set, N_j, axis
+    # space) is sampled and measured once per call, nothing is kept for the
+    # next call, and every norm keeps the bits of one measure per block
+    tp = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
+    f = extremal_f1(9, tp)
+    grid = GridSpec.minimal_for(f.bandwidth())
+    space = MixedSpaceParams.of(["3/2"] * 2, [0.5] * 2, [2.0] * 2)
+    # eight blocks (s, 9 - s) on the layer: sixteen axis factors, eight distinct
+    assert grid.shape[0] == grid.shape[1] and len(f.product_blocks) == 8
+    original = spectral._axis_samples
+    want = {
+        s: abs(c) * math.prod(
+            anisotropic_norm(original(k, n), MixedSpaceParams((ax,)))
+            for k, n, ax in zip(sets, grid.shape, space.axes)
+        )
+        for s, (c, sets) in f.product_blocks.items()
+    }
+    distinct = {
+        (k.tobytes(), n, ax)
+        for _, sets in f.product_blocks.values()
+        for k, n, ax in zip(sets, grid.shape, space.axes)
+    }
+    calls = []
+
+    def spy(k, n):
+        calls.append((k.tobytes(), n))
+        return original(k, n)
+
+    monkeypatch.setattr(spectral, "_axis_samples", spy)
+    for _ in range(2):
+        calls.clear()
+        got = block_norms(f, grid, space)
+        assert {s: v.hex() for s, v in got.items()} == {s: v.hex() for s, v in want.items()}
+        assert len(calls) == len(set(calls)) == len(distinct) == 8
+
+
 def test_triangle_bound_on_a_held_axis_samples_no_bivariate_grid(monkeypatch):
     # r = (1, 2): axis 1 is not tied, so f1 holds it at the one harmonic
     # k_1 = +1; f1 is not sign-symmetric, but each block is still measured

@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +92,15 @@ def flip_sort_rearrangement(data):
     return arr
 
 
+def slab_cells(shape, lanes):
+    """_SLAB_CELLS for the default slabs, for slabs of one index of the last
+    axis, and for slabs of lanes - 1 indices, where `lanes` indices of the
+    input's last axis are walked: these leave a last slab of one index, and
+    an orthant's first slab ends at its last interior index N/2 - 1."""
+    cells = math.prod(shape[:-1])
+    return [norms._SLAB_CELLS, cells, max(1, lanes - 1) * cells]
+
+
 tied_entries = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, 3j, -2.0 + 0j, 1e-300])
 
 
@@ -105,10 +115,12 @@ tied_entries = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, 3j, -2.0 + 0j, 1e-300
 def test_rearrangements_match_flip_sort_bit_for_bit(arr):
     before = arr.copy()
     want = flip_sort_rearrangement(arr)
-    got = iterated_rearrangement(arr)
-    assert got.flags.c_contiguous
-    assert got.dtype == np.float64 and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()  # bytes: +0.0 and -0.0 differ
+    for cells in slab_cells(arr.shape, arr.shape[-1]):
+        with mock.patch.object(norms, "_SLAB_CELLS", cells):
+            got = iterated_rearrangement(arr)
+        assert got.flags.c_contiguous
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bytes: +0.0 and -0.0 differ
     assert arr.tobytes() == before.tobytes()
 
 
@@ -129,17 +141,22 @@ def test_orthant_rearrangement_matches_the_full_grid_bit_for_bit(case):
     if fortran:  # any memory layout of the orthant
         values = np.asfortranarray(values)
     orthant = OrthantSamples(values, shape)
-    got = iterated_rearrangement(orthant)
     want = iterated_rearrangement(orthant.to_grid())
-    assert got.flags.c_contiguous
-    assert got.dtype == np.float64 and got.shape == shape
-    assert got.tobytes() == want.tobytes()
+    for cells in slab_cells(shape, values.shape[-1]):
+        with mock.patch.object(norms, "_SLAB_CELLS", cells):
+            got = iterated_rearrangement(orthant)
+        assert got.flags.c_contiguous
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_orthant_rearrangement_of_orthants_wider_than_a_tile():
-    # orthant extents 129 and 65 leave partial 64-wide tiles at every edge
+    # orthant extents 129 and 65 leave partial 64-wide tiles at every edge;
+    # on the last two grids, 4096 cells per last-axis index, the 129 orthant
+    # indices of the last axis span several slabs (64 + 64 + 1 at 2**18 cells)
     rng = np.random.default_rng(21)
-    for shape in ((256, 128), (128, 4, 256)):
+    assert norms._SLAB_CELLS // 4096 < 129
+    for shape in ((256, 128), (128, 4, 256), (4096, 256), (64, 64, 256)):
         values = rng.integers(-3, 4, size=tuple(n // 2 + 1 for n in shape)) / 4.0
         axis0_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(values, 0, -1)), -1, 0)
         for layout in (values, np.asfortranarray(values), axis0_last):
@@ -320,6 +337,19 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_orthant_rearrangement_holds_its_output_grid_and_one_slab():
+    # the walk sorts one slab of the last axis at a time and writes it into
+    # the output grid, so besides that grid it holds one slab of magnitudes
+    # (half a slab of orthant cells) and one sorted slab; no pass array of
+    # half a grid or more
+    n = 2048
+    values = np.asfortranarray(np.random.default_rng(22).standard_normal((n // 2 + 1,) * 2))
+    orthant = OrthantSamples(values, (n, n))
+    grid_bytes, slab_bytes = n * n * 8, norms._SLAB_CELLS * 8
+    assert n * n >= 16 * norms._SLAB_CELLS  # the walk takes many slabs
+    assert traced_peak(lambda: iterated_rearrangement(orthant)) <= grid_bytes + 2 * slab_bytes
 
 
 def test_grid_norm_holds_three_grids_on_every_call():
