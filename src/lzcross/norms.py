@@ -6,10 +6,14 @@ The scalar norm of a nonnegative profile v sorted on (0,1] is
 
 where v* is the decreasing rearrangement.  The multivariate version sorts
 the sample magnitudes one axis at a time (axis 0 first) and then applies
-the weighted integral per axis, innermost axis first.  The sorts along
-axes 0..m-2 are taken slab by slab of the last axis and written into one
-output grid, which is then sorted along the last axis, so a rearrangement
-holds its input, one grid and one slab (iterated_rearrangement).
+the weighted integral per axis, innermost axis first.  The magnitudes are
+raised to the first axis's tau before they are sorted, which x -> x^tau
+(nondecreasing) leaves exact, so axis 0's integral is a weighted sum of
+the rearranged powers (profile_norm).  The sorts along axes 0..m-2 are
+taken slab by slab of the last axis and written into one output grid,
+whose rows along the last axis are then sorted a block at a time, so a
+rearrangement holds its input, one grid and one slab
+(iterated_rearrangement).
 Integrals are taken over the piecewise-constant profile exactly, via
 Gauss-Legendre quadrature after the substitution u = -log2 t which makes
 the integrand smooth.  So
@@ -220,29 +224,38 @@ def _tiled_copy(dst: np.ndarray, src: np.ndarray) -> None:
             dst[tile] = src[tile]
 
 
-_SLAB_CELLS = 1 << 18  # grid cells per slab of iterated_rearrangement: 2 MB
+_SLAB_CELLS = 1 << 18  # grid cells per slab or row block of the walk: 2 MB
 
 
-def iterated_rearrangement(data) -> np.ndarray:
-    """Sort magnitudes in decreasing order along axis 0, 1, ..., m-1 in turn.
+def iterated_rearrangement(data, power: float = 1.0) -> np.ndarray:
+    """Sort magnitudes**power in decreasing order along axis 0, 1, ..., m-1 in turn.
 
-    data may be OrthantSamples, whose rearrangement is that of
+    x -> x**power is nondecreasing on x >= 0 for a finite power > 0, so the
+    result is the power of the rearranged magnitudes, bit for bit; any
+    other power raises ValueError, as a decreasing map would reverse the
+    sort.  data may be OrthantSamples, whose rearrangement is that of
     data.to_grid(), value for value, without the full grid being sampled:
     every lane along axis a of the full grid holds its orthant lane plus
     the interior entries 1..N_a/2-1 once more.
 
     The sorts along axes 0..m-2 never mix two indices of the last axis, so
     they are taken slab by slab of that axis, about _SLAB_CELLS grid cells
-    each: before each sort the negated magnitudes are copied so that the
-    axis sorted is the contiguous last one (a strided sort is several times
-    slower), with an orthant's interior slices along it appended.  Each
-    sorted slab goes into the one output grid, an orthant's interior
-    indices of the last axis once more after its N/2+1; the grid is then
-    sorted along its last axis and negated back.  So the walk holds one
-    grid and one slab besides its input, the result is C-contiguous (a view
-    reversed on every axis would make the powers taken of it later several
-    times slower), and every zero comes back as +0.0.
+    each.  A slab's magnitudes are a fresh contiguous array, raised to the
+    power there (numpy's strided power loop can differ from the contiguous
+    one in the last bit) and negated.  Before each sort they are copied so
+    that the axis sorted is the contiguous last one (a strided sort is
+    several times slower), with an orthant's interior slices along it
+    appended.  Each sorted slab is copied once into the output grid, at
+    its input indices of the last axis.  The grid is then walked in blocks
+    of about _SLAB_CELLS cells of whole rows along its last axis: an
+    orthant's interior indices 1..N/2-1 are copied once more after its
+    N/2+1, and the block is sorted and negated back while it is in cache.
+    So the walk holds one grid and one slab besides its input, the result
+    is C-contiguous, and every zero comes back as +0.0.
     """
+    power = float(power)
+    if not 0.0 < power < math.inf:
+        raise ValueError("the power of a rearrangement must be finite and positive")
     if isinstance(data, OrthantSamples):
         values, shape = data.values, data.shape
     else:
@@ -254,6 +267,8 @@ def iterated_rearrangement(data) -> np.ndarray:
     width = max(1, _SLAB_CELLS // math.prod(heads))
     for i in range(0, h, width):
         slab = np.abs(values[..., i : i + width]).astype(np.float64, copy=False)
+        if power != 1.0:
+            np.power(slab, power, out=slab)
         np.negative(slab, out=slab)
         for axis, n_a in enumerate(heads):
             lanes = np.moveaxis(slab, axis, -1)
@@ -264,14 +279,15 @@ def iterated_rearrangement(data) -> np.ndarray:
             del lanes
             slab.sort(axis=-1)
             slab = np.moveaxis(slab, -1, axis)
-        end = i + slab.shape[-1]
-        _tiled_copy(out[..., i:end], slab)
-        # last-axis indices 1..n-h once more, at h..n-1
-        lo, hi = max(i, 1), min(end, 1 + n - h)
-        if lo < hi:
-            _tiled_copy(out[..., h + lo - 1 : h + hi - 1], slab[..., lo - i : hi - i])
-    out.sort(axis=-1)
-    return np.negative(out, out=out)
+        _tiled_copy(out[..., i : i + slab.shape[-1]], slab)
+    rows = out.reshape(-1, n)
+    step = max(1, _SLAB_CELLS // n)
+    for r in range(0, rows.shape[0], step):
+        block = rows[r : r + step]
+        block[:, h:] = block[:, 1 : 1 + n - h]
+        block.sort(axis=-1)
+        np.negative(block, out=block)
+    return out
 
 
 _UNIT_WINDOWS = 20000
@@ -398,30 +414,35 @@ def _lebesgue_norm(data, p: float) -> float:
 def anisotropic_norm(f, params: MixedSpaceParams) -> float:
     """Mixed Lorentz-Zygmund norm of grid samples.
 
-    Magnitudes are rearranged axis by axis, then measured by profile_norm;
-    in a plain L_p space (params.lebesgue_index()) they are summed unsorted.
+    Magnitudes are raised to tau_0 and rearranged axis by axis, then
+    measured by profile_norm; in a plain L_p space
+    (params.lebesgue_index()) they are summed unsorted.
     """
     p = params.lebesgue_index()
     if p is None:
-        return profile_norm(iterated_rearrangement(f), params)
+        return profile_norm(iterated_rearrangement(f, params.axes[0].tau), params)
     if np.ndim(getattr(f, "values", f)) != params.m:
         raise ValueError("parameter arity does not match grid dimension")
     return _lebesgue_norm(f, float(p))
 
 
 def profile_norm(prof: np.ndarray, params: MixedSpaceParams) -> float:
-    """Mixed Lorentz-Zygmund norm of an iterated rearrangement.
+    """Mixed Lorentz-Zygmund norm from the iterated rearrangement of the
+    magnitudes' tau_0-th powers, iterated_rearrangement(f, tau_0).
 
-    The weighted tau_j integral is applied per axis, axis 0 innermost; prof
-    is read, never written, and its powers are taken a batch of columns at
-    a time.
+    The weighted tau_j integral is applied per axis, axis 0 innermost.  On
+    axis 0 it is one weighted sum of prof, read in place when prof is
+    C-contiguous; on every later axis, of the tau_j-th powers of the
+    previous axis's roots.  Each root is taken on an ndarray, as numpy's
+    float64 scalar power can differ from it in the last bit.
     """
     if prof.ndim != params.m:
         raise ValueError("parameter arity does not match grid dimension")
-    g = prof
-    for ax in params.axes:
-        w = cell_weights(g.shape[0], ax)
-        g = _power_sums(g, w, ax.tau) ** (1.0 / ax.tau)
+    first, *rest = params.axes
+    g = np.tensordot(prof, cell_weights(prof.shape[0], first), axes=(0, 0))
+    g = g ** (1.0 / first.tau)
+    for ax in rest:
+        g = _power_sums(g, cell_weights(g.shape[0], ax), ax.tau) ** (1.0 / ax.tau)
     return float(g)
 
 

@@ -7,6 +7,7 @@ directory, then inspects exit codes, emitted files, and the manifest.
 import csv
 import functools
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -719,13 +720,17 @@ def test_theorem1_rate_manifest_marks_levels_without_the_symmetry(tmp_path):
 
 
 def count_rearrangements(monkeypatch) -> list:
-    """A list that gains one entry per call of iterated_rearrangement."""
+    """A list that gains, per call of iterated_rearrangement, the power it
+    was asked for."""
     original = norms.iterated_rearrangement
+    signature = inspect.signature(original)
     calls = []
 
-    def counting(data):
-        calls.append(None)
-        return original(data)
+    def counting(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments["power"])
+        return original(*args, **kwargs)
 
     for module in (norms, spectral, classes, experiments):
         for attr, obj in list(vars(module).items()):
@@ -799,12 +804,13 @@ def test_rate_manifest_times_the_stages_of_each_level(tmp_path):
 
 def test_rate_levels_rearrange_each_grid_once(tmp_path, monkeypatch):
     # the source space is plain L_{3/2}, measured unsorted; only the
-    # truncation error rearranges the samples of its residual, f itself
+    # truncation error rearranges the samples of its residual, f itself,
+    # raised in the walk to the target's first fine index tau_0 = 3
     calls = count_rearrangements(monkeypatch)
     params = BENCH / "params" / "rate-2d-lz.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
-    assert len(calls) == 4
+    assert calls == [3.0] * 4
 
 
 def test_lorentz_zygmund_rate_levels_take_the_product_route(tmp_path):

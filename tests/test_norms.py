@@ -102,6 +102,12 @@ def slab_cells(shape, lanes):
 
 
 tied_entries = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, 3j, -2.0 + 0j, 1e-300])
+powers = st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0])
+
+
+def flip_sort_powers(arr, power):
+    """The reference rearrangement raised to power on a C-contiguous copy."""
+    return np.ascontiguousarray(flip_sort_rearrangement(arr)) ** power
 
 
 @given(
@@ -109,15 +115,16 @@ tied_entries = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, 3j, -2.0 + 0j, 1e-300
         lambda shape: st.lists(
             tied_entries, min_size=math.prod(shape), max_size=math.prod(shape)
         ).map(lambda xs: np.array(xs).reshape(shape))
-    )
+    ),
+    powers,
 )
 @settings(deadline=None)
-def test_rearrangements_match_flip_sort_bit_for_bit(arr):
+def test_rearrangements_match_flip_sort_bit_for_bit(arr, power):
     before = arr.copy()
-    want = flip_sort_rearrangement(arr)
+    want = flip_sort_powers(arr, power)
     for cells in slab_cells(arr.shape, arr.shape[-1]):
         with mock.patch.object(norms, "_SLAB_CELLS", cells):
-            got = iterated_rearrangement(arr)
+            got = iterated_rearrangement(arr, power)
         assert got.flags.c_contiguous
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # bytes: +0.0 and -0.0 differ
@@ -132,22 +139,33 @@ def test_rearrangements_match_flip_sort_bit_for_bit(arr):
                      max_size=math.prod(n // 2 + 1 for n in shape)),
             st.booleans(),
         )
-    )
+    ),
+    powers,
 )
 @settings(deadline=None)
-def test_orthant_rearrangement_matches_the_full_grid_bit_for_bit(case):
+def test_orthant_rearrangement_matches_the_full_grid_bit_for_bit(case, power):
     shape, entries, fortran = case
     values = np.array(entries).reshape(tuple(n // 2 + 1 for n in shape))
     if fortran:  # any memory layout of the orthant
         values = np.asfortranarray(values)
     orthant = OrthantSamples(values, shape)
-    want = iterated_rearrangement(orthant.to_grid())
+    want = flip_sort_powers(orthant.to_grid().values, power)
     for cells in slab_cells(shape, values.shape[-1]):
         with mock.patch.object(norms, "_SLAB_CELLS", cells):
-            got = iterated_rearrangement(orthant)
+            got = iterated_rearrangement(orthant, power)
         assert got.flags.c_contiguous
         assert got.dtype == np.float64 and got.shape == shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_rearrangement_refuses_a_power_that_is_not_finite_and_positive():
+    # a decreasing map, or none at all, would silently reverse the sort
+    arr = np.arange(8.0).reshape(2, 4)
+    orthant = OrthantSamples(np.ones((2, 3)), (2, 4))
+    for power in (0.0, -0.0, -1.5, math.inf, -math.inf, math.nan):
+        for data in (arr, orthant):
+            with pytest.raises(ValueError, match="finite and positive"):
+                iterated_rearrangement(data, power)
 
 
 def test_orthant_rearrangement_of_orthants_wider_than_a_tile():
@@ -266,17 +284,76 @@ def test_scalar_norm_rejects_bad_profiles():
             anisotropic_norm(np.ones(12), space)
 
 
+def reference_profile_norm(grid: np.ndarray, params: MixedSpaceParams) -> float:
+    """The mixed norm as the magnitude profile measured axis by axis: each
+    axis's tau_j-th powers taken on batches of 256 columns of a C-contiguous
+    array, summed against cell_weights, rooted on 0-d arrays."""
+    g = np.ascontiguousarray(flip_sort_rearrangement(grid))
+    for ax in params.axes:
+        w = cell_weights(g.shape[0], ax)
+        if g.ndim == 1:
+            sums = np.tensordot(g**ax.tau, w, axes=(0, 0))
+        else:
+            cols = g.reshape(g.shape[0], -1)
+            sums = np.empty(cols.shape[1])
+            for j in range(0, cols.shape[1], 256):
+                batch = cols[:, j : j + 256] ** ax.tau
+                sums[j : j + 256] = np.tensordot(batch, w, axes=(0, 0))
+            sums = sums.reshape(g.shape[1:])
+        g = sums ** (1.0 / ax.tau)
+    return float(g)
+
+
 def test_profile_norm_takes_powers_of_a_contiguous_profile():
     # a reversed view would take numpy's strided power loop, which can differ
-    # from the vectorized one in the last bit and move the block norms; only
-    # spaces other than plain L_p sort, so this one has alpha != 0
+    # from the vectorized one in the last bit and move the block norms; the
+    # walk takes the power on the contiguous magnitudes of each slab, so a
+    # reversed input measures as its contiguous copy.  Only spaces other
+    # than plain L_p sort, so this one has alpha != 0
     block = dirichlet_block((6,))  # on 256 points the two loops differ here
     mag = np.abs(synthesize(block, GridSpec((256,))).values)
     params = MixedSpaceParams.of(["3"], [0.5], [1.5])
-    v = np.sort(mag)[::-1].copy()
-    w = cell_weights(v.shape[0], params.axes[0])
-    want = float(np.dot(v**1.5, w) ** (1.0 / 1.5))
-    assert profile_norm(iterated_rearrangement(mag), params) == want
+    want = reference_profile_norm(mag, params)
+    assert profile_norm(iterated_rearrangement(mag[::-1], 1.5), params) == want
+    assert anisotropic_norm(mag[::-1], params) == want
+
+
+@st.composite
+def hex_oracle_cases(draw):
+    """A grid of m <= 3 axes in one of five layouts, and a space of alpha != 0."""
+    exps = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3).filter(
+        lambda ks: sum(ks) <= 13))
+    shape = tuple(1 << k for k in exps)
+    layout = draw(st.sampled_from(["C", "F", "reversed", "complex", "orthant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "orthant":
+        values = rng.standard_normal(tuple(n // 2 + 1 for n in shape))
+        data = OrthantSamples(np.asfortranarray(values), shape)
+        grid = data.to_grid().values
+    else:
+        grid = rng.standard_normal(shape)
+        if layout == "complex":
+            grid = grid + 1j * rng.standard_normal(shape)
+        data = {
+            "F": np.asfortranarray(grid),
+            "reversed": grid[(slice(None, None, -1),) * len(shape)],
+        }.get(layout, grid)
+    m = len(shape)
+    taus = [draw(st.sampled_from([1.25, 1.5, 2.0, 3.0, 4.5, 7.0])) for _ in range(m)]
+    alphas = [draw(st.sampled_from([0.5, -0.25, 1.0])) for _ in range(m)]
+    ps = [draw(st.sampled_from(["3/2", "2", "3"])) for _ in range(m)]
+    return data, grid, MixedSpaceParams.of(ps, alphas, taus)
+
+
+@given(hex_oracle_cases())
+@settings(deadline=None)
+def test_anisotropic_norm_matches_the_profile_formula_to_the_last_bit(case):
+    # the first power is taken in the walk, on each slab's magnitudes, and
+    # the first axis is a weighted sum of the rearranged powers; the norm
+    # keeps every bit of the formula that powers the sorted profile
+    data, grid, params = case
+    want = reference_profile_norm(grid, params)
+    assert anisotropic_norm(data, params).hex() == want.hex()
 
 
 def test_anisotropic_norm_constant_one():
@@ -342,14 +419,21 @@ def traced_peak(fn) -> int:
 def test_orthant_rearrangement_holds_its_output_grid_and_one_slab():
     # the walk sorts one slab of the last axis at a time and writes it into
     # the output grid, so besides that grid it holds one slab of magnitudes
-    # (half a slab of orthant cells) and one sorted slab; no pass array of
-    # half a grid or more
+    # (half a slab of orthant cells, raised to its power in place) and one
+    # sorted slab; no pass array of half a grid or more.  The norm measures
+    # that grid's first axis without taking a power of it
     n = 2048
     values = np.asfortranarray(np.random.default_rng(22).standard_normal((n // 2 + 1,) * 2))
     orthant = OrthantSamples(values, (n, n))
     grid_bytes, slab_bytes = n * n * 8, norms._SLAB_CELLS * 8
     assert n * n >= 16 * norms._SLAB_CELLS  # the walk takes many slabs
-    assert traced_peak(lambda: iterated_rearrangement(orthant)) <= grid_bytes + 2 * slab_bytes
+    for power in (1.0, 3.0):
+        peak = traced_peak(lambda: iterated_rearrangement(orthant, power))
+        assert peak <= grid_bytes + 2 * slab_bytes
+    lz = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [3.0, 1.5])
+    for ax in lz.axes:  # fills the weight cache
+        cell_weights(n, ax)
+    assert traced_peak(lambda: anisotropic_norm(orthant, lz)) <= grid_bytes + 2 * slab_bytes
 
 
 def test_grid_norm_holds_three_grids_on_every_call():
@@ -373,7 +457,7 @@ def test_profile_and_orthant_norms_take_their_powers_one_batch_of_columns_at_a_t
     grid = GridSpec((1024, 1024))
     grid_norm(f, grid, lz)  # fills the weight cache
     samples = spectral._samples(f, grid)
-    prof = iterated_rearrangement(samples)
+    prof = iterated_rearrangement(samples, lz.axes[0].tau)
     batch = 1024 * norms._COLUMNS * 8
     bound = batch + 128 * 1024
     assert traced_peak(lambda: profile_norm(prof, lz)) <= bound

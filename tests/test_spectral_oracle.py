@@ -343,7 +343,7 @@ def test_lebesgue_sums_match_the_quadrature_of_the_rearranged_samples(case):
     assert space.lebesgue_index() is not None
     assert f.sign_symmetric or kind != "symmetric"
     samples = synthesize(f, shape)
-    want = profile_norm(iterated_rearrangement(samples), space)
+    want = profile_norm(iterated_rearrangement(samples, space.axes[0].tau), space)
     assert grid_norm(f, shape, space) == pytest.approx(want, rel=1e-13)
     assert anisotropic_norm(samples, space) == pytest.approx(want, rel=1e-13)
 
