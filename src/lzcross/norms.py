@@ -11,9 +11,14 @@ raised to the first axis's tau before they are sorted, which x -> x^tau
 (nondecreasing) leaves exact, so axis 0's integral is a weighted sum of
 the rearranged powers (profile_norm).  The sorts along axes 0..m-2 are
 taken slab by slab of the last axis and written into one output grid,
-whose rows along the last axis are then sorted a block at a time, so a
-rearrangement holds its input, one grid and one slab
-(iterated_rearrangement).
+whose rows along the last axis are then sorted a block at a time
+(iterated_rearrangement).  The samples of a function even in every
+variable are given on one orthant (OrthantSamples, or OrthantSlabs drawn a
+slab at a time), and each row of their output keeps the orthant's N/2 + 1
+values (HalfProfile): the full grid's row holds the same values, the
+interior ones twice, so the full row is read off the sorted half row when
+axis 0 is summed.  Such a rearrangement holds half a grid and about two
+slabs besides its input.
 Integrals are taken over the piecewise-constant profile exactly, via
 Gauss-Legendre quadrature after the substitution u = -log2 t which makes
 the integrand smooth.  So
@@ -36,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +50,11 @@ from .indexsets import MultiIndex, RationalLike, as_fraction, as_integer
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LN2 = math.log(2.0)
 
-DEFAULT_MAX_GRID_CELLS = 1 << 25  # largest dense grid or box a run allocates
+# cells of the largest grid whose samples a run measures, and of the largest
+# dense sequence box or frequency listing it allocates; an orthant's
+# samples are about 1/2^m of their grid's cells, and their rearrangement
+# holds half of them
+DEFAULT_MAX_GRID_CELLS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -203,6 +212,27 @@ class OrthantSamples:
         folds = [np.r_[0 : n // 2 + 1, n // 2 - 1 : 0 : -1] for n in self.shape]
         return GridFunction(self.values[np.ix_(*folds)])
 
+    def slabs(self, width: int) -> Iterator[np.ndarray]:
+        """values[..., i : i + width] for i = 0, width, 2 width, ... in turn."""
+        h = self.values.shape[-1]
+        return (self.values[..., i : i + width] for i in range(0, h, width))
+
+
+@dataclass(frozen=True)
+class OrthantSlabs:
+    """The orthant samples of the grid `shape`, as OrthantSamples would hold
+    them, drawn one slab of the last axis at a time instead: slabs(width)
+    yields the orthant's values[..., i : i + width] for i = 0, width,
+    2 width, ... in turn, each valid until the next is drawn.
+    iterated_rearrangement takes them in that order, so the orthant is
+    never held whole."""
+
+    slabs: Callable[[int], Iterator[np.ndarray]]
+    shape: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shape", _validated_shape(self.shape))
+
 
 _TILE = 64
 
@@ -227,16 +257,93 @@ def _tiled_copy(dst: np.ndarray, src: np.ndarray) -> None:
 _SLAB_CELLS = 1 << 18  # grid cells per slab or row block of the walk: 2 MB
 
 
-def iterated_rearrangement(data, power: float = 1.0) -> np.ndarray:
+@dataclass(frozen=True)
+class HalfProfile:
+    """iterated_rearrangement of an orthant (OrthantSamples or OrthantSlabs),
+    each row along the last axis kept at the orthant's h = N/2 + 1 values.
+
+    rows has the shape (N_0, ..., N_{m-2}, h); each row S holds the orthant
+    row's values, negated and sorted increasingly.  The full grid's row
+    holds the values of orthant indices 0 and N/2 once and every other one
+    twice.  With lo <= hi those two (negated), E the row S without its
+    leftmost copy of hi and O without its leftmost copy of lo, the full
+    row, negated and sorted increasingly, is E[0], O[0], E[1], O[1], ...,
+    E[N/2-1], O[N/2-1].  drops[..., 0] and drops[..., 1] are, per row, the
+    index in S of the entry E and O leave out.
+    """
+
+    rows: np.ndarray
+    drops: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The full grid's shape."""
+        *heads, h = self.rows.shape
+        return (*heads, 2 * (h - 1))
+
+    def pairs(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(t, batch) for t = 0, width, 2 width, ... below N/2, width a
+        divisor of N/2: batch is a C-contiguous array of the shape
+        (N_0, ..., N_{m-2}, 2 width) that holds E[..., t : t + width] and then
+        O[..., t : t + width].  The generator drops each batch before it
+        gathers the next, so a caller that drops it too holds one at a time.
+
+        A row whose dropped index lies at or past t + width gives S[t : t +
+        width], one at or before t gives S[t + 1 : t + width + 1]; both are
+        gathered, one window per row, in one pass, and a row whose dropped
+        index lies inside the batch is patched before its drop.
+        """
+        *heads, h = self.rows.shape
+        rows = self.rows.reshape(-1, h)
+        drops = self.drops.reshape(-1)  # E, O of row 0, then of row 1, ...
+        starts = np.repeat(np.arange(0, rows.size, h), 2)  # S[t] of each row
+        windows = np.lib.stride_tricks.sliding_window_view(rows.reshape(-1), width)
+        for t in range(0, h - 1, width):
+            batch = windows[starts + (drops < t + width)]
+            for i in np.flatnonzero((t < drops) & (drops < t + width)).tolist():
+                cut = int(drops[i]) - t
+                batch[i, :cut] = rows[i // 2, t : t + cut]
+            yield t, batch.reshape(*heads, 2 * width)
+            del batch
+            starts += width
+
+    def to_grid(self) -> np.ndarray:
+        """The rearrangement of the full grid, as iterated_rearrangement
+        returns it for the full grid's samples."""
+        half = self.shape[-1] // 2
+        ((_, batch),) = self.pairs(half)
+        full = np.empty(self.shape)
+        np.negative(batch[..., :half], out=full[..., 0::2])
+        np.negative(batch[..., half:], out=full[..., 1::2])
+        return full
+
+
+def _count_below(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per row i of rows, sorted increasingly, the number of its entries
+    below each entry of x[i] (np.searchsorted(rows[i], x[i])), by one
+    bisection over every row at once."""
+    n = rows.shape[1]
+    at = np.arange(len(rows))[:, None]
+    count = np.zeros(x.shape, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        probe = np.minimum(count + step, n)
+        count = np.where(rows[at, probe - 1] < x, probe, count)
+        step >>= 1
+    return count
+
+
+def iterated_rearrangement(data, power: float = 1.0):
     """Sort magnitudes**power in decreasing order along axis 0, 1, ..., m-1 in turn.
 
     x -> x**power is nondecreasing on x >= 0 for a finite power > 0, so the
     result is the power of the rearranged magnitudes, bit for bit; any
     other power raises ValueError, as a decreasing map would reverse the
-    sort.  data may be OrthantSamples, whose rearrangement is that of
-    data.to_grid(), value for value, without the full grid being sampled:
-    every lane along axis a of the full grid holds its orthant lane plus
-    the interior entries 1..N_a/2-1 once more.
+    sort.  A GridFunction or an array gives an array.  OrthantSamples or
+    OrthantSlabs give a HalfProfile, whose to_grid() is the rearrangement
+    of data.to_grid(), value for value, without the full grid being
+    sampled: every lane along axis a of the full grid holds its orthant
+    lane plus the interior entries 1..N_a/2-1 once more.
 
     The sorts along axes 0..m-2 never mix two indices of the last axis, so
     they are taken slab by slab of that axis, about _SLAB_CELLS grid cells
@@ -247,26 +354,32 @@ def iterated_rearrangement(data, power: float = 1.0) -> np.ndarray:
     several times slower), with an orthant's interior slices along it
     appended.  Each sorted slab is copied once into the output grid, at
     its input indices of the last axis.  The grid is then walked in blocks
-    of about _SLAB_CELLS cells of whole rows along its last axis: an
-    orthant's interior indices 1..N/2-1 are copied once more after its
-    N/2+1, and the block is sorted and negated back while it is in cache.
-    So the walk holds one grid and one slab besides its input, the result
-    is C-contiguous, and every zero comes back as +0.0.
+    of about _SLAB_CELLS cells of whole rows along its last axis, each
+    sorted while it is in cache.  A full grid's block is negated back, so
+    its result is C-contiguous and every zero comes back as +0.0.  An
+    orthant's rows keep their N/2 + 1 values and stay negated: before the
+    sort each row's two values at orthant indices 0 and N/2 are kept, and
+    after it their leftmost copies are found (HalfProfile.drops).  So
+    besides its input the walk holds its output, a grid or half of one, and
+    about two slabs.
     """
     power = float(power)
     if not 0.0 < power < math.inf:
         raise ValueError("the power of a rearrangement must be finite and positive")
-    if isinstance(data, OrthantSamples):
-        values, shape = data.values, data.shape
-    else:
+    orthant = isinstance(data, (OrthantSamples, OrthantSlabs))
+    if not orthant:
         values = data.values if isinstance(data, GridFunction) else np.asarray(data)
-        shape = values.shape
-    *heads, n = shape
-    h = values.shape[-1]
-    out = np.empty(shape)
+    *heads, n = data.shape if orthant else values.shape
+    h = n // 2 + 1 if orthant else n
     width = max(1, _SLAB_CELLS // math.prod(heads))
-    for i in range(0, h, width):
-        slab = np.abs(values[..., i : i + width]).astype(np.float64, copy=False)
+    if orthant:
+        slabs = data.slabs(width)
+    else:
+        slabs = (values[..., i : i + width] for i in range(0, n, width))
+    out = np.empty((*heads, h))
+    i = 0  # not zip: its reused result tuple would keep the last slab drawn
+    for slab in slabs:
+        slab = np.abs(slab).astype(np.float64, copy=False)
         if power != 1.0:
             np.power(slab, power, out=slab)
         np.negative(slab, out=slab)
@@ -280,14 +393,20 @@ def iterated_rearrangement(data, power: float = 1.0) -> np.ndarray:
             slab.sort(axis=-1)
             slab = np.moveaxis(slab, -1, axis)
         _tiled_copy(out[..., i : i + slab.shape[-1]], slab)
-    rows = out.reshape(-1, n)
-    step = max(1, _SLAB_CELLS // n)
+        i += slab.shape[-1]
+    rows = out.reshape(-1, h)
+    if orthant:  # lo and hi of each row, taken before it is sorted
+        ends = np.sort(rows[:, [0, -1]])
+    step = max(1, _SLAB_CELLS // h)
     for r in range(0, rows.shape[0], step):
         block = rows[r : r + step]
-        block[:, h:] = block[:, 1 : 1 + n - h]
         block.sort(axis=-1)
-        np.negative(block, out=block)
-    return out
+        if not orthant:
+            np.negative(block, out=block)
+    if not orthant:
+        return out
+    drops = _count_below(rows, ends[:, ::-1])  # E leaves out hi, O leaves out lo
+    return HalfProfile(out, drops.reshape(*heads, 2))
 
 
 _UNIT_WINDOWS = 20000
@@ -416,30 +535,60 @@ def anisotropic_norm(f, params: MixedSpaceParams) -> float:
 
     Magnitudes are raised to tau_0 and rearranged axis by axis, then
     measured by profile_norm; in a plain L_p space
-    (params.lebesgue_index()) they are summed unsorted.
+    (params.lebesgue_index()) they are summed unsorted, which OrthantSlabs,
+    drawn for a rearrangement, cannot be.
     """
     p = params.lebesgue_index()
     if p is None:
         return profile_norm(iterated_rearrangement(f, params.axes[0].tau), params)
+    if isinstance(f, OrthantSlabs):
+        raise TypeError("orthant slabs are only rearranged; sum OrthantSamples")
     if np.ndim(getattr(f, "values", f)) != params.m:
         raise ValueError("parameter arity does not match grid dimension")
     return _lebesgue_norm(f, float(p))
 
 
-def profile_norm(prof: np.ndarray, params: MixedSpaceParams) -> float:
+def profile_norm(prof, params: MixedSpaceParams) -> float:
     """Mixed Lorentz-Zygmund norm from the iterated rearrangement of the
-    magnitudes' tau_0-th powers, iterated_rearrangement(f, tau_0).
+    magnitudes' tau_0-th powers, iterated_rearrangement(f, tau_0): an array,
+    or a HalfProfile.
 
     The weighted tau_j integral is applied per axis, axis 0 innermost.  On
-    axis 0 it is one weighted sum of prof, read in place when prof is
-    C-contiguous; on every later axis, of the tau_j-th powers of the
-    previous axis's roots.  Each root is taken on an ndarray, as numpy's
-    float64 scalar power can differ from it in the last bit.
+    axis 0 it is one weighted sum of prof, read in place when prof is a
+    C-contiguous array.  A HalfProfile of two or more axes is summed one
+    fresh contiguous batch of its E and O columns at a time
+    (HalfProfile.pairs, about _COLUMNS columns), and the sums of its
+    negated values are interleaved and negated back; a sum of negated
+    terms is the negated sum, so the result matches the full profile's
+    sum bit for bit.  On every later axis it is a weighted sum of the
+    tau_j-th powers of the previous axis's roots.  Each root is taken on an
+    ndarray, as numpy's float64 scalar power can differ from it in the last
+    bit.
     """
-    if prof.ndim != params.m:
+    shape = prof.shape
+    if len(shape) != params.m:
         raise ValueError("parameter arity does not match grid dimension")
     first, *rest = params.axes
-    g = np.tensordot(prof, cell_weights(prof.shape[0], first), axes=(0, 0))
+    w = cell_weights(shape[0], first)
+    if isinstance(prof, HalfProfile) and len(shape) > 1:
+        # about _COLUMNS columns of prof.reshape(N_0, -1) per batch, as in
+        # _power_sums: a power of two, so at least 4 unless the batch is the
+        # whole profile.  BLAS sums 4 columns per vector, and a column
+        # outside a vector would be summed another way
+        per_index = math.prod(shape[1:-1])  # columns per last-axis index
+        width = 1 << (max(1, _COLUMNS // (2 * per_index)).bit_length() - 1)
+        width = min(width, shape[-1] // 2)
+        g = np.empty(shape[1:])
+        for t, batch in prof.pairs(width):
+            sums = np.tensordot(batch, w, axes=(0, 0))
+            del batch  # before the next one is gathered
+            g[..., 2 * t : 2 * (t + width) : 2] = sums[..., :width]
+            g[..., 2 * t + 1 : 2 * (t + width) : 2] = sums[..., width:]
+        np.negative(g, out=g)
+    else:
+        if isinstance(prof, HalfProfile):
+            prof = prof.to_grid()
+        g = np.tensordot(prof, w, axes=(0, 0))
     g = g ** (1.0 / first.tau)
     for ax in rest:
         g = _power_sums(g, cell_weights(g.shape[0], ax), ax.tau) ** (1.0 / ax.tau)

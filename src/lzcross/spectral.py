@@ -31,6 +31,7 @@ from .norms import (
     GridFunction,
     MixedSpaceParams,
     OrthantSamples,
+    OrthantSlabs,
     ScalarSpaceParams,
     _orthant_weights,
     _validated_shape,
@@ -227,20 +228,22 @@ def _resolving(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridSpec:
 
 def _samples(
     f: SpectralFunction, grid: GridSpec | Sequence[int]
-) -> GridFunction | OrthantSamples:
+) -> GridFunction | OrthantSamples | OrthantSlabs:
     """f on the grid, by one of two syntheses.
 
     A sign-symmetric sum of uniform product blocks (_product_pieces) gives
-    its orthant, filled from the blocks' 1-D axis factors
-    (_product_orthant).  Any other f is sampled on the whole grid by a
-    complex ifft (_complex_samples); a sign-symmetric one keeps the real
-    part of its orthant, a fresh array, so the complex grid is freed before
-    the orthant is measured.  The grid must resolve f (_resolving).
+    its orthant as OrthantSlabs, each slab computed from the blocks' 1-D
+    axis factors, made here, when it is drawn (_orthant_slabs).  Any other
+    f is sampled on the whole grid by a complex ifft (_complex_samples); a
+    sign-symmetric one keeps the real part of its orthant, a fresh array,
+    so the complex grid is freed before the orthant is measured.  The grid
+    must resolve f (_resolving).
     """
     grid = _resolving(f, grid)
     pieces = _product_pieces(f)
     if pieces is not None:
-        return _product_orthant(pieces, grid.shape)
+        factors = _factor_matrices(pieces, grid.shape)
+        return OrthantSlabs(functools.partial(_orthant_slabs, factors), grid.shape)
     samples = _complex_samples(f.freqs, f.coeffs, grid.shape)
     if not f.sign_symmetric:
         return samples
@@ -266,11 +269,14 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     """Evaluate the polynomial on the product grid via inverse FFTs.
 
     A sign-symmetric polynomial (f.sign_symmetric) is sampled on one
-    orthant, from its axis factors or as the real part of a complex inverse
-    FFT (_samples), and mirrored, so its samples are float64 and exactly
-    even in every variable.  Every other one comes back as complex128
-    samples of a complex inverse FFT.
+    orthant, from its axis factors (_product_orthant) or as the real part
+    of a complex inverse FFT (_samples), and mirrored, so its samples are
+    float64 and exactly even in every variable.  Every other one comes back
+    as complex128 samples of a complex inverse FFT.
     """
+    pieces = _product_pieces(f)
+    if pieces is not None:
+        return _product_orthant(pieces, _resolving(f, grid).shape).to_grid()
     samples = _samples(f, grid)
     return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
 
@@ -286,9 +292,10 @@ def grid_norm(
     (f.product_blocks) is summed from the blocks' 1-D axis factors
     (_product_norm); no grid of two or more axes is built.  "orthant": a
     sign-symmetric f without product blocks, or in any other space, is
-    measured on its orthant only (OrthantSamples: filled from the same axis
-    factors when f has product blocks, else cut from the complex grid) and
-    rearranged.  "grid": any other f is sampled on the whole grid.
+    measured on its orthant only and rearranged: drawn slab by slab from
+    the same axis factors when f has product blocks (OrthantSlabs), so the
+    orthant is never held, else cut from the complex grid
+    (OrthantSamples).  "grid": any other f is sampled on the whole grid.
     Outside plain L_p the profile, and so the norm, equals the full grid's
     bit for bit; inside, the product and orthant sums agree with the full
     grid's to a relative 1e-13.
@@ -451,6 +458,46 @@ def _product_orthant(pieces: list[Product], shape: tuple[int, ...]) -> OrthantSa
     for i, _, rows in _row_batches(heads, len(pieces)):
         np.matmul(rows, last.T, out=values[i : i + len(rows)])
     return OrthantSamples(values.reshape([*map(len, heads), len(last)]).T, shape)
+
+
+def _orthant_slabs(factors: list[np.ndarray], width: int):
+    """The orthant of _product_orthant, from the same batches of rows times
+    G_0^T made from the factor matrices [G_0, ..., G_{m-1}]
+    (_factor_matrices), as slabs of `width` indices of its last axis in
+    turn (OrthantSlabs), axis 0 contiguous: a slab of two or more axes
+    takes the rows of its indices from one batch, as a view, or joins them
+    from several."""
+    *heads, last = factors[::-1]
+    half = [len(g) for g in factors]
+    batches = (rows @ last.T for _, _, rows in _row_batches(heads, last.shape[1]))
+    if not heads:  # the one batch is the one row, along the only axis
+        (row,) = next(batches)
+        for i in range(0, half[0], width):
+            yield row[i : i + width]
+        return
+    for block in _regroup(batches, width * math.prod(half[1:-1])):
+        yield block.reshape(-1, *half[-2:0:-1], half[0]).T
+        del block  # so the next batch is made while this one is let go
+
+
+def _regroup(batches, size: int):
+    """Consecutive blocks of `size` rows of the consecutive row batches, the
+    last one shorter: a view when a block lies in one batch, else the rows
+    joined.  A batch is let go once its rows are given out, so the next is
+    made while one batch at most is held."""
+    parts, count = [], 0
+    for batch in batches:
+        while len(batch):
+            take = batch[: size - count]
+            parts.append(take)
+            count += len(take)
+            batch = batch[len(take) :]
+            if count == size:
+                yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+                parts, count = [], 0
+        del batch, take
+    if parts:
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _product_norm(pieces: list[Product], shape: tuple[int, ...], p: float) -> float:

@@ -16,13 +16,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lzcross.norms import (
     GridFunction,
+    HalfProfile,
     MixedSpaceParams,
     OrthantSamples,
+    OrthantSlabs,
     ScalarSpaceParams,
     anisotropic_norm,
     cell_weights,
@@ -153,9 +155,93 @@ def test_orthant_rearrangement_matches_the_full_grid_bit_for_bit(case, power):
     for cells in slab_cells(shape, values.shape[-1]):
         with mock.patch.object(norms, "_SLAB_CELLS", cells):
             got = iterated_rearrangement(orthant, power)
-        assert got.flags.c_contiguous
-        assert got.dtype == np.float64 and got.shape == shape
-        assert got.tobytes() == want.tobytes()
+        assert isinstance(got, HalfProfile) and got.shape == shape
+        assert got.rows.shape == shape[:-1] + (shape[-1] // 2 + 1,)
+        full = got.to_grid()
+        assert full.flags.c_contiguous
+        assert full.dtype == np.float64 and full.shape == shape
+        assert full.tobytes() == want.tobytes()
+
+
+def streamed(orthant: OrthantSamples) -> OrthantSlabs:
+    """The orthant's slabs drawn one at a time, each a fresh copy."""
+    return OrthantSlabs(lambda width: (s.copy() for s in orthant.slabs(width)), orthant.shape)
+
+
+@st.composite
+def half_width_orthants(draw):
+    """An orthant of up to three axes of N_j in {2, 4, 8, 16}, from tied
+    entries, in C or Fortran order."""
+    shape = tuple(draw(st.lists(st.sampled_from([2, 4, 8, 16]), min_size=1, max_size=3)))
+    half = tuple(n // 2 + 1 for n in shape)
+    entries = draw(st.lists(tied_entries, min_size=math.prod(half), max_size=math.prod(half)))
+    values = np.array(entries).reshape(half)
+    if draw(st.booleans()):
+        values = np.asfortranarray(values)
+    return OrthantSamples(values, shape)
+
+
+@given(half_width_orthants(), powers)
+# N = 2 has no interior; a row of one value has lo = hi; endpoints equal to
+# interior values; all-zero lanes along the last axis and along axis 0
+@example(OrthantSamples(np.array([[1.5, -2.0], [0.0, 3j]]), (2, 2)), 3.0)
+@example(OrthantSamples(np.full((3, 5), 2.0), (4, 8)), 1.0)
+@example(OrthantSamples(np.array([[2.0, 1.5, 2.0, 1.5, 2.0], [1.5, 2.0, 0.0, 2.0, 1.5],
+                                  [0.0, 0.0, 0.0, 0.0, 0.0]]), (4, 8)), 1.5)
+@example(OrthantSamples(np.zeros((3, 3, 5)), (4, 4, 8)), 7.0)
+@example(OrthantSamples(np.array([[0.0, 0.0, 0.0], [-1.5, 0.0, 1.5], [0.0, 2.0, -0.0]]).T,
+                        (4, 4)), 3.0)
+@example(OrthantSamples(np.array([0.0, -0.0, 1.5, 1.5, 0.0]), (8,)), 1.0)
+@settings(deadline=None)
+def test_half_width_rearrangement_matches_flip_sort_bit_for_bit(orthant, power):
+    # an orthant's rows along the last axis keep their N/2 + 1 values, for
+    # every slab width and whether the orthant is held or drawn slab by
+    # slab; E and O, the row without its leftmost hi and without its
+    # leftmost lo, are the even and odd entries of the full grid's row in
+    # batches of every width
+    full = orthant.to_grid().values
+    want = flip_sort_powers(full, power)
+    *heads, n = orthant.shape
+    for cells in slab_cells(orthant.shape, n // 2 + 1):
+        with mock.patch.object(norms, "_SLAB_CELLS", cells):
+            for source in (orthant, streamed(orthant)):
+                got = iterated_rearrangement(source, power)
+                assert got.rows.shape == (*heads, n // 2 + 1) and got.shape == full.shape
+                assert got.to_grid().tobytes() == want.tobytes()
+    negated = -want
+    for width in (1 << k for k in range((n // 2).bit_length())):
+        t_seen = []
+        for t, batch in iterated_rearrangement(orthant, power).pairs(width):
+            t_seen.append(t)
+            assert batch.flags.c_contiguous and batch.shape == (*heads, 2 * width)
+            even = negated[..., 2 * t : 2 * (t + width) : 2]
+            odd = negated[..., 2 * t + 1 : 2 * (t + width) : 2]
+            assert batch[..., :width].tobytes() == np.ascontiguousarray(even).tobytes()
+            assert batch[..., width:].tobytes() == np.ascontiguousarray(odd).tobytes()
+        assert t_seen == list(range(0, n // 2, width))
+    # the full grid, real or complex, keeps whole rows in the same walk
+    for grid in (full, full * (0.6 + 0.8j)):
+        got = iterated_rearrangement(grid, power)
+        assert got.tobytes() == flip_sort_powers(grid, power).tobytes()
+
+
+@given(half_width_orthants(), st.data())
+@settings(deadline=None)
+def test_half_width_profile_norm_matches_the_full_profile_to_the_last_bit(orthant, data):
+    # the first axis is summed over batches of E and O columns, down to the
+    # narrowest (4 columns), as over the full profile
+    m = len(orthant.shape)
+    params = MixedSpaceParams.of(
+        [data.draw(st.sampled_from(["3/2", "2", "3"])) for _ in range(m)],
+        [data.draw(st.sampled_from([0.5, -0.25])) for _ in range(m)],
+        [data.draw(st.sampled_from([1.5, 3.0, 7.0])) for _ in range(m)],
+    )
+    want = reference_profile_norm(orthant.to_grid().values, params)
+    prof = iterated_rearrangement(orthant, params.axes[0].tau)
+    for columns in (4, 8, norms._COLUMNS):
+        with mock.patch.object(norms, "_COLUMNS", columns):
+            assert profile_norm(prof, params).hex() == want.hex()
+    assert anisotropic_norm(streamed(orthant), params).hex() == want.hex()
 
 
 def test_rearrangement_refuses_a_power_that_is_not_finite_and_positive():
@@ -180,7 +266,7 @@ def test_orthant_rearrangement_of_orthants_wider_than_a_tile():
         for layout in (values, np.asfortranarray(values), axis0_last):
             orthant = OrthantSamples(layout, shape)
             want = iterated_rearrangement(orthant.to_grid())
-            assert iterated_rearrangement(orthant).tobytes() == want.tobytes()
+            assert iterated_rearrangement(orthant).to_grid().tobytes() == want.tobytes()
 
 
 def test_orthant_samples_mirror_each_interior_index():
@@ -418,22 +504,47 @@ def traced_peak(fn) -> int:
 
 def test_orthant_rearrangement_holds_its_output_grid_and_one_slab():
     # the walk sorts one slab of the last axis at a time and writes it into
-    # the output grid, so besides that grid it holds one slab of magnitudes
-    # (half a slab of orthant cells, raised to its power in place) and one
-    # sorted slab; no pass array of half a grid or more.  The norm measures
-    # that grid's first axis without taking a power of it
+    # the output grid, half a grid wide along the last axis, so besides that
+    # it holds one slab of magnitudes (half a slab of orthant cells, raised
+    # to its power in place) and one sorted slab; no N-wide grid.  The norm
+    # sums that half grid's first axis one batch of 256 columns at a time,
+    # two slabs here, with a few vectors of one index per row
     n = 2048
     values = np.asfortranarray(np.random.default_rng(22).standard_normal((n // 2 + 1,) * 2))
     orthant = OrthantSamples(values, (n, n))
-    grid_bytes, slab_bytes = n * n * 8, norms._SLAB_CELLS * 8
+    half_grid, slab_bytes = n * (n // 2 + 1) * 8, norms._SLAB_CELLS * 8
     assert n * n >= 16 * norms._SLAB_CELLS  # the walk takes many slabs
+    assert n * norms._COLUMNS * 8 <= 2 * slab_bytes
     for power in (1.0, 3.0):
         peak = traced_peak(lambda: iterated_rearrangement(orthant, power))
-        assert peak <= grid_bytes + 2 * slab_bytes
+        assert peak <= half_grid + 2 * slab_bytes
     lz = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [3.0, 1.5])
     for ax in lz.axes:  # fills the weight cache
         cell_weights(n, ax)
-    assert traced_peak(lambda: anisotropic_norm(orthant, lz)) <= grid_bytes + 2 * slab_bytes
+    vectors = 16 * n * 8
+    assert traced_peak(lambda: anisotropic_norm(orthant, lz)) <= half_grid + 2 * slab_bytes + vectors
+
+
+def test_lorentz_zygmund_grid_norm_of_a_product_holds_no_orthant():
+    # a product f's orthant is drawn slab by slab from batches of 256 rows
+    # times G_0^T: grid_norm holds the half grid of the walk, one sorted
+    # slab, the magnitudes of one slab of the orthant, one batch and the
+    # factor matrices, less than the half grid and the orthant; the
+    # half-width profile is summed in batches of two slabs
+    n = 2048
+    f = dirichlet_block((8, 8))
+    assert f.sign_symmetric and len(f.product_blocks) == 1  # tested untraced
+    grid = GridSpec((n, n))
+    lz = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [3.0, 1.5])
+    assert spectral.grid_route(f, grid, lz) == "orthant"
+    grid_norm(f, grid, lz)  # fills the weight cache
+    half_grid, slab_bytes = n * (n // 2 + 1) * 8, norms._SLAB_CELLS * 8
+    magnitudes = (n // 2 + 1) * (norms._SLAB_CELLS // n) * 8
+    orthant, factors = (n // 2 + 1) ** 2 * 8, 2 * (n // 2 + 1) * 8
+    batch = spectral._ROWS * (n // 2 + 1) * 8
+    bound = half_grid + slab_bytes + magnitudes + batch + factors + 64 * 1024
+    assert bound < half_grid + orthant
+    assert traced_peak(lambda: grid_norm(f, grid, lz)) <= bound
 
 
 def test_grid_norm_holds_three_grids_on_every_call():
@@ -450,14 +561,16 @@ def test_grid_norm_holds_three_grids_on_every_call():
 def test_profile_and_orthant_norms_take_their_powers_one_batch_of_columns_at_a_time():
     # neither the profile nor the orthant samples are raised to a power as a
     # whole: a norm of either holds one batch of full-height columns and a
-    # few vectors of one grid row
+    # few vectors of one grid row; the half-width profile gathers its
+    # batches of E and O columns one at a time
     lz = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
     leb = MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)
     f = dirichlet_block((8, 8))
     grid = GridSpec((1024, 1024))
     grid_norm(f, grid, lz)  # fills the weight cache
-    samples = spectral._samples(f, grid)
-    prof = iterated_rearrangement(samples, lz.axes[0].tau)
+    prof = iterated_rearrangement(spectral._samples(f, grid), lz.axes[0].tau)
+    assert isinstance(prof, HalfProfile)
+    samples = spectral._product_orthant(spectral._product_pieces(f), grid.shape)
     batch = 1024 * norms._COLUMNS * 8
     bound = batch + 128 * 1024
     assert traced_peak(lambda: profile_norm(prof, lz)) <= bound
@@ -511,9 +624,10 @@ def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
     assert peak <= 2.0 * grid_bytes + 64 * 1024
     # the orthant keeps its own 513 x 513 samples, not the full-length
     # transform outputs they were sliced from
+    pieces = spectral._product_pieces(other)
     tracemalloc.start()
     try:
-        orthant = spectral._samples(other, grid)
+        orthant = spectral._product_orthant(pieces, grid.shape)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -574,7 +688,8 @@ def test_product_orthant_holds_one_orthant_and_its_factor_matrices():
         assert f.sign_symmetric and len(f.product_blocks) == 1  # tested untraced
         half = [n // 2 + 1 for n in grid.shape]
         orthant, factors = math.prod(half) * 8, sum(half) * 8
-        peak = traced_peak(lambda: spectral._samples(f, grid))
+        pieces = spectral._product_pieces(f)
+        peak = traced_peak(lambda: spectral._product_orthant(pieces, grid.shape))
         assert peak <= orthant + factors + 64 * 1024 < 2 * orthant
 
 

@@ -20,6 +20,8 @@ from lzcross.indexsets import Anisotropy, axis_block
 from lzcross.norms import (
     GridFunction,
     MixedSpaceParams,
+    OrthantSamples,
+    OrthantSlabs,
     anisotropic_norm,
     iterated_rearrangement,
     profile_norm,
@@ -30,6 +32,7 @@ from lzcross.spectral import (
     analyze,
     block_rows,
     cross_truncate,
+    dirichlet_block,
     grid_norm,
     grid_route,
     synthesize,
@@ -429,12 +432,39 @@ def test_product_orthant_matches_the_full_inverse_fft(case):
     f, shape, _ = case
     with pytest.MonkeyPatch.context() as mp:
         calls = kernel_calls(mp)
-        got = spectral._samples(f, GridSpec(shape))
+        got = spectral._product_orthant(spectral._product_pieces(f), shape)
     assert calls and all(name == "_axis_factor" and len(s) == 1 for name, s in calls)
     want = full_spectrum_samples(f, shape)[tuple(slice(n // 2 + 1) for n in shape)]
     assert got.shape == shape and got.values.shape == want.shape
     assert got.values.strides[0] == got.values.itemsize
     assert np.abs(got.values - want).max() <= 1e-13 * float(np.abs(f.coeffs).sum())
+
+
+def test_streamed_product_orthant_matches_the_held_one():
+    # the slabs take the rows of the same 256-row batches: whole batches or
+    # parts of one for two axes, and for three axes of 4 x 513 rows per
+    # index of the last axis, rows joined from several batches
+    cases = [
+        (SpectralFunction(1, {(k,): -2.5 for k in (-3, -2, 2, 3)}), (16,)),
+        (dirichlet_block((5, 7)), (64, 1024)),
+        (dirichlet_block((3, 7, 2)), (16, 1024, 8)),
+        (dirichlet_block((2, 3, 4)), (8, 32, 64)),
+    ]
+    for f, shape in cases:
+        held = spectral._product_orthant(spectral._product_pieces(f), shape).values
+        stream = spectral._samples(f, GridSpec(shape))
+        assert isinstance(stream, OrthantSlabs) and stream.shape == shape
+        for width in (1, 3, held.shape[-1] - 1, held.shape[-1]):
+            slabs = list(stream.slabs(width))
+            assert all(slab.strides[0] == slab.itemsize for slab in slabs)
+            assert [slab.shape[-1] for slab in slabs[:-1]] == [width] * (len(slabs) - 1)
+            joined = np.concatenate([slab.copy() for slab in slabs], axis=-1)
+            assert joined.tobytes() == held.tobytes()
+        space = MixedSpaceParams.of(["3/2"] * f.m, [0.5] * f.m, [3.0] * f.m)
+        want = anisotropic_norm(OrthantSamples(held, shape), space)
+        assert grid_norm(f, shape, space).hex() == want.hex()
+        assert synthesize(f, shape).values.tobytes() == OrthantSamples(
+            held, shape).to_grid().values.tobytes()
 
 
 def test_blocks_off_the_product_form_reach_the_complex_fft_once(monkeypatch):
