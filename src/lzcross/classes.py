@@ -13,23 +13,18 @@ correction of the main convergence-rate term.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .asymptotics import _inv, _tied_axes
-from .indexsets import (
-    Anisotropy,
-    as_fraction,
-    axis_block,
-    cartesian_rows,
-    layer_exact,
-)
+from .indexsets import Anisotropy, MultiIndex, as_fraction, axis_block, layer_exact
 from .norms import DEFAULT_MAX_GRID_CELLS, MixedSpaceParams, mixed_sequence_norm
-from .spectral import GridSpec, SpectralFunction, block_norms, grid_norm
+from .spectral import GridSpec, Product, SpectralFunction, block_norms, grid_norm
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,15 @@ def besov_functional(
     if not f.n_terms:
         return 0.0
     first = grid_norm(f, grid, params.space) if exact else None
-    norms = block_norms(f, grid, params.space)
+    return _functional(first, block_norms(f, grid, params.space), params)
+
+
+def _functional(
+    first: float | None, norms: Mapping[MultiIndex, float], params: BesovParams
+) -> float:
+    """first, the whole-function norm (or None for the triangle bound, the
+    sum of the block norms), plus the sequence norm over the levels of the
+    block norms weighted by 2^<s, r>."""
     r = [float(v) for v in params.r]
     weighted = {
         s: 2.0 ** (sum(sj * rj for sj, rj in zip(s, r))) * v
@@ -262,23 +265,37 @@ def level_bandwidth(levels: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(max(max(1, (1 << sj) - 1) for sj in axis) for axis in zip(*levels))
 
 
-def _extremal(n: int, tp: TheoremParams, which: int) -> SpectralFunction:
-    """f_which at level n: coefficient prefactor * _coefficient(s) on every
-    frequency of each block s of extremal_levels, and k_j = 1 on the axes at
-    level 0, which stands in for the empty level-zero block so the zero-mean
-    support condition holds while the level sum is unchanged in order."""
+def extremal_blocks(n: int, tp: TheoremParams, which: int) -> dict[MultiIndex, Product]:
+    """The blocks of f_which at level n as {level: (c, [K_1, ..., K_m])}, in
+    the order of extremal_levels, without listing a frequency: the
+    coefficient prefactor * _coefficient(s) on the product of the axis sets
+    axis_block(s_j), and K_j = [1] on an axis at level 0, which stands in
+    for the empty level-zero block so the zero-mean support condition holds
+    while the level sum is unchanged in order.  The key is the level of the
+    block's rows (block_levels): 1 on such an axis.  A block whose
+    coefficient underflows to 0 is left out, as f drops its rows."""
     levels = extremal_levels(n, tp, which)
     prefactor = 1.0
     if which != 2:
         d = derived_exponents(tp)
         thetas = tp.source.thetas
         prefactor = float(n) ** (-sum(_inv(thetas[j]) for j in d.A if j != d.j1))
-    freqs, coeffs = [], []
+
+    @functools.cache
+    def axis_set(sj: int) -> np.ndarray:
+        return np.array(axis_block(sj) if sj else [1], dtype=np.int64)
+
+    blocks = {}
     for s in levels:
-        block = cartesian_rows([axis_block(sj) if sj else [1] for sj in s])
-        freqs.append(block)
-        coeffs.append(np.full(len(block), prefactor * _coefficient(s, tp)))
-    return SpectralFunction(tp.m, (np.concatenate(freqs), np.concatenate(coeffs)))
+        c = prefactor * _coefficient(s, tp)
+        if c:
+            blocks[tuple(max(1, sj) for sj in s)] = (complex(c), list(map(axis_set, s)))
+    return blocks
+
+
+def _extremal(n: int, tp: TheoremParams, which: int) -> SpectralFunction:
+    """f_which at level n: the rows of extremal_blocks, listed."""
+    return SpectralFunction.from_blocks(tp.m, extremal_blocks(n, tp, which))
 
 
 def extremal_f1(n: int, tp: TheoremParams) -> SpectralFunction:

@@ -41,12 +41,10 @@ from .asymptotics import (
     lemma4_reference,
     ratio_scan,
 )
-from .classes import BesovParams, TheoremParams
+from .classes import BesovParams, TheoremParams, besov_functional, extremal_blocks
 from .experiments import (
     DEFAULT_MAX_GRID_CELLS,
-    _EXTREMAL_BUILDERS,
     approx_error_scan,
-    class_normalizer,
     theorem1_rate_experiment,
 )
 from .indexsets import (
@@ -420,13 +418,10 @@ def _run_extremal(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
     tp = _theorem_params(o)
     which = _integer(o, "which", 1)
     n = _integer(o, "n", 4)
-    builder = _EXTREMAL_BUILDERS.get(which)
-    if builder is None:
-        raise ConfigError("which must be 1, 2, or 3")
-    f = builder(n, tp)
+    f = SpectralFunction.from_blocks(tp.m, extremal_blocks(n, tp, which))
     grid = GridSpec.minimal_for(f.bandwidth())
-    max_cells = _grid_budget(o)
-    value, exact = class_normalizer(f, tp.source, grid, max_grid_cells=max_cells)
+    exact = grid.cells <= _grid_budget(o)
+    value = besov_functional(f, tp.source, grid, exact)
     out = _out_path(cfg, o.get("out", "extremal.json"))
     _write_json(out, f.to_json_dict())
     sidecar = out.with_name(out.stem + ".sidecar.json")

@@ -9,27 +9,38 @@ thread pool; results are merged in ascending level order either way.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .asymptotics import RateFit, RatioReport, rate_fit, ratio_scan
 from .classes import (
     BesovParams,
     DerivedExponents,
     TheoremParams,
-    besov_functional,
+    _functional,
     derived_exponents,
-    extremal_f1,
-    extremal_f2,
-    extremal_f3,
+    extremal_blocks,
     extremal_levels,
     level_bandwidth,
     theoretical_rate,
 )
-from .indexsets import Anisotropy, cross_cardinality
+from .indexsets import Anisotropy, cross_cardinality, cross_membership
 from .norms import DEFAULT_MAX_GRID_CELLS, MixedSpaceParams
-from .spectral import GridSpec, SpectralFunction, grid_route, truncation_error
+from .spectral import (
+    Blocks,
+    GridSpec,
+    SpectralFunction,
+    _factor_norms,
+    _parseval,
+    _product_sum_norm,
+    _sign_symmetric,
+    grid_norm,
+    truncation_error,
+)
 
 
 def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
@@ -42,28 +53,13 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
     return [fn(item) for item in items]
 
 
-def class_normalizer(
-    f: SpectralFunction,
-    params: BesovParams,
-    grid: GridSpec,
-    max_grid_cells: int = DEFAULT_MAX_GRID_CELLS,
-) -> tuple[float, bool]:
-    """besov_functional of f, exact within the cell budget and with the
-    triangle bound (exact=False) above it, and whether it was exact.
-
-    For the block-built extremal functions the replaced term is a vanishing
-    fraction of the total, the bound being attained block by block.
-    """
-    exact = grid.cells <= max_grid_cells
-    return besov_functional(f, params, grid, exact), exact
-
-
 @dataclass(frozen=True)
 class RatePoint:
     """One level of theorem1_rate_experiment; its class functional is exact
-    unless the normalizer is "bound" (class_normalizer).  The *_s fields are
-    the wall seconds of its three stages: building f, its class functional
-    (with the route), and its truncation error."""
+    unless the normalizer is "bound" (the triangle bound above the cell
+    budget).  The *_s fields are the wall seconds of its three stages:
+    building f's block list, its class functional (with the route), and
+    its truncation error."""
 
     n: int
     error: float
@@ -86,13 +82,6 @@ class TheoremRateResult:
     report: RatioReport
 
 
-_EXTREMAL_BUILDERS: dict[int, Callable[[int, TheoremParams], SpectralFunction]] = {
-    1: extremal_f1,
-    2: extremal_f2,
-    3: extremal_f3,
-}
-
-
 def theorem1_rate_experiment(
     tp: TheoremParams,
     ns: Sequence[int],
@@ -105,28 +94,25 @@ def theorem1_rate_experiment(
 
     For each level n the chosen extremal function is scaled to unit class
     functional and its distance from the level-n cross is measured in the
-    target norm; plain-L2 targets use the exact coefficient route, any other
-    target synthesizes the residual on the minimal resolving grid.  Every
-    level's block levels are found first, and a level whose polynomial
-    would hold more than DEFAULT_MAX_GRID_CELLS frequencies, or, for such a
-    target, whose grid exceeds the cell budget, is refused before any level
-    is built.  Each point records the samples its class functional measured
+    target norm.  Every level's block levels are found first, and a level
+    whose polynomial would hold more than DEFAULT_MAX_GRID_CELLS
+    frequencies, or, for a target other than plain L2, whose grid exceeds
+    the cell budget, is refused before any level is built.  Each level is
+    then evaluated from its block list, giving the values of
+    besov_functional and truncation_error on its rows bit for bit
+    (_rate_level); each point records the route of its class functional
     (grid_route), or "bound" above the cell budget.  Returns free-slope and
     pinned-slope fits of the error decay plus the tabulated error/rate
     ratios.
     """
-    if which not in _EXTREMAL_BUILDERS:
+    if which not in (1, 2, 3):
         raise ValueError("which must be 1, 2, or 3")
     if len(ns) < 4:  # rate_fit's minimum, checked before any level is built
         raise ValueError("at least four points are required")
-    build = _EXTREMAL_BUILDERS[which]
     d = derived_exponents(tp)
-    plain_l2 = tp.target.is_plain_l2()
-    blocks = {}
     for n in ns:
         levels = extremal_levels(int(n), tp, which)
-        blocks[n] = len(levels)
-        if plain_l2:
+        if tp.target.is_plain_l2():
             continue
         cells = GridSpec.minimal_for(level_bandwidth(levels)).cells
         if cells > max_grid_cells:
@@ -135,33 +121,9 @@ def theorem1_rate_experiment(
                 f"cells, beyond the cell budget of {max_grid_cells}"
             )
 
-    def eval_point(n: int) -> RatePoint:
-        start = time.perf_counter()
-        f = build(int(n), tp)
-        grid = GridSpec.minimal_for(f.bandwidth())
-        built = time.perf_counter()
-        normalizer, exact = class_normalizer(
-            f, tp.source, grid, max_grid_cells=max_grid_cells
-        )
-        route = grid_route(f, grid, tp.source.space) if exact else "bound"
-        normalized = time.perf_counter()
-        raw = truncation_error(
-            f, n, tp.gamma_prime, tp.target, None if plain_l2 else grid
-        )
-        return RatePoint(
-            n=int(n),
-            error=raw / normalizer,
-            reference=theoretical_rate(int(n), d),
-            normalizer=route,
-            support_size=f.n_terms,
-            blocks=blocks[n],
-            grid_cells=grid.cells,
-            build_s=built - start,
-            normalize_s=normalized - built,
-            truncate_s=time.perf_counter() - normalized,
-        )
-
-    points = _parallel_map(eval_point, ns, threads)
+    points = _parallel_map(
+        lambda n: _rate_level(int(n), tp, which, max_grid_cells), ns, threads
+    )
     points.sort(key=lambda pt: pt.n)
 
     data = [(pt.n, pt.error) for pt in points]
@@ -181,6 +143,77 @@ def theorem1_rate_experiment(
         fit_pinned=fit_pinned,
         report=report,
     )
+
+
+def _rate_level(n: int, tp: TheoremParams, which: int, max_grid_cells: int) -> RatePoint:
+    """Level n of theorem1_rate_experiment, from the blocks of f_which
+    (extremal_blocks) on the minimal grid resolving them.  Rows are listed
+    only for the "grid" route, of an f with an axis held at k_j = 1, and
+    then once."""
+    start = time.perf_counter()
+    blocks = extremal_blocks(n, tp, which)
+    grid = GridSpec.minimal_for(level_bandwidth(blocks) if blocks else [0] * tp.m)
+    exact = grid.cells <= max_grid_cells
+    f = None
+    if not _sign_symmetric(blocks) and (exact or not tp.target.is_plain_l2()):
+        f = SpectralFunction.from_blocks(tp.m, blocks)
+    built = time.perf_counter()
+    normalizer, route = _class_functional(blocks, f, grid, tp.source, exact)
+    normalized = time.perf_counter()
+    raw = _truncation_error(blocks, f, n, grid, tp)
+    return RatePoint(
+        n=n,
+        error=raw / normalizer,
+        reference=theoretical_rate(n, derived_exponents(tp)),
+        normalizer=route,
+        support_size=sum(math.prod(map(len, ks)) for _, ks in blocks.values()),
+        blocks=len(blocks),
+        grid_cells=grid.cells,
+        build_s=built - start,
+        normalize_s=normalized - built,
+        truncate_s=time.perf_counter() - normalized,
+    )
+
+
+def _class_functional(
+    blocks: Blocks,
+    f: SpectralFunction | None,
+    grid: GridSpec,
+    params: BesovParams,
+    exact: bool,
+) -> tuple[float, str]:
+    """besov_functional(f, params, grid, exact) of the sum f of the blocks,
+    and its route (grid_route) or "bound".  The whole-function norm is
+    grid_norm of f's rows on the "grid" route, and comes from the blocks'
+    axis factors on the others, where f is None."""
+    space = params.space
+    if not exact:
+        first, route = None, "bound"
+    elif f is not None:
+        first, route = grid_norm(f, grid, space), "grid"
+    else:
+        first = _product_sum_norm(blocks, grid.shape, space)
+        route = "product" if blocks and space.lebesgue_index() is not None else "orthant"
+    return _functional(first, _factor_norms(blocks, grid.shape, space), params), route
+
+
+def _truncation_error(
+    blocks: Blocks, f: SpectralFunction | None, n: int, grid: GridSpec, tp: TheoremParams
+) -> float:
+    """truncation_error of the sum f of the blocks at level n, with no grid
+    for a plain-L2 target: a block is in the cross when its level is.  The
+    Parseval sum counts each residual block's |c|^2 once per row, in f's
+    row order; a sign-symmetric residual is measured from its blocks' axis
+    factors, any other from f's rows."""
+    keys = np.array(list(blocks), dtype=np.int64).reshape(-1, tp.m)
+    inside = cross_membership(n, tp.gamma_prime, keys.T)
+    outside = {s: b for (s, b), kept in zip(blocks.items(), inside) if not kept}
+    if tp.target.is_plain_l2():
+        coeffs = np.array([c for c, _ in outside.values()], dtype=np.complex128)
+        return _parseval(coeffs, [math.prod(map(len, ks)) for _, ks in outside.values()])
+    if f is None:
+        return _product_sum_norm(outside, grid.shape, tp.target)
+    return truncation_error(f, n, tp.gamma_prime, tp.target, grid)
 
 
 def approx_error_scan(

@@ -10,6 +10,7 @@ arithmetic of indexsets.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -39,6 +40,7 @@ from .norms import (
 )
 
 Product = tuple[complex, list[np.ndarray]]  # (c, [K_1, ..., K_m]): product_factors
+Blocks = Mapping[MultiIndex, Product]  # {level: Product}: product_blocks, from_blocks
 
 
 @dataclass(frozen=True)
@@ -170,27 +172,9 @@ class SpectralFunction:
         return SpectralFunction(self.m, (self.freqs[keep], self.coeffs[keep]))
 
     def l2_norm(self) -> float:
-        """Coefficient l2 norm; equals the mean-square norm of the samples.
-
-        Each |a|^2 is re*re + im*im, and the terms are added one after another
-        in row order, so the value does not depend on numpy's summation order.
-        A sum of squares beyond the float range is taken again on the
-        coefficients divided by their largest component.
-        """
-
-        def sum_sq(re: np.ndarray, im: np.ndarray) -> float:
-            with np.errstate(over="ignore"):
-                return sum((np.square(re) + np.square(im)).tolist())
-
-        re, im = self.coeffs.real, self.coeffs.imag
-        total = sum_sq(re, im)
-        if math.isfinite(total):
-            return math.sqrt(total)
-        scale = float(max(np.abs(re).max(), np.abs(im).max()))
-        value = scale * math.sqrt(sum_sq(re / scale, im / scale))
-        if math.isinf(value):
-            raise ArithmeticError("coefficient l2 norm exceeds the float range")
-        return value
+        """Coefficient l2 norm; equals the mean-square norm of the samples
+        (_parseval, each row once)."""
+        return _parseval(self.coeffs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,6 +186,18 @@ class SpectralFunction:
         }
 
     @classmethod
+    def from_blocks(cls, m: int, blocks: Blocks) -> "SpectralFunction":
+        """The polynomial with the coefficient c on every row of the product
+        K_1 x ... x K_m (cartesian_rows) of each block (c, [K_1, ..., K_m]),
+        the blocks' rows one block after another: what product_blocks reads
+        back, up to the order of the blocks."""
+        if not blocks:
+            return cls(m)
+        rows = [cartesian_rows(ks) for _, ks in blocks.values()]
+        coeffs = [np.full(len(r), c) for (c, _), r in zip(blocks.values(), rows)]
+        return cls(m, (np.concatenate(rows), np.concatenate(coeffs)))
+
+    @classmethod
     def from_json_dict(cls, doc: dict) -> "SpectralFunction":
         m = as_integer(doc["m"], "m")
         coeffs: dict[FrequencyIndex, complex] = {}
@@ -211,6 +207,35 @@ class SpectralFunction:
                 raise ValueError(f"duplicate frequency {list(k)} in polynomial terms")
             coeffs[k] = complex(float(term["re"]), float(term.get("im", 0.0)))
         return cls(m, coeffs)
+
+
+def _parseval(coeffs: np.ndarray, counts: Sequence[int] | None = None) -> float:
+    """sqrt(sum |a|^2) over the coefficients, the i-th counted counts[i]
+    times (once each without counts).
+
+    Each |a|^2 is re*re + im*im, and the terms are added one after another
+    in order, a repeated term as often as it counts, so the value does not
+    depend on numpy's summation order and no repeat is listed.  A sum of
+    squares beyond the float range is taken again on the coefficients
+    divided by their largest component.
+    """
+
+    def sum_sq(re: np.ndarray, im: np.ndarray) -> float:
+        with np.errstate(over="ignore"):
+            squares = (np.square(re) + np.square(im)).tolist()
+        if counts is None:
+            return sum(squares)
+        return sum(itertools.chain.from_iterable(map(itertools.repeat, squares, counts)))
+
+    re, im = coeffs.real, coeffs.imag
+    total = sum_sq(re, im)
+    if math.isfinite(total):
+        return math.sqrt(total)
+    scale = float(max(np.abs(re).max(), np.abs(im).max()))
+    value = scale * math.sqrt(sum_sq(re / scale, im / scale))
+    if math.isinf(value):
+        raise ArithmeticError("coefficient l2 norm exceeds the float range")
+    return value
 
 
 def _resolving(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridSpec:
@@ -242,8 +267,7 @@ def _samples(
     grid = _resolving(f, grid)
     pieces = _product_pieces(f)
     if pieces is not None:
-        factors = _factor_matrices(pieces, grid.shape)
-        return OrthantSlabs(functools.partial(_orthant_slabs, factors), grid.shape)
+        return _product_slabs(pieces, grid.shape)
     samples = _complex_samples(f.freqs, f.coeffs, grid.shape)
     if not f.sign_symmetric:
         return samples
@@ -290,20 +314,20 @@ def grid_norm(
     grid_route(f, grid, params) names the samples measured.  "product": a
     plain L_p norm of a sign-symmetric sum of uniform product blocks
     (f.product_blocks) is summed from the blocks' 1-D axis factors
-    (_product_norm); no grid of two or more axes is built.  "orthant": a
+    (_product_sum_norm); no grid of two or more axes is built.  "orthant": a
     sign-symmetric f without product blocks, or in any other space, is
     measured on its orthant only and rearranged: drawn slab by slab from
-    the same axis factors when f has product blocks (OrthantSlabs), so the
-    orthant is never held, else cut from the complex grid
+    the same axis factors when f has product blocks (_product_sum_norm), so
+    the orthant is never held, else cut from the complex grid
     (OrthantSamples).  "grid": any other f is sampled on the whole grid.
     Outside plain L_p the profile, and so the norm, equals the full grid's
     bit for bit; inside, the product and orthant sums agree with the full
     grid's to a relative 1e-13.
     """
-    if grid_route(f, grid, params) == "product":
-        shape, p = _resolving(f, grid).shape, float(params.lebesgue_index())
-        return _product_norm(_product_pieces(f), shape, p)
-    return anisotropic_norm(_samples(f, grid), params)
+    shape = _resolving(f, grid).shape
+    if f.m == params.m and _product_pieces(f) is not None:
+        return _product_sum_norm(f.product_blocks, shape, params)
+    return anisotropic_norm(_samples(f, shape), params)
 
 
 def grid_route(
@@ -382,38 +406,74 @@ def block_norms(
 
     A block that is the constant c on a product of axis sets
     (product_factors of its rows; f.product_blocks when every block is one)
-    has the norm |c| times the product of its axis factors' one-axis norms,
-    each factor sampled on its own axis of the grid (_axis_samples) and
-    measured once per call for each distinct (axis set, N_j, axis space);
-    the product grid is never built.  Any other block is synthesized on the
-    whole grid.  The grid must resolve f (_resolving).
+    is measured from its axis factors (_factor_norms); the product grid is
+    never built.  Any other block is synthesized on the whole grid.  The
+    grid must resolve f (_resolving).
     """
     shape = _resolving(f, grid).shape
-    products, rows = f.product_blocks, {}
-    if products is None:  # some block is not a uniform product
-        rows = block_rows(f)
-        products = {
-            s: product_factors(f.freqs[r], f.coeffs[r]) for s, r in rows.items()
-        }
+    if f.product_blocks is not None:
+        return _factor_norms(f.product_blocks, shape, params)
+    rows = block_rows(f)
+    products = {s: product_factors(f.freqs[r], f.coeffs[r]) for s, r in rows.items()}
+    norms = _factor_norms(
+        {s: b for s, b in products.items() if b is not None}, shape, params
+    )
+    return {
+        s: norms[s] if s in norms
+        else anisotropic_norm(synthesize(f.restrict(rows[s]), shape), params)
+        for s in products
+    }
+
+
+def _factor_norms(
+    blocks: Blocks, shape: tuple[int, ...], params: MixedSpaceParams
+) -> dict[MultiIndex, float]:
+    """{level: norm in params on the grid `shape`} of the uniform product
+    blocks {level: (c, [K_1, ..., K_m])}, in their order: |c| times the
+    product of the axis factors' one-axis norms, each factor sampled on its
+    own axis of the grid (_axis_samples) and measured once per call for
+    each distinct (axis set, N_j, axis space)."""
 
     @functools.cache
     def factor_norm(k: bytes, n: int, ax: ScalarSpaceParams) -> float:
         samples = _axis_samples(np.frombuffer(k, dtype=np.int64), n)
         return anisotropic_norm(samples, MixedSpaceParams((ax,)))
 
-    norms = {}
-    for s, product in products.items():
-        if product is None:  # not a uniform product
-            block = synthesize(f.restrict(rows[s]), shape)
-            norms[s] = anisotropic_norm(block, params)
-            continue
-        c, axis_sets = product
-        factors = [
+    return {
+        s: abs(c) * math.prod(
             factor_norm(k.tobytes(), n, ax)
             for k, n, ax in zip(axis_sets, shape, params.axes, strict=True)
-        ]
-        norms[s] = abs(c) * math.prod(factors)
-    return norms
+        )
+        for s, (c, axis_sets) in blocks.items()
+    }
+
+
+def _sign_symmetric(blocks: Blocks) -> bool:
+    """SpectralFunction.sign_symmetric of the sum of the uniform product
+    blocks: a flip of axis j keeps each row's block, so it maps the rows
+    onto themselves when every c is real and every sorted axis set K_j is
+    -K_j."""
+    return all(
+        not c.imag and all(np.array_equal(k, -k[::-1]) for k in axis_sets)
+        for c, axis_sets in blocks.values()
+    )
+
+
+def _product_sum_norm(
+    blocks: Blocks, shape: tuple[int, ...], params: MixedSpaceParams
+) -> float:
+    """Norm in params on the grid `shape` of the sign-symmetric sum of the
+    uniform product blocks {level: (c, [K_1, ..., K_m])}, taken in
+    lexicographic order of their levels (block_rows order), from their 1-D
+    axis factors: summed by _product_norm in a plain L_p space, else
+    rearranged from OrthantSlabs (_product_slabs); 0.0 for no blocks."""
+    if not blocks:
+        return 0.0
+    pieces = [blocks[s] for s in sorted(blocks)]
+    p = params.lebesgue_index()
+    if p is not None:
+        return _product_norm(pieces, shape, float(p))
+    return anisotropic_norm(_product_slabs(pieces, shape), params)
 
 
 _ROWS = 256  # orthant rows per batch of _row_batches
@@ -458,6 +518,13 @@ def _product_orthant(pieces: list[Product], shape: tuple[int, ...]) -> OrthantSa
     for i, _, rows in _row_batches(heads, len(pieces)):
         np.matmul(rows, last.T, out=values[i : i + len(rows)])
     return OrthantSamples(values.reshape([*map(len, heads), len(last)]).T, shape)
+
+
+def _product_slabs(pieces: list[Product], shape: tuple[int, ...]) -> OrthantSlabs:
+    """The orthant of the sum of the pieces on the grid `shape`, drawn slab by
+    slab (_orthant_slabs) from factor matrices made here."""
+    factors = _factor_matrices(pieces, shape)
+    return OrthantSlabs(functools.partial(_orthant_slabs, factors), shape)
 
 
 def _orthant_slabs(factors: list[np.ndarray], width: int):

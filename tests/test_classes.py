@@ -30,7 +30,6 @@ from lzcross.spectral import (
     grid_route,
     synthesize,
 )
-from lzcross.experiments import class_normalizer
 
 
 def make_tp(p, q, r, *, alpha=None, beta=None, tau1=None, tau2=None,
@@ -400,16 +399,16 @@ def test_extremal_f1_sits_outside_its_cross():
 
 
 def test_class_normalizer_exact_and_estimated():
+    # the normalizer of a rate level, and of the extremal command, is the
+    # class functional, exact within the cell budget and the triangle bound
+    # above it
     tp = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
     f = extremal_f2(4, tp)
     grid = GridSpec((8, 32))
-    exact, flag = class_normalizer(f, tp.source, grid)
-    assert flag and exact == pytest.approx(
-        besov_functional(f, tp.source, grid), rel=0
-    )
-    est, flag = class_normalizer(f, tp.source, grid, max_grid_cells=1)
+    exact = besov_functional(f, tp.source, grid)
+    est = besov_functional(f, tp.source, grid, exact=False)
     # one block: the triangle bound is attained, the estimate is exact
-    assert not flag and est == pytest.approx(exact, rel=1e-12)
+    assert est == pytest.approx(exact, rel=1e-12)
     bad = SpectralFunction(2, {(0, 1): 1.0})
     with pytest.raises(ValueError, match="zero-mean"):
-        class_normalizer(bad, tp.source, grid, max_grid_cells=1)
+        besov_functional(bad, tp.source, grid, exact=False)

@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lzcross import classes, cli, experiments, norms, spectral
+from lzcross import classes, cli, experiments, indexsets, norms, spectral
 from lzcross.classes import extremal_f1, extremal_levels
 from lzcross.cli import _theorem_params, main, parse_range, ConfigError
-from lzcross.experiments import _EXTREMAL_BUILDERS
 from lzcross.indexsets import Anisotropy, as_fraction, hyperbolic_cross
 from lzcross.norms import GridFunction
 from lzcross.spectral import GridSpec, SpectralFunction, block_rows, truncation_error
@@ -742,16 +741,18 @@ def count_rearrangements(monkeypatch) -> list:
 def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
     # the class functional sums the product of f's 1-D axis factors; the
     # truncation error samples the residual, f itself, on the orthant of its
-    # 2-D grid, filled from the same kind of factors (the axis factors and
-    # blocks are measured on 1-D axis grids)
-    original = spectral._samples
+    # 2-D grid, drawn from the same kind of factors (the axis factors and
+    # blocks are measured on 1-D axis grids); both entries to a 2-D
+    # synthesis, of a polynomial's rows and of a block list, are counted
     shapes = []
+    for name in ("_samples", "_product_slabs"):
+        original = getattr(spectral, name)
 
-    def counting(f, grid):
-        shapes.append(tuple(getattr(grid, "shape", grid)))
-        return original(f, grid)
+        def counting(f, grid, original=original):
+            shapes.append(tuple(getattr(grid, "shape", grid)))
+            return original(f, grid)
 
-    monkeypatch.setattr(spectral, "_samples", counting)
+        monkeypatch.setattr(spectral, name, counting)
     params = BENCH / "params" / "rate-2d-lz.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
@@ -852,14 +853,43 @@ def count_symmetry_tests(monkeypatch) -> list:
     return tested
 
 
+def count_row_listings(monkeypatch) -> list:
+    """A list that gains ("polynomial", rows) for each SpectralFunction
+    built, and ("cartesian_rows", rows) for each product of axis values
+    listed, wherever cartesian_rows is looked up."""
+    listed = []
+    init = SpectralFunction.__init__
+
+    def building(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        listed.append(("polynomial", self.n_terms))
+
+    monkeypatch.setattr(SpectralFunction, "__init__", building)
+    original = indexsets.cartesian_rows
+
+    def listing(axes):
+        rows = original(axes)
+        listed.append(("cartesian_rows", len(rows)))
+        return rows
+
+    for module in (indexsets, spectral, classes, experiments):
+        for attr, obj in list(vars(module).items()):
+            if obj is original:
+                monkeypatch.setattr(module, attr, listing)
+    return listed
+
+
 @pytest.mark.parametrize("workload", ["rate-2d-l2", "rate-2d-lz"])
 def test_rate_levels_test_sign_symmetry_once_and_synthesize_nothing(
     tmp_path, monkeypatch, workload
 ):
-    # the block norms synthesize each 1-D factor from its axis set, with no
-    # polynomial and no symmetry test of their own: the one test per level
-    # is of f, whose residual keeps every row
-    tested, synthesized = count_symmetry_tests(monkeypatch), []
+    # each level is evaluated from its block list: no frequency row is
+    # listed, so no polynomial's sign symmetry is tested and nothing is
+    # synthesized; the block norms synthesize each 1-D factor from its
+    # axis set, and the support is counted from the blocks
+    tested, listed, synthesized = (
+        count_symmetry_tests(monkeypatch), count_row_listings(monkeypatch), []
+    )
     synthesize = spectral.synthesize
 
     def synthesizing(*args):
@@ -870,26 +900,42 @@ def test_rate_levels_test_sign_symmetry_once_and_synthesize_nothing(
     params = BENCH / "params" / f"{workload}.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
+    assert tested == listed == synthesized == []
     tp = _theorem_params(read_json(params))
-    assert [f.n_terms for f in tested] == [
+    levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
+    assert [level["support_size"] for level in levels] == [
         sum(2 ** sum(s) for s in extremal_levels(n, tp, 1)) for n in range(6, 10)
     ]
-    assert synthesized == []
 
 
 def test_bound_levels_test_no_sign_symmetry(tmp_path, monkeypatch):
     # n=13 and 14 are above the cell budget: their normalizer is the triangle
-    # bound, which needs no route, so only n=11 and 12 are tested
-    tested = count_symmetry_tests(monkeypatch)
+    # bound, which needs no route; n=11 and 12 take the product route from
+    # their blocks' axis factors, and no level lists a frequency row
+    tested, listed = count_symmetry_tests(monkeypatch), count_row_listings(monkeypatch)
     params = BENCH / "params" / "rate-2d-l2.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "11:14"]
     assert main(["--out", str(tmp_path)] + argv) == 0
-    tp = _theorem_params(read_json(params))
-    assert [f.n_terms for f in tested] == [
-        sum(2 ** sum(s) for s in extremal_levels(n, tp, 1)) for n in (11, 12)
-    ]
+    assert tested == listed == []
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
     assert [level["normalizer"] for level in levels] == ["product"] * 2 + ["bound"] * 2
+
+
+@pytest.mark.parametrize("target", [{}, {"beta": ["1/2", "1/2"], "tau2": ["3", "3"]}])
+def test_grid_route_rate_levels_list_their_rows_once(tmp_path, monkeypatch, target):
+    # axis 1 is not tied, so f1 holds it at k_2 = +1 and is not
+    # sign-symmetric: the "grid" route samples its rows, listed once per
+    # level and shared with the residual on a Lorentz-Zygmund target
+    doc = {"p": ["3/2", "3/2"], "q": ["2", "2"], "r": ["1", "2"], **target}
+    params = make_params_file(tmp_path, doc)
+    listed = count_row_listings(monkeypatch)
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "5:8"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
+    assert [level["normalizer"] for level in levels] == ["grid"] * 4
+    sizes = [level["support_size"] for level in levels]
+    assert [rows for kind, rows in listed if kind == "polynomial"] == sizes
+    assert sum(rows for kind, rows in listed if kind == "cartesian_rows") == sum(sizes)
 
 
 def test_rate_experiment_keeps_no_grid_after_it_returns():
@@ -944,19 +990,21 @@ def test_zero_denominator_in_params_is_a_usage_error(tmp_path, capsys):
 def test_theorem1_rate_with_fewer_than_four_levels_builds_nothing(
     tmp_path, capsys, monkeypatch
 ):
-    calls = []
+    calls, listed = [], count_row_listings(monkeypatch)
+    for name in ("extremal_levels", "extremal_blocks"):
+        original = getattr(experiments, name)
 
-    def counting(n, tp):
-        calls.append(n)
-        return extremal_f1(n, tp)
+        def counting(n, tp, which, original=original):
+            calls.append(n)
+            return original(n, tp, which)
 
-    monkeypatch.setitem(_EXTREMAL_BUILDERS, 1, counting)
+        monkeypatch.setattr(experiments, name, counting)
     params = make_params_file(tmp_path, {"p": ["3/2"], "q": ["2"], "r": ["1"]})
     rc = main(["--out", str(tmp_path), "theorem1", "rate", "--params", str(params),
                "--range", "10:12"])
     assert rc == 2
     assert "at least four points" in capsys.readouterr().err
-    assert calls == []
+    assert calls == listed == []
 
 
 def test_theorem1_rate_univariate_defaults(tmp_path, capsys):
