@@ -6,8 +6,12 @@ match.  ratio_scan tabulates their quotient over a level range; rate_fit
 extracts empirical exponents from (level, value) data by least squares in
 log2 coordinates.
 
-All sums accumulate with math.fsum, so evaluation order cannot perturb the
-result and exact symmetries of the summands survive in floating point.
+The sums of lemmas 1 and 2 accumulate with math.fsum, so evaluation order
+cannot perturb the result and exact symmetries of the summands survive in
+floating point.  Lemmas 3 and 4 take a mixed sequence norm by a budget
+recursion over the level sum (_budget_norm).  It adds in the order of s,
+the order in which numpy reduces a dense box along an axis, so on weights
+that are exact in floating point it gives the dense box's bits.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .indexsets import Anisotropy, RationalLike, as_fraction, cross_membership, layer_exact
-from .norms import _check_cells, mixed_reduce, mixed_sequence_norm
+from .indexsets import Anisotropy, RationalLike, as_fraction
+from .norms import _check_cells, _exponents
 
 
 def _inv(theta: float) -> float:
@@ -122,6 +126,131 @@ def _tied_axes(
     return delta, a_set
 
 
+# a series stops once the bound on what it leaves out is at most this share
+# of the smallest tail it enters: below a quarter of an ulp, so no term left
+# out could move a sum taken in the order of s
+_TAIL_SHARE = 2.0**-60
+
+
+def _tail_terms(
+    alpha: float, gamma_j: float, lam: float, theta: float, first: int,
+    check: Callable[[int], None], where: str,
+) -> tuple[np.ndarray, float]:
+    """u(s) = 2^(-alpha s gamma_j) (s+1)^lam for s = 0..K, K >= first, and a
+    bound on the sum of u(s)^theta over s > K (0 when theta is inf).
+
+    The ratios u(s+1)/u(s) tend to 2^(-alpha gamma_j) < 1, falling when
+    lam > 0 and rising otherwise; with q their least upper bound over s >= K
+    and t = u^theta, the terms left out sum to at most t(K) q^theta /
+    (1 - q^theta).  K grows until that is at most _TAIL_SHARE of the sum of
+    t over first..K.  For theta = inf, u falls from K on, so the maximum
+    over s >= S is the maximum over S..K.  K + 1 is a multiple of 8
+    (_budget_norm), and check(K + 1) runs before the terms are allocated.
+    """
+    rate = alpha * gamma_j
+    # u falls from s = k0 on: ((k0+2)/(k0+1))^lam < 2^rate
+    k = max(first, math.floor(1.0 / math.expm1(min(rate * math.log(2.0) / lam, 1.0)))
+            if lam > 0 else 0)
+    if math.isfinite(theta):  # the steps 2^-rate ratios take to the share
+        k += math.ceil(-math.log2(_TAIL_SHARE) / (rate * theta))
+    while True:
+        k |= 7
+        check(k + 1)
+        s = np.arange(k + 1)
+        u = np.exp2(-alpha * (s * gamma_j)) * (s + 1.0) ** lam
+        t = u[first:] ** theta if math.isfinite(theta) else u[first:]
+        if not (np.isfinite(u).all() and np.isfinite(t).all()):
+            raise ArithmeticError(f"lemma 3 term {where} is not finite")
+        q = max(2.0**-rate * ((k + 2.0) / (k + 1.0)) ** lam, 2.0**-rate)
+        qt = q**theta if math.isfinite(theta) else q
+        if qt >= 1.0:
+            k = 2 * k + 1
+        elif math.isinf(theta):
+            return u, 0.0
+        else:
+            bound, tail = float(t[-1]) * qt / (1.0 - qt), float(t.sum())
+            if not math.isfinite(tail):
+                raise ArithmeticError(f"lemma 3 tail {where} is not finite")
+            if bound <= _TAIL_SHARE * tail:
+                return u, bound
+            # t falls by at least qt a step, so this many more steps suffice
+            k += 1 + math.ceil(math.log2(bound / tail / _TAIL_SHARE) / -math.log2(qt))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of an integer array, sorted (np.unique without
+    its hashing, which costs more than the sort on these small arrays)."""
+    values = np.sort(values, axis=None)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _budget_norm(
+    n: RationalLike,
+    scale: Anisotropy,
+    weights: Callable[[int, int, Callable[[int], None]], np.ndarray],
+    thetas: Sequence[float],
+    outer: bool,
+    what: str,
+) -> float:
+    """Mixed sequence norm, axis 0 innermost as in norms.mixed_reduce, of
+    u_0(s_0) ... u_{m-1}(s_{m-1}) over the layer <s, g> = N, or over the
+    outer set <s, g> >= N when outer; (g, N) = scale.scaled(n).
+
+    F_j(r), the norm over axes 0..j-1 when they must take the budget r, is
+    F_0(r) = [r = 0] on the layer, [r <= 0] on the outer set, and
+    F_{j+1}(r) = || u_j(s) F_j(r - g_j s) ||_{theta_j over s}; the value is
+    F_m(N).  F_j is held on the budgets that axes j..m-1 leave, as sorted
+    distinct integers (int64 below 2**63, Python integers above, as in
+    indexsets.cross_membership).  Every budget below 0 (outer) or -1 (layer)
+    stands at that floor, where F_j is the same: all spent, or overspent.
+
+    weights(j, top, check) returns u_j(s) for s = 0..K, past top, the s_j
+    from which the largest budget is spent (outer), or up to top, the
+    largest s_j it allows (layer); it calls check(K + 1) first.  Axis j
+    reduces a (K+1) x (budgets) array, checked against
+    DEFAULT_MAX_GRID_CELLS before it is allocated, adding in the order of s
+    as numpy reduces a dense box along an axis.  Its last axis is one 1-D
+    sum, which numpy takes in eight interleaved partial sums when it has up
+    to 128 entries, with the last len % 8 after them; so the outer set's
+    series have a multiple of 8 terms, and each term joins the partial sum
+    of its index mod 8, as in a dense box.
+    """
+    g, total = scale.scaled(n)
+    m = len(g)
+    if not outer and total < 0:
+        return 0.0
+    floor = 0 if outer else -1
+    # every budget and step lies within |N| + max(g) of 0
+    dtype = np.int64 if abs(total) + max(g) < 1 << 63 else object
+    reach = [None] * m + [np.array([max(total, floor)], dtype=dtype)]
+
+    def top(j: int) -> int:
+        r = int(reach[j + 1].max())
+        return -(-r // g[j]) if outer else r // g[j]
+
+    for j in range(m - 1, 0, -1):
+        cols, rows = reach[j + 1], top(j) + 1
+        _check_cells(f"{what} recursion array of axis {j}", (rows, len(cols)))
+        reach[j] = _distinct(np.maximum(cols - np.arange(rows, dtype=dtype)[:, None] * g[j], floor))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        us = []
+        for j in range(m):
+            width = len(reach[j + 1])
+            us.append(weights(j, top(j), lambda rows: _check_cells(
+                f"{what} recursion array of axis {j}", (rows, width))))
+        for j, (u, theta) in enumerate(zip(us, thetas)):
+            # s past top(j) leaves every budget at the floor, as top(j) does
+            steps = np.minimum(np.arange(len(u), dtype=dtype), top(j))
+            cand = np.maximum(reach[j + 1] - steps[:, None] * g[j], floor)
+            f = (cand == 0) if j == 0 else values[np.searchsorted(reach[j], cand)]
+            del cand
+            x = u[:, None] * f
+            if j == m - 1:
+                x = x[:, 0]
+            values = x.max(axis=0) if math.isinf(theta) else (x**theta).sum(axis=0) ** (1.0 / theta)
+    return float(values)
+
+
 def lemma3_lhs(
     n: int,
     gamma: Anisotropy,
@@ -129,54 +258,45 @@ def lemma3_lhs(
     lams: Sequence[float],
     thetas: Sequence[float],
     alpha: float,
+    *,
+    record: list | None = None,
 ) -> float:
     """Mixed sequence norm of 2^(-alpha <s,gamma>) prod (s_j+1)^lam_j over the outer layer.
 
-    The index set is {s in Z_+^m : <s, gamma'> >= n}; it is infinite, so the
-    sum is evaluated on growing boxes until enlarging the box changes the
-    value by less than 1e-13 relative twice in a row.  A box beyond 4096
-    levels per axis or DEFAULT_MAX_GRID_CELLS cells raises ValueError before
-    it is allocated, and a box value that is not finite (a term beyond the
-    float range) raises ArithmeticError.  indexsets.cross_membership decides
-    membership exactly; alpha > 0 makes the tail summable for any finite
-    exponents.
+    The index set {s in Z_+^m : <s, gamma'> >= n} is infinite.  The norm is
+    a budget recursion over the integer level sums of gamma' (_budget_norm):
+    past the budget each axis adds its series 2^(-alpha gamma_j s) (s+1)^lam_j,
+    summed until a geometric bound on what is left is below _TAIL_SHARE of
+    the smallest tail it enters (_tail_terms); alpha > 0 makes it summable
+    for any finite exponents.  A non-finite term, tail or value (beyond the
+    float range) raises ArithmeticError, and a series or recursion array
+    above DEFAULT_MAX_GRID_CELLS cells ValueError.  With record, appends
+    {"n", "tail_bound", "terms"}: per axis, the bound on the sum of
+    u_j(s)^theta_j its series left out (0 for theta = inf), and its number
+    of terms.
     """
     if gamma.m != gamma_prime.m or len(lams) != gamma.m or len(thetas) != gamma.m:
         raise ValueError("dimension mismatch among weights and exponents")
     if not alpha > 0:
         raise ValueError("alpha must be positive for the tail to converge")
+    thetas = _exponents(thetas)
     gfloat = gamma.as_floats()
+    bounds, terms = [], []
 
-    def value_on_box(box: list[int]) -> float:
-        dims = tuple(b + 1 for b in box)
-        if max(box) > 4096:
-            raise ValueError(f"lemma 3 box {dims} exceeds the limit of 4096 levels")
-        _check_cells("lemma 3 box", dims)
-        mesh = np.ix_(*(np.arange(b + 1) for b in box))
-        level = sum(s * g for s, g in zip(mesh, gfloat))
-        with np.errstate(over="ignore", invalid="ignore"):
-            term = np.exp2(-alpha * level)
-            for s, lam in zip(mesh, lams):
-                term = term * (s + 1.0) ** lam
-            term[cross_membership(n, gamma_prime, mesh)] = 0.0
-            value = mixed_reduce(term, thetas)
-        if not math.isfinite(value):
-            raise ArithmeticError(f"lemma 3 box {dims} value at n={n} is not finite")
-        return value
+    def weights(j: int, top: int, check: Callable[[int], None]) -> np.ndarray:
+        u, bound = _tail_terms(
+            alpha, gfloat[j], lams[j], thetas[j], top, check, f"of axis {j} at n={n}"
+        )
+        bounds.append(bound)
+        terms.append(len(u))
+        return u
 
-    box = [int(max(1, -(-as_fraction(n) // g)) + 8) for g in gamma_prime.weights]
-    prev = value_on_box(box)
-    stable = 0
-    while True:
-        box = [b + 16 for b in box]
-        cur = value_on_box(box)
-        if abs(cur - prev) <= 1e-13 * max(cur, 1e-300):
-            stable += 1
-            if stable >= 2:
-                return cur
-        else:
-            stable = 0
-        prev = cur
+    value = _budget_norm(n, gamma_prime, weights, thetas, True, "lemma 3")
+    if not math.isfinite(value):
+        raise ArithmeticError(f"lemma 3 value at n={n} is not finite")
+    if record is not None:
+        record.append({"n": n, "tail_bound": bounds, "terms": terms})
+    return value
 
 
 def lemma3_reference(
@@ -224,22 +344,29 @@ def lemma4_lhs(
 ) -> float:
     """Mixed sequence norm of the same weights over the exact layer <s, gamma> = n.
 
-    The layer is finite; an empty layer yields 0.  Its box, of
-    floor(n / gamma_j) + 1 levels per axis, above DEFAULT_MAX_GRID_CELLS
-    cells raises ValueError before the layer is listed.
+    The layer is finite; an empty layer yields 0.  On it 2^(-alpha <s,gamma>)
+    is the constant 2^(-alpha n), which stays outside the budget recursion
+    (_budget_norm) of the weights (s_j+1)^lam_j.  A recursion array above
+    DEFAULT_MAX_GRID_CELLS cells raises ValueError before any is allocated,
+    and a non-finite term or value ArithmeticError.
     """
     if len(lams) != gamma.m or len(epsilons) != gamma.m:
         raise ValueError("dimension mismatch among weights and exponents")
-    nq = as_fraction(n)
-    box = tuple(max(0, nq // g) + 1 for g in gamma.weights)
-    _check_cells(f"lemma 4 layer box at n={n}", box)
-    nf = float(nq)
-    values = {
-        s: 2.0 ** (-alpha * nf)
-        * math.prod((sj + 1.0) ** lam for sj, lam in zip(s, lams))
-        for s in layer_exact(n, gamma)
-    }
-    return mixed_sequence_norm(values, epsilons)
+    epsilons = _exponents(epsilons)
+
+    def weights(j: int, top: int, check: Callable[[int], None]) -> np.ndarray:
+        check(top + 1)
+        u = (np.arange(top + 1) + 1.0) ** lams[j]
+        if not np.isfinite(u).all():
+            raise ArithmeticError(f"lemma 4 term of axis {j} at n={n} is not finite")
+        return u
+
+    value = 2.0 ** (-alpha * float(as_fraction(n))) * _budget_norm(
+        n, gamma, weights, epsilons, False, "lemma 4"
+    )
+    if not math.isfinite(value):
+        raise ArithmeticError(f"lemma 4 value at n={n} is not finite")
+    return value
 
 
 def lemma4_reference(

@@ -198,7 +198,9 @@ def _coefficient(s_full: Sequence[int], tp: TheoremParams) -> float:
     return out
 
 
-def extremal_levels(n: int, tp: TheoremParams, which: int) -> list[list[int]]:
+def extremal_levels(
+    n: int, tp: TheoremParams, which: int, *, d: DerivedExponents | None = None
+) -> list[list[int]]:
     """Block level vectors of the extremal function f_which at level n, in
     the order its blocks are listed; an axis held at the single harmonic
     k_j = 1 reads level 0.
@@ -207,6 +209,7 @@ def extremal_levels(n: int, tp: TheoremParams, which: int) -> list[list[int]]:
     them with gamma-weighted sum exactly n and all entries >= 1.  f_2 is one
     block.  Block s holds 2**sum(s) frequencies, and a function of more than
     DEFAULT_MAX_GRID_CELLS of them is refused here, before any is listed.
+    d is derived_exponents(tp), computed here when not given.
     """
     if which not in (1, 2, 3):
         raise ValueError("which must be 1, 2, or 3")
@@ -220,7 +223,7 @@ def extremal_levels(n: int, tp: TheoremParams, which: int) -> list[list[int]]:
         s[-1] = max(1, math.ceil(rem / gp[-1]))
         levels = [s]
     else:
-        d = derived_exponents(tp)
+        d = d or derived_exponents(tp)
         varying = d.A if which == 1 else _tight_axes(tp, d)
         sub = Anisotropy(tuple(d.gamma.weights[j] for j in varying))
         if n > 64 * max(sub.weights):  # so sum(s) > 64 on the whole layer
@@ -265,7 +268,9 @@ def level_bandwidth(levels: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(max(max(1, (1 << sj) - 1) for sj in axis) for axis in zip(*levels))
 
 
-def extremal_blocks(n: int, tp: TheoremParams, which: int) -> dict[MultiIndex, Product]:
+def extremal_blocks(
+    n: int, tp: TheoremParams, which: int, *, d: DerivedExponents | None = None
+) -> dict[MultiIndex, Product]:
     """The blocks of f_which at level n as {level: (c, [K_1, ..., K_m])}, in
     the order of extremal_levels, without listing a frequency: the
     coefficient prefactor * _coefficient(s) on the product of the axis sets
@@ -273,11 +278,12 @@ def extremal_blocks(n: int, tp: TheoremParams, which: int) -> dict[MultiIndex, P
     for the empty level-zero block so the zero-mean support condition holds
     while the level sum is unchanged in order.  The key is the level of the
     block's rows (block_levels): 1 on such an axis.  A block whose
-    coefficient underflows to 0 is left out, as f drops its rows."""
-    levels = extremal_levels(n, tp, which)
+    coefficient underflows to 0 is left out, as f drops its rows.  d is
+    derived_exponents(tp), computed here when not given."""
+    levels = extremal_levels(n, tp, which, d=d)
     prefactor = 1.0
     if which != 2:
-        d = derived_exponents(tp)
+        d = d or derived_exponents(tp)
         thetas = tp.source.thetas
         prefactor = float(n) ** (-sum(_inv(thetas[j]) for j in d.A if j != d.j1))
 

@@ -288,8 +288,11 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
     spread_threshold = _threshold(o, "spread_threshold", 10.0)
     lower_threshold = _threshold(o, "lower_threshold", 0.1)
     upper_threshold = _threshold(o, "upper_threshold", 10.0)
+    tails: list[dict] = []  # lemma 3's series per level, for the manifest only
+    record = {"record": tails} if lemma_id == 3 else {}
     report = ratio_scan(
-        lambda n: lhs(n, **params), lambda n: rhs(n, **params), ns, relation=relation
+        lambda n: lhs(n, **params, **record), lambda n: rhs(n, **params), ns,
+        relation=relation,
     )
     passed = report.verdict(
         spread_threshold=spread_threshold,
@@ -326,6 +329,8 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
     echo = {"id": lemma_id, "case": case, **params}
     echo = {k: getattr(v, "weights", v) for k, v in echo.items() if v is not None}
     manifest.summary = {"params": _json_safe(echo), "points": len(ns)}
+    if tails:
+        manifest.stats = {"levels": tails}
     return [out_csv, summary_path]
 
 

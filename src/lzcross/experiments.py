@@ -111,7 +111,7 @@ def theorem1_rate_experiment(
         raise ValueError("at least four points are required")
     d = derived_exponents(tp)
     for n in ns:
-        levels = extremal_levels(int(n), tp, which)
+        levels = extremal_levels(int(n), tp, which, d=d)
         if tp.target.is_plain_l2():
             continue
         cells = GridSpec.minimal_for(level_bandwidth(levels)).cells
@@ -122,7 +122,7 @@ def theorem1_rate_experiment(
             )
 
     points = _parallel_map(
-        lambda n: _rate_level(int(n), tp, which, max_grid_cells), ns, threads
+        lambda n: _rate_level(int(n), tp, which, max_grid_cells, d), ns, threads
     )
     points.sort(key=lambda pt: pt.n)
 
@@ -145,13 +145,15 @@ def theorem1_rate_experiment(
     )
 
 
-def _rate_level(n: int, tp: TheoremParams, which: int, max_grid_cells: int) -> RatePoint:
+def _rate_level(
+    n: int, tp: TheoremParams, which: int, max_grid_cells: int, d: DerivedExponents
+) -> RatePoint:
     """Level n of theorem1_rate_experiment, from the blocks of f_which
-    (extremal_blocks) on the minimal grid resolving them.  Rows are listed
-    only for the "grid" route, of an f with an axis held at k_j = 1, and
-    then once."""
+    (extremal_blocks) on the minimal grid resolving them; d is
+    derived_exponents(tp).  Rows are listed only for the "grid" route, of
+    an f with an axis held at k_j = 1, and then once."""
     start = time.perf_counter()
-    blocks = extremal_blocks(n, tp, which)
+    blocks = extremal_blocks(n, tp, which, d=d)
     grid = GridSpec.minimal_for(level_bandwidth(blocks) if blocks else [0] * tp.m)
     exact = grid.cells <= max_grid_cells
     f = None
@@ -164,7 +166,7 @@ def _rate_level(n: int, tp: TheoremParams, which: int, max_grid_cells: int) -> R
     return RatePoint(
         n=n,
         error=raw / normalizer,
-        reference=theoretical_rate(n, derived_exponents(tp)),
+        reference=theoretical_rate(n, d),
         normalizer=route,
         support_size=sum(math.prod(map(len, ks)) for _, ks in blocks.values()),
         blocks=len(blocks),

@@ -1,9 +1,13 @@
 """Lemma-style sums against closed references, ratio scans, rate fits."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lzcross.asymptotics import (
     RatioReport,
@@ -19,7 +23,8 @@ from lzcross.asymptotics import (
     rate_fit,
     ratio_scan,
 )
-from lzcross.indexsets import Anisotropy
+from lzcross.indexsets import Anisotropy, as_fraction, cross_membership, layer_exact
+from lzcross.norms import mixed_reduce, mixed_sequence_norm
 
 
 def test_lemma1_sum_values():
@@ -137,10 +142,12 @@ def test_lemma3_mask_is_exact_for_large_weights():
 
 
 def test_lemma3_first_box_is_checked_per_axis():
-    # first box: 1/(1/5000) + 8 = 5008 levels, past the 4096-level axis limit
+    # gamma = gamma' = 1/5000 puts the set at s >= 5000 on one axis, past a
+    # 4096-level box; the series from there sums to 2^-2 / (1 - 2^(-2/5000))
+    # at theta = 2, over about 155,000 terms
     g = Anisotropy.of(["1/5000"])
-    with pytest.raises(ValueError, match=r"box \(5009,\) exceeds the limit of 4096"):
-        lemma3_lhs(1, g, g, [0.0], [2.0], 1.0)
+    want = math.sqrt(0.25 / (1.0 - 2.0 ** (-1 / 2500)))
+    assert lemma3_lhs(1, g, g, [0.0], [2.0], 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_lemma3_reference_values():
@@ -278,3 +285,104 @@ def test_ratio_report_is_frozen_data():
     assert report.min_ratio == report.max_ratio == 1.0
     with pytest.raises(AttributeError):
         report.rows = ()
+
+
+# -- the budget recursion against the dense box --------------------------------
+
+
+def dense_lemma3(n, gamma, gamma_prime, lams, thetas, alpha, box):
+    """lemma3_lhs on a dense box of box[j] levels per axis: the weights, zero
+    outside the set (cross_membership), reduced by mixed_reduce."""
+    mesh = np.ix_(*(np.arange(b) for b in box))
+    level = sum(s * g for s, g in zip(mesh, gamma.as_floats()))
+    with np.errstate(under="ignore"):
+        term = np.exp2(-alpha * level)
+        for s, lam in zip(mesh, lams):
+            term = term * (s + 1.0) ** lam
+        term[cross_membership(n, gamma_prime, mesh)] = 0.0
+        return mixed_reduce(term, thetas)
+
+
+def dense_lemma4(n, gamma, lams, epsilons, alpha):
+    """lemma4_lhs on a dense box: the layer listed (layer_exact) into
+    mixed_sequence_norm."""
+    scale = 2.0 ** (-alpha * float(as_fraction(n)))
+    values = {
+        s: scale * math.prod((sj + 1.0) ** lam for sj, lam in zip(s, lams))
+        for s in layer_exact(n, gamma)
+    }
+    return mixed_sequence_norm(values, epsilons)
+
+
+# weights of about 1 whose level sums, scaled to integers, pass 2**63
+LARGE = ["999999937/1000000007", "999999929/1000000009", "999999893/1000000021"]
+SMALL = ["1/2", "2/3", "1", "3/2", "2"]
+
+
+@st.composite
+def lemma_cases(draw):
+    """m, gamma, gamma', lams, thetas, a level n and alpha.  alpha sets the
+    fewest bits per level an axis's terms u_j^theta_j fall past the set,
+    decay, so a dense box of 100 / decay levels past it leaves out less than
+    2^-60 of the value; four axes take a faster decay for a small box."""
+    m = draw(st.sampled_from([1, 2, 3, 4]))
+    four = m == 4
+    gamma = draw(st.lists(st.sampled_from(SMALL[2:] if four else SMALL), min_size=m, max_size=m))
+    gamma_prime = draw(st.lists(st.sampled_from(SMALL + LARGE), min_size=m, max_size=m))
+    lams = draw(st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m))
+    thetas = draw(st.lists(
+        st.sampled_from([1.0, 2.0, math.inf] if four else [0.5, 0.75, 1.0, 2.0, math.inf]),
+        min_size=m, max_size=m,
+    ))
+    decay = draw(st.floats(*{1: (0.25, 4.0), 2: (2.0, 6.0), 3: (2.0, 6.0), 4: (8.0, 12.0)}[m]))
+    alpha = decay / min(float(Fraction(g)) * min(t, 1.0) for g, t in zip(gamma, thetas))
+    n = draw(st.integers(1, 3 if four else 4))
+    return n, Anisotropy.of(gamma), Anisotropy.of(gamma_prime), lams, thetas, alpha, decay
+
+
+@given(lemma_cases())
+@example((4, Anisotropy.of([1, 1]), Anisotropy.of(LARGE[:2]), [0.0, 0.0], [2.0, 2.0], 1.0, 1.0))
+@settings(deadline=None, max_examples=60)
+def test_lemma3_recursion_matches_the_dense_box(case):
+    n, gamma, gamma_prime, lams, thetas, alpha, decay = case
+    box = [math.ceil(n / gp) + math.ceil(100 / decay) for gp in gamma_prime.weights]
+    want = dense_lemma3(n, gamma, gamma_prime, lams, thetas, alpha, box)
+    got = lemma3_lhs(n, gamma, gamma_prime, lams, thetas, alpha)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@given(lemma_cases(), st.sampled_from([1, 2, 3]), st.integers(0, 4))
+@settings(deadline=None, max_examples=60)
+def test_lemma4_recursion_matches_the_dense_layer(case, denominator, shift):
+    # a level n off the lattice of gamma's level sums has an empty layer, 0.0
+    n, gamma, gamma_prime, lams, thetas, alpha, _ = case
+    level = Fraction(2 * n + shift, denominator)
+    for weights in (gamma, gamma_prime):
+        want = dense_lemma4(level, weights, lams, thetas, alpha)
+        got = lemma4_lhs(level, weights, lams, thetas, alpha)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_lemma4_holds_no_dense_box():
+    # a dense box of this layer holds 65**4 cells (143 MB)
+    g = Anisotropy.of([1] * 4)
+    tracemalloc.start()
+    try:
+        value = lemma4_lhs(64, g, [0.0] * 4, [1.0] * 4, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == math.comb(67, 3) * 2.0**-64  # the layer's lattice points
+    assert peak < 1 << 20
+
+
+def test_lemma3_records_each_axis_tail():
+    g = Anisotropy.of([1, 1])
+    record = []
+    for n in (4, 5):
+        lemma3_lhs(n, g, g, [0.0, 0.0], [2.0, math.inf], 1.0, record=record)
+    assert [r["n"] for r in record] == [4, 5]
+    for r in record:
+        first, last = r["tail_bound"]
+        assert 0.0 < first <= 2.0**-60 * 4.0 ** -r["n"] and last == 0.0
+        assert all(count % 8 == 0 and count > r["n"] for count in r["terms"])

@@ -146,13 +146,13 @@ def test_non_finite_lemma_value_is_a_numerical_failure(tmp_path, capsys, monkeyp
 def test_lemma3_box_value_beyond_the_float_range_is_a_numerical_failure(
     tmp_path, capsys
 ):
-    # (s + 1)**200 on both axes overflows: the first non-finite box value
-    # ends the run, rather than growing the box to its 4096-level limit
+    # (s + 1)**200 overflows within the first series, on axis 0: the first
+    # non-finite term ends the run
     argv = ["--out", str(tmp_path), "lemma", "check", "--id", "3",
             "--params", str(make_params_file(tmp_path, {"lams": [200, 200]}))]
     assert main(argv) == 4
     assert capsys.readouterr().err == (
-        "numerical failure: lemma 3 box (13, 13) value at n=4 is not finite\n")
+        "numerical failure: lemma 3 term of axis 0 at n=4 is not finite\n")
     assert_failed_manifest(tmp_path, 4)
 
 
@@ -233,31 +233,63 @@ def test_lemma_parameter_the_lemma_does_not_read_is_a_usage_error(
 
 
 def test_lemma3_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):
-    # the first box already has 409**3 cells, past the 2**25-cell budget; it
-    # must be refused before it is allocated
-    params = tmp_path / "lemma3.json"
-    params.write_text(json.dumps({"gamma": ["1/100"] * 3, "lams": [0, 0, 0]}))
-    rc = main(["--out", str(tmp_path), "lemma", "check", "--id", "3",
-               "--params", str(params), "--range", "4:5"])
-    assert rc == 2
-    assert "lemma 3 box (409, 409, 409)" in capsys.readouterr().err
+    # gamma = 1/100 on three axes is summed within the cell budget, where a
+    # dense box would start at 409**3 cells.  Its squared value is the sum
+    # over t = <s, 100 gamma> >= 100 n of C(t+2, 2) 4^(-t/100)
+    params = make_params_file(tmp_path, {"gamma": ["1/100"] * 3, "lams": [0, 0, 0],
+                                         "upper_threshold": 1000})
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", "3", "--params", str(params)]
+    assert main(argv + ["--range", "4:5"]) == 0
+    for n, lhs, *_ in read_csv(tmp_path / "lemma3_report.csv")[1]:
+        want = math.fsum(math.comb(t + 2, 2) * 4.0 ** (-t / 100)
+                         for t in range(100 * int(n), 100 * int(n) + 8000))
+        assert float(lhs) == pytest.approx(math.sqrt(want), rel=1e-12)
+    levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
+    assert [level["n"] for level in levels] == [4, 5]
+    assert all(len(level["tail_bound"]) == len(level["terms"]) == 3 for level in levels)
+    # gamma = 1/6000 on two axes: axis 0 would sum 6001 budgets over a
+    # series of about 186,000 terms, past the 2**25-cell budget; it is
+    # refused before any recursion array is allocated
+    capsys.readouterr()
+    make_params_file(tmp_path, {"gamma": ["1/6000"] * 2})
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--range", "1:1"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "lemma 3 recursion array of axis 0 (186008, 6001)" in err
+    assert str(norms.DEFAULT_MAX_GRID_CELLS) in err
+    assert_failed_manifest(tmp_path)
+    assert peak < 1 << 20
 
 
 def test_lemma4_layer_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):
-    # five unit weights at n=32 span a 33**5-cell box, past the 2**25-cell
-    # budget; it is refused before the layer is listed
-    params = tmp_path / "lemma4.json"
-    params.write_text(json.dumps({"gamma": [1] * 5}))
-    argv = ["--out", str(tmp_path), "lemma", "check", "--id", "4",
-            "--params", str(params)]
-    assert main(argv + ["--range", "32:32"]) == 2
-    err = capsys.readouterr().err
-    assert "(33, 33, 33, 33, 33) needs 39135393 cells" in err
-    assert str(norms.DEFAULT_MAX_GRID_CELLS) in err
-    # four unit weights keep their largest box of the default range 2:64,
-    # 65**4 cells, within the budget
-    params.write_text(json.dumps({"gamma": [1] * 4}))
+    # five unit weights at n=32 are summed within the cell budget, where a
+    # dense box spans 33**5 cells: the layer's C(36, 4) points of weight 2^-32
+    params = make_params_file(tmp_path, {"gamma": [1] * 5, "lower_threshold": 0.05})
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", "4", "--params", str(params)]
+    assert main(argv + ["--range", "32:32"]) == 0
+    [[_, lhs, *_]] = read_csv(tmp_path / "lemma4_report.csv")[1]
+    assert float(lhs) == math.comb(36, 4) * 2.0**-32
+    make_params_file(tmp_path, {"gamma": [1] * 4})
     assert main(argv + ["--range", "64:64"]) == 0
+    # gamma = 1/6000 on two axes: axis 0 would take 6001 steps on each of
+    # 6001 budgets, past the 2**25-cell budget; it is refused before any
+    # recursion array is allocated
+    make_params_file(tmp_path, {"gamma": ["1/6000"] * 2})
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--range", "1:1"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "lemma 4 recursion array of axis 0 (6001, 6001) needs 36012001 cells" in err
+    assert str(norms.DEFAULT_MAX_GRID_CELLS) in err
+    assert_failed_manifest(tmp_path)
+    assert peak < 1 << 20
 
 
 def test_exit_two_on_missing_config(tmp_path):
@@ -1005,6 +1037,24 @@ def test_theorem1_rate_with_fewer_than_four_levels_builds_nothing(
     assert rc == 2
     assert "at least four points" in capsys.readouterr().err
     assert calls == listed == []
+
+
+def test_theorem1_rate_derives_its_exponents_once(tmp_path, monkeypatch):
+    # the range check, each level's block list and prefactor, and its
+    # reference all read the exponents the run derived
+    calls = []
+    original = classes.derived_exponents
+
+    def counting(tp):
+        calls.append(tp)
+        return original(tp)
+
+    for module in (classes, experiments):
+        monkeypatch.setattr(module, "derived_exponents", counting)
+    params = BENCH / "params" / "rate-2d-l2.json"
+    argv = ["--out", str(tmp_path), "theorem1", "rate", "--params", str(params)]
+    assert main(argv + ["--range", "6:9"]) == 0
+    assert len(calls) == 1
 
 
 def test_theorem1_rate_univariate_defaults(tmp_path, capsys):

@@ -13,6 +13,7 @@ from lzcross.classes import (
     BesovParams,
     TheoremParams,
     besov_functional,
+    derived_exponents,
     extremal_blocks,
     extremal_f1,
     extremal_f2,
@@ -107,7 +108,7 @@ def block_level(n, tp, which, max_grid_cells, monkeypatch):
             return seen[name]
 
         monkeypatch.setattr(experiments, name, recording)
-    pt = experiments._rate_level(n, tp, which, max_grid_cells)
+    pt = experiments._rate_level(n, tp, which, max_grid_cells, derived_exponents(tp))
     normalizer, route = seen["_class_functional"]
     assert route == pt.normalizer
     return {
@@ -216,7 +217,7 @@ def test_parseval_counts_each_block_once_per_row_in_listing_order(monkeypatch):
             continue
         for which in (1, 2, 3):
             seen.clear()
-            experiments._rate_level(n, tp, which, budget)
+            experiments._rate_level(n, tp, which, budget, derived_exponents(tp))
             ((coeffs, counts),) = seen
             f = BUILDERS[which](n, tp)
             residual = f.restrict(~spectral._cross_mask(f, n, tp.gamma_prime))
@@ -263,12 +264,13 @@ def test_a_plain_l2_level_lists_no_row_and_holds_far_less_than_its_rows():
     # the rows alone (int64 pairs and complex coefficients, 32 bytes a row)
     # took 6.8 MB, and the level now holds its 1-D axis factors at most
     tp = theorem_params(["3/2"] * 2, ["2"] * 2, ["1"] * 2)
-    experiments._rate_level(14, tp, 1, DEFAULT_MAX_GRID_CELLS)  # fills the weight cache
+    d = derived_exponents(tp)
+    experiments._rate_level(14, tp, 1, DEFAULT_MAX_GRID_CELLS, d)  # fills the weight cache
     rows = sum(2 ** sum(s) for s in extremal_levels(14, tp, 1))
     assert rows == 212_992
     tracemalloc.start()
     try:
-        pt = experiments._rate_level(14, tp, 1, DEFAULT_MAX_GRID_CELLS)
+        pt = experiments._rate_level(14, tp, 1, DEFAULT_MAX_GRID_CELLS, d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
