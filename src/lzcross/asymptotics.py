@@ -22,7 +22,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .indexsets import Anisotropy, RationalLike, as_fraction
+from .indexsets import Anisotropy, RationalLike, _distinct, as_fraction
 from .norms import _check_cells, _exponents
 
 
@@ -177,13 +177,6 @@ def _tail_terms(
             k += 1 + math.ceil(math.log2(bound / tail / _TAIL_SHARE) / -math.log2(qt))
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct entries of an integer array, sorted (np.unique without
-    its hashing, which costs more than the sort on these small arrays)."""
-    values = np.sort(values, axis=None)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
-
-
 def _budget_norm(
     n: RationalLike,
     scale: Anisotropy,
@@ -207,9 +200,12 @@ def _budget_norm(
     weights(j, top, check) returns u_j(s) for s = 0..K, past top, the s_j
     from which the largest budget is spent (outer), or up to top, the
     largest s_j it allows (layer); it calls check(K + 1) first.  Axis j
-    reduces a (K+1) x (budgets) array, checked against
-    DEFAULT_MAX_GRID_CELLS before it is allocated, adding in the order of s
-    as numpy reduces a dense box along an axis.  Its last axis is one 1-D
+    reduces a (rows) x (budgets) array, rows = top + 1 when there are two
+    or more budgets and K + 1 otherwise, adding in the order of s as numpy
+    reduces a dense box along an axis; the array, and the series, are
+    checked against DEFAULT_MAX_GRID_CELLS before they are allocated.
+    Rows past top hold u_j(s) F_j(floor) in every column, and are added
+    after the array's sum, in blocks as tall.  Its last axis is one 1-D
     sum, which numpy takes in eight interleaved partial sums when it has up
     to 128 entries, with the last len % 8 after them; so the outer set's
     series have a multiple of 8 terms, and each term joins the partial sum
@@ -223,31 +219,44 @@ def _budget_norm(
     # every budget and step lies within |N| + max(g) of 0
     dtype = np.int64 if abs(total) + max(g) < 1 << 63 else object
     reach = [None] * m + [np.array([max(total, floor)], dtype=dtype)]
-
-    def top(j: int) -> int:
+    tops = [0] * m
+    for j in range(m - 1, -1, -1):
         r = int(reach[j + 1].max())
-        return -(-r // g[j]) if outer else r // g[j]
+        tops[j] = -(-r // g[j]) if outer else r // g[j]
+        if j:
+            _check_cells(f"{what} recursion array of axis {j}", (tops[j] + 1, len(reach[j + 1])))
+            steps = np.arange(tops[j] + 1, dtype=dtype)[:, None] * g[j]
+            reach[j] = _distinct(np.maximum(reach[j + 1] - steps, floor))
+    # s >= tops[j] leaves every budget at the floor; numpy adds the rows of
+    # two or more columns one after another, so an axis of two or more
+    # budgets holds rows 0..tops[j] and adds the rest after the array's sum,
+    # in blocks as tall as the array; one column, summed pairwise, is dense
+    held = [t + 1 if len(cols) > 1 else math.inf for t, cols in zip(tops, reach[1:])]
 
-    for j in range(m - 1, 0, -1):
-        cols, rows = reach[j + 1], top(j) + 1
-        _check_cells(f"{what} recursion array of axis {j}", (rows, len(cols)))
-        reach[j] = _distinct(np.maximum(cols - np.arange(rows, dtype=dtype)[:, None] * g[j], floor))
+    def check(j: int, rows: int) -> None:
+        _check_cells(f"{what} recursion array of axis {j}", (min(rows, held[j]), len(reach[j + 1])))
+        _check_cells(f"{what} series of axis {j}", (rows,))
+
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        us = []
-        for j in range(m):
-            width = len(reach[j + 1])
-            us.append(weights(j, top(j), lambda rows: _check_cells(
-                f"{what} recursion array of axis {j}", (rows, width))))
+        us = [weights(j, tops[j], lambda rows, j=j: check(j, rows)) for j in range(m)]
         for j, (u, theta) in enumerate(zip(us, thetas)):
-            # s past top(j) leaves every budget at the floor, as top(j) does
-            steps = np.minimum(np.arange(len(u), dtype=dtype), top(j))
+            rows = min(len(u), held[j])
+            steps = np.minimum(np.arange(rows, dtype=dtype), tops[j])
             cand = np.maximum(reach[j + 1] - steps[:, None] * g[j], floor)
             f = (cand == 0) if j == 0 else values[np.searchsorted(reach[j], cand)]
             del cand
-            x = u[:, None] * f
+            x = u[:rows, None] * f
             if j == m - 1:
                 x = x[:, 0]
-            values = x.max(axis=0) if math.isinf(theta) else (x**theta).sum(axis=0) ** (1.0 / theta)
+            inf = math.isinf(theta)
+            values = x.max(axis=0) if inf else (x**theta).sum(axis=0)
+            for i in range(rows, len(u), rows):  # u(s) F_j(floor) past x
+                t = u[i : i + rows, None] * f[-1, 0]
+                block = np.empty((len(t) + 1, len(values)))
+                block[0], block[1:] = values, t if inf else t**theta
+                values = block.max(axis=0) if inf else block.sum(axis=0)
+            if not inf:
+                values **= 1.0 / theta
     return float(values)
 
 

@@ -34,11 +34,10 @@ from .spectral import (
     Blocks,
     GridSpec,
     SpectralFunction,
+    _blocks_norm,
     _factor_norms,
     _parseval,
-    _product_sum_norm,
-    _sign_symmetric,
-    grid_norm,
+    _route,
     truncation_error,
 )
 
@@ -55,16 +54,16 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
 
 @dataclass(frozen=True)
 class RatePoint:
-    """One level of theorem1_rate_experiment; its class functional is exact
-    unless the normalizer is "bound" (the triangle bound above the cell
-    budget).  The *_s fields are the wall seconds of its three stages:
-    building f's block list, its class functional (with the route), and
-    its truncation error."""
+    """One level of theorem1_rate_experiment, evaluated from f's block list;
+    its class functional is exact unless the normalizer is "bound" (the
+    triangle bound above the cell budget).  The *_s fields are the wall
+    seconds of its three stages: building the block list, its class
+    functional (with the route), and its truncation error."""
 
     n: int
     error: float
     reference: float
-    normalizer: str  # "product", "orthant" or "grid" (grid_route), or "bound"
+    normalizer: str  # "product", "orthant" or "grid" (spectral._route), or "bound"
     support_size: int
     blocks: int
     grid_cells: int
@@ -98,10 +97,12 @@ def theorem1_rate_experiment(
     whose polynomial would hold more than DEFAULT_MAX_GRID_CELLS
     frequencies, or, for a target other than plain L2, whose grid exceeds
     the cell budget, is refused before any level is built.  Each level is
-    then evaluated from its block list, giving the values of
-    besov_functional and truncation_error on its rows bit for bit
-    (_rate_level); each point records the route of its class functional
-    (grid_route), or "bound" above the cell budget.  Returns free-slope and
+    then evaluated from its block list, listing no frequency row on any
+    route, and gives the values of besov_functional and truncation_error
+    on its rows bit for bit (_rate_level); a level whose every block
+    underflows to 0 raises ArithmeticError.  Each point records the route
+    of its class functional (spectral._route, as grid_route names it for
+    the rows), or "bound" above the cell budget.  Returns free-slope and
     pinned-slope fits of the error decay plus the tabulated error/rate
     ratios.
     """
@@ -150,19 +151,22 @@ def _rate_level(
 ) -> RatePoint:
     """Level n of theorem1_rate_experiment, from the blocks of f_which
     (extremal_blocks) on the minimal grid resolving them; d is
-    derived_exponents(tp).  Rows are listed only for the "grid" route, of
-    an f with an axis held at k_j = 1, and then once."""
+    derived_exponents(tp).  No frequency row is listed, on any route.  A
+    level whose every block underflows to 0 raises ArithmeticError, as
+    its class functional would be 0."""
     start = time.perf_counter()
     blocks = extremal_blocks(n, tp, which, d=d)
-    grid = GridSpec.minimal_for(level_bandwidth(blocks) if blocks else [0] * tp.m)
+    if not blocks:
+        raise ArithmeticError(
+            f"every block coefficient of f{which} at n={n} underflows to 0, "
+            "so there is no class functional to normalize by"
+        )
+    grid = GridSpec.minimal_for(level_bandwidth(blocks))
     exact = grid.cells <= max_grid_cells
-    f = None
-    if not _sign_symmetric(blocks) and (exact or not tp.target.is_plain_l2()):
-        f = SpectralFunction.from_blocks(tp.m, blocks)
     built = time.perf_counter()
-    normalizer, route = _class_functional(blocks, f, grid, tp.source, exact)
+    normalizer, route = _class_functional(blocks, grid, tp.source, exact)
     normalized = time.perf_counter()
-    raw = _truncation_error(blocks, f, n, grid, tp)
+    raw = _truncation_error(blocks, n, grid, tp)
     return RatePoint(
         n=n,
         error=raw / normalizer,
@@ -178,44 +182,32 @@ def _rate_level(
 
 
 def _class_functional(
-    blocks: Blocks,
-    f: SpectralFunction | None,
-    grid: GridSpec,
-    params: BesovParams,
-    exact: bool,
+    blocks: Blocks, grid: GridSpec, params: BesovParams, exact: bool
 ) -> tuple[float, str]:
     """besov_functional(f, params, grid, exact) of the sum f of the blocks,
-    and its route (grid_route) or "bound".  The whole-function norm is
-    grid_norm of f's rows on the "grid" route, and comes from the blocks'
-    axis factors on the others, where f is None."""
+    and its route (_route) or "bound": the whole-function norm is
+    _blocks_norm of the blocks, and the block norms come from their axis
+    factors."""
     space = params.space
-    if not exact:
-        first, route = None, "bound"
-    elif f is not None:
-        first, route = grid_norm(f, grid, space), "grid"
-    else:
-        first = _product_sum_norm(blocks, grid.shape, space)
-        route = "product" if blocks and space.lebesgue_index() is not None else "orthant"
+    first, route = None, "bound"
+    if exact:
+        first, route = _blocks_norm(blocks, grid.shape, space), _route(blocks, space)
     return _functional(first, _factor_norms(blocks, grid.shape, space), params), route
 
 
-def _truncation_error(
-    blocks: Blocks, f: SpectralFunction | None, n: int, grid: GridSpec, tp: TheoremParams
-) -> float:
+def _truncation_error(blocks: Blocks, n: int, grid: GridSpec, tp: TheoremParams) -> float:
     """truncation_error of the sum f of the blocks at level n, with no grid
     for a plain-L2 target: a block is in the cross when its level is.  The
     Parseval sum counts each residual block's |c|^2 once per row, in f's
-    row order; a sign-symmetric residual is measured from its blocks' axis
-    factors, any other from f's rows."""
-    keys = np.array(list(blocks), dtype=np.int64).reshape(-1, tp.m)
+    row order; on any other target the residual is measured from its
+    blocks (_blocks_norm)."""
+    keys = np.array(list(blocks), dtype=np.int64)
     inside = cross_membership(n, tp.gamma_prime, keys.T)
     outside = {s: b for (s, b), kept in zip(blocks.items(), inside) if not kept}
     if tp.target.is_plain_l2():
         coeffs = np.array([c for c, _ in outside.values()], dtype=np.complex128)
         return _parseval(coeffs, [math.prod(map(len, ks)) for _, ks in outside.values()])
-    if f is None:
-        return _product_sum_norm(outside, grid.shape, tp.target)
-    return truncation_error(f, n, tp.gamma_prime, tp.target, grid)
+    return _blocks_norm(outside, grid.shape, tp.target)
 
 
 def approx_error_scan(

@@ -116,6 +116,16 @@ def cartesian_rows(axes: Sequence[Sequence[int]]) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values), flattened, by a sort and a mask of the entries
+    unlike their predecessor; np.unique hashes int64 arrays, many times
+    slower here.  Object arrays of Python integers are taken too."""
+    values = np.sort(values, axis=None)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def block_levels(freqs: np.ndarray) -> np.ndarray:
     """Block level of every entry of an int64 frequency array, same shape.
 

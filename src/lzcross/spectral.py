@@ -22,6 +22,7 @@ from .indexsets import (
     FrequencyIndex,
     MultiIndex,
     RationalLike,
+    _distinct,
     as_integer,
     axis_block,
     block_levels,
@@ -253,21 +254,12 @@ def _resolving(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridSpec:
 
 def _samples(
     f: SpectralFunction, grid: GridSpec | Sequence[int]
-) -> GridFunction | OrthantSamples | OrthantSlabs:
-    """f on the grid, by one of two syntheses.
-
-    A sign-symmetric sum of uniform product blocks (_product_pieces) gives
-    its orthant as OrthantSlabs, each slab computed from the blocks' 1-D
-    axis factors, made here, when it is drawn (_orthant_slabs).  Any other
-    f is sampled on the whole grid by a complex ifft (_complex_samples); a
-    sign-symmetric one keeps the real part of its orthant, a fresh array,
-    so the complex grid is freed before the orthant is measured.  The grid
-    must resolve f (_resolving).
-    """
+) -> GridFunction | OrthantSamples:
+    """f on the grid by a complex ifft of its rows (_complex_samples); a
+    sign-symmetric f keeps the real part of its orthant, a fresh array, so
+    the complex grid is freed before the orthant is measured.  The grid
+    must resolve f (_resolving)."""
     grid = _resolving(f, grid)
-    pieces = _product_pieces(f)
-    if pieces is not None:
-        return _product_slabs(pieces, grid.shape)
     samples = _complex_samples(f.freqs, f.coeffs, grid.shape)
     if not f.sign_symmetric:
         return samples
@@ -280,28 +272,52 @@ def _complex_samples(
 ) -> GridFunction:
     """Samples on the whole grid `shape` of the polynomial with the
     coefficients coeffs on the rows of freqs: a_k is written into the full
-    spectrum, which an ifft along every axis transforms in place."""
+    spectrum (_inverse_fft)."""
     spec = np.zeros(shape, dtype=np.complex128)
     # k mod N_j, as every N_j is a power of two; distinct rows stay distinct
     spec[tuple((freqs & (np.array(shape) - 1)).T)] = coeffs
-    for axis in range(len(shape)):
+    return _inverse_fft(spec)
+
+
+def _inverse_fft(spec: np.ndarray) -> GridFunction:
+    """The samples of the full complex spectrum spec, by an ifft along
+    every axis in place."""
+    for axis in range(spec.ndim):
         np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
     return GridFunction(spec)
+
+
+def _block_samples(blocks: Blocks, shape: tuple[int, ...]) -> OrthantSlabs | GridFunction:
+    """The sum of the uniform product blocks {level: (c, [K_1, ..., K_m])}
+    on the grid `shape`, listing no row: a sign-symmetric list
+    (_sign_symmetric) as OrthantSlabs drawn from the factor matrices of
+    its blocks (_orthant_slabs); any other, the empty one included, by one
+    complex ifft of the spectrum filled block by block, c on the product of
+    the K_j mod N_j, the array _complex_samples writes from their rows."""
+    if blocks and _sign_symmetric(blocks):
+        factors = _factor_matrices([blocks[s] for s in sorted(blocks)], shape)
+        return OrthantSlabs(functools.partial(_orthant_slabs, factors), shape)
+    spec = np.zeros(shape, dtype=np.complex128)
+    for c, axis_sets in blocks.values():
+        spec[np.ix_(*(k & (n - 1) for k, n in zip(axis_sets, shape)))] = c
+    return _inverse_fft(spec)
 
 
 def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunction:
     """Evaluate the polynomial on the product grid via inverse FFTs.
 
     A sign-symmetric polynomial (f.sign_symmetric) is sampled on one
-    orthant, from its axis factors (_product_orthant) or as the real part
-    of a complex inverse FFT (_samples), and mirrored, so its samples are
-    float64 and exactly even in every variable.  Every other one comes back
-    as complex128 samples of a complex inverse FFT.
+    orthant, from its blocks' axis factors as one slab (_block_samples) or
+    as the real part of a complex inverse FFT (_samples), and mirrored, so
+    its samples are float64 and exactly even in every variable.  Every
+    other one comes back as complex128 samples of a complex inverse FFT,
+    of its blocks when f.product_blocks has any, else of its rows.
     """
-    pieces = _product_pieces(f)
-    if pieces is not None:
-        return _product_orthant(pieces, _resolving(f, grid).shape).to_grid()
-    samples = _samples(f, grid)
+    shape = _resolving(f, grid).shape
+    samples = _block_samples(f.product_blocks, shape) if f.product_blocks else _samples(f, shape)
+    if isinstance(samples, OrthantSlabs):
+        (values,) = samples.slabs(shape[-1] // 2 + 1)
+        samples = OrthantSamples(values, shape)
     return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
 
 
@@ -311,48 +327,42 @@ def grid_norm(
     """anisotropic_norm(synthesize(f, grid), params), keeping nothing between
     calls.
 
-    grid_route(f, grid, params) names the samples measured.  "product": a
-    plain L_p norm of a sign-symmetric sum of uniform product blocks
-    (f.product_blocks) is summed from the blocks' 1-D axis factors
-    (_product_sum_norm); no grid of two or more axes is built.  "orthant": a
-    sign-symmetric f without product blocks, or in any other space, is
-    measured on its orthant only and rearranged: drawn slab by slab from
-    the same axis factors when f has product blocks (_product_sum_norm), so
-    the orthant is never held, else cut from the complex grid
-    (OrthantSamples).  "grid": any other f is sampled on the whole grid.
-    Outside plain L_p the profile, and so the norm, equals the full grid's
-    bit for bit; inside, the product and orthant sums agree with the full
-    grid's to a relative 1e-13.
+    grid_route(f, grid, params) names the samples measured.  An f with
+    terms whose blocks are all uniform products (f.product_blocks) is
+    measured from its block list (_blocks_norm, _route), any other from its
+    rows (_samples): on its orthant if f is sign-symmetric ("orthant"),
+    else on the whole grid ("grid").  Outside plain L_p the profile, and so
+    the norm, equals the full grid's bit for bit; inside, the product and
+    orthant sums agree with the full grid's to a relative 1e-13.
     """
     shape = _resolving(f, grid).shape
-    if f.m == params.m and _product_pieces(f) is not None:
-        return _product_sum_norm(f.product_blocks, shape, params)
+    if f.m == params.m and f.product_blocks:
+        return _blocks_norm(f.product_blocks, shape, params)
     return anisotropic_norm(_samples(f, shape), params)
 
 
 def grid_route(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> str:
-    """The samples grid_norm(f, grid, params) measures (see grid_norm).
-
-    "product" for a plain L_p space, f sign-symmetric, with terms, and every
-    block uniform on a product support (_product_pieces), in any number of
-    variables; else "orthant" if f is sign-symmetric, else "grid".  The
-    route is the same on every grid that resolves f.  The blocks are tested
-    once per polynomial (f.product_blocks).
-    """
-    if params.lebesgue_index() is not None and f.m == params.m and _product_pieces(f):
-        return "product"
+    """The samples grid_norm(f, grid, params) measures: _route of
+    f.product_blocks when every block of f is uniform on a product
+    support, else "orthant" if f is sign-symmetric, else "grid".  The route
+    is the same on every grid that resolves f."""
+    if f.m == params.m and f.product_blocks is not None:
+        return _route(f.product_blocks, params)
     return "orthant" if f.sign_symmetric else "grid"
 
 
-def _product_pieces(f: SpectralFunction) -> list[Product] | None:
-    """f.product_blocks as a list when f is sign-symmetric with terms and
-    every block is a uniform product, in any number of variables (in one,
-    every block with one coefficient is); else None."""
-    if f.n_terms and f.sign_symmetric and f.product_blocks is not None:
-        return list(f.product_blocks.values())
-    return None
+def _route(blocks: Blocks, params: MixedSpaceParams) -> str:
+    """The samples _blocks_norm(blocks, shape, params) measures: "product",
+    a plain L_p norm of a sign-symmetric list with blocks, summed from
+    their 1-D axis factors, no grid of two or more axes built; "orthant",
+    any other sign-symmetric list, drawn slab by slab from the same factors
+    and rearranged, the orthant never held; "grid", the rest, sampled on
+    the whole grid (_block_samples)."""
+    if not _sign_symmetric(blocks):
+        return "grid"
+    return "product" if blocks and params.lebesgue_index() is not None else "orthant"
 
 
 def product_factors(freqs: np.ndarray, coeffs: np.ndarray) -> Product | None:
@@ -368,15 +378,6 @@ def product_factors(freqs: np.ndarray, coeffs: np.ndarray) -> Product | None:
     if uniform and math.prod(map(len, axis_sets)) == coeffs.size:
         return complex(coeffs[0]), axis_sets
     return None
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values), by a sort and a mask of the entries unlike their
-    predecessor; np.unique hashes int64 arrays, many times slower here."""
-    values = np.sort(values)
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first]
 
 
 def _axis_factor(k: np.ndarray, n: int) -> OrthantSamples:
@@ -459,21 +460,18 @@ def _sign_symmetric(blocks: Blocks) -> bool:
     )
 
 
-def _product_sum_norm(
-    blocks: Blocks, shape: tuple[int, ...], params: MixedSpaceParams
-) -> float:
-    """Norm in params on the grid `shape` of the sign-symmetric sum of the
-    uniform product blocks {level: (c, [K_1, ..., K_m])}, taken in
-    lexicographic order of their levels (block_rows order), from their 1-D
-    axis factors: summed by _product_norm in a plain L_p space, else
-    rearranged from OrthantSlabs (_product_slabs); 0.0 for no blocks."""
+def _blocks_norm(blocks: Blocks, shape: tuple[int, ...], params: MixedSpaceParams) -> float:
+    """Norm in params on the grid `shape` of the sum of the uniform product
+    blocks {level: (c, [K_1, ..., K_m])}: on the "product" route (_route)
+    summed by _product_norm from the blocks' 1-D axis factors, taken in
+    lexicographic order of their levels (block_rows order), else measured
+    on _block_samples; 0.0 for no blocks."""
     if not blocks:
         return 0.0
-    pieces = [blocks[s] for s in sorted(blocks)]
-    p = params.lebesgue_index()
-    if p is not None:
-        return _product_norm(pieces, shape, float(p))
-    return anisotropic_norm(_product_slabs(pieces, shape), params)
+    if _route(blocks, params) == "product":
+        p = float(params.lebesgue_index())
+        return _product_norm([blocks[s] for s in sorted(blocks)], shape, p)
+    return anisotropic_norm(_block_samples(blocks, shape), params)
 
 
 _ROWS = 256  # orthant rows per batch of _row_batches
@@ -498,8 +496,8 @@ def _factor_matrices(pieces: list[Product], shape: tuple[int, ...]) -> list[np.n
 
 
 def _row_batches(heads: list[np.ndarray], width: int):
-    """(first row number, index arrays at, G_0[at[0]] o ... o G_{k-1}[at[k-1]])
-    per _ROWS orthant rows of the factor matrices heads, `width` columns
+    """(index arrays at, G_0[at[0]] o ... o G_{k-1}[at[k-1]]) per _ROWS
+    orthant rows of the factor matrices heads, `width` columns
     each, in C order: every product starts from ones, so no heads make one
     batch of one row of ones."""
     half = tuple(len(g) for g in heads) or (1,)
@@ -507,36 +505,19 @@ def _row_batches(heads: list[np.ndarray], width: int):
     for i in range(0, count, _ROWS):
         at = np.unravel_index(np.arange(i, min(i + _ROWS, count)), half)
         ones = np.ones((len(at[0]), width))
-        yield i, at, math.prod((g[k] for g, k in zip(heads, at)), start=ones)
-
-
-def _product_orthant(pieces: list[Product], shape: tuple[int, ...]) -> OrthantSamples:
-    """The orthant of the sum of the pieces on the grid `shape`: each batch
-    of rows over axes m-1..1 (_row_batches) times G_0^T, axis 0 contiguous."""
-    *heads, last = _factor_matrices(pieces, shape)[::-1]
-    values = np.empty((math.prod(map(len, heads)), len(last)))
-    for i, _, rows in _row_batches(heads, len(pieces)):
-        np.matmul(rows, last.T, out=values[i : i + len(rows)])
-    return OrthantSamples(values.reshape([*map(len, heads), len(last)]).T, shape)
-
-
-def _product_slabs(pieces: list[Product], shape: tuple[int, ...]) -> OrthantSlabs:
-    """The orthant of the sum of the pieces on the grid `shape`, drawn slab by
-    slab (_orthant_slabs) from factor matrices made here."""
-    factors = _factor_matrices(pieces, shape)
-    return OrthantSlabs(functools.partial(_orthant_slabs, factors), shape)
+        yield at, math.prod((g[k] for g, k in zip(heads, at)), start=ones)
 
 
 def _orthant_slabs(factors: list[np.ndarray], width: int):
-    """The orthant of _product_orthant, from the same batches of rows times
-    G_0^T made from the factor matrices [G_0, ..., G_{m-1}]
-    (_factor_matrices), as slabs of `width` indices of its last axis in
-    turn (OrthantSlabs), axis 0 contiguous: a slab of two or more axes
-    takes the rows of its indices from one batch, as a view, or joins them
-    from several."""
+    """The orthant of a sum of blocks with the factor matrices
+    [G_0, ..., G_{m-1}] (_factor_matrices): each batch of rows over axes
+    m-1..1 (_row_batches) times G_0^T, as slabs of `width` indices of its
+    last axis in turn (OrthantSlabs), axis 0 contiguous.  A slab of two or
+    more axes takes the rows of its indices from one batch, as a view, or
+    joins them from several."""
     *heads, last = factors[::-1]
     half = [len(g) for g in factors]
-    batches = (rows @ last.T for _, _, rows in _row_batches(heads, last.shape[1]))
+    batches = (rows @ last.T for _, rows in _row_batches(heads, last.shape[1]))
     if not heads:  # the one batch is the one row, along the only axis
         (row,) = next(batches)
         for i in range(0, half[0], width):
@@ -571,7 +552,7 @@ def _product_norm(pieces: list[Product], shape: tuple[int, ...], p: float) -> fl
     """Plain L_p norm on the grid `shape` of the sum of the pieces
     (_factor_matrices), from its 1-D axis factors.
 
-    The sum is sign-symmetric (grid_route), so each K is too.  Each batch of
+    The sum is sign-symmetric (_route), so each K is too.  Each batch of
     orthant rows (_row_batches) times G_{m-1}^T samples them along the last
     axis in one reused buffer, and their powers are summed with the orthant
     weights [1, 2, ..., 2, 1] / N_j: no grid of two or more axes is held.
@@ -579,7 +560,7 @@ def _product_norm(pieces: list[Product], shape: tuple[int, ...], p: float) -> fl
     *heads, last = _factor_matrices(pieces, shape)
     *head_weights, w_last = (_orthant_weights(n) for n in shape)
     total, buf = 0.0, np.empty((min(_ROWS, math.prod(map(len, heads))), len(last)))
-    for _, at, rows in _row_batches(heads, len(pieces)):
+    for at, rows in _row_batches(heads, len(pieces)):
         batch = np.matmul(rows, last.T, out=buf[: len(rows)])
         np.abs(batch, out=batch)
         np.power(batch, p, out=batch)

@@ -363,6 +363,22 @@ def test_lemma4_recursion_matches_the_dense_layer(case, denominator, shift):
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+@given(st.integers(2, 300), st.integers(2, 40), st.integers(1, 299), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_rows_past_the_array_are_added_in_the_order_of_a_dense_sum(rows, width, head, seed):
+    # the budget recursion holds `head` rows of an axis of two or more
+    # budgets and adds the rows past them in blocks as tall after the
+    # array's sum; numpy adds the rows of two or more columns one after
+    # another, so that keeps the bits of the sum over every row
+    head = min(head, rows - 1)
+    rng = np.random.default_rng(seed)
+    terms = rng.random((rows, width)) * 10.0 ** rng.integers(-12, 12, (rows, 1))
+    got = terms[:head].sum(axis=0)
+    for i in range(head, rows, head):
+        got = np.vstack((got, terms[i : i + head])).sum(axis=0)
+    assert got.tobytes() == terms.sum(axis=0).tobytes()
+
+
 def test_lemma4_holds_no_dense_box():
     # a dense box of this layer holds 65**4 cells (143 MB)
     g = Anisotropy.of([1] * 4)

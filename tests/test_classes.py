@@ -225,13 +225,14 @@ def test_block_norms_measure_each_distinct_axis_factor_once(monkeypatch):
 def test_triangle_bound_on_a_held_axis_samples_no_bivariate_grid(monkeypatch):
     # r = (1, 2): axis 1 is not tied, so f1 holds it at the one harmonic
     # k_1 = +1; f1 is not sign-symmetric, but each block is still measured
-    # from its 1-D axis factors, and only the exact norm samples the grid
+    # from its 1-D axis factors, and only the exact norm samples the grid,
+    # from the block list
     tp = make_tp(["3/2", "3/2"], [2, 2], [1, 2])
     f = extremal_f1(8, tp)
     assert not f.sign_symmetric and f.product_blocks is not None
     grid = GridSpec.minimal_for(f.bandwidth())
     shapes = []
-    for name in ("_axis_factor", "_complex_samples"):
+    for name in ("_axis_factor", "_complex_samples", "_block_samples"):
         original = getattr(spectral, name)
 
         def spy(*args, original=original):

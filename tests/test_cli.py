@@ -247,9 +247,10 @@ def test_lemma3_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
     assert [level["n"] for level in levels] == [4, 5]
     assert all(len(level["tail_bound"]) == len(level["terms"]) == 3 for level in levels)
-    # gamma = 1/6000 on two axes: axis 0 would sum 6001 budgets over a
-    # series of about 186,000 terms, past the 2**25-cell budget; it is
-    # refused before any recursion array is allocated
+    # gamma = 1/6000 on two axes: axis 0 would hold the 6001 rows up to
+    # its budget (of a series of about 186,000 terms) for 6001 budgets,
+    # past the 2**25-cell budget; it is refused before any recursion array
+    # is allocated
     capsys.readouterr()
     make_params_file(tmp_path, {"gamma": ["1/6000"] * 2})
     tracemalloc.start()
@@ -259,10 +260,31 @@ def test_lemma3_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    assert "lemma 3 recursion array of axis 0 (186008, 6001)" in err
+    assert "lemma 3 recursion array of axis 0 (6001, 6001) needs 36012001 cells" in err
     assert str(norms.DEFAULT_MAX_GRID_CELLS) in err
     assert_failed_manifest(tmp_path)
     assert peak < 1 << 20
+
+
+def test_lemma3_holds_no_rows_past_the_budget(tmp_path):
+    # gamma = 1/100 on three axes: at n=5 each axis sums 501 budgets over a
+    # series of 3,504 terms, and from row 500 on every budget is spent, so
+    # an axis holds 501 x 501 cells and adds the rest of its series in
+    # blocks as tall; one dense 3,504 x 501 array is 14 MB, and the run
+    # peaked at 58 MB when it held them
+    params = make_params_file(tmp_path, {"gamma": ["1/100"] * 3})
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", "3", "--params", str(params),
+            "--range", "4:5"]
+    main(argv)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1  # the ratio window at these levels fails
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [level["terms"] for level in read_json(tmp_path / "manifest.json")["stats"]["levels"]
+            ] == [[3408] * 3, [3504] * 3]
+    assert peak < 6 * 501 * 501 * 8 < 3504 * 501 * 8
 
 
 def test_lemma4_layer_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):
@@ -777,7 +799,7 @@ def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
     # blocks are measured on 1-D axis grids); both entries to a 2-D
     # synthesis, of a polynomial's rows and of a block list, are counted
     shapes = []
-    for name in ("_samples", "_product_slabs"):
+    for name in ("_samples", "_block_samples"):
         original = getattr(spectral, name)
 
         def counting(f, grid, original=original):
@@ -953,21 +975,46 @@ def test_bound_levels_test_no_sign_symmetry(tmp_path, monkeypatch):
     assert [level["normalizer"] for level in levels] == ["product"] * 2 + ["bound"] * 2
 
 
-@pytest.mark.parametrize("target", [{}, {"beta": ["1/2", "1/2"], "tau2": ["3", "3"]}])
-def test_grid_route_rate_levels_list_their_rows_once(tmp_path, monkeypatch, target):
-    # axis 1 is not tied, so f1 holds it at k_2 = +1 and is not
-    # sign-symmetric: the "grid" route samples its rows, listed once per
-    # level and shared with the residual on a Lorentz-Zygmund target
-    doc = {"p": ["3/2", "3/2"], "q": ["2", "2"], "r": ["1", "2"], **target}
+# the route each option set gives every level of f1 at 5:8, from the
+# bivariate plain-L2 parameters below: a source space that is not plain
+# L_p, an axis held at k_2 = +1 (axis 1 is not tied, so f1 is not
+# sign-symmetric), with a plain-L2 and a Lorentz-Zygmund target, and a
+# cell budget below every level's grid
+ROUTE_OPTIONS = {
+    "product": {},
+    "orthant": {"tau1": ["2", "2"]},
+    "grid-l2": {"r": ["1", "2"]},
+    "grid-lz": {"r": ["1", "2"], "beta": ["1/2", "1/2"], "tau2": ["3", "3"]},
+    "bound": {"max_grid_cells": 512},
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTE_OPTIONS))
+def test_no_rate_route_builds_a_polynomial_or_lists_a_row(tmp_path, monkeypatch, route):
+    # every level is evaluated from its block list, also on the "grid"
+    # route, whose whole function and residual are sampled by one complex
+    # inverse FFT of the spectrum filled block by block
+    doc = {"p": ["3/2", "3/2"], "q": ["2", "2"], "r": ["1", "1"], **ROUTE_OPTIONS[route]}
     params = make_params_file(tmp_path, doc)
     listed = count_row_listings(monkeypatch)
     argv = ["theorem1", "rate", "--params", str(params), "--range", "5:8"]
-    assert main(["--out", str(tmp_path)] + argv) == 0
+    assert main(["--out", str(tmp_path)] + argv) in (0, 1)
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
-    assert [level["normalizer"] for level in levels] == ["grid"] * 4
-    sizes = [level["support_size"] for level in levels]
-    assert [rows for kind, rows in listed if kind == "polynomial"] == sizes
-    assert sum(rows for kind, rows in listed if kind == "cartesian_rows") == sum(sizes)
+    assert [level["normalizer"] for level in levels] == [route.split("-")[0]] * 4
+    assert listed == []
+
+
+def test_rate_level_whose_blocks_all_underflow_is_a_numerical_failure(tmp_path, capsys):
+    # every block of f1 underflows to 0 from n=7 on: the level is refused,
+    # naming n, before its zero class functional divides anything
+    doc = {"p": ["3/2", "3/2"], "q": ["2", "2"], "r": ["165", "165"], "alpha": [21, 21]}
+    params = make_params_file(tmp_path, doc)
+    argv = ["theorem1", "rate", "--params", str(params), "--range", "6:12"]
+    assert main(["--out", str(tmp_path)] + argv) == 4
+    err = capsys.readouterr().err
+    assert "n=7" in err and "underflows to 0" in err and "division" not in err
+    assert_failed_manifest(tmp_path, code=4)
+    assert "n=7" in read_json(tmp_path / "manifest.json")["message"]
 
 
 def test_rate_experiment_keeps_no_grid_after_it_returns():

@@ -568,9 +568,12 @@ def test_profile_and_orthant_norms_take_their_powers_one_batch_of_columns_at_a_t
     f = dirichlet_block((8, 8))
     grid = GridSpec((1024, 1024))
     grid_norm(f, grid, lz)  # fills the weight cache
-    prof = iterated_rearrangement(spectral._samples(f, grid), lz.axes[0].tau)
+    prof = iterated_rearrangement(
+        spectral._block_samples(f.product_blocks, grid.shape), lz.axes[0].tau
+    )
     assert isinstance(prof, HalfProfile)
-    samples = spectral._product_orthant(spectral._product_pieces(f), grid.shape)
+    (orthant,) = spectral._block_samples(f.product_blocks, grid.shape).slabs(513)
+    samples = OrthantSamples(orthant, grid.shape)
     batch = 1024 * norms._COLUMNS * 8
     bound = batch + 128 * 1024
     assert traced_peak(lambda: profile_norm(prof, lz)) <= bound
@@ -622,16 +625,15 @@ def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
     grid_bytes = 1024 * 1024 * 8
     peak = traced_peak(lambda: grid_norm(other, grid, params))
     assert peak <= 2.0 * grid_bytes + 64 * 1024
-    # the orthant keeps its own 513 x 513 samples, not the full-length
-    # transform outputs they were sliced from
-    pieces = spectral._product_pieces(other)
+    # the orthant drawn as one slab keeps its own 513 x 513 samples, not
+    # the batches of rows it was joined from
     tracemalloc.start()
     try:
-        orthant = spectral._product_orthant(pieces, grid.shape)
+        (orthant,) = spectral._block_samples(other.product_blocks, grid.shape).slabs(513)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert orthant.values.shape == (513, 513)
+    assert orthant.shape == (513, 513)
     assert kept <= 513 * 513 * 8 + 64 * 1024
 
 
@@ -679,18 +681,17 @@ def test_three_axis_product_route_holds_less_than_one_orthant():
     assert traced_peak(lambda: grid_norm(f, grid, leb)) < 65**3 * 8
 
 
-def test_product_orthant_holds_one_orthant_and_its_factor_matrices():
-    # a product f's orthant is filled from its axis factors, in two and in
-    # three variables: one float64 orthant next to the factor matrices,
-    # below twice the orthant
+def test_synthesize_of_a_product_holds_its_grid_and_one_orthant():
+    # a product f's orthant is drawn from its axis factors as one slab and
+    # mirrored, in two and in three variables: the float64 grid next to one
+    # orthant, below the grid and two orthants (the rows joined into the
+    # slab are let go before the grid is made)
     for f, grid in ((dirichlet_block((8, 8)), GridSpec((1024, 1024))),
-                    (dirichlet_block((4, 4, 4)), GridSpec((128, 128, 128)))):
+                    (dirichlet_block((5, 6, 5)), GridSpec((128, 256, 128)))):
         assert f.sign_symmetric and len(f.product_blocks) == 1  # tested untraced
-        half = [n // 2 + 1 for n in grid.shape]
-        orthant, factors = math.prod(half) * 8, sum(half) * 8
-        pieces = spectral._product_pieces(f)
-        peak = traced_peak(lambda: spectral._product_orthant(pieces, grid.shape))
-        assert peak <= orthant + factors + 64 * 1024 < 2 * orthant
+        orthant = math.prod(n // 2 + 1 for n in grid.shape) * 8
+        peak = traced_peak(lambda: synthesize(f, grid))
+        assert peak <= grid.cells * 8 + orthant + 512 * 1024 < grid.cells * 8 + 2 * orthant
 
 
 def test_product_grid_norm_is_the_product_of_axis_norms():

@@ -12,6 +12,7 @@ from lzcross import experiments, spectral
 from lzcross.classes import (
     BesovParams,
     TheoremParams,
+    _functional,
     besov_functional,
     derived_exponents,
     extremal_blocks,
@@ -21,11 +22,12 @@ from lzcross.classes import (
     extremal_levels,
 )
 from lzcross.indexsets import Anisotropy, axis_block, block_levels
-from lzcross.norms import DEFAULT_MAX_GRID_CELLS, MixedSpaceParams
+from lzcross.norms import DEFAULT_MAX_GRID_CELLS, MixedSpaceParams, anisotropic_norm
 from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
     _parseval,
+    block_norms,
     block_rows,
     grid_route,
     truncation_error,
@@ -79,16 +81,32 @@ CASES = [
 ]
 
 
+def row_norm(f, shape, space):
+    """The norm of f's samples by a complex ifft of its listed rows, which
+    grid_norm would take from f's block list."""
+    return anisotropic_norm(spectral._complex_samples(f.freqs, f.coeffs, shape), space)
+
+
 def row_level(n, tp, which, max_grid_cells):
     """The level on the rows of f_which: besov_functional, grid_route and
-    truncation_error of the listed polynomial, as before block lists."""
+    truncation_error of the listed polynomial, as before block lists.  On
+    the "grid" route the whole-function norm and a non-L2 residual are
+    sampled from the listed rows (row_norm)."""
     f = BUILDERS[which](n, tp)
     grid = GridSpec.minimal_for(f.bandwidth())
     exact = grid.cells <= max_grid_cells
-    normalizer = besov_functional(f, tp.source, grid, exact)
     route = grid_route(f, grid, tp.source.space) if exact else "bound"
     plain_l2 = tp.target.is_plain_l2()
-    raw = truncation_error(f, n, tp.gamma_prime, tp.target, None if plain_l2 else grid)
+    if route == "grid":
+        first = row_norm(f, grid.shape, tp.source.space)
+        normalizer = _functional(first, block_norms(f, grid, tp.source.space), tp.source)
+    else:
+        normalizer = besov_functional(f, tp.source, grid, exact)
+    if route == "grid" and not plain_l2:
+        residual = f.restrict(~spectral._cross_mask(f, n, tp.gamma_prime))
+        raw = row_norm(residual, grid.shape, tp.target)
+    else:
+        raw = truncation_error(f, n, tp.gamma_prime, tp.target, None if plain_l2 else grid)
     return {
         "error": (raw / normalizer).hex(), "normalizer": normalizer.hex(),
         "raw": raw.hex(), "route": route, "support_size": f.n_terms,
@@ -196,7 +214,7 @@ def test_product_sums_take_their_blocks_in_lexicographic_order(monkeypatch):
         MixedSpaceParams.of(["2"] * 2, [0.5] * 2, [3.0] * 2),
     ):
         seen.clear()
-        got = spectral._product_sum_norm(blocks, shape, space)
+        got = spectral._blocks_norm(blocks, shape, space)
         assert seen and all(cs == [blocks[s][0] for s in sorted(levels)] for _, cs in seen)
         assert got.hex() == spectral.grid_norm(f, shape, space).hex()
 

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, no
 module imports scipy, every public definition is named by the package, the
 acceptance tests or a README example, every private one by the package,
-every public method, property and dataclass field is read there, and
-README's lemma parameter table lists the keys each lemma case reads."""
+every public method, property and dataclass field is read there, no two
+modules define the same top-level name, and README's lemma parameter table
+lists the keys each lemma case reads."""
 
 import ast
 import re
@@ -117,6 +118,43 @@ def test_scan_finds_an_unreferenced_definition():
     assert unreferenced_definitions(modules, readers) == [
         "a.recursive", "a.Unused", "a._private", "a._Tested"
     ]
+
+
+def repeated_definitions(modules: dict[str, str]) -> list[str]:
+    """Top-level names that two or more modules define, by a function, a
+    class or an assignment, each with the modules that define it.  Imports,
+    methods and names local to a function do not count."""
+    where: dict[str, list[str]] = {}
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                where.setdefault(name, []).append(module)
+    return [f"{name} ({', '.join(mods)})" for name, mods in where.items() if len(mods) > 1]
+
+
+def test_scan_finds_a_helper_defined_twice():
+    modules = {
+        "a": "_ROWS = 256\n\ndef _distinct(v):\n    return v\n"
+             "\nclass Grid:\n    def norm(self):\n        width = 1\n",
+        "b": "from .a import Grid\n\n_ROWS: int = 128\n\ndef _distinct(v):\n    return v\n"
+             "\ndef norm():\n    width = 2\n",
+        "c": "from .b import _distinct\n\nGrid = None\n",
+    }
+    assert repeated_definitions(modules) == [
+        "_ROWS (a, b)", "_distinct (a, b)", "Grid (a, c)"
+    ]
+
+
+def test_no_two_modules_define_the_same_name():
+    modules, _ = _package_and_readers()
+    assert repeated_definitions(modules) == []
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

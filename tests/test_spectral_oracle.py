@@ -427,23 +427,26 @@ def kernel_calls(mp) -> list:
 @example((SpectralFunction(1, {(k,): -2.5 for k in (-3, -2, 2, 3)}), (16,), plain_lp("3/2", 1)))
 @settings(deadline=None)
 def test_product_orthant_matches_the_full_inverse_fft(case):
-    # the orthant of a product f is filled from its axis factors, axis 0
-    # contiguous; only the 1-D factors are transformed, by the DCT-I
+    # the orthant of a product f, drawn from its axis factors as one slab,
+    # axis 0 contiguous; only the 1-D factors are transformed, by the DCT-I
     f, shape, _ = case
     with pytest.MonkeyPatch.context() as mp:
         calls = kernel_calls(mp)
-        got = spectral._product_orthant(spectral._product_pieces(f), shape)
+        stream = spectral._block_samples(f.product_blocks, shape)
+        (got,) = stream.slabs(shape[-1] // 2 + 1)
     assert calls and all(name == "_axis_factor" and len(s) == 1 for name, s in calls)
     want = full_spectrum_samples(f, shape)[tuple(slice(n // 2 + 1) for n in shape)]
-    assert got.shape == shape and got.values.shape == want.shape
-    assert got.values.strides[0] == got.values.itemsize
-    assert np.abs(got.values - want).max() <= 1e-13 * float(np.abs(f.coeffs).sum())
+    assert stream.shape == shape and got.shape == want.shape
+    assert got.strides[0] == got.itemsize
+    assert np.abs(got - want).max() <= 1e-13 * float(np.abs(f.coeffs).sum())
 
 
 def test_streamed_product_orthant_matches_the_held_one():
     # the slabs take the rows of the same 256-row batches: whole batches or
     # parts of one for two axes, and for three axes of 4 x 513 rows per
-    # index of the last axis, rows joined from several batches
+    # index of the last axis, rows joined from several batches; the held
+    # orthant is the one slab of the whole last axis, which synthesize
+    # mirrors
     cases = [
         (SpectralFunction(1, {(k,): -2.5 for k in (-3, -2, 2, 3)}), (16,)),
         (dirichlet_block((5, 7)), (64, 1024)),
@@ -451,9 +454,11 @@ def test_streamed_product_orthant_matches_the_held_one():
         (dirichlet_block((2, 3, 4)), (8, 32, 64)),
     ]
     for f, shape in cases:
-        held = spectral._product_orthant(spectral._product_pieces(f), shape).values
-        stream = spectral._samples(f, GridSpec(shape))
+        stream = spectral._block_samples(f.product_blocks, shape)
         assert isinstance(stream, OrthantSlabs) and stream.shape == shape
+        (held,) = stream.slabs(shape[-1] // 2 + 1)
+        want = full_spectrum_samples(f, shape)[tuple(slice(n // 2 + 1) for n in shape)]
+        assert np.abs(held - want).max() <= 1e-13 * float(np.abs(f.coeffs).sum())
         for width in (1, 3, held.shape[-1] - 1, held.shape[-1]):
             slabs = list(stream.slabs(width))
             assert all(slab.strides[0] == slab.itemsize for slab in slabs)
@@ -486,8 +491,52 @@ def test_blocks_off_the_product_form_reach_the_complex_fft_once(monkeypatch):
         assert synthesize(f, (16, 16)).values.dtype == np.float64
         calls.clear()
     single = SpectralFunction(1, {(k,): 1.0 for k in (-3, -2, 2, 3)})
-    spectral._samples(single, GridSpec((16,)))
+    spectral._block_samples(single.product_blocks, (16,))
     assert calls == [("_axis_factor", (16,))]
+
+
+@st.composite
+def block_lists(draw):
+    """Block lists {level: (c, [K_1, ..., K_m])} off the sign symmetry, or
+    empty, in m = 1..3 variables: up to four distinct levels (entries 1..4,
+    or 1..3 in three), each K_j a subset of the axis block, one-sided, held
+    at the one harmonic k_j = +1 of level 1, or symmetric, under a real or
+    complex c; on the minimal grid or one twice as fine on some axes."""
+    m = draw(st.integers(1, 3))
+    level = st.integers(1, 3 if m == 3 else 4)
+    levels = draw(st.lists(st.tuples(*[level] * m), max_size=4, unique=True))
+    blocks = {}
+    for s in levels:
+        axis_sets = [
+            np.array(sorted(draw(st.lists(st.sampled_from(axis_block(sj)), min_size=1,
+                                          unique=True))), dtype=np.int64)
+            for sj in s
+        ]
+        c = draw(st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                           st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)))
+        blocks[s] = (complex(c), axis_sets)
+    assume(not blocks or not spectral._sign_symmetric(blocks))
+    bandwidth = [(1 << sj) - 1 for sj in map(max, zip(*levels))] if levels else [0] * m
+    minimal = GridSpec.minimal_for(bandwidth).shape
+    finer = draw(st.lists(st.sampled_from([1, 2]), min_size=m, max_size=m))
+    return m, blocks, tuple(n * c for n, c in zip(minimal, finer))
+
+
+@given(block_lists())
+@example((2, {(1, 2): (1 + 0j, [np.array([1]), np.array([-3, -2, 2, 3])]),
+              (1, 3): (0.5 - 2j, [np.array([1]), np.array([4, 5, 6, 7])])}, (4, 16)))
+@example((1, {}, (2,)))
+@settings(deadline=None)
+def test_block_samples_are_the_complex_samples_of_the_rows(case):
+    # a block list off the sign symmetry is sampled on the whole grid from
+    # a spectrum filled block by block: the array of its listed rows
+    m, blocks, shape = case
+    f = SpectralFunction.from_blocks(m, blocks)
+    got = spectral._block_samples(blocks, shape)
+    want = spectral._complex_samples(f.freqs, f.coeffs, shape)
+    assert isinstance(got, GridFunction) and got.values.dtype == np.complex128
+    assert np.array_equal(got.values, want.values)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_polynomial_without_terms_has_norm_zero_on_every_route():
