@@ -131,6 +131,8 @@ def _tied_axes(
 # out could move a sum taken in the order of s
 _TAIL_SHARE = 2.0**-60
 
+_DENSE_CELLS = 1 << 16  # a budget recursion array this small is held whole
+
 
 def _tail_terms(
     alpha: float, gamma_j: float, lam: float, theta: float, first: int,
@@ -201,11 +203,12 @@ def _budget_norm(
     from which the largest budget is spent (outer), or up to top, the
     largest s_j it allows (layer); it calls check(K + 1) first.  Axis j
     reduces a (rows) x (budgets) array, rows = top + 1 when there are two
-    or more budgets and K + 1 otherwise, adding in the order of s as numpy
-    reduces a dense box along an axis; the array, and the series, are
-    checked against DEFAULT_MAX_GRID_CELLS before they are allocated.
-    Rows past top hold u_j(s) F_j(floor) in every column, and are added
-    after the array's sum, in blocks as tall.  Its last axis is one 1-D
+    or more budgets and K + 1 rows would fill more than _DENSE_CELLS cells,
+    K + 1 otherwise, adding in the order of s as numpy reduces a dense box
+    along an axis; the array, and the series, are checked against
+    DEFAULT_MAX_GRID_CELLS before they are allocated.  Rows past top hold
+    u_j(s) F_j(floor) in every column; those left out are added after the
+    array's sum, in blocks as tall.  Its last axis is one 1-D
     sum, which numpy takes in eight interleaved partial sums when it has up
     to 128 entries, with the last len % 8 after them; so the outer set's
     series have a multiple of 8 terms, and each term joins the partial sum
@@ -228,19 +231,20 @@ def _budget_norm(
             steps = np.arange(tops[j] + 1, dtype=dtype)[:, None] * g[j]
             reach[j] = _distinct(np.maximum(reach[j + 1] - steps, floor))
     # s >= tops[j] leaves every budget at the floor; numpy adds the rows of
-    # two or more columns one after another, so an axis of two or more
-    # budgets holds rows 0..tops[j] and adds the rest after the array's sum,
-    # in blocks as tall as the array; one column, summed pairwise, is dense
-    held = [t + 1 if len(cols) > 1 else math.inf for t, cols in zip(tops, reach[1:])]
+    # two or more columns one after another, so those rows can be added
+    # after the array's sum, but it sums one column pairwise: that is dense
+    def held(j: int, rows: int) -> int:
+        cols = len(reach[j + 1])
+        return rows if cols == 1 or rows * cols <= _DENSE_CELLS else min(rows, tops[j] + 1)
 
     def check(j: int, rows: int) -> None:
-        _check_cells(f"{what} recursion array of axis {j}", (min(rows, held[j]), len(reach[j + 1])))
+        _check_cells(f"{what} recursion array of axis {j}", (held(j, rows), len(reach[j + 1])))
         _check_cells(f"{what} series of axis {j}", (rows,))
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         us = [weights(j, tops[j], lambda rows, j=j: check(j, rows)) for j in range(m)]
         for j, (u, theta) in enumerate(zip(us, thetas)):
-            rows = min(len(u), held[j])
+            rows = held(j, len(u))
             steps = np.minimum(np.arange(rows, dtype=dtype), tops[j])
             cand = np.maximum(reach[j + 1] - steps[:, None] * g[j], floor)
             f = (cand == 0) if j == 0 else values[np.searchsorted(reach[j], cand)]

@@ -310,14 +310,14 @@ def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunct
     orthant, from its blocks' axis factors as one slab (_block_samples) or
     as the real part of a complex inverse FFT (_samples), and mirrored, so
     its samples are float64 and exactly even in every variable.  Every
-    other one comes back as complex128 samples of a complex inverse FFT,
-    of its blocks when f.product_blocks has any, else of its rows.
+    other one, whose blocks are not looked for, comes back as complex128
+    samples of a complex inverse FFT of its rows.
     """
     shape = _resolving(f, grid).shape
-    samples = _block_samples(f.product_blocks, shape) if f.product_blocks else _samples(f, shape)
-    if isinstance(samples, OrthantSlabs):
-        (values,) = samples.slabs(shape[-1] // 2 + 1)
-        samples = OrthantSamples(values, shape)
+    if f.sign_symmetric and f.product_blocks:
+        (values,) = _block_samples(f.product_blocks, shape).slabs(shape[-1] // 2 + 1)
+        return OrthantSamples(values, shape).to_grid()
+    samples = _samples(f, shape)
     return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
 
 
@@ -327,16 +327,17 @@ def grid_norm(
     """anisotropic_norm(synthesize(f, grid), params), keeping nothing between
     calls.
 
-    grid_route(f, grid, params) names the samples measured.  An f with
-    terms whose blocks are all uniform products (f.product_blocks) is
-    measured from its block list (_blocks_norm, _route), any other from its
-    rows (_samples): on its orthant if f is sign-symmetric ("orthant"),
-    else on the whole grid ("grid").  Outside plain L_p the profile, and so
-    the norm, equals the full grid's bit for bit; inside, the product and
-    orthant sums agree with the full grid's to a relative 1e-13.
+    grid_route(f, grid, params) names the samples measured.  A
+    sign-symmetric f with terms whose blocks are all uniform products
+    (f.product_blocks) is measured from its block list (_blocks_norm,
+    _route), any other from its rows (_samples): on its orthant if f is
+    sign-symmetric ("orthant"), else on the whole grid ("grid").  Outside
+    plain L_p the profile, and so the norm, equals the full grid's bit for
+    bit; inside, the product and orthant sums agree with the full grid's to
+    a relative 1e-13.
     """
     shape = _resolving(f, grid).shape
-    if f.m == params.m and f.product_blocks:
+    if f.m == params.m and f.sign_symmetric and f.product_blocks:
         return _blocks_norm(f.product_blocks, shape, params)
     return anisotropic_norm(_samples(f, shape), params)
 
@@ -345,10 +346,10 @@ def grid_route(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> str:
     """The samples grid_norm(f, grid, params) measures: _route of
-    f.product_blocks when every block of f is uniform on a product
-    support, else "orthant" if f is sign-symmetric, else "grid".  The route
-    is the same on every grid that resolves f."""
-    if f.m == params.m and f.product_blocks is not None:
+    f.product_blocks when f is sign-symmetric with uniform product blocks,
+    else "orthant" if f is sign-symmetric, else "grid".  The route is the
+    same on every grid that resolves f."""
+    if f.m == params.m and f.sign_symmetric and f.product_blocks is not None:
         return _route(f.product_blocks, params)
     return "orthant" if f.sign_symmetric else "grid"
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lzcross import asymptotics
 from lzcross.asymptotics import (
     RatioReport,
     lemma1_interior_sum,
@@ -377,6 +378,19 @@ def test_rows_past_the_array_are_added_in_the_order_of_a_dense_sum(rows, width, 
     for i in range(head, rows, head):
         got = np.vstack((got, terms[i : i + head])).sum(axis=0)
     assert got.tobytes() == terms.sum(axis=0).tobytes()
+
+
+@given(lemma_cases())
+@settings(deadline=None, max_examples=60)
+def test_lemma3_rows_past_the_budget_keep_the_bits_of_the_whole_array(case):
+    # with no array held whole, every axis of two or more budgets adds the
+    # rows past its budget after the array's sum: the value keeps its bits
+    n, gamma, gamma_prime, lams, thetas, alpha, _ = case
+    whole = lemma3_lhs(n, gamma, gamma_prime, lams, thetas, alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asymptotics, "_DENSE_CELLS", 0)
+        split = lemma3_lhs(n, gamma, gamma_prime, lams, thetas, alpha)
+    assert split.hex() == whole.hex()
 
 
 def test_lemma4_holds_no_dense_box():

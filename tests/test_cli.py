@@ -976,16 +976,17 @@ def test_bound_levels_test_no_sign_symmetry(tmp_path, monkeypatch):
 
 
 # the route each option set gives every level of f1 at 5:8, from the
-# bivariate plain-L2 parameters below: a source space that is not plain
-# L_p, an axis held at k_2 = +1 (axis 1 is not tied, so f1 is not
-# sign-symmetric), with a plain-L2 and a Lorentz-Zygmund target, and a
-# cell budget below every level's grid
+# bivariate plain-L2 parameters below, and the run's exit code: a source
+# space that is not plain L_p, an axis held at k_2 = +1 (axis 1 is not
+# tied, so f1 is not sign-symmetric), with a plain-L2 and a
+# Lorentz-Zygmund target, and a cell budget below every level's grid; the
+# "product" and "bound" runs fail a verdict over these four levels (exit 1)
 ROUTE_OPTIONS = {
-    "product": {},
-    "orthant": {"tau1": ["2", "2"]},
-    "grid-l2": {"r": ["1", "2"]},
-    "grid-lz": {"r": ["1", "2"], "beta": ["1/2", "1/2"], "tau2": ["3", "3"]},
-    "bound": {"max_grid_cells": 512},
+    "product": ({}, 1),
+    "orthant": ({"tau1": ["2", "2"]}, 0),
+    "grid-l2": ({"r": ["1", "2"]}, 0),
+    "grid-lz": ({"r": ["1", "2"], "beta": ["1/2", "1/2"], "tau2": ["3", "3"]}, 0),
+    "bound": ({"max_grid_cells": 512}, 1),
 }
 
 
@@ -994,11 +995,12 @@ def test_no_rate_route_builds_a_polynomial_or_lists_a_row(tmp_path, monkeypatch,
     # every level is evaluated from its block list, also on the "grid"
     # route, whose whole function and residual are sampled by one complex
     # inverse FFT of the spectrum filled block by block
-    doc = {"p": ["3/2", "3/2"], "q": ["2", "2"], "r": ["1", "1"], **ROUTE_OPTIONS[route]}
+    options, code = ROUTE_OPTIONS[route]
+    doc = {"p": ["3/2", "3/2"], "q": ["2", "2"], "r": ["1", "1"], **options}
     params = make_params_file(tmp_path, doc)
     listed = count_row_listings(monkeypatch)
     argv = ["theorem1", "rate", "--params", str(params), "--range", "5:8"]
-    assert main(["--out", str(tmp_path)] + argv) in (0, 1)
+    assert main(["--out", str(tmp_path)] + argv) == code
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
     assert [level["normalizer"] for level in levels] == [route.split("-")[0]] * 4
     assert listed == []
