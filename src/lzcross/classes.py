@@ -17,14 +17,23 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .asymptotics import _inv, _tied_axes
 from .indexsets import Anisotropy, MultiIndex, as_fraction, axis_block, layer_exact
 from .norms import DEFAULT_MAX_GRID_CELLS, MixedSpaceParams, mixed_sequence_norm
-from .spectral import GridSpec, Product, SpectralFunction, block_norms, grid_norm
+from .spectral import (
+    Blocks,
+    GridSpec,
+    Product,
+    SpectralFunction,
+    _blocks_norm,
+    _factor_norms,
+    _resolving,
+    _route,
+)
 
 
 @dataclass(frozen=True)
@@ -153,11 +162,11 @@ def besov_functional(
 
     Requires the zero-mean support condition: any coefficient on a
     hyperplane k_j = 0 is rejected, since such functions lie outside the
-    class.  The grid must resolve the full bandwidth of f.  With exact the
-    whole-function norm is grid_norm(f, grid, params.space).  Without, it is
-    replaced by its triangle-inequality upper bound, the sum of the block
-    norms, and no full grid is synthesized.  The block norms are
-    spectral.block_norms either way.
+    class.  The grid must resolve the full bandwidth of f.  The value is
+    class_functional of f's block list (f.blocks): with exact the
+    whole-function norm is grid_norm(f, grid, params.space), without, its
+    triangle-inequality upper bound, the sum of the block norms
+    (spectral.block_norms), and no full grid is synthesized.
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(tuple(grid))
@@ -167,18 +176,23 @@ def besov_functional(
         raise ValueError(
             "zero-mean support condition violated: coefficient with some k_j = 0"
         )
-    if not f.n_terms:
-        return 0.0
-    first = grid_norm(f, grid, params.space) if exact else None
-    return _functional(first, block_norms(f, grid, params.space), params)
+    return class_functional(f.blocks, _resolving(f, grid), params, exact)[0]
 
 
-def _functional(
-    first: float | None, norms: Mapping[MultiIndex, float], params: BesovParams
-) -> float:
-    """first, the whole-function norm (or None for the triangle bound, the
-    sum of the block norms), plus the sequence norm over the levels of the
-    block norms weighted by 2^<s, r>."""
+def class_functional(
+    blocks: Blocks, grid: GridSpec, params: BesovParams, exact: bool
+) -> tuple[float, str]:
+    """The class functional of the sum f of the blocks (a block list, as
+    SpectralFunction.blocks or extremal_blocks give it) on a grid resolving
+    f, and the route of its whole-function norm (spectral._route, as
+    grid_route names it) or "bound".  With exact the whole-function norm is
+    grid_norm's, from the blocks (_blocks_norm); without, its triangle
+    bound, the sum of the block norms.  To it is added the sequence norm
+    over the levels of the block norms (block_norms', from the blocks'
+    axis factors) weighted by 2^<s, r>."""
+    space = params.space
+    first = _blocks_norm(blocks, grid.shape, space) if exact else None
+    norms = _factor_norms(blocks, grid.shape, space)
     r = [float(v) for v in params.r]
     weighted = {
         s: 2.0 ** (sum(sj * rj for sj, rj in zip(s, r))) * v
@@ -186,8 +200,8 @@ def _functional(
     }
     seq = mixed_sequence_norm(weighted, params.thetas)
     if first is None:
-        first = math.fsum(norms.values())
-    return first + seq
+        return math.fsum(norms.values()) + seq, "bound"
+    return first + seq, _route(blocks, space)
 
 
 def _coefficient(s_full: Sequence[int], tp: TheoremParams) -> float:

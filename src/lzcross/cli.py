@@ -41,7 +41,13 @@ from .asymptotics import (
     lemma4_reference,
     ratio_scan,
 )
-from .classes import BesovParams, TheoremParams, besov_functional, extremal_blocks
+from .classes import (
+    BesovParams,
+    TheoremParams,
+    class_functional,
+    extremal_blocks,
+    level_bandwidth,
+)
 from .experiments import (
     DEFAULT_MAX_GRID_CELLS,
     approx_error_scan,
@@ -423,10 +429,12 @@ def _run_extremal(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
     tp = _theorem_params(o)
     which = _integer(o, "which", 1)
     n = _integer(o, "n", 4)
-    f = SpectralFunction.from_blocks(tp.m, extremal_blocks(n, tp, which))
-    grid = GridSpec.minimal_for(f.bandwidth())
+    blocks = extremal_blocks(n, tp, which)
+    # every block may underflow to 0, leaving f empty, bandwidth 0 per axis
+    grid = GridSpec.minimal_for(level_bandwidth(blocks) or [0] * tp.m)
     exact = grid.cells <= _grid_budget(o)
-    value = besov_functional(f, tp.source, grid, exact)
+    value, _ = class_functional(blocks, grid, tp.source, exact)
+    f = SpectralFunction.from_blocks(tp.m, blocks)  # the rows of extremal.json
     out = _out_path(cfg, o.get("out", "extremal.json"))
     _write_json(out, f.to_json_dict())
     sidecar = out.with_name(out.stem + ".sidecar.json")

@@ -18,10 +18,9 @@ import numpy as np
 
 from .asymptotics import RateFit, RatioReport, rate_fit, ratio_scan
 from .classes import (
-    BesovParams,
     DerivedExponents,
     TheoremParams,
-    _functional,
+    class_functional,
     derived_exponents,
     extremal_blocks,
     extremal_levels,
@@ -35,9 +34,7 @@ from .spectral import (
     GridSpec,
     SpectralFunction,
     _blocks_norm,
-    _factor_norms,
     _parseval,
-    _route,
     truncation_error,
 )
 
@@ -164,7 +161,7 @@ def _rate_level(
     grid = GridSpec.minimal_for(level_bandwidth(blocks))
     exact = grid.cells <= max_grid_cells
     built = time.perf_counter()
-    normalizer, route = _class_functional(blocks, grid, tp.source, exact)
+    normalizer, route = class_functional(blocks, grid, tp.source, exact)
     normalized = time.perf_counter()
     raw = _truncation_error(blocks, n, grid, tp)
     return RatePoint(
@@ -179,20 +176,6 @@ def _rate_level(
         normalize_s=normalized - built,
         truncate_s=time.perf_counter() - normalized,
     )
-
-
-def _class_functional(
-    blocks: Blocks, grid: GridSpec, params: BesovParams, exact: bool
-) -> tuple[float, str]:
-    """besov_functional(f, params, grid, exact) of the sum f of the blocks,
-    and its route (_route) or "bound": the whole-function norm is
-    _blocks_norm of the blocks, and the block norms come from their axis
-    factors."""
-    space = params.space
-    first, route = None, "bound"
-    if exact:
-        first, route = _blocks_norm(blocks, grid.shape, space), _route(blocks, space)
-    return _functional(first, _factor_norms(blocks, grid.shape, space), params), route
 
 
 def _truncation_error(blocks: Blocks, n: int, grid: GridSpec, tp: TheoremParams) -> float:

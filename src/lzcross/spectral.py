@@ -41,7 +41,8 @@ from .norms import (
 )
 
 Product = tuple[complex, list[np.ndarray]]  # (c, [K_1, ..., K_m]): product_factors
-Blocks = Mapping[MultiIndex, Product]  # {level: Product}: product_blocks, from_blocks
+Rows = tuple[np.ndarray, np.ndarray]  # (freqs, coeffs): a block off the product form
+Blocks = Mapping[MultiIndex, Product | Rows]  # {level: entry}: SpectralFunction.blocks
 
 
 @dataclass(frozen=True)
@@ -121,46 +122,23 @@ class SpectralFunction:
         return tuple(np.abs(self.freqs).max(axis=0, initial=0).tolist())
 
     @functools.cached_property
-    def sign_symmetric(self) -> bool:
-        """Whether every coefficient is real and each single-axis sign flip
-        maps the rows onto themselves, coefficient bits included.
-
-        Rows are grouped by |k|; each group must be the whole orbit of |k|,
-        2**(nonzero components of k) distinct sign patterns, under one
-        coefficient bit pattern.  The answer is found once per polynomial.
-        """
-        if self.coeffs.imag.any():
-            return False
-        mags = np.abs(self.freqs)
-        signs = (self.freqs < 0) @ (1 << np.arange(self.m, dtype=np.int64))
-        bits = self.coeffs.real.view(np.int64)
-        order = np.lexsort((signs, bits, *mags.T[::-1]))
-        mags, signs, bits = mags[order], signs[order], bits[order]
-        first = np.ones(len(order), dtype=bool)  # first row of its |k| group
-        first[1:] = (mags[1:] != mags[:-1]).any(axis=1)
-        inside = ~first[1:]
-        starts = np.flatnonzero(first)
-        sizes = np.diff(np.r_[starts, len(order)])
-        return (
-            np.array_equal(sizes, 1 << np.count_nonzero(mags[starts], axis=1))
-            and bool((bits[1:] == bits[:-1])[inside].all())
-            and bool((signs[1:] != signs[:-1])[inside].all())
-        )
-
-    @functools.cached_property
-    def product_blocks(self) -> dict[MultiIndex, Product] | None:
-        """{level: product_factors of the block's row arrays} over the
-        nonzero blocks of f, in the order of block_rows, when every block is
-        a constant on a product support; None as soon as one is not.
-        Found once per polynomial; it keeps only the axis sets, not the
-        blocks' rows."""
+    def blocks(self) -> dict[MultiIndex, Product | Rows]:
+        """{level: entry} over the nonzero blocks of f, in the order of
+        block_rows: the block's product_factors, (c, [K_1, ..., K_m]), or,
+        where it finds none, the block's own rows, (freqs, coeffs).  Found
+        once per polynomial; a product keeps only its axis sets."""
         out = {}
         for s, rows in block_rows(self).items():
-            product = product_factors(self.freqs[rows], self.coeffs[rows])
-            if product is None:
-                return None
-            out[s] = product
+            freqs, coeffs = self.freqs[rows], self.coeffs[rows]
+            out[s] = product_factors(freqs, coeffs) or (freqs, coeffs)
         return out
+
+    @functools.cached_property
+    def sign_symmetric(self) -> bool:
+        """Whether every coefficient is real and each single-axis sign flip
+        maps the rows onto themselves, coefficient bits included
+        (_sign_symmetric of f.blocks).  Found once per polynomial."""
+        return _sign_symmetric(self.blocks)
 
     def scaled(self, c: complex) -> "SpectralFunction":
         return SpectralFunction(self.m, (self.freqs, c * self.coeffs))
@@ -187,11 +165,13 @@ class SpectralFunction:
         }
 
     @classmethod
-    def from_blocks(cls, m: int, blocks: Blocks) -> "SpectralFunction":
+    def from_blocks(
+        cls, m: int, blocks: Mapping[MultiIndex, Product]
+    ) -> "SpectralFunction":
         """The polynomial with the coefficient c on every row of the product
         K_1 x ... x K_m (cartesian_rows) of each block (c, [K_1, ..., K_m]),
-        the blocks' rows one block after another: what product_blocks reads
-        back, up to the order of the blocks."""
+        the blocks' rows one block after another: when every block is such
+        a product, what f.blocks reads back, up to the order of the blocks."""
         if not blocks:
             return cls(m)
         rows = [cartesian_rows(ks) for _, ks in blocks.values()]
@@ -252,33 +232,6 @@ def _resolving(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridSpec:
     return grid
 
 
-def _samples(
-    f: SpectralFunction, grid: GridSpec | Sequence[int]
-) -> GridFunction | OrthantSamples:
-    """f on the grid by a complex ifft of its rows (_complex_samples); a
-    sign-symmetric f keeps the real part of its orthant, a fresh array, so
-    the complex grid is freed before the orthant is measured.  The grid
-    must resolve f (_resolving)."""
-    grid = _resolving(f, grid)
-    samples = _complex_samples(f.freqs, f.coeffs, grid.shape)
-    if not f.sign_symmetric:
-        return samples
-    orthant = tuple(slice(n // 2 + 1) for n in grid.shape)
-    return OrthantSamples(samples.values[orthant].real.copy(), grid.shape)
-
-
-def _complex_samples(
-    freqs: np.ndarray, coeffs: np.ndarray, shape: tuple[int, ...]
-) -> GridFunction:
-    """Samples on the whole grid `shape` of the polynomial with the
-    coefficients coeffs on the rows of freqs: a_k is written into the full
-    spectrum (_inverse_fft)."""
-    spec = np.zeros(shape, dtype=np.complex128)
-    # k mod N_j, as every N_j is a power of two; distinct rows stay distinct
-    spec[tuple((freqs & (np.array(shape) - 1)).T)] = coeffs
-    return _inverse_fft(spec)
-
-
 def _inverse_fft(spec: np.ndarray) -> GridFunction:
     """The samples of the full complex spectrum spec, by an ifft along
     every axis in place."""
@@ -287,83 +240,114 @@ def _inverse_fft(spec: np.ndarray) -> GridFunction:
     return GridFunction(spec)
 
 
-def _block_samples(blocks: Blocks, shape: tuple[int, ...]) -> OrthantSlabs | GridFunction:
-    """The sum of the uniform product blocks {level: (c, [K_1, ..., K_m])}
-    on the grid `shape`, listing no row: a sign-symmetric list
-    (_sign_symmetric) as OrthantSlabs drawn from the factor matrices of
-    its blocks (_orthant_slabs); any other, the empty one included, by one
-    complex ifft of the spectrum filled block by block, c on the product of
-    the K_j mod N_j, the array _complex_samples writes from their rows."""
-    if blocks and _sign_symmetric(blocks):
+def _block_samples(
+    blocks: Blocks, shape: tuple[int, ...]
+) -> OrthantSlabs | OrthantSamples | GridFunction:
+    """The sum of the blocks on the grid `shape`: a sign-symmetric list of
+    products (_products) as OrthantSlabs drawn from the factor matrices of
+    its blocks (_orthant_slabs), listing no row; any other, the empty one
+    included, by one complex ifft of the spectrum filled block by block, c
+    on the product of the K_j mod N_j or each row's coefficient at k mod
+    N_j.  Of a sign-symmetric list the real part of the orthant is kept, a
+    fresh array, so the complex grid is freed before the orthant is
+    measured."""
+    symmetric = _sign_symmetric(blocks)
+    if symmetric and _products(blocks):
         factors = _factor_matrices([blocks[s] for s in sorted(blocks)], shape)
         return OrthantSlabs(functools.partial(_orthant_slabs, factors), shape)
     spec = np.zeros(shape, dtype=np.complex128)
-    for c, axis_sets in blocks.values():
-        spec[np.ix_(*(k & (n - 1) for k, n in zip(axis_sets, shape)))] = c
-    return _inverse_fft(spec)
+    mask = np.array(shape) - 1  # k mod N_j, as every N_j is a power of two
+    for a, b in blocks.values():
+        if isinstance(b, list):  # (c, [K_1, ..., K_m])
+            spec[np.ix_(*(k & n for k, n in zip(b, mask)))] = a
+        else:  # (freqs, coeffs); distinct rows stay distinct
+            spec[tuple((a & mask).T)] = b
+    samples = _inverse_fft(spec)
+    if not symmetric:
+        return samples
+    orthant = tuple(slice(n // 2 + 1) for n in shape)
+    return OrthantSamples(samples.values[orthant].real.copy(), shape)
+
+
+def _grid(blocks: Blocks, shape: tuple[int, ...]) -> GridFunction:
+    """Every sample of the sum of the blocks on the grid `shape`
+    (_block_samples): an orthant, drawn as one slab of the whole last axis
+    if need be, is mirrored into float64 samples exactly even in every
+    variable; any other list comes back as complex128 samples."""
+    samples = _block_samples(blocks, shape)
+    if isinstance(samples, OrthantSlabs):
+        (values,) = samples.slabs(shape[-1] // 2 + 1)
+        samples = OrthantSamples(values, shape)
+    return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
 
 
 def synthesize(f: SpectralFunction, grid: GridSpec | Sequence[int]) -> GridFunction:
-    """Evaluate the polynomial on the product grid via inverse FFTs.
+    """Evaluate the polynomial on the product grid via inverse FFTs, from
+    its block list (_grid of f.blocks).
 
     A sign-symmetric polynomial (f.sign_symmetric) is sampled on one
-    orthant, from its blocks' axis factors as one slab (_block_samples) or
-    as the real part of a complex inverse FFT (_samples), and mirrored, so
-    its samples are float64 and exactly even in every variable.  Every
-    other one, whose blocks are not looked for, comes back as complex128
-    samples of a complex inverse FFT of its rows.
+    orthant, from its blocks' axis factors as one slab when every block is
+    a product, else as the real part of a complex inverse FFT, and
+    mirrored, so its samples are float64 and exactly even in every
+    variable.  Every other one comes back as complex128 samples of one
+    complex inverse FFT.
     """
-    shape = _resolving(f, grid).shape
-    if f.sign_symmetric and f.product_blocks:
-        (values,) = _block_samples(f.product_blocks, shape).slabs(shape[-1] // 2 + 1)
-        return OrthantSamples(values, shape).to_grid()
-    samples = _samples(f, shape)
-    return samples.to_grid() if isinstance(samples, OrthantSamples) else samples
+    return _grid(f.blocks, _resolving(f, grid).shape)
+
+
+def _check_space(f: SpectralFunction, params: MixedSpaceParams) -> None:
+    if params.m != f.m:
+        raise ValueError("space arity does not match spectral function")
 
 
 def grid_norm(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> float:
     """anisotropic_norm(synthesize(f, grid), params), keeping nothing between
-    calls.
+    calls: _blocks_norm of f.blocks.
 
-    grid_route(f, grid, params) names the samples measured.  A
-    sign-symmetric f with terms whose blocks are all uniform products
-    (f.product_blocks) is measured from its block list (_blocks_norm,
-    _route), any other from its rows (_samples): on its orthant if f is
-    sign-symmetric ("orthant"), else on the whole grid ("grid").  Outside
-    plain L_p the profile, and so the norm, equals the full grid's bit for
-    bit; inside, the product and orthant sums agree with the full grid's to
-    a relative 1e-13.
+    grid_route(f, grid, params) names the samples measured: the blocks'
+    1-D axis factors ("product"), f's orthant if f is sign-symmetric
+    ("orthant"), else the whole grid ("grid").  Outside plain L_p the
+    profile, and so the norm, equals the full grid's bit for bit; inside,
+    the product and orthant sums agree with the full grid's to a relative
+    1e-13.
     """
     shape = _resolving(f, grid).shape
-    if f.m == params.m and f.sign_symmetric and f.product_blocks:
-        return _blocks_norm(f.product_blocks, shape, params)
-    return anisotropic_norm(_samples(f, shape), params)
+    _check_space(f, params)
+    return _blocks_norm(f.blocks, shape, params)
 
 
 def grid_route(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> str:
-    """The samples grid_norm(f, grid, params) measures: _route of
-    f.product_blocks when f is sign-symmetric with uniform product blocks,
-    else "orthant" if f is sign-symmetric, else "grid".  The route is the
-    same on every grid that resolves f."""
-    if f.m == params.m and f.sign_symmetric and f.product_blocks is not None:
-        return _route(f.product_blocks, params)
-    return "orthant" if f.sign_symmetric else "grid"
+    """The samples grid_norm(f, grid, params) measures: _route of f.blocks.
+    The route is the same on every grid that resolves f; a grid or space
+    that grid_norm refuses is refused here too."""
+    _resolving(f, grid)
+    _check_space(f, params)
+    return _route(f.blocks, params)
+
+
+def _products(blocks: Blocks) -> bool:
+    """Whether blocks lists one or more blocks, each a product
+    (c, [K_1, ..., K_m]); a sign-symmetric such list is sampled from its
+    axis factors."""
+    return bool(blocks) and all(isinstance(b, list) for _, b in blocks.values())
 
 
 def _route(blocks: Blocks, params: MixedSpaceParams) -> str:
     """The samples _blocks_norm(blocks, shape, params) measures: "product",
-    a plain L_p norm of a sign-symmetric list with blocks, summed from
-    their 1-D axis factors, no grid of two or more axes built; "orthant",
-    any other sign-symmetric list, drawn slab by slab from the same factors
-    and rearranged, the orthant never held; "grid", the rest, sampled on
-    the whole grid (_block_samples)."""
+    a plain L_p norm of a sign-symmetric list of products (_products),
+    summed from their 1-D axis factors, no grid of two or more axes built;
+    "orthant", any other sign-symmetric list, a list of products drawn
+    slab by slab from the same factors and rearranged, the orthant never
+    held, or the real orthant of one complex ifft; "grid", the rest,
+    sampled on the whole grid (_block_samples)."""
     if not _sign_symmetric(blocks):
         return "grid"
-    return "product" if blocks and params.lebesgue_index() is not None else "orthant"
+    lebesgue = params.lebesgue_index() is not None
+    return "product" if lebesgue and _products(blocks) else "orthant"
 
 
 def product_factors(freqs: np.ndarray, coeffs: np.ndarray) -> Product | None:
@@ -391,82 +375,86 @@ def _axis_factor(k: np.ndarray, n: int) -> OrthantSamples:
     return OrthantSamples(samples[: n // 2 + 1].copy(), (n,))
 
 
-def _axis_samples(k: np.ndarray, n: int) -> GridFunction:
-    """Coefficient 1 on each frequency of the sorted axis set k, sampled on
-    n points: on its orthant and mirrored when k = -k, else by one complex
-    ifft."""
-    if np.array_equal(k, -k[::-1]):
-        return _axis_factor(k, n).to_grid()
-    return _complex_samples(k[:, None], np.ones(len(k)), (n,))
-
-
 def block_norms(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> dict[MultiIndex, float]:
     """{level: norm in params on the grid} over the nonzero blocks of f, in
-    the order of block_rows.
-
-    A block that is the constant c on a product of axis sets
-    (product_factors of its rows; f.product_blocks when every block is one)
-    is measured from its axis factors (_factor_norms); the product grid is
-    never built.  Any other block is synthesized on the whole grid.  The
-    grid must resolve f (_resolving).
-    """
-    shape = _resolving(f, grid).shape
-    if f.product_blocks is not None:
-        return _factor_norms(f.product_blocks, shape, params)
-    rows = block_rows(f)
-    products = {s: product_factors(f.freqs[r], f.coeffs[r]) for s, r in rows.items()}
-    norms = _factor_norms(
-        {s: b for s, b in products.items() if b is not None}, shape, params
-    )
-    return {
-        s: norms[s] if s in norms
-        else anisotropic_norm(synthesize(f.restrict(rows[s]), shape), params)
-        for s in products
-    }
+    the order of block_rows: _factor_norms of f.blocks.  A product block is
+    measured from its axis factors, and the product grid is never built;
+    any other block is synthesized on the whole grid.  The grid must
+    resolve f (_resolving)."""
+    return _factor_norms(f.blocks, _resolving(f, grid).shape, params)
 
 
 def _factor_norms(
     blocks: Blocks, shape: tuple[int, ...], params: MixedSpaceParams
 ) -> dict[MultiIndex, float]:
-    """{level: norm in params on the grid `shape`} of the uniform product
-    blocks {level: (c, [K_1, ..., K_m])}, in their order: |c| times the
-    product of the axis factors' one-axis norms, each factor sampled on its
-    own axis of the grid (_axis_samples) and measured once per call for
-    each distinct (axis set, N_j, axis space)."""
+    """{level: norm in params on the grid `shape`} of the blocks, in their
+    order.  A product (c, [K_1, ..., K_m]) is |c| times the product of its
+    axis factors' one-axis norms, each factor, coefficient 1 on K_j,
+    sampled on its own axis of the grid and measured once per call for
+    each distinct (axis set, N_j, axis space): on its orthant and mirrored
+    when K_j = -K_j, else by one complex ifft (_grid).  A block's own rows
+    are measured on its whole grid, as synthesize samples them."""
 
     @functools.cache
     def factor_norm(k: bytes, n: int, ax: ScalarSpaceParams) -> float:
-        samples = _axis_samples(np.frombuffer(k, dtype=np.int64), n)
+        k = np.frombuffer(k, dtype=np.int64)
+        if np.array_equal(k, -k[::-1]):
+            samples = _axis_factor(k, n).to_grid()
+        else:
+            samples = _grid({(0,): (1 + 0j, [k])}, (n,))
         return anisotropic_norm(samples, MixedSpaceParams((ax,)))
 
     return {
-        s: abs(c) * math.prod(
+        s: abs(a) * math.prod(
             factor_norm(k.tobytes(), n, ax)
-            for k, n, ax in zip(axis_sets, shape, params.axes, strict=True)
+            for k, n, ax in zip(b, shape, params.axes, strict=True)
         )
-        for s, (c, axis_sets) in blocks.items()
+        if isinstance(b, list)
+        else anisotropic_norm(_grid({s: (a, b)}, shape), params)
+        for s, (a, b) in blocks.items()
     }
 
 
 def _sign_symmetric(blocks: Blocks) -> bool:
-    """SpectralFunction.sign_symmetric of the sum of the uniform product
-    blocks: a flip of axis j keeps each row's block, so it maps the rows
-    onto themselves when every c is real and every sorted axis set K_j is
-    -K_j."""
-    return all(
-        not c.imag and all(np.array_equal(k, -k[::-1]) for k in axis_sets)
-        for c, axis_sets in blocks.values()
-    )
+    """SpectralFunction.sign_symmetric of the sum of the blocks.  A flip
+    of axis j keeps each row's block, so the rows map onto themselves when
+    each block's do.  A product's do when c is real and every sorted axis
+    set K_j is -K_j.  A block's own rows are grouped by |k|; each group
+    must be the whole orbit of |k|, 2**(nonzero components of k) distinct
+    sign patterns, under one real coefficient bit pattern."""
+    for a, b in blocks.values():
+        if isinstance(b, list):
+            if a.imag or not all(np.array_equal(k, -k[::-1]) for k in b):
+                return False
+            continue
+        if b.imag.any():
+            return False
+        mags = np.abs(a)
+        signs = (a < 0) @ (1 << np.arange(a.shape[1], dtype=np.int64))
+        bits = b.real.view(np.int64)
+        order = np.lexsort((signs, bits, *mags.T[::-1]))
+        mags, signs, bits = mags[order], signs[order], bits[order]
+        first = np.ones(len(order), dtype=bool)  # first row of its |k| group
+        first[1:] = (mags[1:] != mags[:-1]).any(axis=1)
+        inside = ~first[1:]
+        starts = np.flatnonzero(first)
+        sizes = np.diff(np.r_[starts, len(order)])
+        if not (
+            np.array_equal(sizes, 1 << np.count_nonzero(mags[starts], axis=1))
+            and (bits[1:] == bits[:-1])[inside].all()
+            and (signs[1:] != signs[:-1])[inside].all()
+        ):
+            return False
+    return True
 
 
 def _blocks_norm(blocks: Blocks, shape: tuple[int, ...], params: MixedSpaceParams) -> float:
-    """Norm in params on the grid `shape` of the sum of the uniform product
-    blocks {level: (c, [K_1, ..., K_m])}: on the "product" route (_route)
-    summed by _product_norm from the blocks' 1-D axis factors, taken in
-    lexicographic order of their levels (block_rows order), else measured
-    on _block_samples; 0.0 for no blocks."""
+    """Norm in params on the grid `shape` of the sum of the blocks: on the
+    "product" route (_route) summed by _product_norm from the blocks' 1-D
+    axis factors, taken in lexicographic order of their levels (block_rows
+    order), else measured on _block_samples; 0.0 for no blocks."""
     if not blocks:
         return 0.0
     if _route(blocks, params) == "product":
@@ -628,6 +616,7 @@ def truncation_error(
     relative 1e-8, and when no grid is given it is returned directly
     (plain-L2 targets only).
     """
+    _check_space(f, target)
     residual = f.restrict(~_cross_mask(f, n, gamma))
     parseval = residual.l2_norm() if target.is_plain_l2() else None
     if grid is None:

@@ -150,11 +150,11 @@ def test_block_norm_product_path_matches_dense(monkeypatch):
     # other by a complex ifft; any other block is synthesized on the whole
     # grid
     calls = []
-    for name in ("_axis_factor", "_complex_samples"):
+    for name in ("_axis_factor", "_inverse_fft"):
         original = getattr(spectral, name)
 
         def spy(*args, name=name, original=original):
-            shape = args[-1]
+            shape = getattr(args[-1], "shape", args[-1])
             calls.append((name, shape if isinstance(shape, tuple) else (shape,)))
             return original(*args)
 
@@ -168,8 +168,8 @@ def test_block_norm_product_path_matches_dense(monkeypatch):
     one_sided = SpectralFunction(2, {(k0, k1): 0.7 for k0 in (2, 3) for k1 in (-1, 1)})
     expected = {
         uniform: [("_axis_factor", (16,)), ("_axis_factor", (8,))],
-        ragged: [("_complex_samples", (16, 8))],
-        one_sided: [("_complex_samples", (16,)), ("_axis_factor", (8,))],
+        ragged: [("_inverse_fft", (16, 8))],
+        one_sided: [("_inverse_fft", (16,)), ("_axis_factor", (8,))],
     }
     for space in (
         MixedSpaceParams.of(["3/2", 2], [0.5, 0.0], [2.0, 3.0]),
@@ -194,27 +194,32 @@ def test_block_norms_measure_each_distinct_axis_factor_once(monkeypatch):
     grid = GridSpec.minimal_for(f.bandwidth())
     space = MixedSpaceParams.of(["3/2"] * 2, [0.5] * 2, [2.0] * 2)
     # eight blocks (s, 9 - s) on the layer: sixteen axis factors, eight distinct
-    assert grid.shape[0] == grid.shape[1] and len(f.product_blocks) == 8
-    original = spectral._axis_samples
+    assert grid.shape[0] == grid.shape[1] and len(f.blocks) == 8
+    assert spectral._products(f.blocks)
+
+    def axis_factor(k, n):  # coefficient 1 on the axis set k, on n points
+        return synthesize(SpectralFunction(1, {(kj,): 1.0 for kj in k.tolist()}), (n,))
+
     want = {
         s: abs(c) * math.prod(
-            anisotropic_norm(original(k, n), MixedSpaceParams((ax,)))
+            anisotropic_norm(axis_factor(k, n), MixedSpaceParams((ax,)))
             for k, n, ax in zip(sets, grid.shape, space.axes)
         )
-        for s, (c, sets) in f.product_blocks.items()
+        for s, (c, sets) in f.blocks.items()
     }
     distinct = {
         (k.tobytes(), n, ax)
-        for _, sets in f.product_blocks.values()
+        for _, sets in f.blocks.values()
         for k, n, ax in zip(sets, grid.shape, space.axes)
     }
     calls = []
+    original = spectral._axis_factor
 
     def spy(k, n):
         calls.append((k.tobytes(), n))
         return original(k, n)
 
-    monkeypatch.setattr(spectral, "_axis_samples", spy)
+    monkeypatch.setattr(spectral, "_axis_factor", spy)
     for _ in range(2):
         calls.clear()
         got = block_norms(f, grid, space)
@@ -229,14 +234,14 @@ def test_triangle_bound_on_a_held_axis_samples_no_bivariate_grid(monkeypatch):
     # from the block list
     tp = make_tp(["3/2", "3/2"], [2, 2], [1, 2])
     f = extremal_f1(8, tp)
-    assert not f.sign_symmetric and f.product_blocks is not None
+    assert not f.sign_symmetric and spectral._products(f.blocks)
     grid = GridSpec.minimal_for(f.bandwidth())
     shapes = []
-    for name in ("_axis_factor", "_complex_samples", "_block_samples"):
+    for name in ("_axis_factor", "_inverse_fft"):
         original = getattr(spectral, name)
 
         def spy(*args, original=original):
-            shape = args[-1]
+            shape = getattr(args[-1], "shape", args[-1])
             shapes.append(shape if isinstance(shape, tuple) else (shape,))
             return original(*args)
 
@@ -260,7 +265,7 @@ def test_triangle_bound_refuses_a_grid_too_coarse_for_f():
     coeffs = {k: 0.3 for k in rho_block((2, 1))}
     uniform = SpectralFunction(2, coeffs)
     ragged = SpectralFunction(2, {**coeffs, (2, 1): 0.1})
-    assert uniform.product_blocks is not None and ragged.product_blocks is None
+    assert spectral._products(uniform.blocks) and not spectral._products(ragged.blocks)
     for f in (uniform, ragged):
         assert besov_functional(f, params, (8, 8), exact=False) > 0.0
         for coarse in ((4, 8), (8, 2)):

@@ -796,17 +796,16 @@ def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
     # the class functional sums the product of f's 1-D axis factors; the
     # truncation error samples the residual, f itself, on the orthant of its
     # 2-D grid, drawn from the same kind of factors (the axis factors and
-    # blocks are measured on 1-D axis grids); both entries to a 2-D
-    # synthesis, of a polynomial's rows and of a block list, are counted
+    # blocks are measured on 1-D axis grids); every synthesis, of a
+    # polynomial or of a block list, enters through the one sampler
     shapes = []
-    for name in ("_samples", "_block_samples"):
-        original = getattr(spectral, name)
+    original = spectral._block_samples
 
-        def counting(f, grid, original=original):
-            shapes.append(tuple(getattr(grid, "shape", grid)))
-            return original(f, grid)
+    def counting(blocks, shape):
+        shapes.append(tuple(shape))
+        return original(blocks, shape)
 
-        monkeypatch.setattr(spectral, name, counting)
+    monkeypatch.setattr(spectral, "_block_samples", counting)
     params = BENCH / "params" / "rate-2d-lz.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
@@ -814,11 +813,12 @@ def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
 
 
 def count_kernel_calls(monkeypatch) -> dict:
-    """{name: [grid, ...]} that gains the grid of each call of _samples(f,
-    grid), as its shape, and of the synthesis kernels _axis_factor(k, n) and
-    _complex_samples(freqs, coeffs, shape)."""
+    """{name: [grid, ...]} that gains the grid of each call of the sampler
+    _block_samples(blocks, shape) and of the synthesis kernels
+    _axis_factor(k, n) and _inverse_fft(spec), as its shape (n or
+    spec.shape)."""
     calls = {}
-    for name in ("_samples", "_axis_factor", "_complex_samples"):
+    for name in ("_block_samples", "_axis_factor", "_inverse_fft"):
         original, calls[name] = getattr(spectral, name), []
 
         def counting(*args, seen=calls[name], original=original):
@@ -839,7 +839,7 @@ def test_lorentz_zygmund_rate_levels_transform_no_bivariate_orthant(
     params = BENCH / "params" / "rate-2d-lz.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
-    assert calls["_axis_factor"] and calls["_complex_samples"] == []
+    assert calls["_axis_factor"] and calls["_inverse_fft"] == []
 
 
 def test_rate_manifest_times_the_stages_of_each_level(tmp_path):
@@ -888,7 +888,7 @@ def test_plain_l2_rate_levels_synthesize_no_bivariate_grid(tmp_path, monkeypatch
     blocks = sum(len(extremal_levels(n, _theorem_params(read_json(params)), 1))
                  for n in range(6, 10))
     assert len(calls["_axis_factor"]) >= 2 * blocks
-    assert calls["_samples"] == calls["_complex_samples"] == []
+    assert calls["_block_samples"] == calls["_inverse_fft"] == []
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
     assert [level["normalizer"] for level in levels] == ["product"] * 4
 

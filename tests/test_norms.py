@@ -533,7 +533,8 @@ def test_lorentz_zygmund_grid_norm_of_a_product_holds_no_orthant():
     # half-width profile is summed in batches of two slabs
     n = 2048
     f = dirichlet_block((8, 8))
-    assert f.sign_symmetric and len(f.product_blocks) == 1  # tested untraced
+    assert f.sign_symmetric and spectral._products(f.blocks)  # tested untraced
+    assert len(f.blocks) == 1
     grid = GridSpec((n, n))
     lz = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [3.0, 1.5])
     assert spectral.grid_route(f, grid, lz) == "orthant"
@@ -569,10 +570,10 @@ def test_profile_and_orthant_norms_take_their_powers_one_batch_of_columns_at_a_t
     grid = GridSpec((1024, 1024))
     grid_norm(f, grid, lz)  # fills the weight cache
     prof = iterated_rearrangement(
-        spectral._block_samples(f.product_blocks, grid.shape), lz.axes[0].tau
+        spectral._block_samples(f.blocks, grid.shape), lz.axes[0].tau
     )
     assert isinstance(prof, HalfProfile)
-    (orthant,) = spectral._block_samples(f.product_blocks, grid.shape).slabs(513)
+    (orthant,) = spectral._block_samples(f.blocks, grid.shape).slabs(513)
     samples = OrthantSamples(orthant, grid.shape)
     batch = 1024 * norms._COLUMNS * 8
     bound = batch + 128 * 1024
@@ -629,7 +630,7 @@ def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
     # the batches of rows it was joined from
     tracemalloc.start()
     try:
-        (orthant,) = spectral._block_samples(other.product_blocks, grid.shape).slabs(513)
+        (orthant,) = spectral._block_samples(other.blocks, grid.shape).slabs(513)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -646,12 +647,13 @@ def test_symmetric_polynomial_off_the_product_form_frees_its_complex_grid():
     params = MixedSpaceParams.of(["3/2", "3"], [0.5, -0.25], [2.0, 1.5])
     grid = GridSpec((1024, 1024))
     f = SpectralFunction(2, ragged)
-    assert f.sign_symmetric and f.product_blocks is None
+    assert f.sign_symmetric and not spectral._products(f.blocks)
     grid_norm(f, grid, params)  # fills the weight cache
     bound = 1024 * 1024 * 16 + 513 * 513 * 8 + 64 * 1024  # complex grid, orthant
-    f = f.scaled(2.0)  # fresh, so its symmetry and block tests are traced too
-    assert traced_peak(lambda: spectral._samples(f, grid)) <= bound
-    assert traced_peak(lambda: grid_norm(f, grid, params)) <= bound
+    g = f.scaled(2.0)  # fresh, so its block list and symmetry test are traced too
+    assert traced_peak(lambda: spectral._block_samples(g.blocks, grid.shape)) <= bound
+    g = f.scaled(2.0)
+    assert traced_peak(lambda: grid_norm(g, grid, params)) <= bound
 
 
 def test_product_route_builds_no_grid():
@@ -688,7 +690,8 @@ def test_synthesize_of_a_product_holds_its_grid_and_one_orthant():
     # slab are let go before the grid is made)
     for f, grid in ((dirichlet_block((8, 8)), GridSpec((1024, 1024))),
                     (dirichlet_block((5, 6, 5)), GridSpec((128, 256, 128)))):
-        assert f.sign_symmetric and len(f.product_blocks) == 1  # tested untraced
+        assert f.sign_symmetric and spectral._products(f.blocks)  # tested untraced
+        assert len(f.blocks) == 1
         orthant = math.prod(n // 2 + 1 for n in grid.shape) * 8
         peak = traced_peak(lambda: synthesize(f, grid))
         assert peak <= grid.cells * 8 + orthant + 512 * 1024 < grid.cells * 8 + 2 * orthant

@@ -12,7 +12,6 @@ from lzcross import experiments, spectral
 from lzcross.classes import (
     BesovParams,
     TheoremParams,
-    _functional,
     besov_functional,
     derived_exponents,
     extremal_blocks,
@@ -22,7 +21,12 @@ from lzcross.classes import (
     extremal_levels,
 )
 from lzcross.indexsets import Anisotropy, axis_block, block_levels
-from lzcross.norms import DEFAULT_MAX_GRID_CELLS, MixedSpaceParams, anisotropic_norm
+from lzcross.norms import (
+    DEFAULT_MAX_GRID_CELLS,
+    MixedSpaceParams,
+    anisotropic_norm,
+    mixed_sequence_norm,
+)
 from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
@@ -82,9 +86,20 @@ CASES = [
 
 
 def row_norm(f, shape, space):
-    """The norm of f's samples by a complex ifft of its listed rows, which
-    grid_norm would take from f's block list."""
-    return anisotropic_norm(spectral._complex_samples(f.freqs, f.coeffs, shape), space)
+    """The norm of f's samples by a complex ifft of its listed rows, each
+    a_k written at k mod N_j, which grid_norm would take from f's block
+    list."""
+    spec = np.zeros(shape, dtype=np.complex128)
+    spec[tuple((f.freqs % np.array(shape)).T)] = f.coeffs
+    return anisotropic_norm(spectral._inverse_fft(spec), space)
+
+
+def functional(first, norms, params):
+    """The class functional from its whole-function norm and block norms:
+    first plus the sequence norm of the block norms weighted by 2^<s, r>."""
+    r = [float(v) for v in params.r]
+    weighted = {s: 2.0 ** sum(sj * rj for sj, rj in zip(s, r)) * v for s, v in norms.items()}
+    return first + mixed_sequence_norm(weighted, params.thetas)
 
 
 def row_level(n, tp, which, max_grid_cells):
@@ -99,7 +114,7 @@ def row_level(n, tp, which, max_grid_cells):
     plain_l2 = tp.target.is_plain_l2()
     if route == "grid":
         first = row_norm(f, grid.shape, tp.source.space)
-        normalizer = _functional(first, block_norms(f, grid, tp.source.space), tp.source)
+        normalizer = functional(first, block_norms(f, grid, tp.source.space), tp.source)
     else:
         normalizer = besov_functional(f, tp.source, grid, exact)
     if route == "grid" and not plain_l2:
@@ -118,7 +133,7 @@ def block_level(n, tp, which, max_grid_cells, monkeypatch):
     """experiments._rate_level, with the class functional and the raw error
     it computed on the way."""
     seen = {}
-    for name in ("_class_functional", "_truncation_error"):
+    for name in ("class_functional", "_truncation_error"):
         original = getattr(experiments, name)
 
         def recording(*args, name=name, original=original):
@@ -127,7 +142,7 @@ def block_level(n, tp, which, max_grid_cells, monkeypatch):
 
         monkeypatch.setattr(experiments, name, recording)
     pt = experiments._rate_level(n, tp, which, max_grid_cells, derived_exponents(tp))
-    normalizer, route = seen["_class_functional"]
+    normalizer, route = seen["class_functional"]
     assert route == pt.normalizer
     return {
         "error": pt.error.hex(), "normalizer": normalizer.hex(),
@@ -198,7 +213,7 @@ def test_product_sums_take_their_blocks_in_lexicographic_order(monkeypatch):
         for i, s in enumerate(levels)
     }
     f = SpectralFunction.from_blocks(2, blocks)
-    assert list(f.product_blocks) == sorted(levels)
+    assert list(f.blocks) == sorted(levels)
     seen = []
     for name in ("_product_norm", "_factor_matrices"):
         original = getattr(spectral, name)

@@ -15,6 +15,8 @@ from lzcross.spectral import (
     block_rows,
     cross_truncate,
     dirichlet_block,
+    grid_norm,
+    grid_route,
     synthesize,
     truncation_error,
 )
@@ -181,6 +183,37 @@ def test_truncation_error_rejects_arity_mismatch():
     l2 = MixedSpaceParams.of([2, 2], [0.0] * 2, [2.0] * 2)
     with pytest.raises(ValueError, match="anisotropy arity does not match"):
         truncation_error(f, 2, Anisotropy.of([1]), l2, None)
+
+
+def test_truncation_error_rejects_a_target_of_another_arity():
+    # without a grid the Parseval value of the residual was returned, for
+    # a 3-axis target on a 2-variable f sqrt(5)
+    f = SpectralFunction(2, {(1, 8): 1.0, (1, 1): 1.0, (2, 9): 2.0})
+    l2 = MixedSpaceParams.of([2] * 3, [0.0] * 3, [2.0] * 3)
+    for grid in (None, GridSpec((8, 32))):
+        with pytest.raises(ValueError, match="space arity does not match"):
+            truncation_error(f, 2, Anisotropy.of([1, 1]), l2, grid)
+
+
+def test_grid_route_names_no_route_for_a_space_of_another_arity():
+    # grid_norm refuses such a space, so grid_route names no route for it
+    for f in (dirichlet_block((2, 2)), SpectralFunction(2), SpectralFunction(2, {(1, 3): 1j})):
+        for m in (1, 3):
+            space = MixedSpaceParams.of(["3/2"] * m, [0.0] * m, [1.5] * m)
+            with pytest.raises(ValueError, match="space arity does not match"):
+                grid_route(f, (16, 16), space)
+            with pytest.raises(ValueError, match="space arity does not match"):
+                grid_norm(f, (16, 16), space)
+
+
+def test_grid_route_refuses_the_grids_grid_norm_refuses():
+    f = SpectralFunction(2, {(9, 3): 1.0, (-9, 3): 1.0, (9, -3): 1.0, (-9, -3): 1.0})
+    space = MixedSpaceParams.of(["3/2"] * 2, [0.0] * 2, [1.5] * 2)
+    assert grid_route(f, (32, 8), space) == "product"
+    for grid, match in (((16, 8), "too coarse"), ((32,), "grid arity")):
+        for measure in (grid_route, grid_norm):
+            with pytest.raises(ValueError, match=match):
+                measure(f, grid, space)
 
 
 def test_truncation_error_monotone_in_level():
