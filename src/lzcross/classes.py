@@ -189,10 +189,13 @@ def class_functional(
     grid_norm's, from the blocks (_blocks_norm); without, its triangle
     bound, the sum of the block norms.  To it is added the sequence norm
     over the levels of the block norms (block_norms', from the blocks'
-    axis factors) weighted by 2^<s, r>."""
+    axis factors) weighted by 2^<s, r>.  Both parts read one table of the
+    blocks' sign-symmetric axis factors (spectral._orthant_factor), made
+    for this call: each distinct (K, N_j) is synthesized once."""
     space = params.space
-    first = _blocks_norm(blocks, grid.shape, space) if exact else None
-    norms = _factor_norms(blocks, grid.shape, space)
+    factors = {}
+    first = _blocks_norm(blocks, grid.shape, space, factors) if exact else None
+    norms = _factor_norms(blocks, grid.shape, space, factors)
     r = [float(v) for v in params.r]
     weighted = {
         s: 2.0 ** (sum(sj * rj for sj, rj in zip(s, r))) * v
@@ -303,7 +306,7 @@ def extremal_blocks(
 
     @functools.cache
     def axis_set(sj: int) -> np.ndarray:
-        return np.array(axis_block(sj) if sj else [1], dtype=np.int64)
+        return axis_block(sj) if sj else np.ones(1, dtype=np.int64)
 
     blocks = {}
     for s in levels:

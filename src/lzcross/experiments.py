@@ -183,14 +183,14 @@ def _truncation_error(blocks: Blocks, n: int, grid: GridSpec, tp: TheoremParams)
     for a plain-L2 target: a block is in the cross when its level is.  The
     Parseval sum counts each residual block's |c|^2 once per row, in f's
     row order; on any other target the residual is measured from its
-    blocks (_blocks_norm)."""
+    blocks (_blocks_norm), with a table of axis factors of its own."""
     keys = np.array(list(blocks), dtype=np.int64)
     inside = cross_membership(n, tp.gamma_prime, keys.T)
     outside = {s: b for (s, b), kept in zip(blocks.items(), inside) if not kept}
     if tp.target.is_plain_l2():
         coeffs = np.array([c for c, _ in outside.values()], dtype=np.complex128)
         return _parseval(coeffs, [math.prod(map(len, ks)) for _, ks in outside.values()])
-    return _blocks_norm(outside, grid.shape, tp.target)
+    return _blocks_norm(outside, grid.shape, tp.target, {})
 
 
 def approx_error_scan(

@@ -91,8 +91,9 @@ class Anisotropy:
         return tuple(float(w) for w in self.weights)
 
 
-def axis_block(s: int) -> list[int]:
-    """Harmonics of the one-dimensional dyadic block at level s, ascending.
+def axis_block(s: int) -> np.ndarray:
+    """Harmonics of the one-dimensional dyadic block at level s, ascending,
+    as an int64 array.
 
     Level 0 carries the single frequency 0; level s >= 1 carries the
     frequencies with 2**(s-1) <= |k| < 2**s.
@@ -100,9 +101,9 @@ def axis_block(s: int) -> list[int]:
     if s < 0:
         raise ValueError("block level must be nonnegative")
     if s == 0:
-        return [0]
+        return np.zeros(1, dtype=np.int64)
     lo, hi = 1 << (s - 1), 1 << s
-    return list(range(-hi + 1, -lo + 1)) + list(range(lo, hi))
+    return np.r_[-hi + 1 : -lo + 1, lo:hi].astype(np.int64, copy=False)
 
 
 def rho_block(s: Sequence[int]) -> list[FrequencyIndex]:

@@ -43,6 +43,7 @@ from .norms import (
 Product = tuple[complex, list[np.ndarray]]  # (c, [K_1, ..., K_m]): product_factors
 Rows = tuple[np.ndarray, np.ndarray]  # (freqs, coeffs): a block off the product form
 Blocks = Mapping[MultiIndex, Product | Rows]  # {level: entry}: SpectralFunction.blocks
+AxisFactors = dict[tuple[bytes, int], np.ndarray]  # {(K, N): factor}: _orthant_factor
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,8 @@ def _block_samples(
     measured."""
     symmetric = _sign_symmetric(blocks)
     if symmetric and _products(blocks):
-        factors = _factor_matrices([blocks[s] for s in sorted(blocks)], shape)
-        return OrthantSlabs(functools.partial(_orthant_slabs, factors), shape)
+        matrices = _factor_matrices([blocks[s] for s in sorted(blocks)], shape, {})
+        return OrthantSlabs(functools.partial(_orthant_slabs, matrices), shape)
     spec = np.zeros(shape, dtype=np.complex128)
     mask = np.array(shape) - 1  # k mod N_j, as every N_j is a power of two
     for a, b in blocks.values():
@@ -315,7 +316,7 @@ def grid_norm(
     """
     shape = _resolving(f, grid).shape
     _check_space(f, params)
-    return _blocks_norm(f.blocks, shape, params)
+    return _blocks_norm(f.blocks, shape, params, {})
 
 
 def grid_route(
@@ -337,13 +338,13 @@ def _products(blocks: Blocks) -> bool:
 
 
 def _route(blocks: Blocks, params: MixedSpaceParams) -> str:
-    """The samples _blocks_norm(blocks, shape, params) measures: "product",
-    a plain L_p norm of a sign-symmetric list of products (_products),
-    summed from their 1-D axis factors, no grid of two or more axes built;
-    "orthant", any other sign-symmetric list, a list of products drawn
-    slab by slab from the same factors and rearranged, the orthant never
-    held, or the real orthant of one complex ifft; "grid", the rest,
-    sampled on the whole grid (_block_samples)."""
+    """The samples _blocks_norm(blocks, shape, params, factors) measures:
+    "product", a plain L_p norm of a sign-symmetric list of products
+    (_products), summed from their 1-D axis factors, no grid of two or
+    more axes built; "orthant", any other sign-symmetric list, a list of
+    products drawn slab by slab from the same factors and rearranged, the
+    orthant never held, or the real orthant of one complex ifft; "grid",
+    the rest, sampled on the whole grid (_block_samples)."""
     if not _sign_symmetric(blocks):
         return "grid"
     lebesgue = params.lebesgue_index() is not None
@@ -375,6 +376,17 @@ def _axis_factor(k: np.ndarray, n: int) -> OrthantSamples:
     return OrthantSamples(samples[: n // 2 + 1].copy(), (n,))
 
 
+def _orthant_factor(k: bytes, n: int, factors: AxisFactors) -> np.ndarray:
+    """_axis_factor(K, n).values of the sign-symmetric axis set K, given as
+    its int64 bytes k, from the table factors: each (K, n) is synthesized
+    on first use and read from the table after.  A table starts empty in
+    one call, of a class functional, a norm or a sampler, and is dropped
+    when that call returns, so nothing is kept between calls."""
+    if (k, n) not in factors:
+        factors[k, n] = _axis_factor(np.frombuffer(k, dtype=np.int64), n).values
+    return factors[k, n]
+
+
 def block_norms(
     f: SpectralFunction, grid: GridSpec | Sequence[int], params: MixedSpaceParams
 ) -> dict[MultiIndex, float]:
@@ -383,25 +395,29 @@ def block_norms(
     measured from its axis factors, and the product grid is never built;
     any other block is synthesized on the whole grid.  The grid must
     resolve f (_resolving)."""
-    return _factor_norms(f.blocks, _resolving(f, grid).shape, params)
+    return _factor_norms(f.blocks, _resolving(f, grid).shape, params, {})
 
 
 def _factor_norms(
-    blocks: Blocks, shape: tuple[int, ...], params: MixedSpaceParams
+    blocks: Blocks,
+    shape: tuple[int, ...],
+    params: MixedSpaceParams,
+    factors: AxisFactors,
 ) -> dict[MultiIndex, float]:
     """{level: norm in params on the grid `shape`} of the blocks, in their
     order.  A product (c, [K_1, ..., K_m]) is |c| times the product of its
     axis factors' one-axis norms, each factor, coefficient 1 on K_j,
     sampled on its own axis of the grid and measured once per call for
-    each distinct (axis set, N_j, axis space): on its orthant and mirrored
-    when K_j = -K_j, else by one complex ifft (_grid).  A block's own rows
-    are measured on its whole grid, as synthesize samples them."""
+    each distinct (axis set, N_j, axis space): when K_j = -K_j, its orthant
+    from the table factors (_orthant_factor), mirrored, else by one
+    complex ifft (_grid).  A block's own rows are measured on its whole
+    grid, as synthesize samples them."""
 
     @functools.cache
-    def factor_norm(k: bytes, n: int, ax: ScalarSpaceParams) -> float:
-        k = np.frombuffer(k, dtype=np.int64)
+    def factor_norm(key: bytes, n: int, ax: ScalarSpaceParams) -> float:
+        k = np.frombuffer(key, dtype=np.int64)
         if np.array_equal(k, -k[::-1]):
-            samples = _axis_factor(k, n).to_grid()
+            samples = OrthantSamples(_orthant_factor(key, n, factors), (n,)).to_grid()
         else:
             samples = _grid({(0,): (1 + 0j, [k])}, (n,))
         return anisotropic_norm(samples, MixedSpaceParams((ax,)))
@@ -450,38 +466,44 @@ def _sign_symmetric(blocks: Blocks) -> bool:
     return True
 
 
-def _blocks_norm(blocks: Blocks, shape: tuple[int, ...], params: MixedSpaceParams) -> float:
+def _blocks_norm(
+    blocks: Blocks,
+    shape: tuple[int, ...],
+    params: MixedSpaceParams,
+    factors: AxisFactors,
+) -> float:
     """Norm in params on the grid `shape` of the sum of the blocks: on the
     "product" route (_route) summed by _product_norm from the blocks' 1-D
     axis factors, taken in lexicographic order of their levels (block_rows
-    order), else measured on _block_samples; 0.0 for no blocks."""
+    order) from the table factors (_orthant_factor), else measured on
+    _block_samples; 0.0 for no blocks."""
     if not blocks:
         return 0.0
     if _route(blocks, params) == "product":
         p = float(params.lebesgue_index())
-        return _product_norm([blocks[s] for s in sorted(blocks)], shape, p)
+        pieces = [blocks[s] for s in sorted(blocks)]
+        return _product_norm(pieces, shape, p, factors)
     return anisotropic_norm(_block_samples(blocks, shape), params)
 
 
 _ROWS = 256  # orthant rows per batch of _row_batches
 
 
-def _factor_matrices(pieces: list[Product], shape: tuple[int, ...]) -> list[np.ndarray]:
+def _factor_matrices(
+    pieces: list[Product], shape: tuple[int, ...], factors: AxisFactors
+) -> list[np.ndarray]:
     """[G_0, ..., G_{m-1}] of sum_b c_b prod_j D_{K_bj}(x_j) over the pieces
     (c_b, [K_b0, ...]), D_K the sum of exp(i k x) over k in K: column b of
-    G_j is the orthant synthesis of K_bj on N_j points (_axis_factor), each
-    distinct (K, N_j) made once, and G_0's columns are scaled by c_b."""
-
-    @functools.cache
-    def factor(k: bytes, n: int) -> np.ndarray:
-        return _axis_factor(np.frombuffer(k, dtype=np.int64), n).values
-
-    factors = [
-        np.column_stack([factor(ks[j].tobytes(), n) for _, ks in pieces])
+    G_j is the orthant synthesis of K_bj on N_j points, read from the table
+    factors (_orthant_factor), and G_0's columns are scaled by c_b."""
+    matrices = [
+        np.column_stack(
+            [_orthant_factor(ks[j].tobytes(), n, factors) for _, ks in pieces]
+        )
         for j, n in enumerate(shape)
     ]
-    factors[0] *= np.array([c.real for c, _ in pieces])
-    return factors
+    matrices[0] *= np.array([c.real for c, _ in pieces])
+    return matrices
 
 
 def _row_batches(heads: list[np.ndarray], width: int):
@@ -537,16 +559,18 @@ def _regroup(batches, size: int):
         yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _product_norm(pieces: list[Product], shape: tuple[int, ...], p: float) -> float:
+def _product_norm(
+    pieces: list[Product], shape: tuple[int, ...], p: float, factors: AxisFactors
+) -> float:
     """Plain L_p norm on the grid `shape` of the sum of the pieces
-    (_factor_matrices), from its 1-D axis factors.
+    (_factor_matrices), from its 1-D axis factors in the table factors.
 
     The sum is sign-symmetric (_route), so each K is too.  Each batch of
     orthant rows (_row_batches) times G_{m-1}^T samples them along the last
     axis in one reused buffer, and their powers are summed with the orthant
     weights [1, 2, ..., 2, 1] / N_j: no grid of two or more axes is held.
     """
-    *heads, last = _factor_matrices(pieces, shape)
+    *heads, last = _factor_matrices(pieces, shape, factors)
     *head_weights, w_last = (_orthant_weights(n) for n in shape)
     total, buf = 0.0, np.empty((min(_ROWS, math.prod(map(len, heads))), len(last)))
     for at, rows in _row_batches(heads, len(pieces)):

@@ -309,6 +309,44 @@ def test_class_functional_splits_the_blocks_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_class_functional_synthesizes_each_distinct_axis_factor_once(monkeypatch):
+    # the whole-function norm and the block norms of one call read one table
+    # of axis factors: each distinct (K, N_j) is synthesized once, block
+    # (s, t) sharing its axis sets with block (t, s) on the square grid, and
+    # the next call synthesizes them again, as no table outlives its call
+    calls = []
+    original = spectral._axis_factor
+
+    def spy(k, n):
+        calls.append((k.tobytes(), n))
+        return original(k, n)
+
+    monkeypatch.setattr(spectral, "_axis_factor", spy)
+    one = make_tp(["3/2"], [2], [1])
+    two = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
+    # axes of two Lorentz-Zygmund spaces: each factor is measured in both
+    mixed = make_tp(["3/2", "3/2"], [2, 2], [1, 1], alpha=[0.5, 0.0], tau1=[2.0, 3.0])
+    cases = [(one, 10, True), (one, 10, False), (two, 8, True), (two, 8, False),
+             (mixed, 8, False)]
+    for tp, n, exact in cases:
+        blocks = classes.extremal_blocks(n, tp, 1)
+        grid = GridSpec.minimal_for(level_bandwidth(blocks))
+        distinct = {
+            (k.tobytes(), size)
+            for _, axis_sets in blocks.values()
+            for k, size in zip(axis_sets, grid.shape)
+        }
+        assert len(distinct) == (1 if tp is one else 7)
+        values = []
+        for _ in range(2):
+            calls.clear()
+            value, route = classes.class_functional(blocks, grid, tp.source, exact)
+            assert route == ("product" if exact else "bound")
+            assert len(calls) == len(set(calls)) and set(calls) == distinct
+            values.append(value.hex())
+        assert values[0] == values[1]
+
+
 def test_extremal_f1_single_axis():
     tp = make_tp(["3/2"], [2], [1])
     f = extremal_f1(4, tp)

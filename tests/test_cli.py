@@ -880,14 +880,25 @@ def test_lorentz_zygmund_rate_levels_take_the_product_route(tmp_path):
 def test_plain_l2_rate_levels_synthesize_no_bivariate_grid(tmp_path, monkeypatch):
     # the residual is measured by Parseval and the class functional sums the
     # product of its 1-D axis factors: no grid is sampled, no complex ifft
-    # runs, and the block norms take one 1-D factor per block and axis
+    # runs, and the whole-function norm and the block norms share one
+    # synthesis of each distinct (axis set, N_j) of the level; block (s, t)
+    # shares its axis sets with block (t, s) on the square grid
     calls = count_kernel_calls(monkeypatch)
     params = BENCH / "params" / "rate-2d-l2.json"
     argv = ["theorem1", "rate", "--params", str(params), "--range", "6:9"]
     assert main(["--out", str(tmp_path)] + argv) == 0
-    blocks = sum(len(extremal_levels(n, _theorem_params(read_json(params)), 1))
-                 for n in range(6, 10))
-    assert len(calls["_axis_factor"]) >= 2 * blocks
+    tp = _theorem_params(read_json(params))
+    distinct = 0
+    for n in range(6, 10):
+        blocks = classes.extremal_blocks(n, tp, 1)
+        shape = GridSpec.minimal_for(classes.level_bandwidth(blocks)).shape
+        distinct += len({
+            (k.tobytes(), size)
+            for _, axis_sets in blocks.values()
+            for k, size in zip(axis_sets, shape)
+        })
+    assert distinct == 5 + 6 + 7 + 8  # the axis sets of levels 1..n-1
+    assert len(calls["_axis_factor"]) == distinct
     assert calls["_block_samples"] == calls["_inverse_fft"] == []
     levels = read_json(tmp_path / "manifest.json")["stats"]["levels"]
     assert [level["normalizer"] for level in levels] == ["product"] * 4

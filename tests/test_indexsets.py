@@ -29,11 +29,28 @@ def level_value(gamma: Anisotropy, s) -> Fraction:
     return sum((w * k for w, k in zip(gamma.weights, s)), Fraction(0))
 
 
+def listed_axis_block(s: int) -> list[int]:
+    """The level-s axis block listed integer by integer: 0 at level 0, else
+    the negative then the positive k with 2**(s-1) <= |k| < 2**s."""
+    if s == 0:
+        return [0]
+    lo, hi = 1 << (s - 1), 1 << s
+    return list(range(-hi + 1, -lo + 1)) + list(range(lo, hi))
+
+
 def test_axis_block_levels():
-    assert axis_block(0) == [0]
-    assert axis_block(1) == [-1, 1]
-    assert axis_block(2) == [-3, -2, 2, 3]
-    assert axis_block(3) == [-7, -6, -5, -4, 4, 5, 6, 7]
+    assert all(axis_block(s).dtype == np.int64 for s in range(4))
+    assert axis_block(0).tolist() == [0]
+    assert axis_block(1).tolist() == [-1, 1]
+    assert axis_block(2).tolist() == [-3, -2, 2, 3]
+    assert axis_block(3).tolist() == [-7, -6, -5, -4, 4, 5, 6, 7]
+
+
+def test_axis_block_matches_the_listed_block():
+    for s in range(21):
+        got = axis_block(s)
+        assert got.dtype == np.int64 and got.ndim == 1
+        assert got.tolist() == listed_axis_block(s)
 
 
 def test_axis_block_rejects_negative_level():

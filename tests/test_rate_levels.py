@@ -229,7 +229,7 @@ def test_product_sums_take_their_blocks_in_lexicographic_order(monkeypatch):
         MixedSpaceParams.of(["2"] * 2, [0.5] * 2, [3.0] * 2),
     ):
         seen.clear()
-        got = spectral._blocks_norm(blocks, shape, space)
+        got = spectral._blocks_norm(blocks, shape, space, {})
         assert seen and all(cs == [blocks[s][0] for s in sorted(levels)] for _, cs in seen)
         assert got.hex() == spectral.grid_norm(f, shape, space).hex()
 

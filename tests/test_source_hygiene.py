@@ -1,9 +1,10 @@
 """Every name a module of the package imports is used in that module, no
-module imports scipy, every public definition is named by the package, the
-acceptance tests or a README example, every private one by the package,
-every public method, property and dataclass field is read there, no two
-modules define the same top-level name, and README's lemma parameter table
-lists the keys each lemma case reads."""
+module imports scipy, no top-level function but the documented quadrature
+one keeps a memo between calls, every public definition is named by the
+package, the acceptance tests or a README example, every private one by the
+package, every public method, property and dataclass field is read there,
+no two modules define the same top-level name, and README's lemma parameter
+table lists the keys each lemma case reads."""
 
 import ast
 import re
@@ -66,6 +67,51 @@ def test_scan_finds_scipy_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_scipy_imports(path):
     assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+# (module, function): the one memo kept between calls, the quadrature
+# weights of norms.cell_weights, which depend on four numbers alone
+KEPT_MEMOS = {("norms", "_cell_weights")}
+
+
+def memoized_functions(source: str) -> list[str]:
+    """Top-level functions under a functools cache or lru_cache decorator,
+    bare or called, by attribute or by name: a memo that lives as long as
+    the module.  A memo of a nested function lives for one call of its
+    enclosing function and does not count, nor does a method's."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name in ("cache", "lru_cache"):
+                found.append(node.name)
+    return found
+
+
+def test_scan_finds_memoized_functions():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "\n@functools.cache\ndef a(k):\n    return k\n"
+        "\n@functools.lru_cache(maxsize=128)\ndef b(k):\n    return k\n"
+        "\n@cache\ndef c(k):\n    return k\n"
+        "\n@lru_cache()\ndef d(k):\n    return k\n"
+        "\ndef per_call(ks):\n    @functools.cache\n    def f(k):\n        return k\n"
+        "    return list(map(f, ks))\n"
+        "\nclass Table:\n    @functools.cached_property\n    def rows(self):\n"
+        "        return 1\n\n    @functools.cache\n    def method(self):\n"
+        "        return 2\n"
+        "\n@staticmethod\ndef e(k):\n    return k\n"
+    )
+    assert memoized_functions(source) == ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_memo_outlives_its_call(path):
+    found = memoized_functions(path.read_text(encoding="utf-8"))
+    assert [name for name in found if (path.stem, name) not in KEPT_MEMOS] == []
 
 
 def _names(nodes) -> set[str]:
