@@ -171,8 +171,7 @@ def _json_safe(value):
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_json_safe(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_json_safe(doc), indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -568,6 +567,22 @@ def run(config: ExperimentConfig) -> RunManifest:
 # -- argument parsing ----------------------------------------------------------
 
 
+class _Command(argparse.ArgumentParser):
+    """The parser of one command, whose arguments and sub-commands are added
+    by its function populate when argparse first hands it arguments, so an
+    invocation builds the arguments of the command it names alone."""
+
+    def __init__(self, *, populate=None, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._populate = populate
+
+    def parse_known_args(self, args=None, namespace=None):
+        populate, self._populate = self._populate, None
+        if populate is not None:
+            populate(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lzcross",
@@ -581,9 +596,20 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: current directory)")
     parser.add_argument("--threads", type=int,
                         default=os.environ.get("LZCROSS_THREADS", "1"))
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub.add_parser("lemma", help="asymptotic lemma ratio checks",
+                   populate=_lemma_arguments)
+    sub.add_parser("cross", help="index-set generation", populate=_cross_arguments)
+    sub.add_parser("norm", help="mixed norm of grid samples", populate=_norm_arguments)
+    sub.add_parser("approx", help="cross-truncation error scan",
+                   populate=_approx_arguments)
+    sub.add_parser("extremal", help="build a lower-bound extremal function",
+                   populate=_extremal_arguments)
+    sub.add_parser("theorem1", help="rate experiments", populate=_theorem1_arguments)
+    return parser
 
-    lemma = sub.add_parser("lemma", help="asymptotic lemma ratio checks")
+
+def _lemma_arguments(lemma: argparse.ArgumentParser) -> None:
     lemma_sub = lemma.add_subparsers(dest="subcommand", required=True)
     check = lemma_sub.add_parser("check")
     check.add_argument("--id", type=int, required=True, choices=[1, 2, 3, 4])
@@ -595,7 +621,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--out", metavar="REPORT.CSV")
     check.set_defaults(kind="lemma-check")
 
-    cross = sub.add_parser("cross", help="index-set generation")
+
+def _cross_arguments(cross: argparse.ArgumentParser) -> None:
     cross_sub = cross.add_subparsers(dest="subcommand", required=True)
     gen = cross_sub.add_parser("gen")
     gen.add_argument("--n", required=True, help="level, rational like 5/2 allowed")
@@ -603,14 +630,16 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", metavar="CROSS.JSON")
     gen.set_defaults(kind="cross-gen")
 
-    norm = sub.add_parser("norm", help="mixed norm of grid samples")
+
+def _norm_arguments(norm: argparse.ArgumentParser) -> None:
     norm.add_argument("--grid", required=True, help="GridFunction JSON file")
     norm.add_argument("--p", help="comma-separated per-axis p")
     norm.add_argument("--alpha", help="comma-separated per-axis alpha")
     norm.add_argument("--tau", help="comma-separated per-axis tau")
     norm.set_defaults(kind="norm")
 
-    approx = sub.add_parser("approx", help="cross-truncation error scan")
+
+def _approx_arguments(approx: argparse.ArgumentParser) -> None:
     approx.add_argument("--spectral", required=True, help="SpectralFunction JSON file")
     approx.add_argument("--gamma", required=True)
     approx.add_argument("--range", metavar="A:B:MODE")
@@ -621,14 +650,16 @@ def _build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--out", metavar="ERRORS.CSV")
     approx.set_defaults(kind="approx-rate")
 
-    extremal = sub.add_parser("extremal", help="build a lower-bound extremal function")
+
+def _extremal_arguments(extremal: argparse.ArgumentParser) -> None:
     extremal.add_argument("--which", type=int, choices=[1, 2, 3])
     extremal.add_argument("--n", type=int, required=True)
     extremal.add_argument("--params", help="JSON file with class/target parameters")
     extremal.add_argument("--out", metavar="F.JSON")
     extremal.set_defaults(kind="extremal")
 
-    theorem1 = sub.add_parser("theorem1", help="rate experiments")
+
+def _theorem1_arguments(theorem1: argparse.ArgumentParser) -> None:
     theorem1_sub = theorem1.add_subparsers(dest="subcommand", required=True)
     rate = theorem1_sub.add_parser("rate")
     rate.add_argument("--params", help="JSON file with class/target parameters")
@@ -638,8 +669,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--spread-threshold", type=float)
     rate.add_argument("--out", metavar="RATE.CSV")
     rate.set_defaults(kind="theorem1-rate")
-
-    return parser
 
 
 # namespace entries that are not experiment options

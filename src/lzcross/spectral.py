@@ -242,11 +242,12 @@ def _inverse_fft(spec: np.ndarray) -> GridFunction:
 
 
 def _block_samples(
-    blocks: Blocks, shape: tuple[int, ...]
+    blocks: Blocks, shape: tuple[int, ...], factors: AxisFactors
 ) -> OrthantSlabs | OrthantSamples | GridFunction:
     """The sum of the blocks on the grid `shape`: a sign-symmetric list of
     products (_products) as OrthantSlabs drawn from the factor matrices of
-    its blocks (_orthant_slabs), listing no row; any other, the empty one
+    its blocks (_orthant_slabs), their axis factors read from the table
+    factors (_orthant_factor), listing no row; any other, the empty one
     included, by one complex ifft of the spectrum filled block by block, c
     on the product of the K_j mod N_j or each row's coefficient at k mod
     N_j.  Of a sign-symmetric list the real part of the orthant is kept, a
@@ -254,7 +255,8 @@ def _block_samples(
     measured."""
     symmetric = _sign_symmetric(blocks)
     if symmetric and _products(blocks):
-        matrices = _factor_matrices([blocks[s] for s in sorted(blocks)], shape, {})
+        pieces = [blocks[s] for s in sorted(blocks)]
+        matrices = _factor_matrices(pieces, shape, factors)
         return OrthantSlabs(functools.partial(_orthant_slabs, matrices), shape)
     spec = np.zeros(shape, dtype=np.complex128)
     mask = np.array(shape) - 1  # k mod N_j, as every N_j is a power of two
@@ -275,7 +277,7 @@ def _grid(blocks: Blocks, shape: tuple[int, ...]) -> GridFunction:
     (_block_samples): an orthant, drawn as one slab of the whole last axis
     if need be, is mirrored into float64 samples exactly even in every
     variable; any other list comes back as complex128 samples."""
-    samples = _block_samples(blocks, shape)
+    samples = _block_samples(blocks, shape, {})
     if isinstance(samples, OrthantSlabs):
         (values,) = samples.slabs(shape[-1] // 2 + 1)
         samples = OrthantSamples(values, shape)
@@ -483,7 +485,7 @@ def _blocks_norm(
         p = float(params.lebesgue_index())
         pieces = [blocks[s] for s in sorted(blocks)]
         return _product_norm(pieces, shape, p, factors)
-    return anisotropic_norm(_block_samples(blocks, shape), params)
+    return anisotropic_norm(_block_samples(blocks, shape, factors), params)
 
 
 _ROWS = 256  # orthant rows per batch of _row_batches

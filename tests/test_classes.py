@@ -313,7 +313,9 @@ def test_class_functional_synthesizes_each_distinct_axis_factor_once(monkeypatch
     # the whole-function norm and the block norms of one call read one table
     # of axis factors: each distinct (K, N_j) is synthesized once, block
     # (s, t) sharing its axis sets with block (t, s) on the square grid, and
-    # the next call synthesizes them again, as no table outlives its call
+    # the next call synthesizes them again, as no table outlives its call;
+    # outside plain L_p the whole function is drawn slab by slab on its
+    # orthant from that same table
     calls = []
     original = spectral._axis_factor
 
@@ -327,7 +329,7 @@ def test_class_functional_synthesizes_each_distinct_axis_factor_once(monkeypatch
     # axes of two Lorentz-Zygmund spaces: each factor is measured in both
     mixed = make_tp(["3/2", "3/2"], [2, 2], [1, 1], alpha=[0.5, 0.0], tau1=[2.0, 3.0])
     cases = [(one, 10, True), (one, 10, False), (two, 8, True), (two, 8, False),
-             (mixed, 8, False)]
+             (mixed, 8, True), (mixed, 8, False)]
     for tp, n, exact in cases:
         blocks = classes.extremal_blocks(n, tp, 1)
         grid = GridSpec.minimal_for(level_bandwidth(blocks))
@@ -341,7 +343,9 @@ def test_class_functional_synthesizes_each_distinct_axis_factor_once(monkeypatch
         for _ in range(2):
             calls.clear()
             value, route = classes.class_functional(blocks, grid, tp.source, exact)
-            assert route == ("product" if exact else "bound")
+            assert route == (
+                "bound" if not exact else "orthant" if tp is mixed else "product"
+            )
             assert len(calls) == len(set(calls)) and set(calls) == distinct
             values.append(value.hex())
         assert values[0] == values[1]

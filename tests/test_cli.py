@@ -8,10 +8,12 @@ import csv
 import functools
 import hashlib
 import inspect
+import io
 import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +416,44 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "envdir" / "manifest.json").exists()
 
 
+def test_an_invocation_builds_the_arguments_of_its_command_alone(tmp_path, monkeypatch):
+    # each command's arguments are added when argparse hands it its own, so
+    # lemma check never builds another command's; a second call in the same
+    # process builds its parser anew and reads the environment again
+    built = []
+    for name in ("_lemma_arguments", "_cross_arguments", "_norm_arguments",
+                 "_approx_arguments", "_extremal_arguments", "_theorem1_arguments"):
+
+        def spy(parser, name=name, original=getattr(cli, name)):
+            built.append(name)
+            original(parser)
+
+        monkeypatch.setattr(cli, name, spy)
+    argv = ["lemma", "check", "--id", "2", "--case", "growth"]
+    for call, out in enumerate(("first", "second"), start=1):
+        monkeypatch.setenv("LZCROSS_OUT", str(tmp_path / out))
+        assert main(argv) == 0
+        assert built == ["_lemma_arguments"] * call
+        assert (tmp_path / out / "lemma2_report.csv").exists()
+        assert (tmp_path / out / "manifest.json").exists()
+
+
+def test_json_files_hold_the_bytes_of_json_dump(tmp_path):
+    doc = {
+        "ratio": Fraction(2, 3),
+        "spread": math.inf,
+        "levels": [{"n": 6, "shape": (64, 64), "path": tmp_path / "a.csv"},
+                   [Fraction(-1, 7), 0.1, None, True]],
+        3: ("x", (1.5, [Fraction(5)])),
+    }
+    cli._write_json(tmp_path / "sub" / "doc.json", doc)
+    want = io.StringIO()
+    json.dump(cli._json_safe(doc), want, indent=2, sort_keys=True)
+    assert (tmp_path / "sub" / "doc.json").read_bytes() == (
+        want.getvalue() + "\n"
+    ).encode("utf-8")
+
+
 # -- norm command --------------------------------------------------------------
 
 
@@ -801,9 +841,9 @@ def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
     shapes = []
     original = spectral._block_samples
 
-    def counting(blocks, shape):
+    def counting(blocks, shape, factors):
         shapes.append(tuple(shape))
-        return original(blocks, shape)
+        return original(blocks, shape, factors)
 
     monkeypatch.setattr(spectral, "_block_samples", counting)
     params = BENCH / "params" / "rate-2d-lz.json"
@@ -814,7 +854,7 @@ def test_rate_levels_synthesize_each_grid_once(tmp_path, monkeypatch):
 
 def count_kernel_calls(monkeypatch) -> dict:
     """{name: [grid, ...]} that gains the grid of each call of the sampler
-    _block_samples(blocks, shape) and of the synthesis kernels
+    _block_samples(blocks, shape, factors) and of the synthesis kernels
     _axis_factor(k, n) and _inverse_fft(spec), as its shape (n or
     spec.shape)."""
     calls = {}
@@ -822,7 +862,7 @@ def count_kernel_calls(monkeypatch) -> dict:
         original, calls[name] = getattr(spectral, name), []
 
         def counting(*args, seen=calls[name], original=original):
-            seen.append(getattr(args[-1], "shape", args[-1]))
+            seen.append(args[1] if len(args) > 1 else args[0].shape)
             return original(*args)
 
         monkeypatch.setattr(spectral, name, counting)

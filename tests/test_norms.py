@@ -570,10 +570,10 @@ def test_profile_and_orthant_norms_take_their_powers_one_batch_of_columns_at_a_t
     grid = GridSpec((1024, 1024))
     grid_norm(f, grid, lz)  # fills the weight cache
     prof = iterated_rearrangement(
-        spectral._block_samples(f.blocks, grid.shape), lz.axes[0].tau
+        spectral._block_samples(f.blocks, grid.shape, {}), lz.axes[0].tau
     )
     assert isinstance(prof, HalfProfile)
-    (orthant,) = spectral._block_samples(f.blocks, grid.shape).slabs(513)
+    (orthant,) = spectral._block_samples(f.blocks, grid.shape, {}).slabs(513)
     samples = OrthantSamples(orthant, grid.shape)
     batch = 1024 * norms._COLUMNS * 8
     bound = batch + 128 * 1024
@@ -630,7 +630,7 @@ def test_grid_norm_miss_on_a_symmetric_polynomial_holds_two_grids():
     # the batches of rows it was joined from
     tracemalloc.start()
     try:
-        (orthant,) = spectral._block_samples(other.blocks, grid.shape).slabs(513)
+        (orthant,) = spectral._block_samples(other.blocks, grid.shape, {}).slabs(513)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -651,7 +651,7 @@ def test_symmetric_polynomial_off_the_product_form_frees_its_complex_grid():
     grid_norm(f, grid, params)  # fills the weight cache
     bound = 1024 * 1024 * 16 + 513 * 513 * 8 + 64 * 1024  # complex grid, orthant
     g = f.scaled(2.0)  # fresh, so its block list and symmetry test are traced too
-    assert traced_peak(lambda: spectral._block_samples(g.blocks, grid.shape)) <= bound
+    assert traced_peak(lambda: spectral._block_samples(g.blocks, grid.shape, {})) <= bound
     g = f.scaled(2.0)
     assert traced_peak(lambda: grid_norm(g, grid, params)) <= bound
 

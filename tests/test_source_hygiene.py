@@ -2,12 +2,15 @@
 module imports scipy, no top-level function but the documented quadrature
 one keeps a memo between calls, every public definition is named by the
 package, the acceptance tests or a README example, every private one by the
-package, every public method, property and dataclass field is read there,
-no two modules define the same top-level name, and README's lemma parameter
-table lists the keys each lemma case reads."""
+package, every public method, property and dataclass field is read there
+(an override of a standard-library base's method counts as read, as that
+library calls it), no two modules define the same top-level name, and
+README's lemma parameter table lists the keys each lemma case reads."""
 
 import ast
+import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,13 +259,44 @@ def _dumped_classes(trees) -> set[str]:
     return dumped
 
 
+def _stdlib_bases(cls: ast.ClassDef, tree: ast.Module) -> list[type]:
+    """The bases of cls that are standard-library classes, resolved through
+    the module's top-level imports: `import argparse` then
+    argparse.ArgumentParser, or `from argparse import ArgumentParser`, with
+    or without `as`.  A base of the package or of another library is not
+    resolved."""
+    imported = {}  # bound name -> (module, attribute or None)
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname or "." not in alias.name:
+                    imported[alias.asname or alias.name] = (alias.name, None)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+    found = []
+    for base in cls.bases:
+        if isinstance(base, ast.Name) and base.id in imported:
+            module, attr = imported[base.id]
+        elif (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+              and imported.get(base.value.id, (None, ""))[1] is None):
+            module, attr = imported[base.value.id][0], base.attr
+        else:
+            continue
+        if attr is not None and module.split(".")[0] in sys.stdlib_module_names:
+            found.append(getattr(importlib.import_module(module), attr))
+    return found
+
+
 def unread_members(modules: dict[str, str], readers: list[str]) -> list[str]:
     """Public methods, properties and dataclass fields that no code reads.
 
     A member is read where code loads an attribute of its name outside the
     member itself, in a module or in the reader sources.  Passing a field as
     a constructor keyword or assigning to it does not count; a dataclass
-    handed whole to asdict has every field read.
+    handed whole to asdict has every field read.  A method whose name a
+    standard-library base of its class defines (_stdlib_bases) is an
+    override that library calls, and counts as read.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
     everything = [*trees.values(), *(ast.parse(source) for source in readers)]
@@ -277,10 +311,15 @@ def unread_members(modules: dict[str, str], readers: list[str]) -> list[str]:
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
+            bases = _stdlib_bases(cls, tree)
             for name, member in _members(cls):
                 if name.startswith("_"):
                     continue
                 if isinstance(member, ast.AnnAssign) and cls.name in dumped:
+                    continue
+                if isinstance(member, ast.FunctionDef) and any(
+                    hasattr(base, name) for base in bases
+                ):
                     continue
                 own = {id(node) for node in ast.walk(member)}
                 if not any(id(node) not in own for node in loads.get(name, [])):
@@ -314,6 +353,28 @@ def test_scan_finds_unread_members():
     modules["a"] = modules["a"].replace("return self.spare", "return 0")
     assert unread_members(modules, []) == [
         "a.Fit.spare", "a.Fit.again", "a.Fit.used", "a.Dump.kept"
+    ]
+    # an override of a standard-library base's method is read by that
+    # library; a new public method of the same class, a name the base does
+    # not define, and a base of the package or of another library are not
+    modules = {
+        "a": "import argparse\nimport numpy as np\n"
+             "from argparse import ArgumentParser as Parser\n"
+             "from collections import OrderedDict\nfrom .b import Local\n"
+             "\nclass Lazy(argparse.ArgumentParser):\n"
+             "    def parse_known_args(self, args=None, namespace=None):\n"
+             "        return super().parse_known_args(args, namespace)\n"
+             "\n    def populate(self):\n        pass\n"
+             "\nclass Named(Parser):\n    def format_help(self):\n        return ''\n"
+             "\nclass Table(OrderedDict):\n    def move_to_start(self):\n"
+             "        pass\n\n    def popitem(self, last=True):\n        pass\n"
+             "\nclass Near(Local):\n    def format_help(self):\n        return ''\n"
+             "\nclass Samples(np.ndarray):\n    def sum(self):\n        return 0\n",
+        "b": "class Local:\n    pass\n",
+    }
+    assert unread_members(modules, []) == [
+        "a.Lazy.populate", "a.Table.move_to_start", "a.Near.format_help",
+        "a.Samples.sum",
     ]
 
 

@@ -432,7 +432,7 @@ def test_product_orthant_matches_the_full_inverse_fft(case):
     f, shape, _ = case
     with pytest.MonkeyPatch.context() as mp:
         calls = kernel_calls(mp)
-        stream = spectral._block_samples(f.blocks, shape)
+        stream = spectral._block_samples(f.blocks, shape, {})
         (got,) = stream.slabs(shape[-1] // 2 + 1)
     assert calls and all(name == "_axis_factor" and len(s) == 1 for name, s in calls)
     want = full_spectrum_samples(f, shape)[tuple(slice(n // 2 + 1) for n in shape)]
@@ -454,7 +454,7 @@ def test_streamed_product_orthant_matches_the_held_one():
         (dirichlet_block((2, 3, 4)), (8, 32, 64)),
     ]
     for f, shape in cases:
-        stream = spectral._block_samples(f.blocks, shape)
+        stream = spectral._block_samples(f.blocks, shape, {})
         assert isinstance(stream, OrthantSlabs) and stream.shape == shape
         (held,) = stream.slabs(shape[-1] // 2 + 1)
         want = full_spectrum_samples(f, shape)[tuple(slice(n // 2 + 1) for n in shape)]
@@ -485,13 +485,13 @@ def test_blocks_off_the_product_form_reach_the_complex_fft_once(monkeypatch):
     for terms in (ragged, diagonal):
         f = SpectralFunction(2, {**terms, **other})
         assert f.sign_symmetric and not spectral._products(f.blocks)
-        got = spectral._block_samples(f.blocks, (16, 16))
+        got = spectral._block_samples(f.blocks, (16, 16), {})
         assert calls == [("_inverse_fft", (16, 16))]
         assert got.values.shape == (9, 9) and got.values.dtype == np.float64
         assert synthesize(f, (16, 16)).values.dtype == np.float64
         calls.clear()
     single = SpectralFunction(1, {(k,): 1.0 for k in (-3, -2, 2, 3)})
-    spectral._block_samples(single.blocks, (16,))
+    spectral._block_samples(single.blocks, (16,), {})
     assert calls == [("_axis_factor", (16,))]
 
 
@@ -541,7 +541,7 @@ def test_block_samples_are_the_complex_samples_of_the_rows(case):
     # empty list is sign-symmetric, so it keeps the real part of its orthant
     m, blocks, shape = case
     f = SpectralFunction.from_blocks(m, blocks)
-    got = spectral._block_samples(blocks, shape)
+    got = spectral._block_samples(blocks, shape, {})
     want = row_samples(f, shape)
     if not blocks:
         assert isinstance(got, OrthantSamples) and got.values.dtype == np.float64
@@ -570,7 +570,7 @@ def test_blocks_off_the_product_form_take_the_fft_path():
         f = SpectralFunction(2, {**terms, **other})
         assert f.sign_symmetric
         assert grid_route(f, shape, space) == "orthant"
-        want = anisotropic_norm(spectral._block_samples(f.blocks, shape), space)
+        want = anisotropic_norm(spectral._block_samples(f.blocks, shape, {}), space)
         assert grid_norm(f, shape, space).hex() == want.hex()
     # the same blocks, each made whole and uniform, take the product route,
     # also after f was measured on the grid in another space; another space
