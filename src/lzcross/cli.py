@@ -157,8 +157,8 @@ def _rational_list(value) -> list[Fraction]:
 def _json_safe(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else value
+    if isinstance(value, float):  # JSON has no inf or nan: "inf", "-inf", "nan"
+        return value if math.isfinite(value) else str(float(value))
     if isinstance(value, Path):
         return str(value)
     if isinstance(value, dict):

@@ -14,11 +14,12 @@ taken slab by slab of the last axis and written into one output grid,
 whose rows along the last axis are then sorted a block at a time
 (iterated_rearrangement).  The samples of a function even in every
 variable are given on one orthant (OrthantSamples, or OrthantSlabs drawn a
-slab at a time), and each row of their output keeps the orthant's N/2 + 1
-values (HalfProfile): the full grid's row holds the same values, the
-interior ones twice, so the full row is read off the sorted half row when
-axis 0 is summed.  Such a rearrangement holds half a grid and about two
-slabs besides its input.
+slab at a time).  The full grid's lane along any axis holds the orthant
+lane's N/2 + 1 values, the interior ones twice, so the sorted full lane is
+read off the orthant lane sorted at half width (HalfProfile): along a long
+head axis as the lane is written out, along the last axis when axis 0 is
+summed, so each row of the output keeps N/2 + 1 values.  Such a
+rearrangement holds half a grid and about two slabs besides its input.
 Integrals are taken over the piecewise-constant profile exactly, via
 Gauss-Legendre quadrature after the substitution u = -log2 t which makes
 the integrand smooth.  So
@@ -241,7 +242,9 @@ def _tiled_copy(dst: np.ndarray, src: np.ndarray) -> None:
     """dst[...] = src, in 64 x 64 tiles of src's fastest axis and the last.
 
     When those differ, an element-wise copy reads or writes one of them a
-    whole row apart; two 64 x 64 tiles fit in cache.
+    whole row apart; two 64 x 64 tiles fit in cache.  The walk gathers
+    lanes this way; it writes its output grid by plain assignment, which
+    is faster there.
     """
     fast = int(np.argmin(np.abs(src.strides)))
     if fast == src.ndim - 1:
@@ -255,6 +258,12 @@ def _tiled_copy(dst: np.ndarray, src: np.ndarray) -> None:
 
 
 _SLAB_CELLS = 1 << 18  # grid cells per slab or row block of the walk: 2 MB
+# numpy sorts a lane of up to 256 float64 values by a sorting network, about
+# as fast as one of half as many; on an AVX-512 Xeon, 2^18 values in lanes
+# of 256 took 0.59 ms and in lanes of 129 0.53 ms, in lanes of 512 1.07 ms
+# and of 257 0.52 ms.  So only a head axis longer than this sorts an
+# orthant's lanes at half width
+_NETWORK_SORT = 256
 
 
 @dataclass(frozen=True)
@@ -321,7 +330,8 @@ class HalfProfile:
 def _count_below(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per row i of rows, sorted increasingly, the number of its entries
     below each entry of x[i] (np.searchsorted(rows[i], x[i])), by one
-    bisection over every row at once."""
+    bisection over every row at once.  A row is a row of the output grid
+    along its last axis or a lane along a head axis."""
     n = rows.shape[1]
     at = np.arange(len(rows))[:, None]
     count = np.zeros(x.shape, dtype=np.intp)
@@ -331,6 +341,56 @@ def _count_below(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         count = np.where(rows[at, probe - 1] < x, probe, count)
         step >>= 1
     return count
+
+
+def _half_sort(rows: np.ndarray) -> np.ndarray:
+    """Sort an orthant's lanes, the rows (R, N/2 + 1) of rows, in place, in
+    blocks of about _SLAB_CELLS cells, each while it is in cache, and
+    return HalfProfile's drops (R, 2): per row the index of the leftmost
+    copy of hi and of lo, its two endpoint values lo <= hi before the sort,
+    by one bisection over every row."""
+    ends = np.sort(rows[:, [0, -1]])
+    step = max(1, _SLAB_CELLS // rows.shape[1])
+    for r in range(0, len(rows), step):
+        rows[r : r + step].sort(axis=-1)
+    return _count_below(rows, ends[:, ::-1])  # E leaves out hi, O leaves out lo
+
+
+def _lanes(slab: np.ndarray, axis: int, width: int) -> np.ndarray:
+    """np.moveaxis(slab, axis, -1), C-contiguous and `width` wide: the view
+    itself when it is both, else a copy (_tiled_copy) whose entries past the
+    slab's are the slab's interior ones along the axis again, as an orthant
+    lane's are in the full grid's lane."""
+    lanes = np.moveaxis(slab, axis, -1)
+    h = lanes.shape[-1]
+    if h == width and lanes.flags.c_contiguous:
+        return lanes
+    gathered = np.empty(lanes.shape[:-1] + (width,))
+    _tiled_copy(gathered[..., :h], lanes)
+    _tiled_copy(gathered[..., h:], lanes[..., 1 : 1 + width - h])
+    return gathered
+
+
+def _expand_orthant_lanes(lanes: np.ndarray, full: np.ndarray) -> None:
+    """The full grid's lanes (..., N), sorted, into full from the orthant's
+    lanes (..., N/2 + 1), C-contiguous, which are sorted in place.
+
+    With lo <= hi a lane's two endpoints, E is the sorted lane S without
+    its leftmost copy of hi and O without its leftmost copy of lo
+    (_half_sort); the full lane is E[0], O[0], E[1], O[1], ...
+    (HalfProfile).  E and then O are taken from every lane at once by
+    one boolean mask and written to full[..., 0::2] and full[..., 1::2],
+    so only one of them is held at a time.
+    """
+    *lead, h = lanes.shape
+    rows = lanes.reshape(-1, h)
+    drops = _half_sort(rows)
+    keep = np.ones(rows.shape, dtype=bool)
+    at = np.arange(len(rows))
+    for j, drop in enumerate(drops.T):
+        keep[at, drop] = False
+        full[..., j::2] = rows[keep].reshape(*lead, h - 1)
+        keep[at, drop] = True
 
 
 def iterated_rearrangement(data, power: float = 1.0):
@@ -349,17 +409,22 @@ def iterated_rearrangement(data, power: float = 1.0):
     they are taken slab by slab of that axis, about _SLAB_CELLS grid cells
     each.  A slab's magnitudes are a fresh contiguous array, raised to the
     power there (numpy's strided power loop can differ from the contiguous
-    one in the last bit) and negated.  Before each sort they are copied so
-    that the axis sorted is the contiguous last one (a strided sort is
-    several times slower), with an orthant's interior slices along it
-    appended.  Each sorted slab is copied once into the output grid, at
-    its input indices of the last axis.  The grid is then walked in blocks
-    of about _SLAB_CELLS cells of whole rows along its last axis, each
-    sorted while it is in cache.  A full grid's block is negated back, so
-    its result is C-contiguous and every zero comes back as +0.0.  An
-    orthant's rows keep their N/2 + 1 values and stay negated: before the
-    sort each row's two values at orthant indices 0 and N/2 are kept, and
-    after it their leftmost copies are found (HalfProfile.drops).  So
+    one in the last bit) and negated.  Each sort runs along the contiguous
+    last axis of its lanes (a strided sort is several times slower): in
+    place where the lanes lie so already, else on a copy (_lanes).  Along a
+    head axis of N_a > _NETWORK_SORT samples an orthant's lanes are sorted
+    at their N_a/2 + 1 values and expanded to the full grid's as they are
+    written out (_expand_orthant_lanes), into the lanes of the next axis or
+    the output grid.  A shorter orthant lane, which numpy sorts as fast at
+    N_a values, gets its interior entries 1..N_a/2-1 appended and is sorted
+    whole, as a full grid's lane is.  The last head axis's lanes go into
+    the output grid by one plain assignment, at the slab's indices of the
+    last axis.  The grid is then walked in blocks of about _SLAB_CELLS
+    cells of whole rows along its last axis, each sorted while it is in
+    cache.  A full grid's block is negated back, so its result is
+    C-contiguous and every zero comes back as +0.0.  An orthant's rows keep
+    their N/2 + 1 values and stay negated, with the leftmost copies of
+    their two values at orthant indices 0 and N/2 (_half_sort).  So
     besides its input the walk holds its output, a grid or half of one, and
     about two slabs.
     """
@@ -383,30 +448,38 @@ def iterated_rearrangement(data, power: float = 1.0):
         if power != 1.0:
             np.power(slab, power, out=slab)
         np.negative(slab, out=slab)
+        w = slab.shape[-1]
         for axis, n_a in enumerate(heads):
-            lanes = np.moveaxis(slab, axis, -1)
-            h_a = lanes.shape[-1]
-            slab = np.empty(lanes.shape[:-1] + (n_a,))
-            _tiled_copy(slab[..., :h_a], lanes)
-            _tiled_copy(slab[..., h_a:], lanes[..., 1 : 1 + n_a - h_a])
+            last = axis + 1 == len(heads)
+            if orthant and n_a > _NETWORK_SORT:
+                lanes = _lanes(slab, axis, n_a // 2 + 1)
+                if last:
+                    full = np.moveaxis(out[..., i : i + w], axis, -1)
+                else:
+                    full = np.empty(lanes.shape[:-1] + (n_a,))
+                _expand_orthant_lanes(lanes, full)
+                slab = np.moveaxis(full, -1, axis)
+                del full
+            else:
+                lanes = _lanes(slab, axis, n_a)
+                lanes.sort(axis=-1)
+                slab = np.moveaxis(lanes, -1, axis)
+                if last:
+                    out[..., i : i + w] = slab
             del lanes
-            slab.sort(axis=-1)
-            slab = np.moveaxis(slab, -1, axis)
-        _tiled_copy(out[..., i : i + slab.shape[-1]], slab)
-        i += slab.shape[-1]
+        if not heads:
+            out[..., i : i + w] = slab
+        del slab  # before the next one is drawn
+        i += w
     rows = out.reshape(-1, h)
-    if orthant:  # lo and hi of each row, taken before it is sorted
-        ends = np.sort(rows[:, [0, -1]])
+    if orthant:
+        return HalfProfile(out, _half_sort(rows).reshape(*heads, 2))
     step = max(1, _SLAB_CELLS // h)
     for r in range(0, rows.shape[0], step):
         block = rows[r : r + step]
         block.sort(axis=-1)
-        if not orthant:
-            np.negative(block, out=block)
-    if not orthant:
-        return out
-    drops = _count_below(rows, ends[:, ::-1])  # E leaves out hi, O leaves out lo
-    return HalfProfile(out, drops.reshape(*heads, 2))
+        np.negative(block, out=block)
+    return out
 
 
 _UNIT_WINDOWS = 20000

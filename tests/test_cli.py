@@ -454,6 +454,29 @@ def test_json_files_hold_the_bytes_of_json_dump(tmp_path):
     ).encode("utf-8")
 
 
+def test_json_files_name_every_value_that_is_not_finite(tmp_path):
+    # JSON has no inf or nan, so each is written as a string that keeps its
+    # sign, and the file parses with a strict reader
+    doc = {
+        "up": math.inf,
+        "down": -math.inf,
+        "none": math.nan,
+        "levels": [{"n": 6, "margin": np.float64(-math.inf)}, (np.float64(math.nan), 1.5)],
+    }
+    cli._write_json(tmp_path / "doc.json", doc)
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    got = json.loads((tmp_path / "doc.json").read_text(), parse_constant=refuse)
+    assert got == {
+        "up": "inf",
+        "down": "-inf",
+        "none": "nan",
+        "levels": [{"n": 6, "margin": "-inf"}, ["nan", 1.5]],
+    }
+
+
 # -- norm command --------------------------------------------------------------
 
 

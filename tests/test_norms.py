@@ -269,6 +269,106 @@ def test_orthant_rearrangement_of_orthants_wider_than_a_tile():
             assert iterated_rearrangement(orthant).to_grid().tobytes() == want.tobytes()
 
 
+# lanes along axis 0 of an 8 x 8 grid's orthant, one per column: lo == hi;
+# endpoints tied with interior values; the leftmost lo at 0 and the leftmost
+# hi at h - 1; both inside the lane; signed zeros only
+DESIGNED_HEAD_LANES = np.array([
+    [2.0, 1.0, 3.0, 0.5, 2.0],
+    [1.5, 1.5, 3.0, 1.5, 0.5],
+    [9.0, 1.0, 2.0, 3.0, 0.25],
+    [2.0, 1.0, 3.0, 0.5, 2.5],
+    [0.0, -0.0, 0.0, 0.0, -0.0],
+]).T
+
+
+@pytest.mark.parametrize("power", [1.0, 3.0])
+def test_head_lanes_at_half_width_match_flip_sort_bit_for_bit(power):
+    # every head axis sorted at half width (_NETWORK_SORT at 0): the designed
+    # lanes, N_0 = 2, and three axes with both heads at half width; held in
+    # C order (strided lanes) and in Fortran order, and drawn slab by slab,
+    # in slabs of every width; the held samples are left as they were
+    cases = [
+        DESIGNED_HEAD_LANES,
+        np.array([[1.5, 0.0, 2.0], [1.5, 3.0, -0.0]]),
+        np.random.default_rng(33).integers(0, 4, size=(5, 3, 3)) / 2.0,
+    ]
+    for values in cases:
+        shape = tuple(2 * (k - 1) for k in values.shape)
+        want = flip_sort_powers(OrthantSamples(values, shape).to_grid().values, power)
+        for layout in (np.ascontiguousarray(values), np.asfortranarray(values)):
+            before = layout.copy()
+            orthant = OrthantSamples(layout, shape)
+            for cells in slab_cells(shape, values.shape[-1]):
+                with mock.patch.object(norms, "_SLAB_CELLS", cells), \
+                        mock.patch.object(norms, "_NETWORK_SORT", 0):
+                    for source in (orthant, streamed(orthant)):
+                        got = iterated_rearrangement(source, power).to_grid()
+                        assert got.tobytes() == want.tobytes()
+            assert layout.tobytes() == before.tobytes()
+
+
+@given(half_width_orthants(), powers)
+@settings(deadline=None)
+def test_half_width_head_axes_match_flip_sort_bit_for_bit(orthant, power):
+    want = flip_sort_powers(orthant.to_grid().values, power)
+    for cells in slab_cells(orthant.shape, orthant.shape[-1] // 2 + 1):
+        with mock.patch.object(norms, "_SLAB_CELLS", cells), \
+                mock.patch.object(norms, "_NETWORK_SORT", 0):
+            for source in (orthant, streamed(orthant)):
+                got = iterated_rearrangement(source, power).to_grid()
+                assert got.tobytes() == want.tobytes()
+
+
+def test_streamed_product_orthant_at_half_width_matches_flip_sort_bit_for_bit():
+    # a product's orthant, drawn from its axis factors slab by slab
+    for shape in ((16, 8), (8, 4, 8)):
+        f = dirichlet_block((2, 1, 2)[: len(shape)])
+        want = flip_sort_powers(synthesize(f, GridSpec(shape)).values, 3.0)
+        for cells in slab_cells(shape, shape[-1] // 2 + 1):
+            with mock.patch.object(norms, "_SLAB_CELLS", cells), \
+                    mock.patch.object(norms, "_NETWORK_SORT", 0):
+                stream = spectral._block_samples(f.blocks, shape, {})
+                assert isinstance(stream, OrthantSlabs)
+                got = iterated_rearrangement(stream, 3.0).to_grid()
+                assert got.tobytes() == want.tobytes()
+
+
+def sorted_widths(fn):
+    """fn() and the set of lane widths, shape[-1], of every ndarray it sorts
+    with ndarray.sort (np.sort included)."""
+    widths = set()
+
+    def record(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "sort":
+            target = getattr(arg, "__self__", None)
+            if isinstance(target, np.ndarray):
+                widths.add(target.shape[-1])
+
+    sys.setprofile(record)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, widths
+
+
+def test_orthant_head_axes_longer_than_a_sorting_network_sort_at_half_width():
+    # a head axis of N_a > _NETWORK_SORT = 256 samples sorts its lanes at
+    # N_a/2 + 1 values; a shorter one appends its interior and sorts N_a
+    # values, as numpy sorts those as fast as half as many.  Besides, the
+    # rows along the last axis keep their N/2 + 1 values, and the walk
+    # sorts the two endpoints of each lane or row
+    rng = np.random.default_rng(34)
+    for shape, heads in (((512, 8), {257}), ((512, 512, 4), {257}),
+                         ((1024, 256, 4), {513, 256})):
+        values = rng.integers(0, 5, size=tuple(n // 2 + 1 for n in shape)) / 4.0
+        orthant = OrthantSamples(values, shape)
+        got, widths = sorted_widths(lambda: iterated_rearrangement(orthant, 3.0))
+        assert widths == heads | {shape[-1] // 2 + 1, 2}
+        want = iterated_rearrangement(orthant.to_grid(), 3.0)
+        assert got.to_grid().tobytes() == want.tobytes()
+
+
 def test_orthant_samples_mirror_each_interior_index():
     assert OrthantSamples(np.array([1.0, 2.0]), (2,)).to_grid().values.tolist() == [1.0, 2.0]
     full = OrthantSamples(np.arange(6.0).reshape(3, 2), (4, 2)).to_grid().values
