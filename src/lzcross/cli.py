@@ -10,8 +10,10 @@ numerical failures.  Identical configs produce byte-identical CSV bodies.
 
 Config files are flat JSON; numeric fields accept exact rationals as
 strings like "2/3", and a key the experiment kind does not read is a
-configuration error.  Environment variables LZCROSS_CONFIG, LZCROSS_OUT,
-and LZCROSS_THREADS mirror the global flags.
+configuration error.  Environment variables LZCROSS_CONFIG and LZCROSS_OUT
+mirror the global flags.  Levels run one after another in one process; the
+rows of `approx` are independent, so disjoint ranges may run as separate
+processes.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .indexsets import (
     Anisotropy,
     as_fraction,
     as_integer,
+    as_number,
     cross_cardinality,
     hyperbolic_cross,
     indices_to_json_dict,
@@ -74,13 +77,10 @@ class ExperimentConfig:
     kind: str
     options: dict
     out_dir: Path
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind: {self.kind}")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         self.out_dir = Path(self.out_dir)
 
 
@@ -89,7 +89,6 @@ class RunManifest:
     kind: str
     version: str
     config: dict
-    threads: int
     wall_seconds: float
     outputs: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
@@ -195,7 +194,7 @@ def _sha256(path: Path) -> str:
 
 def _threshold(o: dict, key: str, default: float) -> float:
     """A verdict threshold: a finite number > 0, since no other makes a verdict."""
-    value = float(o.get(key, default))
+    value = as_number(o.get(key, default), key)
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
     return value
@@ -213,6 +212,8 @@ def _grid_budget(o: dict) -> int:
 
 
 def _out_path(cfg: ExperimentConfig, name: str) -> Path:
+    if not isinstance(name, str):
+        raise ConfigError(f"out must be a file name, got {name!r}")
     p = Path(name)
     return p if p.is_absolute() else cfg.out_dir / p
 
@@ -391,7 +392,7 @@ def _run_approx_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
     grid = None
     if "grid" in o:
         grid = GridSpec(tuple(as_integer(v, "grid") for v in _as_list(o["grid"])))
-    rows = approx_error_scan(f, gamma, target, ns, grid, threads=cfg.threads)
+    rows = approx_error_scan(f, gamma, target, ns, grid)
     out = _out_path(cfg, o.get("out", "approx.csv"))
     _write_csv(out, ["n", "error", "card"], rows)
     manifest.summary = {
@@ -456,9 +457,7 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
     max_cells = _grid_budget(o)
     spread_threshold = _threshold(o, "spread_threshold", 10.0)
     fit_tolerance = _threshold(o, "fit_tolerance", 0.1)
-    result = theorem1_rate_experiment(
-        tp, ns, which=which, max_grid_cells=max_cells, threads=cfg.threads
-    )
+    result = theorem1_rate_experiment(tp, ns, which=which, max_grid_cells=max_cells)
     out = _out_path(cfg, o.get("out", "theorem1_rate.csv"))
     _write_csv(
         out,
@@ -544,7 +543,6 @@ def run(config: ExperimentConfig) -> RunManifest:
         kind=config.kind,
         version=__version__,
         config=_json_safe(config.options),
-        threads=config.threads,
         wall_seconds=0.0,
     )
     start = time.monotonic()
@@ -594,8 +592,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="out_dir",
                         default=os.environ.get("LZCROSS_OUT", "."),
                         help="output directory (default: current directory)")
-    parser.add_argument("--threads", type=int,
-                        default=os.environ.get("LZCROSS_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     sub.add_parser("lemma", help="asymptotic lemma ratio checks",
                    populate=_lemma_arguments)
@@ -672,9 +668,7 @@ def _theorem1_arguments(theorem1: argparse.ArgumentParser) -> None:
 
 
 # namespace entries that are not experiment options
-_NON_OPTIONS = frozenset(
-    {"config", "out_dir", "threads", "command", "subcommand", "kind", "params"}
-)
+_NON_OPTIONS = frozenset({"config", "out_dir", "command", "subcommand", "kind", "params"})
 
 
 def _json_number(text: str) -> float | str:
@@ -709,7 +703,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             kind=args.kind,
             options=_collect_options(args),
             out_dir=Path(args.out_dir),
-            threads=args.threads,
         )
         config.out_dir.mkdir(parents=True, exist_ok=True)
         manifest = run(config)

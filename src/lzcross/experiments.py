@@ -3,8 +3,8 @@
 The main experiment normalizes an extremal function by its class functional,
 measures how far it sits from the level-n hyperbolic cross in the target
 norm, and compares the decay of that error against the predicted main rate
-term.  Points are independent across levels, so they may be evaluated on a
-thread pool; results are merged in ascending level order either way.
+term.  Levels are evaluated one after another on the calling thread and
+reported in ascending level order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,16 +37,6 @@ from .spectral import (
     _parseval,
     truncation_error,
 )
-
-
-def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """fn over items on up to `threads` threads; results in input order."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -84,7 +74,6 @@ def theorem1_rate_experiment(
     *,
     which: int = 1,
     max_grid_cells: int = DEFAULT_MAX_GRID_CELLS,
-    threads: int = 1,
 ) -> TheoremRateResult:
     """Normalized cross-truncation error of an extremal function versus the rate.
 
@@ -119,10 +108,10 @@ def theorem1_rate_experiment(
                 f"cells, beyond the cell budget of {max_grid_cells}"
             )
 
-    points = _parallel_map(
-        lambda n: _rate_level(int(n), tp, which, max_grid_cells, d), ns, threads
+    points = sorted(
+        (_rate_level(int(n), tp, which, max_grid_cells, d) for n in ns),
+        key=lambda pt: pt.n,
     )
-    points.sort(key=lambda pt: pt.n)
 
     data = [(pt.n, pt.error) for pt in points]
     fit_free = rate_fit(data)
@@ -199,19 +188,13 @@ def approx_error_scan(
     target: MixedSpaceParams,
     ns: Sequence[int],
     grid: GridSpec | None = None,
-    *,
-    threads: int = 1,
 ) -> list[tuple[int, float, int]]:
     """Cross-truncation error and cross cardinality per level.
 
     Rows are (n, error, card) in ascending n, where card counts the
     frequencies of the level-n cross.  Plain-L2 targets run grid-free.
     """
-
-    def eval_point(n: int) -> tuple[int, float, int]:
-        err = truncation_error(f, n, gamma, target, grid)
-        return int(n), err, cross_cardinality(n, gamma)
-
-    rows = _parallel_map(eval_point, ns, threads)
-    rows.sort(key=lambda row: row[0])
-    return rows
+    return sorted(
+        (int(n), truncation_error(f, n, gamma, target, grid), cross_cardinality(n, gamma))
+        for n in ns
+    )

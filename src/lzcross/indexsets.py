@@ -51,6 +51,15 @@ def as_integer(value: object, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def as_number(value: object, name: str) -> float:
+    """A real field: a number or the text of one, as float() reads it,
+    refused naming the field otherwise."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Anisotropy:
     """Positive rational weight vector for level sums <s, gamma>."""

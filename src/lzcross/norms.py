@@ -175,16 +175,26 @@ class GridFunction:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GridFunction":
+        """The samples of to_json_dict's document; a field of the wrong JSON
+        type is refused, naming it."""
+        if not isinstance(doc, dict):
+            kind = type(doc).__name__
+            raise ValueError(f"a grid function must be a JSON object, got {kind}")
+        if not isinstance(doc["shape"], list):
+            raise ValueError(f"shape must be a list of integers, got {doc['shape']!r}")
         shape = _validated_shape(doc["shape"])
         if as_integer(doc["m"], "m") != len(shape):
             raise ValueError("m does not match shape arity")
-        re = np.asarray(doc["re"], dtype=np.float64).reshape(shape)
-        im_raw = doc.get("im")
-        im = (
-            np.zeros(shape)
-            if im_raw is None
-            else np.asarray(im_raw, dtype=np.float64).reshape(shape)
-        )
+
+        def samples(key: str) -> np.ndarray:
+            try:
+                return np.asarray(doc[key], dtype=np.float64).reshape(shape)
+            except (TypeError, ValueError):
+                cells = math.prod(shape)
+                raise ValueError(f"{key} must be a list of {cells} numbers") from None
+
+        re = samples("re")
+        im = np.zeros(shape) if doc.get("im") is None else samples("im")
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValueError("grid samples must be finite")
         return cls(re + 1j * im)

@@ -24,6 +24,7 @@ from .indexsets import (
     RationalLike,
     _distinct,
     as_integer,
+    as_number,
     axis_block,
     block_levels,
     cartesian_rows,
@@ -181,13 +182,23 @@ class SpectralFunction:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SpectralFunction":
+        """The polynomial of to_json_dict's document; a field of the wrong
+        JSON type is refused, naming it."""
+        if not isinstance(doc, dict):
+            kind = type(doc).__name__
+            raise ValueError(f"a polynomial must be a JSON object, got {kind}")
         m = as_integer(doc["m"], "m")
+        if not isinstance(doc["terms"], list):
+            raise ValueError(f"terms must be a list, got {type(doc['terms']).__name__}")
         coeffs: dict[FrequencyIndex, complex] = {}
         for term in doc["terms"]:
+            if not isinstance(term, dict) or not isinstance(term.get("k"), list):
+                raise ValueError(f"each term must be an object with a list k, got {term!r}")
             k = tuple(as_integer(c, "frequency component k") for c in term["k"])
             if k in coeffs:
                 raise ValueError(f"duplicate frequency {list(k)} in polynomial terms")
-            coeffs[k] = complex(float(term["re"]), float(term.get("im", 0.0)))
+            re, im = term["re"], term.get("im", 0.0)
+            coeffs[k] = complex(as_number(re, "term re"), as_number(im, "term im"))
         return cls(m, coeffs)
 
 
@@ -488,7 +499,7 @@ def _blocks_norm(
     return anisotropic_norm(_block_samples(blocks, shape, factors), params)
 
 
-_ROWS = 256  # orthant rows per batch of _row_batches
+_ROWS = 256  # orthant rows per batch of _product_norm
 
 
 def _factor_matrices(
@@ -508,57 +519,39 @@ def _factor_matrices(
     return matrices
 
 
-def _row_batches(heads: list[np.ndarray], width: int):
-    """(index arrays at, G_0[at[0]] o ... o G_{k-1}[at[k-1]]) per _ROWS
-    orthant rows of the factor matrices heads, `width` columns
-    each, in C order: every product starts from ones, so no heads make one
-    batch of one row of ones."""
+def _row_batches(heads: list[np.ndarray], width: int, size: int):
+    """(index arrays at, G_0[at[0]] o ... o G_{k-1}[at[k-1]]) per `size`
+    orthant rows of the factor matrices heads, `width` columns each, in C
+    order, the last batch shorter: every product starts from ones, so no
+    heads make one batch of one row of ones."""
     half = tuple(len(g) for g in heads) or (1,)
     count = math.prod(half)
-    for i in range(0, count, _ROWS):
-        at = np.unravel_index(np.arange(i, min(i + _ROWS, count)), half)
+    for i in range(0, count, size):
+        at = np.unravel_index(np.arange(i, min(i + size, count)), half)
         ones = np.ones((len(at[0]), width))
         yield at, math.prod((g[k] for g, k in zip(heads, at)), start=ones)
 
 
 def _orthant_slabs(factors: list[np.ndarray], width: int):
     """The orthant of a sum of blocks with the factor matrices
-    [G_0, ..., G_{m-1}] (_factor_matrices): each batch of rows over axes
-    m-1..1 (_row_batches) times G_0^T, as slabs of `width` indices of its
-    last axis in turn (OrthantSlabs), axis 0 contiguous.  A slab of two or
-    more axes takes the rows of its indices from one batch, as a view, or
-    joins them from several."""
+    [G_0, ..., G_{m-1}] (_factor_matrices), as slabs of `width` indices of
+    its last axis in turn (OrthantSlabs), axis 0 contiguous: each slab of
+    two or more axes is one batch of rows over axes m-1..1 (_row_batches)
+    times G_0^T, and a sum of one variable is one row of ones times G_0^T,
+    cut into slabs."""
     *heads, last = factors[::-1]
     half = [len(g) for g in factors]
-    batches = (rows @ last.T for _, rows in _row_batches(heads, last.shape[1]))
-    if not heads:  # the one batch is the one row, along the only axis
-        (row,) = next(batches)
+    if not heads:
+        (row,) = np.ones((1, last.shape[1])) @ last.T
         for i in range(0, half[0], width):
             yield row[i : i + width]
         return
-    for block in _regroup(batches, width * math.prod(half[1:-1])):
+    size = width * math.prod(half[1:-1])
+    for _, rows in _row_batches(heads, last.shape[1], size):
+        block = rows @ last.T
+        del rows  # neither is held while the next slab is made
         yield block.reshape(-1, *half[-2:0:-1], half[0]).T
-        del block  # so the next batch is made while this one is let go
-
-
-def _regroup(batches, size: int):
-    """Consecutive blocks of `size` rows of the consecutive row batches, the
-    last one shorter: a view when a block lies in one batch, else the rows
-    joined.  A batch is let go once its rows are given out, so the next is
-    made while one batch at most is held."""
-    parts, count = [], 0
-    for batch in batches:
-        while len(batch):
-            take = batch[: size - count]
-            parts.append(take)
-            count += len(take)
-            batch = batch[len(take) :]
-            if count == size:
-                yield parts[0] if len(parts) == 1 else np.concatenate(parts)
-                parts, count = [], 0
-        del batch, take
-    if parts:
-        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+        del block
 
 
 def _product_norm(
@@ -575,7 +568,7 @@ def _product_norm(
     *heads, last = _factor_matrices(pieces, shape, factors)
     *head_weights, w_last = (_orthant_weights(n) for n in shape)
     total, buf = 0.0, np.empty((min(_ROWS, math.prod(map(len, heads))), len(last)))
-    for at, rows in _row_batches(heads, len(pieces)):
+    for at, rows in _row_batches(heads, len(pieces), _ROWS):
         batch = np.matmul(rows, last.T, out=buf[: len(rows)])
         np.abs(batch, out=batch)
         np.power(batch, p, out=batch)

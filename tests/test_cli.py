@@ -677,6 +677,47 @@ def test_integer_field_that_is_not_an_integer_is_a_usage_error(
     assert_failed_manifest(tmp_path)
 
 
+RATE_ARGV = ["theorem1", "rate", "--params"]
+LEMMA_ARGV = ["lemma", "check", "--id", "1", "--params"]
+
+
+@pytest.mark.parametrize("argv, doc, config, field", [
+    (["norm", "--grid"], [1, 2], {}, "a grid function must be a JSON object"),
+    (["norm", "--grid"], {"m": 1, "shape": 4, "re": [1.0] * 4}, {}, "shape"),
+    (["approx", "--spectral"], {"m": 1, "terms": [1]}, {}, "each term must be an object"),
+    (["approx", "--spectral"], {"m": 1, "terms": {"k": [1]}}, {}, "terms"),
+    (["approx", "--spectral"], {"m": 1, "terms": [{"k": 1, "re": 1.0}]}, {},
+     "each term must be an object with a list k"),
+    (["approx", "--spectral"], {"m": 1, "terms": [{"k": [1], "re": 1.0, "im": None}]}, {},
+     "term im"),
+    (RATE_ARGV, {**RATE_1D, "out": 5}, {}, "out"),
+    (RATE_ARGV, {**RATE_1D, "out": None}, {}, "out"),
+    (LEMMA_ARGV, {}, {"out": 5}, "out"),
+    (LEMMA_ARGV, {}, {"out": None}, "out"),
+    (RATE_ARGV, {**RATE_1D, "fit_tolerance": None}, {}, "fit_tolerance"),
+    (RATE_ARGV, {**RATE_1D, "spread_threshold": None}, {}, "spread_threshold"),
+    (LEMMA_ARGV, {"spread_threshold": None}, {}, "spread_threshold"),
+    (LEMMA_ARGV, {"lower_threshold": None}, {}, "lower_threshold"),
+], ids=["grid-list", "grid-shape", "term-number", "terms-object", "term-k", "term-im",
+        "params-out-5", "params-out-null", "config-out-5", "config-out-null",
+        "fit-tolerance-null", "rate-spread-null", "lemma-spread-null", "lemma-lower-null"])
+def test_field_of_the_wrong_json_type_is_a_usage_error(
+    tmp_path, capsys, argv, doc, config, field
+):
+    # each once escaped as a TypeError, a fault with exit code 3
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc))
+    if argv[0] == "approx":
+        argv = argv + [str(data), "--gamma", "1", "--range", "1:3"]
+    else:
+        argv = argv + [str(data)]
+    cfg = make_params_file(tmp_path, config)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)] + argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {field}" in captured.err and captured.out == ""
+    assert_failed_manifest(tmp_path)
+
+
 def test_integer_fields_accept_integral_floats(tmp_path, capsys):
     poly = tmp_path / "f.json"
     poly.write_text(json.dumps({"m": 1.0, "terms": [{"k": [3.0], "re": 1.0}]}))
@@ -1197,44 +1238,6 @@ def test_theorem1_rate_univariate_defaults(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "theorem1_rate.csv")
     assert header == ["n", "error", "reference"]
     assert [int(r[0]) for r in rows] == list(range(6, 17))
-
-
-# -- threads -------------------------------------------------------------------
-
-
-def test_bad_threads_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LZCROSS_THREADS", "x")
-    with pytest.raises(SystemExit) as exc:
-        main(["--out", str(tmp_path), "lemma", "check", "--id", "1"])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
-
-
-def test_two_threads_give_the_same_outputs(tmp_path):
-    params = make_params_file(tmp_path, {"p": ["3/2"], "q": ["2"], "r": ["1"]})
-    f = SpectralFunction(2, {(3, 1): 1.0, (-5, 2): 0.5j, (9, -12): 2.0, (0, 0): 1.0})
-    spectral_file = tmp_path / "f.json"
-    spectral_file.write_text(json.dumps(f.to_json_dict()))
-    rate_outputs = ["theorem1_rate.csv", "theorem1_rate.summary.json"]
-    runs = {
-        "rate": (["theorem1", "rate", "--params", str(params), "--range", "6:10"],
-                 rate_outputs),
-        # each level samples and sorts its own residual
-        "rate-lz": (["theorem1", "rate", "--params",
-                     str(BENCH / "params" / "rate-2d-lz.json"), "--range", "6:9"],
-                    rate_outputs),
-        "approx": (["approx", "--spectral", str(spectral_file), "--gamma", "1,1/2",
-                    "--range", "1:8", "--grid", "32,32", "--target-p", "3/2,2",
-                    "--target-alpha", "1/2,0", "--target-tau", "3,2"],
-                   ["approx.csv"]),
-    }
-    for name, (argv, outputs) in runs.items():
-        bodies = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"{name}-{threads}"
-            assert main(["--out", str(out), "--threads", threads] + argv) == 0
-            bodies.append([(out / output).read_bytes() for output in outputs])
-        assert bodies[0] == bodies[1]
 
 
 # -- stored reference outputs --------------------------------------------------

@@ -12,7 +12,6 @@ from lzcross.cli import main
 HELP = {
     ("--help",): """\
 usage: lzcross [-h] [--version] [--config CONFIG] [--out OUT_DIR]
-               [--threads THREADS]
                {lemma,cross,norm,approx,extremal,theorem1} ...
 
 Hyperbolic-cross approximation experiments and norm evaluation
@@ -31,7 +30,6 @@ options:
   --version             show program's version number and exit
   --config CONFIG       JSON config file with experiment options
   --out OUT_DIR         output directory (default: current directory)
-  --threads THREADS
 """,
     ("lemma", "--help"): """\
 usage: lzcross lemma [-h] {check} ...
@@ -145,13 +143,11 @@ options:
 USAGE_ERRORS = {
     (): """\
 usage: lzcross [-h] [--version] [--config CONFIG] [--out OUT_DIR]
-               [--threads THREADS]
                {lemma,cross,norm,approx,extremal,theorem1} ...
 lzcross: error: the following arguments are required: command
 """,
     ("bogus",): """\
 usage: lzcross [-h] [--version] [--config CONFIG] [--out OUT_DIR]
-               [--threads THREADS]
                {lemma,cross,norm,approx,extremal,theorem1} ...
 lzcross: error: argument command: invalid choice: 'bogus' (choose from 'lemma', 'cross', 'norm', 'approx', 'extremal', 'theorem1')
 """,
@@ -175,15 +171,13 @@ usage: lzcross lemma check [-h] --id {1,2,3,4} [--case CASE] [--params PARAMS]
                            [--out REPORT.CSV]
 lzcross lemma check: error: argument --id: invalid choice: 9 (choose from 1, 2, 3, 4)
 """,
-    ("--threads", "x", "lemma", "check", "--id", "1"): """\
+    ("--threads", "2", "lemma", "check", "--id", "1"): """\
 usage: lzcross [-h] [--version] [--config CONFIG] [--out OUT_DIR]
-               [--threads THREADS]
                {lemma,cross,norm,approx,extremal,theorem1} ...
-lzcross: error: argument --threads: invalid int value: 'x'
+lzcross: error: argument command: invalid choice: '2' (choose from 'lemma', 'cross', 'norm', 'approx', 'extremal', 'theorem1')
 """,
     ("theorem1", "rate", "--bogus"): """\
 usage: lzcross [-h] [--version] [--config CONFIG] [--out OUT_DIR]
-               [--threads THREADS]
                {lemma,cross,norm,approx,extremal,theorem1} ...
 lzcross: error: unrecognized arguments: --bogus
 """,
@@ -193,7 +187,7 @@ lzcross: error: unrecognized arguments: --bogus
 def run_main(argv, monkeypatch, tmp_path, capsys):
     """(exit code, stdout, stderr) of main(argv) in an 80-column terminal."""
     monkeypatch.setenv("COLUMNS", "80")
-    for name in ("LZCROSS_CONFIG", "LZCROSS_OUT", "LZCROSS_THREADS"):
+    for name in ("LZCROSS_CONFIG", "LZCROSS_OUT"):
         monkeypatch.delenv(name, raising=False)
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()

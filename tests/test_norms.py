@@ -626,11 +626,12 @@ def test_orthant_rearrangement_holds_its_output_grid_and_one_slab():
 
 
 def test_lorentz_zygmund_grid_norm_of_a_product_holds_no_orthant():
-    # a product f's orthant is drawn slab by slab from batches of 256 rows
-    # times G_0^T: grid_norm holds the half grid of the walk, one sorted
-    # slab, the magnitudes of one slab of the orthant, one batch and the
-    # factor matrices, less than the half grid and the orthant; the
-    # half-width profile is summed in batches of two slabs
+    # a product f's orthant is drawn slab by slab, each one batch of rows
+    # times G_0^T (255 rows here, fewer than spectral._ROWS): grid_norm
+    # holds the half grid of the walk, one sorted slab, the magnitudes of
+    # one slab of the orthant, one batch and the factor matrices, less than
+    # the half grid and the orthant; the half-width profile is summed in
+    # batches of two slabs
     n = 2048
     f = dirichlet_block((8, 8))
     assert f.sign_symmetric and spectral._products(f.blocks)  # tested untraced
