@@ -279,6 +279,8 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
     params = dict(fixed)
     for key, default in defaults.items():  # gamma first: the lists take its arity
         value = o.get(key, default)
+        if value is None and key != "gamma_prime":
+            raise ConfigError(f"{key} must not be null; only gamma_prime: null means gamma")
         if value is None:
             params[key] = params["gamma"]
         elif key in ("gamma", "gamma_prime"):

@@ -79,21 +79,21 @@ def theorem1_rate_experiment(
 
     For each level n the chosen extremal function is scaled to unit class
     functional and its distance from the level-n cross is measured in the
-    target norm.  Every level's block levels are found first, and a level
-    whose polynomial would hold more than DEFAULT_MAX_GRID_CELLS
-    frequencies, or, for a target other than plain L2, whose grid exceeds
-    the cell budget, is refused before any level is built.  Each level is
-    then evaluated from its block list, listing no frequency row on any
-    route, and gives the values of besov_functional and truncation_error
-    on its rows bit for bit (_rate_level); a level whose every block
-    underflows to 0 raises ArithmeticError.  Each point records the route
-    of its class functional (spectral._route, as grid_route names it for
-    the rows), or "bound" above the cell budget.  Returns free-slope and
-    pinned-slope fits of the error decay plus the tabulated error/rate
-    ratios.
+    target norm.  Every level's block levels are found first
+    (extremal_levels, which also refuses a `which` other than 1, 2 or 3),
+    and a level whose polynomial would hold more than
+    DEFAULT_MAX_GRID_CELLS frequencies, or, for a target other than plain
+    L2, whose grid exceeds the cell budget, is refused before any level is
+    built.  Each level is then evaluated from its block list, listing no
+    frequency row on any route, and gives the values of besov_functional
+    and truncation_error on its rows bit for bit (_rate_level); a level
+    whose every block underflows to 0, or whose class functional or
+    nonempty sampled residual measures 0 or a value that is not finite,
+    raises ArithmeticError.  Each point records the route of its class
+    functional (spectral._route, as grid_route names it for the rows), or
+    "bound" above the cell budget.  Returns free-slope and pinned-slope
+    fits of the error decay plus the tabulated error/rate ratios.
     """
-    if which not in (1, 2, 3):
-        raise ValueError("which must be 1, 2, or 3")
     if len(ns) < 4:  # rate_fit's minimum, checked before any level is built
         raise ValueError("at least four points are required")
     d = derived_exponents(tp)
@@ -139,7 +139,9 @@ def _rate_level(
     (extremal_blocks) on the minimal grid resolving them; d is
     derived_exponents(tp).  No frequency row is listed, on any route.  A
     level whose every block underflows to 0 raises ArithmeticError, as
-    its class functional would be 0."""
+    its class functional would be 0; so does one whose class functional
+    measures 0 or a value that is not finite, naming n, and one whose
+    sampled residual does (_truncation_error)."""
     start = time.perf_counter()
     blocks = extremal_blocks(n, tp, which, d=d)
     if not blocks:
@@ -151,6 +153,9 @@ def _rate_level(
     exact = grid.cells <= max_grid_cells
     built = time.perf_counter()
     normalizer, route = class_functional(blocks, grid, tp.source, exact)
+    if not (math.isfinite(normalizer) and normalizer > 0.0):
+        raise ArithmeticError(
+            f"the class functional of f{which} at n={n} is {normalizer!r}")
     normalized = time.perf_counter()
     raw = _truncation_error(blocks, n, grid, tp)
     return RatePoint(
@@ -172,14 +177,20 @@ def _truncation_error(blocks: Blocks, n: int, grid: GridSpec, tp: TheoremParams)
     for a plain-L2 target: a block is in the cross when its level is.  The
     Parseval sum counts each residual block's |c|^2 once per row, in f's
     row order; on any other target the residual is measured from its
-    blocks (_blocks_norm), with a table of axis factors of its own."""
+    blocks (_blocks_norm), with a table of axis factors of its own, and
+    one that holds a block and measures 0 or a value that is not finite
+    raises ArithmeticError.  The Parseval sum keeps the 0 its squares
+    underflow to, as the row path's l2_norm does."""
     keys = np.array(list(blocks), dtype=np.int64)
     inside = cross_membership(n, tp.gamma_prime, keys.T)
     outside = {s: b for (s, b), kept in zip(blocks.items(), inside) if not kept}
     if tp.target.is_plain_l2():
         coeffs = np.array([c for c, _ in outside.values()], dtype=np.complex128)
         return _parseval(coeffs, [math.prod(map(len, ks)) for _, ks in outside.values()])
-    return _blocks_norm(outside, grid.shape, tp.target, {})
+    raw = _blocks_norm(outside, grid.shape, tp.target, {})
+    if outside and not (math.isfinite(raw) and raw > 0.0):
+        raise ArithmeticError(f"the residual at n={n} measures {raw!r}")
+    return raw
 
 
 def approx_error_scan(

@@ -16,8 +16,8 @@ whose rows along the last axis are then sorted a block at a time
 variable are given on one orthant (OrthantSamples, or OrthantSlabs drawn a
 slab at a time).  The full grid's lane along any axis holds the orthant
 lane's N/2 + 1 values, the interior ones twice, so the sorted full lane is
-read off the orthant lane sorted at half width (HalfProfile): along a long
-head axis as the lane is written out, along the last axis when axis 0 is
+read off the orthant lane sorted at half width (HalfProfile): along a head
+axis as the lane is written out, along the last axis when axis 0 is
 summed, so each row of the output keeps N/2 + 1 values.  Such a
 rearrangement holds half a grid and about two slabs besides its input.
 Integrals are taken over the piecewise-constant profile exactly, via
@@ -268,12 +268,6 @@ def _tiled_copy(dst: np.ndarray, src: np.ndarray) -> None:
 
 
 _SLAB_CELLS = 1 << 18  # grid cells per slab or row block of the walk: 2 MB
-# numpy sorts a lane of up to 256 float64 values by a sorting network, about
-# as fast as one of half as many; on an AVX-512 Xeon, 2^18 values in lanes
-# of 256 took 0.59 ms and in lanes of 129 0.53 ms, in lanes of 512 1.07 ms
-# and of 257 0.52 ms.  So only a head axis longer than this sorts an
-# orthant's lanes at half width
-_NETWORK_SORT = 256
 
 
 @dataclass(frozen=True)
@@ -366,18 +360,14 @@ def _half_sort(rows: np.ndarray) -> np.ndarray:
     return _count_below(rows, ends[:, ::-1])  # E leaves out hi, O leaves out lo
 
 
-def _lanes(slab: np.ndarray, axis: int, width: int) -> np.ndarray:
-    """np.moveaxis(slab, axis, -1), C-contiguous and `width` wide: the view
-    itself when it is both, else a copy (_tiled_copy) whose entries past the
-    slab's are the slab's interior ones along the axis again, as an orthant
-    lane's are in the full grid's lane."""
+def _lanes(slab: np.ndarray, axis: int) -> np.ndarray:
+    """np.moveaxis(slab, axis, -1), C-contiguous: the view itself when it
+    is, else a copy (_tiled_copy)."""
     lanes = np.moveaxis(slab, axis, -1)
-    h = lanes.shape[-1]
-    if h == width and lanes.flags.c_contiguous:
+    if lanes.flags.c_contiguous:
         return lanes
-    gathered = np.empty(lanes.shape[:-1] + (width,))
-    _tiled_copy(gathered[..., :h], lanes)
-    _tiled_copy(gathered[..., h:], lanes[..., 1 : 1 + width - h])
+    gathered = np.empty(lanes.shape)
+    _tiled_copy(gathered, lanes)
     return gathered
 
 
@@ -421,15 +411,13 @@ def iterated_rearrangement(data, power: float = 1.0):
     power there (numpy's strided power loop can differ from the contiguous
     one in the last bit) and negated.  Each sort runs along the contiguous
     last axis of its lanes (a strided sort is several times slower): in
-    place where the lanes lie so already, else on a copy (_lanes).  Along a
-    head axis of N_a > _NETWORK_SORT samples an orthant's lanes are sorted
-    at their N_a/2 + 1 values and expanded to the full grid's as they are
-    written out (_expand_orthant_lanes), into the lanes of the next axis or
-    the output grid.  A shorter orthant lane, which numpy sorts as fast at
-    N_a values, gets its interior entries 1..N_a/2-1 appended and is sorted
-    whole, as a full grid's lane is.  The last head axis's lanes go into
-    the output grid by one plain assignment, at the slab's indices of the
-    last axis.  The grid is then walked in blocks of about _SLAB_CELLS
+    place where the lanes lie so already, else on a copy (_lanes).  Along
+    every head axis an orthant's lanes are sorted at their N_a/2 + 1 values
+    and expanded to the full grid's as they are written out
+    (_expand_orthant_lanes), into the lanes of the next axis or the output
+    grid; a full grid's lanes are sorted whole.  The last head axis's lanes
+    go into the output grid by one plain assignment, at the slab's indices
+    of the last axis.  The grid is then walked in blocks of about _SLAB_CELLS
     cells of whole rows along its last axis, each sorted while it is in
     cache.  A full grid's block is negated back, so its result is
     C-contiguous and every zero comes back as +0.0.  An orthant's rows keep
@@ -456,13 +444,18 @@ def iterated_rearrangement(data, power: float = 1.0):
     for slab in slabs:
         slab = np.abs(slab).astype(np.float64, copy=False)
         if power != 1.0:
-            np.power(slab, power, out=slab)
+            try:
+                with np.errstate(over="raise"):
+                    np.power(slab, power, out=slab)
+            except FloatingPointError:
+                raise ArithmeticError(
+                    f"a sample magnitude to the power {power:g} overflows") from None
         np.negative(slab, out=slab)
         w = slab.shape[-1]
         for axis, n_a in enumerate(heads):
             last = axis + 1 == len(heads)
-            if orthant and n_a > _NETWORK_SORT:
-                lanes = _lanes(slab, axis, n_a // 2 + 1)
+            lanes = _lanes(slab, axis)
+            if orthant:
                 if last:
                     full = np.moveaxis(out[..., i : i + w], axis, -1)
                 else:
@@ -471,7 +464,6 @@ def iterated_rearrangement(data, power: float = 1.0):
                 slab = np.moveaxis(full, -1, axis)
                 del full
             else:
-                lanes = _lanes(slab, axis, n_a)
                 lanes.sort(axis=-1)
                 slab = np.moveaxis(lanes, -1, axis)
                 if last:

@@ -138,6 +138,24 @@ def test_exit_four_on_numerical_failure(tmp_path, capsys):
     assert_failed_manifest(tmp_path, 4)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("tau1", "100", "a sample magnitude to the power 100 overflows"),
+    ("tau2", "200", "the residual at n=6 measures 0.0"),
+])
+def test_rate_level_beyond_the_float_range_is_a_numerical_failure(
+    tmp_path, capsys, key, value, message
+):
+    # a source fine index of 100 overflows the powers of the block samples
+    # at n = 16; a target one of 200 underflows every residual sample to 0.
+    # A RuntimeWarning on the way would be an error here (pyproject.toml's
+    # filterwarnings), which main reports as a fault, exit 3
+    params = make_params_file(tmp_path, {**RATE_1D, "thetas": ["inf"], key: [value]})
+    argv = ["--out", str(tmp_path), "theorem1", "rate", "--params", str(params)]
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+    assert_failed_manifest(tmp_path, 4)
+
+
 def test_non_finite_lemma_value_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "lemma1_sum", lambda l, **p: math.nan)
     assert main(["--out", str(tmp_path), "lemma", "check", "--id", "1"]) == 4
@@ -232,6 +250,29 @@ def test_lemma_parameter_the_lemma_does_not_read_is_a_usage_error(
     del doc[key]
     make_params_file(tmp_path, doc)
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("lemma_id, case, key, code", [
+    ("1", "1", "alpha", 2),
+    ("3", None, "lams", 2),
+    ("3", None, "thetas", 2),
+    ("4", None, "epsilons", 2),
+    ("3", None, "gamma_prime", 0),
+])
+def test_lemma_parameter_given_as_null_is_a_usage_error_but_gamma_prime(
+    tmp_path, capsys, lemma_id, case, key, code
+):
+    # gamma_prime: null means gamma; any other null is refused, naming its key
+    argv = ["--out", str(tmp_path), "lemma", "check", "--id", lemma_id,
+            "--params", str(make_params_file(tmp_path, {key: None}))]
+    argv += ["--case", case] if case else []
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"error: {key} must not be null; only gamma_prime: null means gamma\n"
+        assert_failed_manifest(tmp_path)
+    else:
+        assert err == ""
 
 
 def test_lemma3_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):

@@ -254,6 +254,15 @@ def test_rearrangement_refuses_a_power_that_is_not_finite_and_positive():
                 iterated_rearrangement(data, power)
 
 
+def test_rearrangement_whose_power_overflows_is_a_numerical_failure():
+    # an infinite power would sort as the largest value and leave a NaN or
+    # an infinite norm; it is refused, on a full grid and on an orthant
+    arr = np.full((2, 4), 1e200)
+    for data in (arr, OrthantSamples(arr[:, :3], (2, 4))):
+        with pytest.raises(ArithmeticError, match="to the power 2 overflows"):
+            iterated_rearrangement(data, 2.0)
+
+
 def test_orthant_rearrangement_of_orthants_wider_than_a_tile():
     # orthant extents 129 and 65 leave partial 64-wide tiles at every edge;
     # on the last two grids, 4096 cells per last-axis index, the 129 orthant
@@ -283,10 +292,10 @@ DESIGNED_HEAD_LANES = np.array([
 
 @pytest.mark.parametrize("power", [1.0, 3.0])
 def test_head_lanes_at_half_width_match_flip_sort_bit_for_bit(power):
-    # every head axis sorted at half width (_NETWORK_SORT at 0): the designed
-    # lanes, N_0 = 2, and three axes with both heads at half width; held in
-    # C order (strided lanes) and in Fortran order, and drawn slab by slab,
-    # in slabs of every width; the held samples are left as they were
+    # the designed lanes, N_0 = 2, and three axes with both heads at half
+    # width; held in C order (strided lanes) and in Fortran order, and drawn
+    # slab by slab, in slabs of every width; the held samples are left as
+    # they were
     cases = [
         DESIGNED_HEAD_LANES,
         np.array([[1.5, 0.0, 2.0], [1.5, 3.0, -0.0]]),
@@ -299,8 +308,7 @@ def test_head_lanes_at_half_width_match_flip_sort_bit_for_bit(power):
             before = layout.copy()
             orthant = OrthantSamples(layout, shape)
             for cells in slab_cells(shape, values.shape[-1]):
-                with mock.patch.object(norms, "_SLAB_CELLS", cells), \
-                        mock.patch.object(norms, "_NETWORK_SORT", 0):
+                with mock.patch.object(norms, "_SLAB_CELLS", cells):
                     for source in (orthant, streamed(orthant)):
                         got = iterated_rearrangement(source, power).to_grid()
                         assert got.tobytes() == want.tobytes()
@@ -312,8 +320,7 @@ def test_head_lanes_at_half_width_match_flip_sort_bit_for_bit(power):
 def test_half_width_head_axes_match_flip_sort_bit_for_bit(orthant, power):
     want = flip_sort_powers(orthant.to_grid().values, power)
     for cells in slab_cells(orthant.shape, orthant.shape[-1] // 2 + 1):
-        with mock.patch.object(norms, "_SLAB_CELLS", cells), \
-                mock.patch.object(norms, "_NETWORK_SORT", 0):
+        with mock.patch.object(norms, "_SLAB_CELLS", cells):
             for source in (orthant, streamed(orthant)):
                 got = iterated_rearrangement(source, power).to_grid()
                 assert got.tobytes() == want.tobytes()
@@ -325,8 +332,7 @@ def test_streamed_product_orthant_at_half_width_matches_flip_sort_bit_for_bit():
         f = dirichlet_block((2, 1, 2)[: len(shape)])
         want = flip_sort_powers(synthesize(f, GridSpec(shape)).values, 3.0)
         for cells in slab_cells(shape, shape[-1] // 2 + 1):
-            with mock.patch.object(norms, "_SLAB_CELLS", cells), \
-                    mock.patch.object(norms, "_NETWORK_SORT", 0):
+            with mock.patch.object(norms, "_SLAB_CELLS", cells):
                 stream = spectral._block_samples(f.blocks, shape, {})
                 assert isinstance(stream, OrthantSlabs)
                 got = iterated_rearrangement(stream, 3.0).to_grid()
@@ -352,19 +358,17 @@ def sorted_widths(fn):
     return result, widths
 
 
-def test_orthant_head_axes_longer_than_a_sorting_network_sort_at_half_width():
-    # a head axis of N_a > _NETWORK_SORT = 256 samples sorts its lanes at
-    # N_a/2 + 1 values; a shorter one appends its interior and sorts N_a
-    # values, as numpy sorts those as fast as half as many.  Besides, the
-    # rows along the last axis keep their N/2 + 1 values, and the walk
-    # sorts the two endpoints of each lane or row
+def test_orthant_head_axes_sort_their_lanes_at_half_width():
+    # a head axis of any N_a sorts an orthant's lanes at N_a/2 + 1 values.
+    # Besides, the rows along the last axis keep their N/2 + 1 values, and
+    # the walk sorts the two endpoints of each lane or row
     rng = np.random.default_rng(34)
-    for shape, heads in (((512, 8), {257}), ((512, 512, 4), {257}),
-                         ((1024, 256, 4), {513, 256})):
+    for shape in ((8, 8), (64, 8), (256, 8), (512, 8), (256, 64, 4),
+                  (512, 8, 4), (64, 512, 4)):
         values = rng.integers(0, 5, size=tuple(n // 2 + 1 for n in shape)) / 4.0
         orthant = OrthantSamples(values, shape)
         got, widths = sorted_widths(lambda: iterated_rearrangement(orthant, 3.0))
-        assert widths == heads | {shape[-1] // 2 + 1, 2}
+        assert widths == {n // 2 + 1 for n in shape} | {2}
         want = iterated_rearrangement(orthant.to_grid(), 3.0)
         assert got.to_grid().tobytes() == want.tobytes()
 

@@ -160,6 +160,21 @@ def test_block_levels_match_the_row_levels_to_the_last_bit(case, monkeypatch):
             assert block_level(n, tp, which, budget, monkeypatch) == want, (which, n)
 
 
+@pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+def test_a_level_measured_as_zero_or_not_finite_is_a_numerical_failure(value, monkeypatch):
+    # the class functional of f, or its nonempty sampled residual (a
+    # Lorentz-Zygmund target), measured as 0 or a non-finite value would
+    # make the level's error meaningless
+    tp, d = CASES[3][0], derived_exponents(CASES[3][0])
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "class_functional", lambda *args: (value, "product"))
+        with pytest.raises(ArithmeticError, match=f"class functional of f1 at n=6 is {value!r}"):
+            experiments._rate_level(6, tp, 1, DEFAULT_MAX_GRID_CELLS, d)
+    monkeypatch.setattr(experiments, "_blocks_norm", lambda *args: value)
+    with pytest.raises(ArithmeticError, match=f"residual at n=6 measures {value!r}"):
+        experiments._rate_level(6, tp, 1, DEFAULT_MAX_GRID_CELLS, d)
+
+
 def test_the_cases_take_every_route_and_leave_empty_residuals():
     routes, empty = set(), 0
     for tp, (lo, hi), budget in CASES:

@@ -442,11 +442,9 @@ def test_product_orthant_matches_the_full_inverse_fft(case):
 
 
 def test_streamed_product_orthant_matches_the_held_one():
-    # the slabs take the rows of the same 256-row batches: whole batches or
-    # parts of one for two axes, and for three axes of 4 x 513 rows per
-    # index of the last axis, rows joined from several batches; the held
-    # orthant is the one slab of the whole last axis, which synthesize
-    # mirrors
+    # each slab is one batch of rows, width x 513 of them on the grid
+    # (16, 1024, 8); slabs of any width join to the held orthant, the one
+    # slab of the whole last axis, which synthesize mirrors
     cases = [
         (SpectralFunction(1, {(k,): -2.5 for k in (-3, -2, 2, 3)}), (16,)),
         (dirichlet_block((5, 7)), (64, 1024)),
