@@ -1,7 +1,7 @@
 """Command-line front end: reproducible experiments with file-based outputs.
 
-Every command builds an ExperimentConfig, executes it through run(), and
-writes a manifest listing each emitted file with its content hash plus the
+Every command runs through run(kind, options, out_dir), which writes a
+manifest listing each emitted file with its content hash plus the
 pass/fail verdicts, with status "ok".  A run that fails after its arguments
 are parsed writes a manifest with status "error", the message and the exit
 code instead.  Exit status: 0 when all verdicts pass, 1 when a verdict
@@ -70,18 +70,6 @@ from .spectral import GridSpec, SpectralFunction
 
 class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
-
-
-@dataclass
-class ExperimentConfig:
-    kind: str
-    options: dict
-    out_dir: Path
-
-    def __post_init__(self) -> None:
-        if self.kind not in _RUNNERS:
-            raise ConfigError(f"unknown experiment kind: {self.kind}")
-        self.out_dir = Path(self.out_dir)
 
 
 @dataclass
@@ -211,11 +199,11 @@ def _grid_budget(o: dict) -> int:
     return value
 
 
-def _out_path(cfg: ExperimentConfig, name: str) -> Path:
+def _out_path(out_dir: Path, name: str) -> Path:
     if not isinstance(name, str):
         raise ConfigError(f"out must be a file name, got {name!r}")
     p = Path(name)
-    return p if p.is_absolute() else cfg.out_dir / p
+    return p if p.is_absolute() else out_dir / p
 
 
 # -- experiment runners --------------------------------------------------------
@@ -257,8 +245,7 @@ _LEMMA_KEYS = frozenset({"case"}.union(
 ))
 
 
-def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
-    o = cfg.options
+def _run_lemma_check(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path]:
     lemma_id = _integer(o, "id", 0)
     if lemma_id not in _LEMMAS:
         raise ConfigError("lemma id must be 1, 2, 3, or 4")
@@ -307,7 +294,7 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
         lower_threshold=lower_threshold,
         upper_threshold=upper_threshold,
     )
-    out_csv = _out_path(cfg, o.get("out", f"lemma{lemma_id}_report.csv"))
+    out_csv = _out_path(out_dir, o.get("out", f"lemma{lemma_id}_report.csv"))
     _write_csv(out_csv, ["n", "lhs", "rhs", "ratio"], report.rows)
     summary_path = out_csv.with_name(out_csv.stem + ".summary.json")
     spread = report.spread
@@ -342,8 +329,7 @@ def _run_lemma_check(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
     return [out_csv, summary_path]
 
 
-def _run_cross_gen(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
-    o = cfg.options
+def _run_cross_gen(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path]:
     if "gamma" not in o:
         raise ConfigError("cross-gen requires gamma")
     gamma = Anisotropy.of(_rational_list(o["gamma"]))
@@ -352,7 +338,7 @@ def _run_cross_gen(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
     if cross_cardinality(n, gamma, cap=budget) > budget:
         raise ConfigError(f"the cross at n={n} holds more than {budget} frequencies")
     indices = hyperbolic_cross(n, gamma)
-    out = _out_path(cfg, o.get("out", "cross.json"))
+    out = _out_path(out_dir, o.get("out", "cross.json"))
     _write_json(out, indices_to_json_dict(gamma.m, indices))
     manifest.summary = {"count": len(indices), "m": gamma.m, "n": str(n)}
     return [out]
@@ -367,8 +353,7 @@ def _space_from_options(o: dict, m: int, prefix: str) -> MixedSpaceParams:
     return MixedSpaceParams.of(p, alpha, tau)
 
 
-def _run_norm(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
-    o = cfg.options
+def _run_norm(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path]:
     if "grid" not in o:
         raise ConfigError("norm requires a grid file")
     with open(o["grid"], "r", encoding="utf-8") as fh:
@@ -380,8 +365,7 @@ def _run_norm(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
     return []
 
 
-def _run_approx_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
-    o = cfg.options
+def _run_approx_rate(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path]:
     if "spectral" not in o:
         raise ConfigError("approx-rate requires a spectral file")
     with open(o["spectral"], "r", encoding="utf-8") as fh:
@@ -395,7 +379,7 @@ def _run_approx_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]
     if "grid" in o:
         grid = GridSpec(tuple(as_integer(v, "grid") for v in _as_list(o["grid"])))
     rows = approx_error_scan(f, gamma, target, ns, grid)
-    out = _out_path(cfg, o.get("out", "approx.csv"))
+    out = _out_path(out_dir, o.get("out", "approx.csv"))
     _write_csv(out, ["n", "error", "card"], rows)
     manifest.summary = {
         "error_kind": "projection",
@@ -426,8 +410,7 @@ def _theorem_params(o: dict) -> TheoremParams:
     return TheoremParams(source, target, gamma_prime)
 
 
-def _run_extremal(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
-    o = cfg.options
+def _run_extremal(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path]:
     tp = _theorem_params(o)
     which = _integer(o, "which", 1)
     n = _integer(o, "n", 4)
@@ -437,7 +420,7 @@ def _run_extremal(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
     exact = grid.cells <= _grid_budget(o)
     value, _ = class_functional(blocks, grid, tp.source, exact)
     f = SpectralFunction.from_blocks(tp.m, blocks)  # the rows of extremal.json
-    out = _out_path(cfg, o.get("out", "extremal.json"))
+    out = _out_path(out_dir, o.get("out", "extremal.json"))
     _write_json(out, f.to_json_dict())
     sidecar = out.with_name(out.stem + ".sidecar.json")
     _write_json(sidecar, {"besov": value, "support_size": f.n_terms})
@@ -451,8 +434,7 @@ def _run_extremal(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
     return [out, sidecar]
 
 
-def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Path]:
-    o = cfg.options
+def _run_theorem1_rate(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path]:
     tp = _theorem_params(o)
     ns = parse_range(o.get("range", "6:16:linear"))
     which = _integer(o, "which", 1)
@@ -460,7 +442,7 @@ def _run_theorem1_rate(cfg: ExperimentConfig, manifest: RunManifest) -> list[Pat
     spread_threshold = _threshold(o, "spread_threshold", 10.0)
     fit_tolerance = _threshold(o, "fit_tolerance", 0.1)
     result = theorem1_rate_experiment(tp, ns, which=which, max_grid_cells=max_cells)
-    out = _out_path(cfg, o.get("out", "theorem1_rate.csv"))
+    out = _out_path(out_dir, o.get("out", "theorem1_rate.csv"))
     _write_csv(
         out,
         ["n", "error", "reference"],
@@ -535,32 +517,32 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> RunManifest:
+def run(kind: str, options: dict, out_dir: Path) -> RunManifest:
     """Execute one experiment, write its outputs and manifest, return the manifest."""
-    runner, keys = _RUNNERS[config.kind]
-    unknown = sorted(set(config.options) - keys)
+    runner, keys = _RUNNERS[kind]
+    unknown = sorted(set(options) - keys)
     if unknown:
-        raise ConfigError(f"unknown option for {config.kind}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown option for {kind}: {', '.join(unknown)}")
     manifest = RunManifest(
-        kind=config.kind,
+        kind=kind,
         version=__version__,
-        config=_json_safe(config.options),
+        config=_json_safe(options),
         wall_seconds=0.0,
     )
     start = time.monotonic()
-    outputs = runner(config, manifest)
+    outputs = runner(options, out_dir, manifest)
     manifest.wall_seconds = time.monotonic() - start
 
     def listed(p: Path) -> str:
         try:
-            return str(p.relative_to(config.out_dir))
+            return str(p.relative_to(out_dir))
         except ValueError:
             return str(p)
 
     manifest.outputs = [
         {"path": listed(p), "sha256": _sha256(p)} for p in outputs
     ]
-    _write_json(config.out_dir / "manifest.json", asdict(manifest))
+    _write_json(out_dir / "manifest.json", asdict(manifest))
     return manifest
 
 
@@ -701,13 +683,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = ExperimentConfig(
-            kind=args.kind,
-            options=_collect_options(args),
-            out_dir=Path(args.out_dir),
-        )
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = run(config)
+        options = _collect_options(args)
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest = run(args.kind, options, out_dir)
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         code, message = 2, f"error: {exc}"
     except ArithmeticError as exc:
