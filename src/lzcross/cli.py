@@ -389,9 +389,17 @@ def _run_approx_rate(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path
     return [out]
 
 
+# the class and target keys _theorem_params reads
+_THEOREM_KEYS = "p q r alpha tau1 thetas beta tau2 gamma_prime".split()
+
+
 def _theorem_params(o: dict) -> TheoremParams:
     if "p" not in o or "q" not in o or "r" not in o:
         raise ConfigError("theorem parameters require p, q, and r")
+    for key in _THEOREM_KEYS:  # no gamma here for a null gamma_prime to stand for
+        value = o.get(key, ())
+        if value is None or isinstance(value, list) and None in value:
+            raise ConfigError(f"{key} must not be null")
     p = _rational_list(o["p"])
     m = len(p)
     source_space = MixedSpaceParams.of(
@@ -495,9 +503,7 @@ def _run_theorem1_rate(o: dict, out_dir: Path, manifest: RunManifest) -> list[Pa
     return [out, summary_path]
 
 
-_EXTREMAL_KEYS = frozenset(
-    "p q r alpha tau1 thetas beta tau2 gamma_prime which n max_grid_cells out".split()
-)
+_EXTREMAL_KEYS = frozenset(_THEOREM_KEYS + "which n max_grid_cells out".split())
 
 # kind -> (runner, the option keys it reads); any other key is a configuration error
 _RUNNERS = {

@@ -52,12 +52,17 @@ def as_integer(value: object, name: str) -> int:
 
 
 def as_number(value: object, name: str) -> float:
-    """A real field: a number or the text of one, as float() reads it,
-    refused naming the field otherwise."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """A real field: a number or the text of one, as float() reads it.
+
+    A boolean or anything else is refused, naming the field, rather than
+    read as 1.0 or 0.0.
+    """
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,9 @@ class GridFunction:
             raise ValueError("m does not match shape arity")
 
         def samples(key: str) -> np.ndarray:
-            try:
+            try:  # a boolean would be read as 1.0 or 0.0
+                if any(isinstance(v, bool) for v in np.ravel(np.asarray(doc[key], object))):
+                    raise TypeError
                 return np.asarray(doc[key], dtype=np.float64).reshape(shape)
             except (TypeError, ValueError):
                 cells = math.prod(shape)

@@ -201,6 +201,24 @@ def test_failure_whose_manifest_cannot_be_written_keeps_its_exit_code(
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_main_calls_run_by_its_module_name(tmp_path, monkeypatch):
+    # the benchmark tracer wraps cli.run and reads the cli's own time from
+    # that span, so main must look run up by name when it calls it
+    seen = []
+    real_run = cli.run
+
+    def spy(kind, options, out_dir):
+        seen.append((kind, options, out_dir))
+        return real_run(kind, options, out_dir)
+
+    monkeypatch.setattr(cli, "run", spy)
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), "lemma", "check", "--id", "2", "--case", "growth",
+                 "--range", "2:4"]) == 0
+    assert seen == [("lemma-check", {"id": 2, "case": "growth", "range": "2:4"}, out_dir)]
+    assert read_json(out_dir / "manifest.json")["status"] == "ok"
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["lemma", "check", "--id", "4"], {"lams": ["1e400", 1]}),
     (["theorem1", "rate", "--range", "6:9"], {**RATE_1D, "q": ["1e400"]}),
@@ -273,6 +291,45 @@ def test_lemma_parameter_given_as_null_is_a_usage_error_but_gamma_prime(
         assert_failed_manifest(tmp_path)
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("argv", [["theorem1", "rate"], ["extremal", "--n", "4"]],
+                         ids=["rate", "extremal"])
+@pytest.mark.parametrize("key, value", [
+    ("thetas", None),
+    ("gamma_prime", None),
+    ("q", ["2", None]),
+    ("p", None),
+    ("alpha", [None]),
+], ids=["thetas", "gamma-prime", "q-entry", "p", "alpha-entry"])
+def test_theorem_parameter_given_as_null_is_a_usage_error(
+    tmp_path, capsys, argv, key, value
+):
+    # no gamma here for a null gamma_prime to stand for; each null is
+    # refused naming its key, not as the Fraction literal 'None'
+    params = make_params_file(tmp_path, {**RATE_1D, key: value})
+    assert main(["--out", str(tmp_path)] + argv + ["--params", str(params)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {key} must not be null\n" and captured.out == ""
+    assert_failed_manifest(tmp_path)
+    assert read_json(tmp_path / "manifest.json")["message"] == f"error: {key} must not be null"
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["theorem1", "rate"], {"p": ["3/2"], "q": ["2"]},
+     "theorem parameters require p, q, and r"),
+    # the --relation flag has choices; a params file bypasses them
+    (["lemma", "check", "--id", "1"], {"relation": "sideways"},
+     "relation must be two-sided, lower, or upper"),
+], ids=["rate-without-r", "lemma-relation"])
+def test_params_file_that_a_command_cannot_run_is_a_usage_error(
+    tmp_path, capsys, argv, doc, message
+):
+    params = make_params_file(tmp_path, doc)
+    assert main(["--out", str(tmp_path)] + argv + ["--params", str(params)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert_failed_manifest(tmp_path)
 
 
 def test_lemma3_box_over_the_cell_budget_is_a_usage_error(tmp_path, capsys):
@@ -739,9 +796,15 @@ LEMMA_ARGV = ["lemma", "check", "--id", "1", "--params"]
     (RATE_ARGV, {**RATE_1D, "spread_threshold": None}, {}, "spread_threshold"),
     (LEMMA_ARGV, {"spread_threshold": None}, {}, "spread_threshold"),
     (LEMMA_ARGV, {"lower_threshold": None}, {}, "lower_threshold"),
+    (LEMMA_ARGV, {"spread_threshold": True}, {}, "spread_threshold"),
+    (["approx", "--spectral"], {"m": 1, "terms": [{"k": [1], "re": True}]}, {}, "term re"),
+    (["norm", "--grid"], {"m": 1, "shape": [4], "re": [True, 0, 0, 0]}, {}, "re"),
+    (["norm", "--grid"], {"m": 1, "shape": [4], "re": [1, 0, 0, 0], "im": [False] * 4}, {},
+     "im"),
 ], ids=["grid-list", "grid-shape", "term-number", "terms-object", "term-k", "term-im",
         "params-out-5", "params-out-null", "config-out-5", "config-out-null",
-        "fit-tolerance-null", "rate-spread-null", "lemma-spread-null", "lemma-lower-null"])
+        "fit-tolerance-null", "rate-spread-null", "lemma-spread-null", "lemma-lower-null",
+        "lemma-spread-true", "term-re-true", "grid-re-true", "grid-im-false"])
 def test_field_of_the_wrong_json_type_is_a_usage_error(
     tmp_path, capsys, argv, doc, config, field
 ):
