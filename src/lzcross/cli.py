@@ -130,15 +130,24 @@ def _rational(value) -> Fraction:
     return out
 
 
-def _float_list(value) -> list[float]:
+def _option(o: dict, key: str, default, null: str = ""):
+    """o[key], or default if absent; a null value or list entry is refused,
+    naming key, with null appended to the message."""
+    value = o.get(key, default)
+    if value is None or isinstance(value, list) and None in value:
+        raise ConfigError(f"{key} must not be null{null}")
+    return value
+
+
+def _floats(o: dict, key: str, default, null: str = "") -> list[float]:
     return [
         math.inf if str(v).lower() in ("inf", "infinity") else float(_rational(v))
-        for v in _as_list(value)
+        for v in _as_list(_option(o, key, default, null))
     ]
 
 
-def _rational_list(value) -> list[Fraction]:
-    return [_rational(v) for v in _as_list(value)]
+def _rationals(o: dict, key: str, default=(), null: str = "") -> list[Fraction]:
+    return [_rational(v) for v in _as_list(_option(o, key, default, null))]
 
 
 def _json_safe(value):
@@ -264,18 +273,16 @@ def _run_lemma_check(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path
         which = f"lemma {lemma_id}" + ("" if case is None else f" case {case}")
         raise ConfigError(f"{which} does not read {', '.join(unread)}")
     params = dict(fixed)
+    null = "; only gamma_prime: null means gamma"
     for key, default in defaults.items():  # gamma first: the lists take its arity
-        value = o.get(key, default)
-        if value is None and key != "gamma_prime":
-            raise ConfigError(f"{key} must not be null; only gamma_prime: null means gamma")
-        if value is None:
+        if key == "gamma_prime" and o.get(key) is None:
             params[key] = params["gamma"]
         elif key in ("gamma", "gamma_prime"):
-            params[key] = Anisotropy.of(_rational_list(value))
+            params[key] = Anisotropy.of(_rationals(o, key, default, null))
         elif key in ("lams", "thetas", "epsilons"):
-            params[key] = _float_list(o.get(key, [default] * params["gamma"].m))
+            params[key] = _floats(o, key, [default] * params["gamma"].m, null)
         else:
-            params[key] = float(_rational(value))
+            params[key] = float(_rational(_option(o, key, default, null)))
     ns = parse_range(o.get("range", default_range))
     relation = o.get("relation", default_relation)
     if relation not in ("two-sided", "lower", "upper"):
@@ -332,7 +339,7 @@ def _run_lemma_check(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path
 def _run_cross_gen(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path]:
     if "gamma" not in o:
         raise ConfigError("cross-gen requires gamma")
-    gamma = Anisotropy.of(_rational_list(o["gamma"]))
+    gamma = Anisotropy.of(_rationals(o, "gamma"))
     n = as_fraction(str(o.get("n", 1)))
     budget = DEFAULT_MAX_GRID_CELLS  # counted before any frequency is listed
     if cross_cardinality(n, gamma, cap=budget) > budget:
@@ -345,9 +352,9 @@ def _run_cross_gen(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path]:
 
 
 def _space_from_options(o: dict, m: int, prefix: str) -> MixedSpaceParams:
-    p = _rational_list(o.get(f"{prefix}p", ["2"] * m))
-    alpha = _float_list(o.get(f"{prefix}alpha", [0.0] * len(p)))
-    tau = _float_list(o.get(f"{prefix}tau", [float(v) for v in p]))
+    p = _rationals(o, f"{prefix}p", ["2"] * m)
+    alpha = _floats(o, f"{prefix}alpha", [0.0] * len(p))
+    tau = _floats(o, f"{prefix}tau", [float(v) for v in p])
     if not (len(p) == len(alpha) == len(tau) == m):
         raise ConfigError(f"{prefix or 'space'} parameter lists must have length {m}")
     return MixedSpaceParams.of(p, alpha, tau)
@@ -372,7 +379,7 @@ def _run_approx_rate(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path
         f = SpectralFunction.from_json_dict(json.load(fh))
     if "gamma" not in o:
         raise ConfigError("approx-rate requires gamma")
-    gamma = Anisotropy.of(_rational_list(o["gamma"]))
+    gamma = Anisotropy.of(_rationals(o, "gamma"))
     target = _space_from_options(o, f.m, "target_")
     ns = parse_range(o.get("range", "1:8:linear"))
     grid = None
@@ -389,32 +396,25 @@ def _run_approx_rate(o: dict, out_dir: Path, manifest: RunManifest) -> list[Path
     return [out]
 
 
-# the class and target keys _theorem_params reads
-_THEOREM_KEYS = "p q r alpha tau1 thetas beta tau2 gamma_prime".split()
-
-
 def _theorem_params(o: dict) -> TheoremParams:
     if "p" not in o or "q" not in o or "r" not in o:
         raise ConfigError("theorem parameters require p, q, and r")
-    for key in _THEOREM_KEYS:  # no gamma here for a null gamma_prime to stand for
-        value = o.get(key, ())
-        if value is None or isinstance(value, list) and None in value:
-            raise ConfigError(f"{key} must not be null")
-    p = _rational_list(o["p"])
+    p = _rationals(o, "p")
     m = len(p)
     source_space = MixedSpaceParams.of(
         p,
-        _float_list(o.get("alpha", [0.0] * m)),
-        _float_list(o.get("tau1", [float(v) for v in p])),
+        _floats(o, "alpha", [0.0] * m),
+        _floats(o, "tau1", [float(v) for v in p]),
     )
-    thetas = _float_list(o.get("thetas", ["inf"] * m))
-    source = BesovParams(source_space, tuple(_rational_list(o["r"])), tuple(thetas))
+    thetas = _floats(o, "thetas", ["inf"] * m)
+    source = BesovParams(source_space, tuple(_rationals(o, "r")), tuple(thetas))
     target = MixedSpaceParams.of(
-        _rational_list(o["q"]),
-        _float_list(o.get("beta", [0.0] * m)),
-        _float_list(o.get("tau2", [2.0] * m)),
+        _rationals(o, "q"),
+        _floats(o, "beta", [0.0] * m),
+        _floats(o, "tau2", [2.0] * m),
     )
-    gamma_prime = Anisotropy.of(_rational_list(o.get("gamma_prime", ["1"] * m)))
+    # no gamma here for a null gamma_prime to stand for
+    gamma_prime = Anisotropy.of(_rationals(o, "gamma_prime", ["1"] * m))
     return TheoremParams(source, target, gamma_prime)
 
 
@@ -503,7 +503,9 @@ def _run_theorem1_rate(o: dict, out_dir: Path, manifest: RunManifest) -> list[Pa
     return [out, summary_path]
 
 
-_EXTREMAL_KEYS = frozenset(_THEOREM_KEYS + "which n max_grid_cells out".split())
+_EXTREMAL_KEYS = frozenset(
+    "p q r alpha tau1 thetas beta tau2 gamma_prime which n max_grid_cells out".split()
+)
 
 # kind -> (runner, the option keys it reads); any other key is a configuration error
 _RUNNERS = {
@@ -525,6 +527,7 @@ _RUNNERS = {
 
 def run(kind: str, options: dict, out_dir: Path) -> RunManifest:
     """Execute one experiment, write its outputs and manifest, return the manifest."""
+    out_dir = Path(out_dir)
     runner, keys = _RUNNERS[kind]
     unknown = sorted(set(options) - keys)
     if unknown:

@@ -219,6 +219,13 @@ def test_main_calls_run_by_its_module_name(tmp_path, monkeypatch):
     assert read_json(out_dir / "manifest.json")["status"] == "ok"
 
 
+def test_run_takes_the_output_directory_as_text(tmp_path):
+    # library callers may pass out_dir as a string, as ExperimentConfig allowed
+    manifest = cli.run("cross-gen", {"gamma": "1,1", "n": 3}, str(tmp_path))
+    assert manifest.outputs[0]["path"] == "cross.json"
+    assert read_json(tmp_path / "manifest.json")["summary"]["count"] == manifest.summary["count"]
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["lemma", "check", "--id", "4"], {"lams": ["1e400", 1]}),
     (["theorem1", "rate", "--range", "6:9"], {**RATE_1D, "q": ["1e400"]}),
@@ -313,6 +320,37 @@ def test_theorem_parameter_given_as_null_is_a_usage_error(
     assert captured.err == f"error: {key} must not be null\n" and captured.out == ""
     assert_failed_manifest(tmp_path)
     assert read_json(tmp_path / "manifest.json")["message"] == f"error: {key} must not be null"
+
+
+@pytest.mark.parametrize("argv, key, value, note", [
+    (["lemma", "check", "--id", "3"], "gamma", ["1", None], "lemma"),
+    (["lemma", "check", "--id", "3"], "gamma_prime", ["1", None], "lemma"),
+    (["lemma", "check", "--id", "4"], "lams", [0, None], "lemma"),
+    (["norm", "--grid"], "tau", [None], ""),
+    (["approx", "--spectral"], "target_alpha", None, ""),
+], ids=["lemma3-gamma-entry", "lemma3-gamma-prime-entry", "lemma4-lams-entry",
+        "norm-tau-entry", "approx-target-alpha"])
+def test_null_value_or_list_entry_is_refused_naming_its_key(
+    tmp_path, capsys, argv, key, value, note
+):
+    # every per-axis list is read by one helper that refuses a null, so no
+    # command reads one as the Fraction literal 'None'
+    if argv[0] == "norm":
+        data = {"m": 1, "shape": [4], "re": [1.0] * 4}
+        argv = argv + [str(make_params_file(tmp_path, data))]
+    elif argv[0] == "approx":
+        data = {"m": 1, "terms": [{"k": [1], "re": 1.0}]}
+        argv = argv + [str(make_params_file(tmp_path, data)), "--gamma", "1"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    assert main(["--config", str(config), "--out", str(tmp_path)] + argv) == 2
+    message = f"error: {key} must not be null"
+    if note:
+        message += "; only gamma_prime: null means gamma"
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert_failed_manifest(tmp_path)
+    assert read_json(tmp_path / "manifest.json")["message"] == message
 
 
 @pytest.mark.parametrize("argv, doc, message", [
