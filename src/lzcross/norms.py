@@ -48,7 +48,25 @@ import numpy as np
 
 from .indexsets import MultiIndex, RationalLike, as_fraction, as_integer
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the 16-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre's
+# leggauss(16) bit for bit (tested), written out so that importing norms
+# does not load numpy.polynomial
+_GAUSS_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499,
+])
+_GAUSS_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176,
+])
 _LN2 = math.log(2.0)
 
 # cells of the largest grid whose samples a run measures, and of the largest
@@ -139,12 +157,13 @@ def _validated_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Samples of a periodic function on the uniform product grid.
 
     values[i1, ..., im] is the sample at x_j = i_j / N_j on the unit torus;
-    every N_j is a power of two.
+    every N_j is a power of two.  Like the other sample holders it compares
+    and hashes by identity (eq=False), as an array has no one truth value.
     """
 
     values: np.ndarray
@@ -202,13 +221,14 @@ class GridFunction:
         return cls(re + 1j * im)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthantSamples:
     """Samples of a grid function that is even in every variable, on one orthant.
 
     values[i1, ..., im] with 0 <= i_j <= N_j/2 is the sample at x_j = i_j / N_j
     of the full grid `shape` = (N_1, ..., N_m); the sample at i_j > N_j/2
-    equals the one at N_j - i_j.  values may be any strided view.
+    equals the one at N_j - i_j.  values may be any strided view.  Compared
+    and hashed by identity (eq=False).
     """
 
     values: np.ndarray
@@ -272,7 +292,7 @@ def _tiled_copy(dst: np.ndarray, src: np.ndarray) -> None:
 _SLAB_CELLS = 1 << 18  # grid cells per slab or row block of the walk: 2 MB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfProfile:
     """iterated_rearrangement of an orthant (OrthantSamples or OrthantSlabs),
     each row along the last axis kept at the orthant's h = N/2 + 1 values.
@@ -284,7 +304,8 @@ class HalfProfile:
     leftmost copy of hi and O without its leftmost copy of lo, the full
     row, negated and sorted increasingly, is E[0], O[0], E[1], O[1], ...,
     E[N/2-1], O[N/2-1].  drops[..., 0] and drops[..., 1] are, per row, the
-    index in S of the entry E and O leave out.
+    index in S of the entry E and O leave out.  Compared and hashed by
+    identity (eq=False).
     """
 
     rows: np.ndarray

@@ -394,7 +394,8 @@ def _orthant_factor(k: bytes, n: int, factors: AxisFactors) -> np.ndarray:
     its int64 bytes k, from the table factors: each (K, n) is synthesized
     on first use and read from the table after.  A table starts empty in
     one call, of a class functional, a norm or a sampler, and is dropped
-    when that call returns, so nothing is kept between calls."""
+    when that call returns, so nothing is kept between calls; the block
+    norms (_factor_norms) drop each factor after its last use."""
     if (k, n) not in factors:
         factors[k, n] = _axis_factor(np.frombuffer(k, dtype=np.int64), n).values
     return factors[k, n]
@@ -421,25 +422,37 @@ def _factor_norms(
     order.  A product (c, [K_1, ..., K_m]) is |c| times the product of its
     axis factors' one-axis norms, each factor, coefficient 1 on K_j,
     sampled on its own axis of the grid and measured once per call for
-    each distinct (axis set, N_j, axis space): when K_j = -K_j, its orthant
-    from the table factors (_orthant_factor), mirrored, else by one
-    complex ifft (_grid).  A block's own rows are measured on its whole
-    grid, as synthesize samples them."""
+    each distinct (axis set, N_j, axis space), in order of first use: when
+    K_j = -K_j, its orthant from the table factors (_orthant_factor),
+    mirrored, else by one complex ifft (_grid).  A factor leaves the table
+    once its last distinct (K_j, N_j, axis space) is measured, so the block
+    norms hold about one factor and its mirror at a time.  A block's own
+    rows are measured on its whole grid, as synthesize samples them."""
+    todo = {}  # each distinct (K_j bytes, N_j, axis space), by first use
+    keyed = {  # each product's keys, a repeat read as todo holds it
+        s: [
+            todo.setdefault(t, t)
+            for t in zip(map(np.ndarray.tobytes, b), shape, params.axes, strict=True)
+        ]
+        for s, (_, b) in blocks.items()
+        if isinstance(b, list)
+    }
+    last = {(key, n): i for i, (key, n, _) in enumerate(todo)}
 
-    @functools.cache
-    def factor_norm(key: bytes, n: int, ax: ScalarSpaceParams) -> float:
+    def factor_norm(i: int, key: bytes, n: int, ax: ScalarSpaceParams) -> float:
         k = np.frombuffer(key, dtype=np.int64)
         if np.array_equal(k, -k[::-1]):
             samples = OrthantSamples(_orthant_factor(key, n, factors), (n,)).to_grid()
         else:
             samples = _grid({(0,): (1 + 0j, [k])}, (n,))
-        return anisotropic_norm(samples, MixedSpaceParams((ax,)))
+        value = anisotropic_norm(samples, MixedSpaceParams((ax,)))
+        if last[key, n] == i:
+            factors.pop((key, n), None)
+        return value
 
+    norms = {t: factor_norm(i, *t) for i, t in enumerate(todo)}
     return {
-        s: abs(a) * math.prod(
-            factor_norm(k.tobytes(), n, ax)
-            for k, n, ax in zip(b, shape, params.axes, strict=True)
-        )
+        s: abs(a) * math.prod(map(norms.__getitem__, keyed[s]))
         if isinstance(b, list)
         else anisotropic_norm(_grid({s: (a, b)}, shape), params)
         for s, (a, b) in blocks.items()
@@ -500,6 +513,7 @@ def _blocks_norm(
 
 
 _ROWS = 256  # orthant rows per batch of _product_norm
+_SUB_ROWS = 32  # rows sampled at a time in a batch (_row_sums): 0.5 MB at N = 4096
 
 
 def _factor_matrices(
@@ -554,6 +568,29 @@ def _orthant_slabs(factors: list[np.ndarray], width: int):
         del block
 
 
+def _row_sums(
+    rows: np.ndarray, last: np.ndarray, p: float, w_last: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """|rows @ last.T|^p @ w_last: each orthant row sampled along the last
+    axis (last = G_{m-1}), raised to the power p and summed with the
+    weights w_last, formed len(buf) rows at a time in the reused buffer
+    buf, or whole, in an array of its own, when the rows are not a multiple
+    of 4.  OpenBLAS's dgemv gives a row the same sum in any call where the
+    row keeps its position modulo 4, so every sum has the bits of the
+    whole batch's as long as no slice is one row, which numpy hands to
+    gemv instead of gemm."""
+    step = len(buf) if len(rows) % 4 == 0 else len(rows)
+    sums = np.empty(len(rows))
+    for i in range(0, len(rows), step):
+        part = rows[i : i + step]
+        out = buf[: len(part)] if len(part) <= len(buf) else None
+        batch = np.matmul(part, last.T, out=out)
+        np.abs(batch, out=batch)
+        np.power(batch, p, out=batch)
+        np.matmul(batch, w_last, out=sums[i : i + len(part)])
+    return sums
+
+
 def _product_norm(
     pieces: list[Product], shape: tuple[int, ...], p: float, factors: AxisFactors
 ) -> float:
@@ -561,21 +598,20 @@ def _product_norm(
     (_factor_matrices), from its 1-D axis factors in the table factors.
 
     The sum is sign-symmetric (_route), so each K is too.  Each batch of
-    orthant rows (_row_batches) times G_{m-1}^T samples them along the last
-    axis in one reused buffer, and their powers are summed with the orthant
-    weights [1, 2, ..., 2, 1] / N_j: no grid of two or more axes is held.
+    _ROWS orthant rows (_row_batches) is sampled along the last axis and
+    raised to the power p _SUB_ROWS rows at a time in one reused buffer
+    (_row_sums), and its row sums are added with the orthant weights
+    [1, 2, ..., 2, 1] / N_j, one batch after another: no grid of two or
+    more axes is held.
     """
     *heads, last = _factor_matrices(pieces, shape, factors)
     *head_weights, w_last = (_orthant_weights(n) for n in shape)
-    total, buf = 0.0, np.empty((min(_ROWS, math.prod(map(len, heads))), len(last)))
+    total, buf = 0.0, np.empty((min(_SUB_ROWS, math.prod(map(len, heads))), len(last)))
     for at, rows in _row_batches(heads, len(pieces), _ROWS):
-        batch = np.matmul(rows, last.T, out=buf[: len(rows)])
-        np.abs(batch, out=batch)
-        np.power(batch, p, out=batch)
         weights = math.prod(
             (w[k] for w, k in zip(head_weights, at)), start=np.ones(len(rows))
         )
-        total += float(weights @ (batch @ w_last))
+        total += float(weights @ _row_sums(rows, last, p, w_last, buf))
     return total ** (1.0 / p)
 
 

@@ -290,6 +290,36 @@ def test_plain_lebesgue_norm_of_f1_holds_under_a_quarter_of_its_grid():
     assert peak < 1024 * 1024 * 8 / 4
 
 
+def test_bound_level_holds_about_one_axis_factor_at_a_time():
+    # at a bound level of criterion 9's parameters (n = 16, a 65536^2 grid)
+    # the block norms take each axis factor's orthant from the table and
+    # drop it after its last use: the call holds one orthant, its mirrored
+    # axis, the norm's two temporaries of that axis and each distinct axis
+    # set's bytes once, less than the table of every factor would hold
+    tp = make_tp(["3/2", "3/2"], [2, 2], [1, 1])
+    blocks = classes.extremal_blocks(16, tp, 1)
+    grid = GridSpec.minimal_for(level_bandwidth(blocks))
+    n = grid.shape[0]
+    assert grid.shape == (n, n) == (65536, 65536)
+    distinct = {
+        (k.tobytes(), size)
+        for _, axis_sets in blocks.values()
+        for k, size in zip(axis_sets, grid.shape)
+    }
+    keys = sum(len(k) for k, _ in distinct)
+    orthant, axis = (n // 2 + 1) * 8, n * 8
+    bound = keys + orthant + 3 * axis + 64 * 1024
+    assert bound < len(distinct) * orthant
+    tracemalloc.start()
+    try:
+        value, route = classes.class_functional(blocks, grid, tp.source, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert route == "bound" and value > 0.0
+    assert peak <= bound
+
+
 def test_class_functional_splits_the_blocks_once(monkeypatch):
     # the product route of the whole-function norm and the block norms share
     # one split of f into blocks

@@ -8,10 +8,13 @@ Analytic anchors used below:
 """
 
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,6 +36,7 @@ from lzcross.norms import (
     mixed_sequence_norm,
     profile_norm,
 )
+from lzcross.indexsets import axis_block
 from lzcross.norms import _cell_weights
 from lzcross import norms, spectral
 from lzcross.spectral import (
@@ -381,6 +385,39 @@ def test_orthant_samples_mirror_each_interior_index():
         OrthantSamples(np.zeros(4), (4,))  # a grid of 4 has an orthant of 3
     with pytest.raises(ValueError):
         OrthantSamples(np.zeros(3), (6,))
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert norms._GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert norms._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_importing_the_cli_does_not_load_numpy_polynomial():
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, lzcross.cli; print('numpy.polynomial' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_sample_holders_compare_and_hash_by_identity():
+    # each holds an ndarray, which has no one truth value: == is identity
+    values = np.arange(9.0).reshape(3, 3)
+    orthant = OrthantSamples(values, (4, 4))
+    holders = [
+        (GridFunction(np.ones((4, 4))), GridFunction(np.ones((4, 4)))),
+        (orthant, OrthantSamples(values.copy(), (4, 4))),
+        (iterated_rearrangement(orthant, 2.0), iterated_rearrangement(orthant, 2.0)),
+    ]
+    assert isinstance(holders[2][0], HalfProfile)
+    for a, b in holders:
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) != hash(b)
+        assert a in {a} and b not in {a} and len({a, b, a}) == 2
 
 
 def test_cell_weights_total_mass():
@@ -786,6 +823,88 @@ def test_three_axis_product_route_holds_less_than_one_orthant():
     assert spectral.grid_route(f, grid, leb) == "product"
     f = dirichlet_block((4, 4, 4))  # fresh, so its block tests are traced too
     assert traced_peak(lambda: grid_norm(f, grid, leb)) < 65**3 * 8
+
+
+def symmetric_axis_set(rng, n):
+    """A random axis set K = -K of frequencies below n / 2; {0} if none."""
+    half = np.flatnonzero(rng.random(n // 2) < 0.5)
+    return np.union1d(-half, half) if half.size else np.zeros(1, dtype=np.int64)
+
+
+def run_on_one_blas_thread(call: str) -> None:
+    """Run call, a function of this module called by name, in a fresh
+    interpreter whose BLAS uses one thread, as byte-for-byte reruns do: a
+    threaded OpenBLAS splits a product's rows among its threads at counts
+    that need not be multiples of 4, which moves row sums in the last bits."""
+    root = Path(__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"),
+        "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")]),
+    }
+    code = f"import test_norms; test_norms.{call}()"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def check_product_norm_of_sliced_batches() -> None:
+    rng = np.random.default_rng(37)
+    shapes = [
+        (64,), (1024, 64), (2, 512, 64), (4, 512, 64), (4, 256, 16), (64, 512, 16),
+        (2, 2, 16, 64),
+    ]
+    for shape in shapes:
+        pieces = [
+            (complex(rng.standard_normal()), [symmetric_axis_set(rng, n) for n in shape])
+            for _ in range(3)
+        ]
+        for p in (1.5, 3.0):
+            sliced = spectral._product_norm(pieces, shape, p, {})
+            with mock.patch.object(spectral, "_SUB_ROWS", spectral._ROWS):
+                whole = spectral._product_norm(pieces, shape, p, {})
+            assert sliced.hex() == whole.hex(), (shape, p)
+
+
+def test_product_norm_keeps_its_bits_when_batches_are_sampled_in_slices():
+    # a batch of orthant rows is sampled _SUB_ROWS rows at a time: the value
+    # is the one of whole batches, for m = 1, 2 and 3 (and 4), with last
+    # batches of 1 row (of 513), 2 (514), 3 (771), 131 and 33 (of 387 and
+    # 8481, each sampled whole) and 36 (of 36: a slice of 32 and one of 4)
+    run_on_one_blas_thread("check_product_norm_of_sliced_batches")
+
+
+def check_row_sums_at_every_length() -> None:
+    rng = np.random.default_rng(38)
+    n = 4096
+    heads, last = rng.standard_normal((spectral._ROWS, 5)), rng.standard_normal((n // 2 + 1, 5))
+    w_last = norms._orthant_weights(n)
+    buf = np.empty((spectral._SUB_ROWS, n // 2 + 1))
+    for size in range(1, spectral._ROWS + 1):
+        rows = heads[:size]
+        whole = np.power(np.abs(rows @ last.T), 1.5) @ w_last
+        assert spectral._row_sums(rows, last, 1.5, w_last, buf).tobytes() == whole.tobytes()
+
+
+def test_row_sums_match_the_whole_batch_at_every_length():
+    # every batch length from 1 to _ROWS, on one random factor pair: the
+    # row sums taken in slices have the bytes of the whole batch's
+    run_on_one_blas_thread("check_row_sums_at_every_length")
+
+
+def test_product_norm_holds_one_slice_of_a_batch():
+    # on a 4096^2 grid a batch of 256 orthant rows is 4.2 MB; the sum holds
+    # one slice of _SUB_ROWS rows (0.5 MB), the two factor matrices and the
+    # table of axis factors
+    n = 4096
+    pieces = [(1 + 0j, [axis_block(a), axis_block(b)]) for a, b in ((3, 9), (9, 3), (6, 6))]
+    spectral._product_norm(pieces, (n, n), 1.5, {})  # fills the weight cache
+    h = n // 2 + 1
+    batch, sliced = spectral._ROWS * h * 8, spectral._SUB_ROWS * h * 8
+    bound = sliced + 4 * len(pieces) * h * 8 + 64 * 1024
+    assert bound < batch / 4
+    assert traced_peak(lambda: spectral._product_norm(pieces, (n, n), 1.5, {})) <= bound
 
 
 def test_synthesize_of_a_product_holds_its_grid_and_one_orthant():
