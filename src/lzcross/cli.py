@@ -19,13 +19,15 @@ processes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -83,6 +85,14 @@ class RunManifest:
     summary: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
     status: str = "ok"
+
+    def to_json_dict(self) -> dict:
+        """The fields by name, as manifest.json holds them, uncopied:
+        _write_json rebuilds every nested dict and list."""
+        return {"kind": self.kind, "version": self.version, "config": self.config,
+                "wall_seconds": self.wall_seconds, "outputs": self.outputs,
+                "verdicts": self.verdicts, "summary": self.summary,
+                "stats": self.stats, "status": self.status}
 
 
 # -- small parsing helpers ----------------------------------------------------
@@ -551,7 +561,7 @@ def run(kind: str, options: dict, out_dir: Path) -> RunManifest:
     manifest.outputs = [
         {"path": listed(p), "sha256": _sha256(p)} for p in outputs
     ]
-    _write_json(out_dir / "manifest.json", asdict(manifest))
+    _write_json(out_dir / "manifest.json", manifest.to_json_dict())
     return manifest
 
 
@@ -559,25 +569,34 @@ def run(kind: str, options: dict, out_dir: Path) -> RunManifest:
 
 
 class _Command(argparse.ArgumentParser):
-    """The parser of one command, whose arguments and sub-commands are added
-    by its function populate when argparse first hands it arguments, so an
-    invocation builds the arguments of the command it names alone."""
+    """The parser of one command, constructed when argparse first hands it
+    arguments: __init__ keeps its keywords, and the first parse_known_args
+    runs ArgumentParser.__init__ with them and then populate, which adds the
+    command's arguments and sub-commands.  An invocation so constructs the
+    parser of the command it names alone; the top-level help and usage
+    errors read only the names and help of the others."""
 
-    def __init__(self, *, populate=None, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._populate = populate
+    def __init__(self, *, populate, **kwargs) -> None:
+        self._deferred = kwargs, populate
 
     def parse_known_args(self, args=None, namespace=None):
-        populate, self._populate = self._populate, None
-        if populate is not None:
+        if self._deferred is not None:
+            (kwargs, populate), self._deferred = self._deferred, None
+            super().__init__(**kwargs)
             populate(self)
         return super().parse_known_args(args, namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one help width for the invocation: argparse would ask the terminal for
+    # it each time it makes a formatter, as it does for every argument added
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="lzcross",
         description="Hyperbolic-cross approximation experiments and norm evaluation",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", default=os.environ.get("LZCROSS_CONFIG"),
@@ -585,7 +604,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="out_dir",
                         default=os.environ.get("LZCROSS_OUT", "."),
                         help="output directory (default: current directory)")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(_Command, formatter_class=formatter),
+    )
     sub.add_parser("lemma", help="asymptotic lemma ratio checks",
                    populate=_lemma_arguments)
     sub.add_parser("cross", help="index-set generation", populate=_cross_arguments)
@@ -598,9 +620,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(command: argparse.ArgumentParser):
+    """The sub-commands of command: plain parsers, constructed when added,
+    with command's help width."""
+    return command.add_subparsers(
+        dest="subcommand", required=True,
+        parser_class=functools.partial(
+            argparse.ArgumentParser, formatter_class=command.formatter_class
+        ),
+    )
+
+
 def _lemma_arguments(lemma: argparse.ArgumentParser) -> None:
-    lemma_sub = lemma.add_subparsers(dest="subcommand", required=True)
-    check = lemma_sub.add_parser("check")
+    check = _subcommands(lemma).add_parser("check")
     check.add_argument("--id", type=int, required=True, choices=[1, 2, 3, 4])
     check.add_argument("--case", help="lemma 1: 1|2|3; lemma 2: decay|growth")
     check.add_argument("--params", help="JSON file with lemma parameters")
@@ -612,8 +644,7 @@ def _lemma_arguments(lemma: argparse.ArgumentParser) -> None:
 
 
 def _cross_arguments(cross: argparse.ArgumentParser) -> None:
-    cross_sub = cross.add_subparsers(dest="subcommand", required=True)
-    gen = cross_sub.add_parser("gen")
+    gen = _subcommands(cross).add_parser("gen")
     gen.add_argument("--n", required=True, help="level, rational like 5/2 allowed")
     gen.add_argument("--gamma", required=True, help="comma-separated rationals")
     gen.add_argument("--out", metavar="CROSS.JSON")
@@ -649,8 +680,7 @@ def _extremal_arguments(extremal: argparse.ArgumentParser) -> None:
 
 
 def _theorem1_arguments(theorem1: argparse.ArgumentParser) -> None:
-    theorem1_sub = theorem1.add_subparsers(dest="subcommand", required=True)
-    rate = theorem1_sub.add_parser("rate")
+    rate = _subcommands(theorem1).add_parser("rate")
     rate.add_argument("--params", help="JSON file with class/target parameters")
     rate.add_argument("--which", type=int, choices=[1, 2, 3])
     rate.add_argument("--range", metavar="A:B:MODE")

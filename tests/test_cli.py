@@ -4,7 +4,9 @@ Each test drives main() with an explicit argv and a temporary output
 directory, then inspects exit codes, emitted files, and the manifest.
 """
 
+import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -224,6 +226,45 @@ def test_run_takes_the_output_directory_as_text(tmp_path):
     manifest = cli.run("cross-gen", {"gamma": "1,1", "n": 3}, str(tmp_path))
     assert manifest.outputs[0]["path"] == "cross.json"
     assert read_json(tmp_path / "manifest.json")["summary"]["count"] == manifest.summary["count"]
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["lemma", "check", "--id", "2", "--case", "decay", "--range", "8:32:dyadic"], None),
+    (["theorem1", "rate", "--range", "6:9"], {**RATE_1D, "max_grid_cells": 512}),
+])
+def test_an_invocation_constructs_the_parsers_of_its_command_alone(
+    argv, params, tmp_path, monkeypatch
+):
+    # the top level, the named command and its sub-command; the five other
+    # commands' parsers are never constructed (the help and the usage errors
+    # that list them are pinned in test_cli_surface.py)
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    if params is not None:
+        argv = [*argv, "--params", str(make_params_file(tmp_path, params))]
+    assert main(["--out", str(tmp_path / "out"), *argv]) == 0
+    assert built == ["lzcross", f"lzcross {argv[0]}", f"lzcross {argv[0]} {argv[1]}"]
+
+
+@pytest.mark.parametrize("kind, options", [
+    ("lemma-check", {"id": 3, "range": "4:12"}),
+    ("theorem1-rate", {**RATE_1D, "range": "6:9", "max_grid_cells": 512}),
+])
+def test_manifest_file_holds_every_field_of_the_returned_manifest(kind, options, tmp_path):
+    manifest = cli.run(kind, options, tmp_path)
+    doc = read_json(tmp_path / "manifest.json")
+    assert set(doc) == {f.name for f in dataclasses.fields(cli.RunManifest)}
+    # as a deep copy by asdict would write it, nested lists, dicts and
+    # non-finite floats included
+    want = json.loads(json.dumps(cli._json_safe(dataclasses.asdict(manifest))))
+    assert doc == want
+    assert doc["stats"]["levels"] and doc["verdicts"]
 
 
 @pytest.mark.parametrize("argv, doc", [
