@@ -116,8 +116,8 @@ def axis_block(s: int) -> np.ndarray:
         raise ValueError("block level must be nonnegative")
     if s == 0:
         return np.zeros(1, dtype=np.int64)
-    lo, hi = 1 << (s - 1), 1 << s
-    return np.r_[-hi + 1 : -lo + 1, lo:hi].astype(np.int64, copy=False)
+    k = np.arange(1 << (s - 1), 1 << s, dtype=np.int64)
+    return np.append(-k[::-1], k)
 
 
 def rho_block(s: Sequence[int]) -> list[FrequencyIndex]:

@@ -39,6 +39,7 @@ memoized per (N, p, alpha, tau).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,9 +242,19 @@ class OrthantSamples:
         object.__setattr__(self, "shape", shape)
 
     def to_grid(self) -> GridFunction:
-        """Every sample of the full grid, each index i_j > N_j/2 read at N_j - i_j."""
-        folds = [np.r_[0 : n // 2 + 1, n // 2 - 1 : 0 : -1] for n in self.shape]
-        return GridFunction(self.values[np.ix_(*folds)])
+        """Every sample of the full grid, each index i_j > N_j/2 read at N_j - i_j.
+
+        One fresh C-ordered grid is filled by 2^m slice copies: along each
+        axis the orthant indices 0..N_j/2 go in as they are, and the
+        interior ones N_j/2 - 1..1, read in reverse, fill N_j/2 + 1..N_j - 1.
+        """
+        grid = np.empty(self.shape, dtype=self.values.dtype)
+        keep = [(slice(n // 2 + 1),) * 2 for n in self.shape]  # (to, at)
+        mirror = [(slice(n // 2 + 1, None), slice(n // 2 - 1, 0, -1)) for n in self.shape]
+        for part in itertools.product(*zip(keep, mirror)):
+            to, at = zip(*part)
+            grid[to] = self.values[at]
+        return GridFunction(grid)
 
     def slabs(self, width: int) -> Iterator[np.ndarray]:
         """values[..., i : i + width] for i = 0, width, 2 width, ... in turn."""
@@ -603,7 +614,9 @@ def _power_sums(
 def _orthant_weights(n: int) -> np.ndarray:
     """[1, 2, ..., 2, 1] / n: the share of a grid of n samples that each
     orthant index 0..n/2 stands for."""
-    return np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] / n
+    weights = np.full(n // 2 + 1, 2.0 / n)
+    weights[0] = weights[-1] = 1.0 / n
+    return weights
 
 
 def _lebesgue_norm(data, p: float) -> float:
@@ -626,6 +639,22 @@ def _lebesgue_norm(data, p: float) -> float:
     for axis in order[1:]:
         g = np.tensordot(g, weights[axis], axes=(0, 0))
     return float(g) ** (1.0 / p)
+
+
+def _orthant_lebesgue_norm(values: np.ndarray, p: float) -> float:
+    """L_p norm on a grid of n points of the even samples whose orthant,
+    indices 0..n/2, is the 1-D array values, with the bits of
+    _lebesgue_norm on the mirrored grid: |v|^p is taken once per orthant
+    sample, the powers are mirrored (OrthantSamples.to_grid) and summed
+    with the full grid's weights 1/n, the array _lebesgue_norm sums.
+    np.power gives a value the same bits at any length or offset of a
+    contiguous array, so the mirrored powers are the powers of the
+    mirrored samples."""
+    n = 2 * (len(values) - 1)
+    powers = np.abs(values)
+    np.power(powers, p, out=powers)
+    mirrored = OrthantSamples(powers, (n,)).to_grid().values
+    return float(np.tensordot(mirrored, np.full(n, 1.0 / n), axes=(0, 0))) ** (1.0 / p)
 
 
 def anisotropic_norm(f, params: MixedSpaceParams) -> float:

@@ -36,6 +36,7 @@ from .norms import (
     OrthantSamples,
     OrthantSlabs,
     ScalarSpaceParams,
+    _orthant_lebesgue_norm,
     _orthant_weights,
     _validated_shape,
     anisotropic_norm,
@@ -423,11 +424,14 @@ def _factor_norms(
     axis factors' one-axis norms, each factor, coefficient 1 on K_j,
     sampled on its own axis of the grid and measured once per call for
     each distinct (axis set, N_j, axis space), in order of first use: when
-    K_j = -K_j, its orthant from the table factors (_orthant_factor),
-    mirrored, else by one complex ifft (_grid).  A factor leaves the table
-    once its last distinct (K_j, N_j, axis space) is measured, so the block
-    norms hold about one factor and its mirror at a time.  A block's own
-    rows are measured on its whole grid, as synthesize samples them."""
+    K_j = -K_j, its orthant from the table factors (_orthant_factor), in a
+    plain L_p axis space raised to the power p at its N_j/2 + 1 samples and
+    the powers mirrored (_orthant_lebesgue_norm), in any other the samples
+    mirrored (OrthantSamples.to_grid) and rearranged; else by one complex
+    ifft (_grid).  A factor leaves the table once its last distinct (K_j,
+    N_j, axis space) is measured, so the block norms hold about one factor
+    and its mirror at a time.  A block's own rows are measured on its whole
+    grid, as synthesize samples them."""
     todo = {}  # each distinct (K_j bytes, N_j, axis space), by first use
     keyed = {  # each product's keys, a repeat read as todo holds it
         s: [
@@ -441,11 +445,14 @@ def _factor_norms(
 
     def factor_norm(i: int, key: bytes, n: int, ax: ScalarSpaceParams) -> float:
         k = np.frombuffer(key, dtype=np.int64)
-        if np.array_equal(k, -k[::-1]):
-            samples = OrthantSamples(_orthant_factor(key, n, factors), (n,)).to_grid()
+        space = MixedSpaceParams((ax,))
+        if not np.array_equal(k, -k[::-1]):
+            value = anisotropic_norm(_grid({(0,): (1 + 0j, [k])}, (n,)), space)
+        elif (p := space.lebesgue_index()) is None:
+            orthant = OrthantSamples(_orthant_factor(key, n, factors), (n,))
+            value = anisotropic_norm(orthant.to_grid(), space)
         else:
-            samples = _grid({(0,): (1 + 0j, [k])}, (n,))
-        value = anisotropic_norm(samples, MixedSpaceParams((ax,)))
+            value = _orthant_lebesgue_norm(_orthant_factor(key, n, factors), float(p))
         if last[key, n] == i:
             factors.pop((key, n), None)
         return value
@@ -482,7 +489,7 @@ def _sign_symmetric(blocks: Blocks) -> bool:
         first[1:] = (mags[1:] != mags[:-1]).any(axis=1)
         inside = ~first[1:]
         starts = np.flatnonzero(first)
-        sizes = np.diff(np.r_[starts, len(order)])
+        sizes = np.diff(starts, append=len(order))
         if not (
             np.array_equal(sizes, 1 << np.count_nonzero(mags[starts], axis=1))
             and (bits[1:] == bits[:-1])[inside].all()
@@ -575,10 +582,11 @@ def _row_sums(
     axis (last = G_{m-1}), raised to the power p and summed with the
     weights w_last, formed len(buf) rows at a time in the reused buffer
     buf, or whole, in an array of its own, when the rows are not a multiple
-    of 4.  OpenBLAS's dgemv gives a row the same sum in any call where the
-    row keeps its position modulo 4, so every sum has the bits of the
-    whole batch's as long as no slice is one row, which numpy hands to
-    gemv instead of gemm."""
+    of 4, so no slice is one row, which numpy hands to gemv instead of
+    gemm.  The sums keep the whole batch's bits on the shapes the tests pin
+    and on every registered benchmark workload, not on every shape:
+    OpenBLAS's gemm rounds some entries of the last (Nyquist) column
+    differently depending on the row count of the call."""
     step = len(buf) if len(rows) % 4 == 0 else len(rows)
     sums = np.empty(len(rows))
     for i in range(0, len(rows), step):

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lzcross import classes, spectral
@@ -490,3 +491,39 @@ def test_class_normalizer_exact_and_estimated():
     bad = SpectralFunction(2, {(0, 1): 1.0})
     with pytest.raises(ValueError, match="zero-mean"):
         besov_functional(bad, tp.source, grid, exact=False)
+
+
+def test_rate_1d_class_functional_powers_orthants_and_builds_no_index_vector(monkeypatch):
+    # rate-1d's level 16 on its grid of N points: each factor's magnitudes
+    # are raised to p at the N/2 + 1 orthant samples, never at all N, and
+    # no index vector is built by np.r_ or gathered through np.ix_
+    powered, built = [], []
+    power, r_, ix_ = np.power, np.r_, np.ix_
+
+    def spy_power(x, *args, **kwargs):
+        powered.append(np.size(x))
+        return power(x, *args, **kwargs)
+
+    class SpyIndex:
+        def __getitem__(self, key):
+            built.append("np.r_")
+            return r_[key]
+
+    def spy_ix(*args):
+        built.append("np.ix_")
+        return ix_(*args)
+
+    tp = make_tp(["3/2"], [2], [1])  # bench/params/rate-1d.json
+    blocks = classes.extremal_blocks(16, tp, 1)
+    grid = GridSpec.minimal_for(level_bandwidth(blocks))
+    (n,) = grid.shape
+    want = classes.class_functional(blocks, grid, tp.source, True)
+    monkeypatch.setattr(np, "power", spy_power)
+    monkeypatch.setattr(np, "r_", SpyIndex())
+    monkeypatch.setattr(np, "ix_", spy_ix)
+    got = classes.class_functional(blocks, grid, tp.source, True)
+    assert got[0].hex() == want[0].hex() and got[1] == want[1] == "product"
+    # one power for the whole-function norm, one per distinct axis factor
+    distinct = {k.tobytes() for _, (k,) in blocks.values()}
+    assert powered == [n // 2 + 1] * (1 + len(distinct))
+    assert built == []

@@ -7,6 +7,7 @@ Analytic anchors used below:
   product samples                             -> per-axis factorization
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -385,6 +386,28 @@ def test_orthant_samples_mirror_each_interior_index():
         OrthantSamples(np.zeros(4), (4,))  # a grid of 4 has an orthant of 3
     with pytest.raises(ValueError):
         OrthantSamples(np.zeros(3), (6,))
+    # to_grid's slice copies against the gather through np.ix_ of the fold
+    # vectors [0..N/2, N/2-1..1] it replaced, byte for byte and in C order,
+    # on every layout of the orthant
+    rng = np.random.default_rng(3)
+    sizes = [2, 4, 8, 16, 32, 64]
+    for shape in itertools.chain(*(itertools.product(sizes, repeat=m) for m in (1, 2, 3))):
+        half = tuple(n // 2 + 1 for n in shape)
+        folds = [np.r_[0 : n // 2 + 1, n // 2 - 1 : 0 : -1] for n in shape]
+        for dtype in (np.float64, np.complex128):
+            base = rng.standard_normal(tuple(2 * h + 1 for h in half)).astype(dtype)
+            if dtype is np.complex128:
+                base.imag = rng.standard_normal(base.shape)
+            orthant = base[tuple(slice(h) for h in half)]
+            for values in (
+                np.ascontiguousarray(orthant),
+                np.asfortranarray(orthant),
+                base[tuple(slice(1, 2 * h + 1, 2) for h in half)],  # strided view
+            ):
+                want = values[np.ix_(*folds)]
+                got = OrthantSamples(values, shape).to_grid().values
+                assert got.dtype == want.dtype and got.flags.c_contiguous
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_gauss_legendre_literals_are_leggauss_bit_for_bit():

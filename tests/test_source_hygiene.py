@@ -1,11 +1,12 @@
 """Every name a module of the package imports is used in that module, no
-module imports scipy, no top-level function but the documented quadrature
-one keeps a memo between calls, every public definition is named by the
-package, the acceptance tests or a README example, every private one by the
-package, every public method, property and dataclass field is read there
-(an override of a standard-library base's method counts as read, as that
-library calls it), no two modules define the same top-level name, and
-README's lemma parameter table lists the keys each lemma case reads."""
+module imports scipy or uses numpy's r_ or c_, no top-level function but
+the documented quadrature one keeps a memo between calls, every public
+definition is named by the package, the acceptance tests or a README
+example, every private one by the package, every public method, property
+and dataclass field is read there (an override of a standard-library
+base's method counts as read, as that library calls it), no two modules
+define the same top-level name, and README's lemma parameter table lists
+the keys each lemma case reads."""
 
 import ast
 import importlib
@@ -70,6 +71,33 @@ def test_scan_finds_scipy_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_scipy_imports(path):
     assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def index_builders(source: str) -> list[str]:
+    """Uses of numpy's np.r_ or np.c_, by attribute or imported by name:
+    each builds its vector in Python on every call, where np.arange,
+    np.full, np.append or a slice would do it in C."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("r_", "c_"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ("r_", "c_")]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_scan_finds_index_builders():
+    source = (
+        "import numpy as np\nfrom numpy import c_\nfrom .numpy_like import r_\n"
+        "a = np.r_[0:3, 5]\nb = np.arange(3)\nc = c_[a, b]\n"
+        "d = np.lib.index_tricks.r_\nrows = np.ix_(a, b)\n"
+    )
+    assert index_builders(source) == ["c_ (line 2)", "r_ (line 4)", "r_ (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_index_builders(path):
+    assert index_builders(path.read_text(encoding="utf-8")) == []
 
 
 # (module, function): the one memo kept between calls, the quadrature

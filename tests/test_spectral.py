@@ -2,12 +2,18 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lzcross.indexsets import Anisotropy, rho_block
-from lzcross.norms import GridFunction, MixedSpaceParams
+from lzcross.indexsets import Anisotropy, axis_block, rho_block
+from lzcross.norms import (
+    GridFunction,
+    MixedSpaceParams,
+    ScalarSpaceParams,
+    anisotropic_norm,
+)
 from lzcross.spectral import (
     GridSpec,
     SpectralFunction,
@@ -20,6 +26,7 @@ from lzcross.spectral import (
     synthesize,
     truncation_error,
 )
+from lzcross.spectral import _axis_factor, _factor_norms
 
 
 def random_poly(rng, m, band, terms):
@@ -274,3 +281,23 @@ def test_complex_synthesis_holds_one_complex_grid():
         tracemalloc.stop()
     assert samples.values.dtype == np.complex128
     assert peak <= grid.cells * 16 + 64 * 1024
+
+
+def test_powered_orthant_factor_norms_keep_the_bits_of_the_mirrored_grid():
+    # a sign-symmetric factor in a plain L_p axis space is raised to the
+    # power p at its N/2 + 1 orthant samples and the powers are mirrored:
+    # the sum must have the bits of the norm of the mirrored samples, on
+    # every dyadic block, a few unions of them, and every grid resolving them
+    unions = [
+        np.sort(np.concatenate([axis_block(s) for s in levels]))
+        for levels in ([0, 3], [2, 5], range(1, 9), range(0, 17))
+    ]
+    sets = [axis_block(s) for s in range(17)] + unions
+    for p in ("5/4", "3/2", "2", "3", "7/2"):
+        space = MixedSpaceParams((ScalarSpaceParams(Fraction(p), 0.0, float(Fraction(p))),))
+        for n in (1 << e for e in range(1, 18)):
+            for k in (k for k in sets if 2 * k[-1] < n):
+                orthant = _axis_factor(k, n)
+                want = anisotropic_norm(orthant.to_grid(), space)
+                got = _factor_norms({(0,): (1 + 0j, [k])}, (n,), space, {})
+                assert got[(0,)].hex() == want.hex(), (p, n, k[-1], len(k))
